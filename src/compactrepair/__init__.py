@@ -22,9 +22,7 @@ from .hitting import (
     HittingResult,
     bounds,
     bounds_for_seed,
-    exact_special_case,
     min_hitting_set,
-    tolerance,
     verify_tolerance_exhaustive,
 )
 from .orbits import (
@@ -42,7 +40,6 @@ from .repair import (
     RepairScheme,
     SeedScheme,
     bandwidth,
-    build_seed_scheme,
     check_polynomial_validity,
     dilate_translate,
     helper_payload,
@@ -80,7 +77,6 @@ __all__ = [
     "base_of",
     "bounds",
     "bounds_for_seed",
-    "build_seed_scheme",
     "check_polynomial_validity",
     "coset_family",
     "count_with_base",
@@ -88,7 +84,6 @@ __all__ = [
     "design_single_seed",
     "dilate_translate",
     "enumerate_subspaces",
-    "exact_special_case",
     "field_new",
     "gaussian_coefficient",
     "helper_payload",
@@ -104,7 +99,6 @@ __all__ = [
     "span",
     "stabilizer_order",
     "subspace_polynomial",
-    "tolerance",
     "verify_full_rank",
     "verify_reference_example",
     "verify_tolerance_exhaustive",

@@ -10,9 +10,11 @@ for a concrete repaired point a* are regenerated on demand as
 the design from a handful of subspaces.
 
 Multi-seed designs take one seed per scaling orbit, so their coset family
-is every delta-dimensional subspace and the tolerance provably reaches
-(q^(ell-delta+1) - 1)/(q - 1) - 1; the solver re-certifies that value at
-desk scale.
+is every delta-dimensional subspace.  By the Bose-Burton bound its minimum
+hitting set has (q^(ell-delta+1) - 1)/(q - 1) points, attained by one point
+per F_q-line of a single (ell-delta+1)-dimensional subspace; the design
+builds that witness directly and checks that it hits every set, with no
+solver call.
 
 The failure simulator draws e-failure patterns (exhaustively below a
 pattern threshold, else Monte Carlo on a counter-based Philox stream) and
@@ -32,16 +34,9 @@ from math import comb
 
 import numpy as np
 
-from .errors import ExampleCheckError
+from .errors import ExampleCheckError, InvariantError
 from .gf import FieldCtx, field_new
-from .hitting import (
-    DEFAULT_NODE_BUDGET,
-    BoundsReport,
-    HittingResult,
-    bounds_for_seed,
-    exact_special_case,
-    min_hitting_set,
-)
+from .hitting import BoundsReport, HittingResult, bounds_for_seed, min_hitting_set
 from .orbits import OrbitReport, coset_family, orbit_decomposition
 from .repair import SeedScheme, search_seed_scheme
 from .subspaces import (
@@ -85,7 +80,7 @@ class DesignBundle:
 
     @property
     def tolerance(self) -> int:
-        return self.mhs.size - 1
+        return self.mhs.tolerance
 
     def to_json_dict(self) -> dict:
         ctx = self.ctx
@@ -161,11 +156,17 @@ def load_bundle(data: dict) -> DesignBundle:
         schemes.append(SeedScheme(ctx, seed, k, entry["scheme"]["u"]))
         counts.append(entry["coset_count"])
     mhs = HittingResult(
-        data["mhs"]["size"],
-        tuple(data["mhs"]["witness"]),
-        data["mhs"]["method"],
-        data["mhs"]["size"] - 1,
+        data["mhs"]["size"], tuple(data["mhs"]["witness"]), data["mhs"]["method"]
     )
+    if len(mhs.witness) != mhs.size:
+        raise ValueError(
+            f"bundle mhs witness has {len(mhs.witness)} points, size says {mhs.size}"
+        )
+    if data.get("tolerance") != mhs.tolerance:
+        raise ValueError(
+            f"bundle tolerance {data.get('tolerance')!r} is not mhs size - 1 = "
+            f"{mhs.tolerance}"
+        )
     b = data["bounds"]
     orbits = None
     if data.get("orbits"):
@@ -234,7 +235,6 @@ def design_single_seed(
     modulus=None,
     search_budget: int = DEFAULT_SEARCH_BUDGET,
     rng_seed: int = 0,
-    mhs_budget: int = DEFAULT_NODE_BUDGET,
 ) -> DesignBundle:
     """Design with one seed: groups, exact tolerance, bounds, repair scheme."""
     ctx = field_new(p, s, ell, modulus)
@@ -249,19 +249,22 @@ def design_single_seed(
         seed = _seed_from_strategy(ctx, delta, strategy)
     _validate_code(ctx, k, seed.dim)
     family = coset_family([seed])
-    mhs = min_hitting_set(family, budget=mhs_budget)
+    mhs = min_hitting_set(family)
     bnd = bounds_for_seed(seed)
-    if mhs.method == "exact":
-        assert bnd.lower <= mhs.size <= bnd.upper
-        if bnd.exact is not None:
-            assert mhs.size == bnd.exact
+    if mhs.method == "exact" and not (
+        bnd.lower <= mhs.size <= bnd.upper
+        and (bnd.exact is None or mhs.size == bnd.exact)
+    ):
+        raise InvariantError(
+            f"solver found |MHS| = {mhs.size}, outside bounds "
+            f"[{bnd.lower}, {bnd.upper}] or off exact value {bnd.exact}"
+        )
     scheme = search_seed_scheme(ctx, seed, k, search_budget, rng_seed=rng_seed)
     config = {
         "strategy": None if seed_basis is not None else strategy,
         "seed_basis": sorted(seed.basis),
         "search_budget": search_budget,
         "rng_seed": rng_seed,
-        "mhs_budget": mhs_budget,
         "group_selection": "first-intact",
     }
     return DesignBundle(
@@ -289,14 +292,16 @@ def design_multi_seed(
     modulus=None,
     search_budget: int = DEFAULT_SEARCH_BUDGET,
     rng_seed: int = 0,
-    mhs_budget: int = DEFAULT_NODE_BUDGET,
 ) -> DesignBundle:
     """Design from one seed per scaling orbit; tolerance attains the bound.
 
     The union of the representatives' coset families is every
-    delta-dimensional subspace (punctured), so the minimum hitting set is
-    the full line-cover value (q^(ell-delta+1) - 1)/(q - 1); the exact
-    solver re-certifies it whenever it terminates within budget.
+    delta-dimensional subspace (punctured).  Any (ell-delta+1)-dimensional
+    subspace U meets each of them in at least a line, so one point per
+    F_q-line of U hits the family, and by the Bose-Burton bound no smaller
+    set does: |MHS| = (q^(ell-delta+1) - 1)/(q - 1).  U is spanned by
+    z^0, ..., z^(ell-delta) for the field generator z; the witness is
+    checked against every set before it is returned.
     """
     ctx = field_new(p, s, ell, modulus)
     q = ctx.q
@@ -304,17 +309,25 @@ def design_multi_seed(
     report = orbit_decomposition(ctx, q, delta)
     seeds = report.representatives
     family = coset_family(list(seeds))
-    assert len(family.sets) == gaussian_coefficient(ctx.ell, delta, q)
-    expected = (q ** (ctx.ell - delta + 1) - 1) // (q - 1)
-    mhs = min_hitting_set(family, budget=mhs_budget)
-    if mhs.method == "exact" and mhs.size != expected:
-        raise AssertionError(
-            f"solver found |MHS| = {mhs.size}, formula says {expected}; "
-            "this is a bug"
+    if len(family.sets) != gaussian_coefficient(ctx.ell, delta, q):
+        raise InvariantError(
+            f"{len(family.sets)} coset sets, expected every one of the "
+            f"{gaussian_coefficient(ctx.ell, delta, q)} {delta}-subspaces"
         )
-    if mhs.method != "exact":
-        # Tolerance is still the proven closed form; record the solver miss.
-        mhs = HittingResult(expected, mhs.witness, mhs.method, expected - 1)
+    expected = (q ** (ctx.ell - delta + 1) - 1) // (q - 1)
+    U = span(ctx, q, [ctx.exp(i) for i in range(ctx.ell - delta + 1)])
+    scalars = ctx.subfield_elements(ctx.subfield_degree(q))[1:]
+    witness = tuple(
+        sorted({min(ctx.mul(c, v) for c in scalars) for v in U.members if v})
+    )
+    if len(witness) != expected or any(
+        g.isdisjoint(witness) for g in family.sets
+    ):
+        raise InvariantError(
+            f"line-cover witness of {len(witness)} points does not attain "
+            f"the Bose-Burton value {expected} on the orbit family"
+        )
+    mhs = HittingResult(expected, witness, "exact")
     schemes = tuple(
         search_seed_scheme(ctx, seed, k, search_budget, rng_seed=rng_seed)
         for seed in seeds
@@ -332,7 +345,6 @@ def design_multi_seed(
         "strategy": "orbit-representatives",
         "search_budget": search_budget,
         "rng_seed": rng_seed,
-        "mhs_budget": mhs_budget,
         "group_selection": "first-intact",
     }
     return DesignBundle(
@@ -391,6 +403,8 @@ def simulate_failures(
     """
     ctx = bundle.ctx
     n = ctx.order
+    if not 0 <= alpha_star < n:
+        raise ValueError(f"need 0 <= alpha_star < n = {n}, got {alpha_star}")
     if not 0 <= e < n:
         raise ValueError(f"need 0 <= e < n = {n}, got {e}")
     family = coset_family(list(bundle.seeds), center=alpha_star)
@@ -556,7 +570,7 @@ def verify_reference_example(modulus=None, strict: bool = False) -> dict:
     check("second-seed-coset-count", 15, len(second_family.sets))
     check("second-seed-mhs-size", 6, second_mhs.size)
     check("second-seed-tolerance", 5, second_mhs.size - 1)
-    check("first-seed-subfield-coset-value", 5, exact_special_case(first))
+    check("first-seed-subfield-coset-value", 5, bounds_for_seed(first).exact)
 
     failures = [c["name"] for c in checks if not c["passed"]]
     report = {

@@ -63,3 +63,7 @@ class NonIntegerResultError(CompactRepairError, ArithmeticError):
 
 class ExampleCheckError(CompactRepairError, AssertionError):
     """A golden check of the bundled reference design diverged."""
+
+
+class InvariantError(CompactRepairError, RuntimeError):
+    """A mathematical invariant of a computed result failed; signals a bug."""

@@ -4,20 +4,14 @@ The failure tolerance of a collection of repair groups is |MHS| - 1: an
 adversary must hit every group to make the symbol unrepairable.  Finding a
 minimum hitting set is NP-hard in general; at desk scale (universe within
 the field cap, up to a few thousand sets) every instance here is solved
-exactly:
+exactly by one 0/1 integer program (HiGHS via scipy.optimize.milp) over a
+sparse set-by-element incidence matrix.  The solver's witness is checked to
+hit every set before it is reported with method="exact".
 
-  * a greedy max-coverage pass supplies an incumbent, and a maximal
-    pairwise-disjoint subfamily supplies a lower bound; when the two meet
-    (subfield-coset partitions, singleton families) optimality is certified
-    with no further work,
-  * otherwise the instance is handed to a 0/1 integer program (HiGHS via
-    scipy.optimize.milp), whose branch-and-cut closes the integrality gaps
-    that defeat plain combinatorial bounds on these very regular families.
-
-If the solver's node budget runs out, the best incumbent is returned
-flagged method="greedy-upper-only"; proven optima carry method="exact".
-Witnesses are reproducible for fixed inputs, but only size and the hitting
-property are contractual.
+If the solver's node budget runs out, or it returns no verified optimum,
+the smaller of its verified incumbent and a greedy max-coverage cover is
+returned flagged method="greedy-upper-only".  Witnesses are reproducible
+for fixed inputs, but only size and the hitting property are contractual.
 
 For a single subspace seed, |MHS| is sandwiched between
 ceil((q^ell - 1)/(q^delta - 1)), by double counting element occurrences,
@@ -36,8 +30,9 @@ from math import comb
 
 import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
+from scipy.sparse import csr_array
 
-from .errors import BudgetExceededError, EmptyFamilyError
+from .errors import BudgetExceededError, EmptyFamilyError, InvariantError
 from .subspaces import Subspace, base_of
 
 DEFAULT_NODE_BUDGET = 10**7
@@ -48,7 +43,11 @@ class HittingResult:
     size: int
     witness: tuple[int, ...]
     method: str  # "exact" | "greedy-upper-only"
-    tolerance: int
+
+    @property
+    def tolerance(self) -> int:
+        """Failures tolerated by the family: |MHS| - 1."""
+        return self.size - 1
 
 
 @dataclass(frozen=True)
@@ -71,9 +70,13 @@ def _family_universe(family, sets) -> frozenset[int]:
     return frozenset(uni)
 
 
-def _greedy_hitting(sets, elements, emask, full):
+def _greedy_hitting(sets, elements) -> list[int]:
+    emask = {e: 0 for e in elements}
+    for i, s in enumerate(sets):
+        for e in s:
+            emask[e] |= 1 << i
     picked = []
-    unhit = full
+    unhit = (1 << len(sets)) - 1
     while unhit:
         best_e, best_c = None, 0
         for e in elements:
@@ -83,21 +86,6 @@ def _greedy_hitting(sets, elements, emask, full):
         picked.append(best_e)
         unhit &= ~emask[best_e]
     return picked
-
-
-def _packing_bound(sets, emask, full) -> int:
-    """Size of a greedy maximal pairwise-disjoint subfamily."""
-    count = 0
-    avail = full
-    while avail:
-        low = avail & -avail
-        i = low.bit_length() - 1
-        count += 1
-        mask = 0
-        for e in sets[i]:
-            mask |= emask[e]
-        avail &= ~mask
-    return count
 
 
 def min_hitting_set(family, budget: int = DEFAULT_NODE_BUDGET) -> HittingResult:
@@ -110,23 +98,12 @@ def min_hitting_set(family, budget: int = DEFAULT_NODE_BUDGET) -> HittingResult:
     # Duplicates do not change the optimum; drop them, keeping first-seen order.
     sets = list(dict.fromkeys(sets))
     elements = sorted(frozenset().union(*sets))
-    emask = {e: 0 for e in elements}
-    for i, s in enumerate(sets):
-        for e in s:
-            emask[e] |= 1 << i
-    full = (1 << len(sets)) - 1
-
-    greedy = _greedy_hitting(sets, elements, emask, full)
-    lower = _packing_bound(sets, emask, full)
-    if len(greedy) == lower:
-        witness = tuple(sorted(greedy))
-        return HittingResult(len(greedy), witness, "exact", len(greedy) - 1)
-
     index = {e: i for i, e in enumerate(elements)}
-    a = np.zeros((len(sets), len(elements)))
-    for r, s in enumerate(sets):
-        for e in s:
-            a[r, index[e]] = 1.0
+    rows = [r for r, s in enumerate(sets) for _ in s]
+    cols = [index[e] for s in sets for e in s]
+    a = csr_array(
+        (np.ones(len(cols)), (rows, cols)), shape=(len(sets), len(elements))
+    )
     res = milp(
         c=np.ones(len(elements)),
         constraints=LinearConstraint(a, lb=1.0),
@@ -136,24 +113,16 @@ def min_hitting_set(family, budget: int = DEFAULT_NODE_BUDGET) -> HittingResult:
     )
     candidate = None
     if res.x is not None:
-        candidate = sorted(e for e in elements if res.x[index[e]] > 0.5)
+        candidate = [e for e in elements if res.x[index[e]] > 0.5]
         if any(s.isdisjoint(candidate) for s in sets):
             candidate = None
     if res.status == 0 and candidate is not None:
-        witness = tuple(candidate)
-        return HittingResult(len(witness), witness, "exact", len(witness) - 1)
+        return HittingResult(len(candidate), tuple(candidate), "exact")
     # Budget exhausted (or solver gave up): report the best upper bound seen.
-    if candidate is not None and len(candidate) < len(greedy):
-        best = candidate
-    else:
-        best = sorted(greedy)
-    witness = tuple(best)
-    return HittingResult(len(witness), witness, "greedy-upper-only", len(witness) - 1)
-
-
-def tolerance(family, budget: int = DEFAULT_NODE_BUDGET) -> int:
-    """Failures tolerated by the family: |MHS| - 1."""
-    return min_hitting_set(family, budget=budget).size - 1
+    greedy = sorted(_greedy_hitting(sets, elements))
+    if candidate is None or len(greedy) <= len(candidate):
+        candidate = greedy
+    return HittingResult(len(candidate), tuple(candidate), "greedy-upper-only")
 
 
 def verify_tolerance_exhaustive(family, e: int, budget: int = 10**7) -> bool:
@@ -189,36 +158,30 @@ def bounds(q: int, ell: int, delta: int) -> BoundsReport:
     return BoundsReport(lower, upper, None, "generic")
 
 
-def special_case(S: Subspace) -> tuple[int, str] | None:
-    """Exact |MHS| and case tag when the seed matches a solved shape."""
+def bounds_for_seed(S: Subspace) -> BoundsReport:
+    """Sandwich bounds, with the exact |MHS| when the seed has a solved shape.
+
+    Multiplicative cosets of the subfield of order q^delta tile the nonzero
+    elements, so their value is the lower bound (case "subfield-coset").
+    Subspaces over the order-q^(ell-delta) subfield collapse the sandwich to
+    q^(ell-delta) + 1 (case "nested-subspace").  Other seeds are "generic"
+    with exact=None.
+    """
     q = S.q
     ell = S.ell
     delta = S.dim
+    base = bounds(q, ell, delta)
     m = base_of(S)
-    if m == delta:
-        # S is a multiplicative coset of the subfield of order q^delta:
-        # its cosets tile the nonzero elements.
-        return (q**ell - 1) // (q**delta - 1), "subfield-coset"
     e = ell - delta
-    if e >= 1 and m % e == 0:
-        # S is a subspace over the order-q^e subfield; rescaling the bound
-        # parameters to that subfield collapses the sandwich.
-        return q**e + 1, "nested-subspace"
-    return None
-
-
-def exact_special_case(S: Subspace) -> int | None:
-    """Exact |MHS(C(S*))| when a special case applies, else None."""
-    hit = special_case(S)
-    return hit[0] if hit else None
-
-
-def bounds_for_seed(S: Subspace) -> BoundsReport:
-    """Sandwich bounds enriched with the exact special-case value if any."""
-    base = bounds(S.q, S.ell, S.dim)
-    hit = special_case(S)
-    if hit is None:
+    if m == delta:
+        value, tag = (q**ell - 1) // (q**delta - 1), "subfield-coset"
+    elif e >= 1 and m % e == 0:
+        value, tag = q**e + 1, "nested-subspace"
+    else:
         return base
-    value, tag = hit
-    assert base.lower <= value <= base.upper
+    if not base.lower <= value <= base.upper:
+        raise InvariantError(
+            f"{tag} value {value} lies outside the sandwich "
+            f"[{base.lower}, {base.upper}]"
+        )
     return BoundsReport(base.lower, base.upper, value, tag)

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import InvalidDivisorError, NonIntegerResultError, SeedWithoutZeroError
+from .errors import InvalidDivisorError, InvariantError, NonIntegerResultError, SeedWithoutZeroError
 from .gf import FieldCtx
 from .subspaces import Subspace, base_of, enumerate_subspaces, gaussian_coefficient, span
 
@@ -140,12 +140,20 @@ def orbit_decomposition(ctx: FieldCtx, q: int, delta: int) -> OrbitReport:
             scaled.setdefault(frozenset(mul(b, x) for x in S.members), b)
         orbit = [span(ctx, q, [mul(b, g) for g in S.basis]) for b in scaled.values()]
         base_m = base_of(S)
-        assert len(scaled) * (q**base_m - 1) == q**ell - 1
+        if len(scaled) * (q**base_m - 1) != q**ell - 1:
+            raise InvariantError(
+                f"orbit of size {len(scaled)} breaks orbit-stabilizer for "
+                f"base field order q^{base_m}"
+            )
         counts[base_m] += len(scaled)
         reps.append(min(orbit, key=lambda T: T.basis))
         sizes.append(len(scaled))
         seen.update(scaled)
-    assert sum(counts.values()) == gaussian_coefficient(ell, delta, q)
+    if sum(counts.values()) != gaussian_coefficient(ell, delta, q):
+        raise InvariantError(
+            f"orbits cover {sum(counts.values())} subspaces, expected "
+            f"{gaussian_coefficient(ell, delta, q)}"
+        )
     return OrbitReport(q, ell, delta, counts, len(reps), tuple(reps), tuple(sizes))
 
 

@@ -168,11 +168,6 @@ def naive_seed_scheme(ctx: FieldCtx, S: Subspace, k: int) -> SeedScheme:
     return SeedScheme(ctx, S, k, u)
 
 
-def build_seed_scheme(ctx: FieldCtx, S: Subspace, k: int, u) -> SeedScheme:
-    """Assemble a scheme from explicit u polynomials (validity not enforced)."""
-    return SeedScheme(ctx, S, k, u)
-
-
 def verify_full_rank(scheme) -> bool:
     """Full-Rank Condition: the evaluations at the repaired point span F_q^ell."""
     evals = scheme.evals_at(scheme.repaired_point)

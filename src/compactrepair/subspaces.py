@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from .errors import InvariantError
 from .gf import FieldCtx
 
 
@@ -90,7 +91,8 @@ def gaussian_coefficient(ell: int, delta: int, q: int) -> int:
     for i in range(delta):
         num *= q**ell - q**i
         den *= q**delta - q**i
-    assert num % den == 0
+    if num % den:
+        raise InvariantError(f"Gaussian coefficient {num}/{den} is not an integer")
     return num // den
 
 

@@ -29,7 +29,6 @@ from compactrepair import (
     orbit_decomposition,
     recover_symbol,
     span,
-    tolerance,
     verify_full_rank,
     verify_reference_example,
     verify_tolerance_exhaustive,
@@ -209,7 +208,7 @@ def test_criterion_8_property_suites():
             res = min_hitting_set(sets)
             assert res.method == "exact"
             assert res.size == brute_force_size(sets)
-            t = tolerance(sets)
+            t = min_hitting_set(sets).tolerance
             assert t == res.size - 1
             top = min(len(set().union(*sets)), t + 2)
             for e in range(top + 1):

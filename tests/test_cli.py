@@ -161,3 +161,39 @@ def test_modulus_override_cli(capsys):
         capsys, "field-info", "--q", "2", "--ell", "4", "--modulus", "1,0,0,0,1"
     )
     assert code == 1  # reducible
+
+
+def test_simulate_out_of_field_alpha_star_exits_1(capsys, tmp_path):
+    bundle_path = tmp_path / "bundle.json"
+    code, _, _ = run_cli(
+        capsys, "design", "--q", "2", "--ell", "4", "--k", "2",
+        "--seed-basis", "4,11", "-o", str(bundle_path),
+    )
+    assert code == 0
+    for alpha in ("16", "99"):
+        code, out, err = run_cli(
+            capsys, "simulate", "--bundle", str(bundle_path),
+            "--alpha-star", alpha, "--failures", "2",
+        )
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1 and "alpha_star" in err
+
+
+def test_simulate_forged_bundle_exits_1(capsys, tmp_path):
+    bundle_path = tmp_path / "bundle.json"
+    code, _, _ = run_cli(
+        capsys, "design", "--q", "2", "--ell", "4", "--k", "2",
+        "--seed-basis", "4,11", "-o", str(bundle_path),
+    )
+    assert code == 0
+    data = json.loads(bundle_path.read_text())
+    data["tolerance"] = 9
+    bundle_path.write_text(json.dumps(data))
+    code, out, err = run_cli(
+        capsys, "simulate", "--bundle", str(bundle_path),
+        "--alpha-star", "6", "--failures", "2",
+    )
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and "tolerance" in err

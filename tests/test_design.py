@@ -14,9 +14,9 @@ from compactrepair import (
     min_hitting_set,
     recover_symbol,
     simulate_failures,
-    tolerance,
     verify_reference_example,
 )
+from compactrepair import hitting
 from compactrepair.errors import ExampleCheckError
 
 
@@ -101,6 +101,27 @@ def test_multi_seed_2_6_3_solver_confirmed():
     assert bundle.mhs.size == 15
     assert bundle.mhs.method == "exact"
     assert bundle.tolerance == (2**4 - 1) // 1 - 1 == 14
+    fam = coset_family(list(bundle.seeds))
+    assert all(not g.isdisjoint(bundle.mhs.witness) for g in fam.sets)
+    assert min_hitting_set(fam).size == bundle.mhs.size
+
+
+@pytest.mark.parametrize(
+    "q, ell, delta",
+    [(2, 4, 2), (2, 5, 3), (3, 3, 2), (4, 3, 2), (2, 4, 1), (2, 4, 4)],
+)
+def test_multi_seed_line_cover_witness_is_optimal(monkeypatch, q, ell, delta):
+    p, s = (2, 2) if q == 4 else (q, 1)
+    with monkeypatch.context() as m:
+        # The witness is built from the Bose-Burton bound, not solved for.
+        m.setattr(hitting, "milp", None)
+        bundle = design_multi_seed(p, s, ell, 1, delta, search_budget=0)
+    fam = coset_family(list(bundle.seeds))
+    assert bundle.mhs.method == "exact"
+    assert bundle.mhs.size == (q ** (ell - delta + 1) - 1) // (q - 1)
+    assert len(bundle.mhs.witness) == bundle.mhs.size
+    assert all(not g.isdisjoint(bundle.mhs.witness) for g in fam.sets)
+    assert bundle.mhs.size == min_hitting_set(fam).size
 
 
 def test_multi_seed_2_6_2_attains_upper_bound():
@@ -169,6 +190,18 @@ def test_bundle_determinism():
     assert c.dumps() == d.dumps()
 
 
+def test_load_bundle_rejects_forged_tolerance(bundle_s1):
+    forged = bundle_s1.to_json_dict()
+    forged["tolerance"] = 9
+    with pytest.raises(ValueError, match="tolerance"):
+        load_bundle(forged)
+    forged = bundle_s1.to_json_dict()
+    forged["mhs"]["size"] = 10
+    forged["tolerance"] = 9
+    with pytest.raises(ValueError, match="witness"):
+        load_bundle(forged)
+
+
 def test_bundle_schema_tag(bundle_s1):
     blob = bundle_s1.to_json_dict()
     assert blob["schema"] == 1
@@ -182,7 +215,7 @@ def test_cross_module_tolerance_consistency(bundle_s1, bundle_multi):
     for bundle in (bundle_s1, bundle_multi):
         for alpha in (0, ctx.exp(3), ctx.exp(7)):
             fam = coset_family(list(bundle.seeds), center=alpha)
-            assert bundle.tolerance == tolerance(fam)
+            assert bundle.tolerance == min_hitting_set(fam).tolerance
 
 
 def test_simulate_exhaustive_at_tolerance(bundle_s1):
@@ -223,6 +256,12 @@ def test_simulate_monte_carlo_agrees(bundle_s1):
         bundle_s1, alpha, e, mode="monte-carlo", trials=4000, rng_seed=12345
     )
     assert again.survived == mc.survived
+
+
+@pytest.mark.parametrize("alpha_star", [16, 99, -1])
+def test_simulate_rejects_out_of_field_point(bundle_s1, alpha_star):
+    with pytest.raises(ValueError, match="alpha_star"):
+        simulate_failures(bundle_s1, alpha_star, 2)
 
 
 def test_simulate_requires_seed_for_monte_carlo(bundle_s1):

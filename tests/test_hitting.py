@@ -8,10 +8,8 @@ from compactrepair import (
     bounds_for_seed,
     coset_family,
     enumerate_subspaces,
-    exact_special_case,
     min_hitting_set,
     span,
-    tolerance,
     verify_tolerance_exhaustive,
 )
 from compactrepair.errors import BudgetExceededError, EmptyFamilyError
@@ -50,14 +48,14 @@ def test_golden_seed_sizes(gf16):
     S2 = span(gf16, 2, [gf16.exp(4), gf16.exp(5)])
     assert min_hitting_set(coset_family([S1])).size == 5
     assert min_hitting_set(coset_family([S2])).size == 6
-    assert tolerance(coset_family([S1])) == 4
-    assert tolerance(coset_family([S2])) == 5
+    assert min_hitting_set(coset_family([S1])).tolerance == 4
+    assert min_hitting_set(coset_family([S2])).tolerance == 5
 
 
 def test_single_set_family(gf16):
     S = span(gf16, 2, [gf16.exp(i) for i in range(4)])
     fam = coset_family([S])
-    assert tolerance(fam) == 0
+    assert min_hitting_set(fam).tolerance == 0
 
 
 def test_witness_hits_every_set(gf16):
@@ -152,7 +150,7 @@ def test_verify_tolerance_matches_solver_on_random_corpus():
     rng = random.Random(4242)
     for _ in range(40):
         sets = random_family(rng, max_universe=10, max_sets=8)
-        t = tolerance(sets)
+        t = min_hitting_set(sets).tolerance
         for e in range(0, min(t + 2, len(set().union(*sets))) + 1):
             expected = e <= t
             assert verify_tolerance_exhaustive(sets, e) is expected
@@ -183,8 +181,8 @@ def test_bounds_values():
 def test_special_cases_golden(gf16):
     S1 = span(gf16, 2, [gf16.exp(2), gf16.exp(7)])  # coset of F_4
     S2 = span(gf16, 2, [gf16.exp(4), gf16.exp(5)])  # generic
-    assert exact_special_case(S1) == 5
-    assert exact_special_case(S2) is None
+    assert bounds_for_seed(S1).exact == 5
+    assert bounds_for_seed(S2).exact is None
     rep1 = bounds_for_seed(S1)
     assert rep1.case == "subfield-coset" and rep1.exact == 5
     rep2 = bounds_for_seed(S2)
@@ -194,14 +192,14 @@ def test_special_cases_golden(gf16):
 def test_special_case_nested_subspace(gf16):
     # delta = ell - 1 = 3: every 3-dim subspace qualifies with value q + 1
     for S in enumerate_subspaces(gf16, 2, 3):
-        assert exact_special_case(S) == 3
+        assert bounds_for_seed(S).exact == 3
         assert bounds_for_seed(S).case in ("nested-subspace", "subfield-coset")
 
 
 def test_special_case_agrees_with_solver_gf16(gf16):
     for delta in (1, 2, 3, 4):
         for S in enumerate_subspaces(gf16, 2, delta):
-            value = exact_special_case(S)
+            value = bounds_for_seed(S).exact
             if value is not None:
                 assert min_hitting_set(coset_family([S])).size == value
 

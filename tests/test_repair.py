@@ -3,8 +3,8 @@ import random
 import pytest
 
 from compactrepair import (
+    SeedScheme,
     bandwidth,
-    build_seed_scheme,
     check_polynomial_validity,
     coset_family,
     dilate_translate,
@@ -96,13 +96,13 @@ def test_dimension_too_small(gf16, golden_seed):
 
 def test_duplicate_u_rows_fail_rank(gf16, golden_seed):
     u = [(1,), (1,), (gf16.exp(1),), (gf16.exp(2),)]
-    scheme = build_seed_scheme(gf16, golden_seed, 2, u)
+    scheme = SeedScheme(gf16, golden_seed, 2, u)
     assert not verify_full_rank(scheme)
 
 
 def test_u_degree_bound_enforced(gf16, golden_seed):
     with pytest.raises(ValueError):
-        build_seed_scheme(gf16, golden_seed, 2, [(0, 0, 1)] + [(1,)] * 3)
+        SeedScheme(gf16, golden_seed, 2, [(0, 0, 1)] + [(1,)] * 3)
 
 
 def test_check_polynomials_vanish_off_support(gf16, naive16, golden_seed):
@@ -280,7 +280,7 @@ def test_recover_payload_errors(gf16, naive16):
 
 def test_recover_rank_deficient(gf16, golden_seed):
     u = [(1,), (1,), (gf16.exp(1),), (gf16.exp(2),)]
-    bad = build_seed_scheme(gf16, golden_seed, 2, u)
+    bad = SeedScheme(gf16, golden_seed, 2, u)
     d = dilate_translate(bad, gf16.exp(5), 1)
     pls = payloads_for(gf16, d, [3, 1])
     with pytest.raises(RankDeficientError):
@@ -305,7 +305,7 @@ def test_search_improves_or_matches_baseline(gf16, golden_seed):
             (0, gf16.exp(i)) if (mask >> i) & 1 else (gf16.exp(i),)
             for i in range(4)
         )
-        cand = build_seed_scheme(gf16, golden_seed, 2, u)
+        cand = SeedScheme(gf16, golden_seed, 2, u)
         if verify_full_rank(cand):
             structured_best = min(structured_best, cand.bandwidth)
     assert best.bandwidth <= structured_best
