@@ -6,6 +6,9 @@ minimum-hitting-set size, and counts subspace orbits to assemble
 multi-seed designs that attain the tolerance upper bound.
 """
 
+# Set before the submodules load: design stamps it into bundle provenance.
+__version__ = "0.1.0"
+
 from .design import (
     DesignBundle,
     SimReport,
@@ -28,6 +31,7 @@ from .hitting import (
 from .orbits import (
     CosetFamily,
     OrbitReport,
+    base_counts,
     coset_family,
     count_with_base,
     mobius,
@@ -57,8 +61,6 @@ from .subspaces import (
     subspace_polynomial,
 )
 
-__version__ = "0.1.0"
-
 __all__ = [
     "BoundsReport",
     "CosetFamily",
@@ -74,6 +76,7 @@ __all__ = [
     "Subspace",
     "bandwidth",
     "bandwidth_comparison",
+    "base_counts",
     "base_of",
     "bounds",
     "bounds_for_seed",

@@ -9,6 +9,13 @@ for a concrete repaired point a* are regenerated on demand as
 {a* + b*(S\\{0})}, never materialized, which is the whole point of seeding
 the design from a handful of subspaces.
 
+A bundle stores its inputs (the `_INPUTS` fields) beside values derived
+from them: code.n, q, delta, base_m, coset_count, bandwidth, mhs.size,
+tolerance, bounds, orbits and config_hash.  DesignBundle derives these for
+the design functions and load_bundle alike; load_bundle reads only the
+inputs, rejects any stored value that disagrees with its derivation, and
+checks the certificate (_check_certificate).
+
 Multi-seed designs take one seed per scaling orbit, so their coset family
 is every delta-dimensional subspace.  By the Bose-Burton bound its minimum
 hitting set has (q^(ell-delta+1) - 1)/(q - 1) points, attained by one point
@@ -34,11 +41,14 @@ from math import comb
 
 import numpy as np
 
+from . import __version__
 from .errors import ExampleCheckError, InvariantError
 from .gf import FieldCtx, field_new
-from .hitting import BoundsReport, HittingResult, bounds_for_seed, min_hitting_set
-from .orbits import OrbitReport, coset_family, orbit_decomposition
-from .repair import SeedScheme, search_seed_scheme
+from .hitting import BoundsReport, HittingResult, bounds, bounds_for_seed, min_hitting_set
+from .orbits import (
+    OrbitReport, base_counts, coset_family, orbit_count_formula, orbit_decomposition, stabilizer_order
+)
+from .repair import SeedScheme, search_seed_scheme, verify_full_rank
 from .subspaces import (
     Subspace,
     base_of,
@@ -48,27 +58,39 @@ from .subspaces import (
 )
 
 TOOL_NAME = "compactrepair"
-TOOL_VERSION = "0.1.0"
 SCHEMA_VERSION = 1
 DEFAULT_SEARCH_BUDGET = 300
 DEFAULT_EXHAUSTIVE_THRESHOLD = 10**7
+_ABSENT = object()
+
+# The JSON shape of a bundle's inputs; load_bundle reads nothing else.
+_INPUTS = {
+    "field": {"p": int, "s": int, "ell": int, "modulus": [int]},
+    "code": {"k": int},
+    "mode": ("single-seed", "multi-seed"),
+    "seeds": [{"basis": [int], "scheme": {"u": [[int]]}}],
+    "mhs": {"witness": [int], "method": ("exact", "greedy-upper-only")},
+    "config": dict,
+}
 
 
 @dataclass(frozen=True)
 class DesignBundle:
-    """Serializable design artifact; see module docstring."""
+    """Serializable design artifact: the fields are the inputs, derived values properties."""
 
     ctx: FieldCtx
     k: int
-    delta: int
     mode: str  # "single-seed" | "multi-seed"
     seeds: tuple[Subspace, ...]
     schemes: tuple[SeedScheme, ...]
-    coset_counts: tuple[int, ...]
     mhs: HittingResult
-    bounds: BoundsReport
-    orbits: OrbitReport | None
     config: dict
+
+    def __post_init__(self):
+        dims = [S.dim for S in self.seeds]
+        if len(set(dims)) != 1 or (self.mode == "single-seed" and len(dims) != 1):
+            raise ValueError(f"a {self.mode} bundle cannot have seeds of dimensions {dims}")
+        _validate_code(self.ctx, self.k, self.delta)
 
     @property
     def q(self) -> int:
@@ -79,8 +101,34 @@ class DesignBundle:
         return self.ctx.order
 
     @property
+    def delta(self) -> int:
+        return self.seeds[0].dim
+
+    @property
     def tolerance(self) -> int:
         return self.mhs.tolerance
+
+    @property
+    def coset_counts(self) -> tuple[int, ...]:
+        """Distinct groups per seed: (q^ell - 1) over the seed's stabilizer."""
+        return tuple((self.n - 1) // stabilizer_order(S) for S in self.seeds)
+
+    @property
+    def bounds(self) -> BoundsReport:
+        """The seed's sandwich; a multi-seed design attains its upper end."""
+        if self.mode == "single-seed":
+            return bounds_for_seed(self.seeds[0])
+        b = bounds(self.q, self.ctx.ell, self.delta)
+        return BoundsReport(b.lower, b.upper, b.upper, "multi-seed-orbit-cover")
+
+    @property
+    def orbits(self) -> OrbitReport | None:
+        """Closed-form orbit report whose representatives are the seeds."""
+        if self.mode == "single-seed":
+            return None
+        q, ell, delta = self.q, self.ctx.ell, self.delta
+        counts, orbit_count = base_counts(q, ell, delta), orbit_count_formula(q, ell, delta)
+        return OrbitReport(q, ell, delta, counts, orbit_count, self.seeds, self.coset_counts)
 
     def to_json_dict(self) -> dict:
         ctx = self.ctx
@@ -129,7 +177,7 @@ class DesignBundle:
             json.dumps(body, sort_keys=True, separators=(",", ":")).encode()
         ).hexdigest()
         body["provenance"] = {
-            "tool": f"{TOOL_NAME} {TOOL_VERSION}",
+            "tool": f"{TOOL_NAME} {__version__}",
             "config_hash": digest,
         }
         return body
@@ -139,63 +187,97 @@ class DesignBundle:
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
 
 
-def load_bundle(data: dict) -> DesignBundle:
-    """Rebuild a DesignBundle from its JSON dict (inverse of to_json_dict)."""
+def _check_shape(value, shape, path: str = "bundle") -> None:
+    """Raise ValueError unless a JSON value has the shape given (see _INPUTS)."""
+    if type(shape) is dict:
+        if type(value) is not dict:
+            raise ValueError(f"{path} must be a JSON object")
+        for key, inner in shape.items():
+            if key not in value:
+                raise ValueError(f"{path} has no {key!r}")
+            _check_shape(value[key], inner, f"{path}.{key}")
+    elif type(shape) is list:
+        if type(value) is not list:
+            raise ValueError(f"{path} must be a JSON array")
+        for i, item in enumerate(value):
+            _check_shape(item, shape[0], f"{path}[{i}]")
+    elif type(shape) is tuple:
+        if value not in shape:
+            raise ValueError(f"{path} must be one of {', '.join(shape)}")
+    elif type(value) is not shape:
+        raise ValueError(f"{path} must be a JSON {shape.__name__}")
+
+
+def _disagreements(stored, derived, path: str = "") -> list[str]:
+    """Paths at which two JSON values differ in value or type."""
+    if type(stored) is type(derived) is dict:
+        keys = sorted(stored.keys() | derived.keys())
+        pairs = [(k, stored.get(k, _ABSENT), derived.get(k, _ABSENT)) for k in keys]
+        return [
+            p for k, a, b in pairs for p in _disagreements(a, b, f"{path}.{k}" if path else k)
+        ]
+    if type(stored) is type(derived) is list and len(stored) == len(derived):
+        pairs = enumerate(zip(stored, derived))
+        return [p for i, (a, b) in pairs for p in _disagreements(a, b, f"{path}[{i}]")]
+    return [] if type(stored) is type(derived) and stored == derived else [path]
+
+
+def load_bundle(data) -> DesignBundle:
+    """Rebuild a DesignBundle from its inputs and check everything else.
+
+    The bundle the inputs determine must serialize to the stored dict,
+    provenance.tool aside, and pass _check_certificate.  Malformed or
+    inconsistent input raises ValueError.
+    """
+    if type(data) is not dict:
+        raise ValueError("bundle must be a JSON object")
     if data.get("schema") != SCHEMA_VERSION:
         raise ValueError(f"unsupported bundle schema: {data.get('schema')!r}")
-    f = data["field"]
-    ctx = field_new(f["p"], f["s"], f["ell"], tuple(f["modulus"]))
-    k = data["code"]["k"]
-    q = data["q"]
-    seeds = []
-    schemes = []
-    counts = []
-    for entry in data["seeds"]:
-        seed = span(ctx, q, entry["basis"])
-        seeds.append(seed)
-        schemes.append(SeedScheme(ctx, seed, k, entry["scheme"]["u"]))
-        counts.append(entry["coset_count"])
-    mhs = HittingResult(
-        data["mhs"]["size"], tuple(data["mhs"]["witness"]), data["mhs"]["method"]
+    _check_shape(data, _INPUTS)
+    f, k, entries = data["field"], data["code"]["k"], data["seeds"]
+    ctx = field_new(f["p"], f["s"], f["ell"], f["modulus"])
+    seeds = tuple(span(ctx, ctx.q, entry["basis"]) for entry in entries)
+    schemes = tuple(
+        SeedScheme(ctx, S, k, entry["scheme"]["u"]) for S, entry in zip(seeds, entries)
     )
-    if len(mhs.witness) != mhs.size:
+    mhs = HittingResult(tuple(data["mhs"]["witness"]), data["mhs"]["method"])
+    bundle = DesignBundle(ctx, k, data["mode"], seeds, schemes, mhs, data["config"])
+    bad = _disagreements(data, bundle.to_json_dict())
+    bad = [path for path in bad if path != "provenance.tool"]
+    if bad:
         raise ValueError(
-            f"bundle mhs witness has {len(mhs.witness)} points, size says {mhs.size}"
+            "bundle values disagree with those its inputs (field, code.k, mode, seed "
+            "bases and u, mhs.witness and method, config) determine: " + ", ".join(bad)
         )
-    if data.get("tolerance") != mhs.tolerance:
-        raise ValueError(
-            f"bundle tolerance {data.get('tolerance')!r} is not mhs size - 1 = "
-            f"{mhs.tolerance}"
-        )
-    b = data["bounds"]
-    orbits = None
-    if data.get("orbits"):
-        o = data["orbits"]
-        reps = tuple(span(ctx, q, basis) for basis in o["representatives"])
-        orbits = OrbitReport(
-            o["q"],
-            o["ell"],
-            o["delta"],
-            {int(m): n for m, n in o["counts_by_base"].items()},
-            o["orbit_count"],
-            reps,
-            tuple(
-                (q ** o["ell"] - 1) // (q ** base_of(rep) - 1) for rep in reps
-            ),
-        )
-    return DesignBundle(
-        ctx,
-        k,
-        data["delta"],
-        data["mode"],
-        tuple(seeds),
-        tuple(schemes),
-        tuple(counts),
-        mhs,
-        BoundsReport(b["lower"], b["upper"], b["exact"], b["case"]),
-        orbits,
-        data["config"],
-    )
+    _check_certificate(bundle, ValueError)
+    return bundle
+
+
+def _check_certificate(bundle: DesignBundle, error: type[Exception]) -> None:
+    """Raise error unless the witness, the bounds and every scheme check out.
+
+    A group b*S* meets the witness W iff log b = log w - log s for some w in
+    W and s in S*, so W hits every group of a seed iff those differences
+    cover Z_(n-1): |W| * |S*| work and no coset family.  A generic seed's
+    size is only checked against its bounds; minimality is not re-proved.
+    """
+    ctx, mhs, bnd, group = bundle.ctx, bundle.mhs, bundle.bounds, bundle.n - 1
+    if len(set(mhs.witness)) != mhs.size or not all(0 < w <= group for w in mhs.witness):
+        raise error("mhs witness must list distinct nonzero field elements")
+    witness_logs = [ctx.log(w) for w in mhs.witness]
+    for i, (seed, scheme) in enumerate(zip(bundle.seeds, bundle.schemes)):
+        seed_logs = [ctx.log(s) for s in seed.star()]
+        if len({(a - b) % group for a in witness_logs for b in seed_logs}) < group:
+            raise error(f"mhs witness misses a group of seed {i} {seed.to_json()}")
+        if not verify_full_rank(scheme):
+            raise error(f"repair scheme of seed {i} is not full-rank")
+    within = bnd.lower <= mhs.size <= bnd.upper and bnd.exact in (None, mhs.size)
+    if mhs.method == "exact" and not within:
+        raise error(f"exact |MHS| = {mhs.size} is off the bounds {bnd}")
+    if bundle.mode == "multi-seed":
+        expected = gaussian_coefficient(ctx.ell, bundle.delta, ctx.q)
+        if len(coset_family(bundle.seeds)) != expected:
+            raise error(f"multi-seed coset sets are not all {expected} {bundle.delta}-subspaces")
 
 
 def _validate_code(ctx: FieldCtx, k: int, delta: int) -> None:
@@ -248,17 +330,7 @@ def design_single_seed(
             raise ValueError("give either seed_basis or delta")
         seed = _seed_from_strategy(ctx, delta, strategy)
     _validate_code(ctx, k, seed.dim)
-    family = coset_family([seed])
-    mhs = min_hitting_set(family)
-    bnd = bounds_for_seed(seed)
-    if mhs.method == "exact" and not (
-        bnd.lower <= mhs.size <= bnd.upper
-        and (bnd.exact is None or mhs.size == bnd.exact)
-    ):
-        raise InvariantError(
-            f"solver found |MHS| = {mhs.size}, outside bounds "
-            f"[{bnd.lower}, {bnd.upper}] or off exact value {bnd.exact}"
-        )
+    mhs = min_hitting_set(coset_family([seed]))
     scheme = search_seed_scheme(ctx, seed, k, search_budget, rng_seed=rng_seed)
     config = {
         "strategy": None if seed_basis is not None else strategy,
@@ -267,19 +339,9 @@ def design_single_seed(
         "rng_seed": rng_seed,
         "group_selection": "first-intact",
     }
-    return DesignBundle(
-        ctx,
-        k,
-        seed.dim,
-        "single-seed",
-        (seed,),
-        (scheme,),
-        (len(family.sets),),
-        mhs,
-        bnd,
-        None,
-        config,
-    )
+    bundle = DesignBundle(ctx, k, "single-seed", (seed,), (scheme,), mhs, config)
+    _check_certificate(bundle, InvariantError)
+    return bundle
 
 
 def design_multi_seed(
@@ -306,40 +368,15 @@ def design_multi_seed(
     ctx = field_new(p, s, ell, modulus)
     q = ctx.q
     _validate_code(ctx, k, delta)
-    report = orbit_decomposition(ctx, q, delta)
-    seeds = report.representatives
-    family = coset_family(list(seeds))
-    if len(family.sets) != gaussian_coefficient(ctx.ell, delta, q):
-        raise InvariantError(
-            f"{len(family.sets)} coset sets, expected every one of the "
-            f"{gaussian_coefficient(ctx.ell, delta, q)} {delta}-subspaces"
-        )
-    expected = (q ** (ctx.ell - delta + 1) - 1) // (q - 1)
+    seeds = orbit_decomposition(ctx, q, delta).representatives
     U = span(ctx, q, [ctx.exp(i) for i in range(ctx.ell - delta + 1)])
     scalars = ctx.subfield_elements(ctx.subfield_degree(q))[1:]
     witness = tuple(
         sorted({min(ctx.mul(c, v) for c in scalars) for v in U.members if v})
     )
-    if len(witness) != expected or any(
-        g.isdisjoint(witness) for g in family.sets
-    ):
-        raise InvariantError(
-            f"line-cover witness of {len(witness)} points does not attain "
-            f"the Bose-Burton value {expected} on the orbit family"
-        )
-    mhs = HittingResult(expected, witness, "exact")
     schemes = tuple(
         search_seed_scheme(ctx, seed, k, search_budget, rng_seed=rng_seed)
         for seed in seeds
-    )
-    counts = tuple(
-        (q**ctx.ell - 1) // (q ** base_of(seed) - 1) for seed in seeds
-    )
-    bnd = BoundsReport(
-        bounds_for_seed(seeds[0]).lower if seeds else 1,
-        expected,
-        expected,
-        "multi-seed-orbit-cover",
     )
     config = {
         "strategy": "orbit-representatives",
@@ -347,19 +384,10 @@ def design_multi_seed(
         "rng_seed": rng_seed,
         "group_selection": "first-intact",
     }
-    return DesignBundle(
-        ctx,
-        k,
-        delta,
-        "multi-seed",
-        seeds,
-        schemes,
-        counts,
-        mhs,
-        bnd,
-        report,
-        config,
-    )
+    mhs = HittingResult(witness, "exact")
+    bundle = DesignBundle(ctx, k, "multi-seed", seeds, schemes, mhs, config)
+    _check_certificate(bundle, InvariantError)
+    return bundle
 
 
 @dataclass(frozen=True)
@@ -454,12 +482,10 @@ def simulate_failures(
                 bw_sum += bw_of_seed[seed_of_group[i]]
     frac = survived / evaluated if evaluated else 1.0
     per_repair = (bw_sum / survived) if survived else None
-    ell_q = ctx.ell
     bandwidth_table = {
-        "centralized_total": bundle.k * ell_q + max(e - 1, 0) * ell_q,
+        **_repair_totals(bundle.k, ctx.ell, e),
         "decentralized_per_repair_mean": per_repair,
         "decentralized_total": e * per_repair if per_repair is not None else None,
-        "naive_decentralized_total": e * bundle.k * ell_q,
     }
     return SimReport(
         e,
@@ -471,6 +497,11 @@ def simulate_failures(
         "first-intact",
         rng_seed,
     )
+
+
+def _repair_totals(k: int, ell: int, e: int) -> dict:
+    """The centralized and naive totals of bandwidth_comparison; e may be 0."""
+    return {"centralized_total": (k + max(e - 1, 0)) * ell, "naive_decentralized_total": e * k * ell}
 
 
 def bandwidth_comparison(
@@ -509,10 +540,9 @@ def bandwidth_comparison(
         "ell": ell,
         "e": e,
         "saving": saving,
-        "centralized_total": k * ell + (e - 1) * ell,
+        **_repair_totals(k, ell, e),
         "decentralized_formula_total": e * k * ell * (1.0 - saving),
         "decentralized_measured_total": measured,
-        "naive_decentralized_total": e * k * ell,
     }
 
 

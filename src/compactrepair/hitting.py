@@ -40,9 +40,12 @@ DEFAULT_NODE_BUDGET = 10**7
 
 @dataclass(frozen=True)
 class HittingResult:
-    size: int
     witness: tuple[int, ...]
     method: str  # "exact" | "greedy-upper-only"
+
+    @property
+    def size(self) -> int:
+        return len(self.witness)
 
     @property
     def tolerance(self) -> int:
@@ -117,12 +120,12 @@ def min_hitting_set(family, budget: int = DEFAULT_NODE_BUDGET) -> HittingResult:
         if any(s.isdisjoint(candidate) for s in sets):
             candidate = None
     if res.status == 0 and candidate is not None:
-        return HittingResult(len(candidate), tuple(candidate), "exact")
+        return HittingResult(tuple(candidate), "exact")
     # Budget exhausted (or solver gave up): report the best upper bound seen.
     greedy = sorted(_greedy_hitting(sets, elements))
     if candidate is None or len(greedy) <= len(candidate):
         candidate = greedy
-    return HittingResult(len(candidate), tuple(candidate), "greedy-upper-only")
+    return HittingResult(tuple(candidate), "greedy-upper-only")
 
 
 def verify_tolerance_exhaustive(family, e: int, budget: int = 10**7) -> bool:

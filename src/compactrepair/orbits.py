@@ -20,9 +20,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import InvalidDivisorError, InvariantError, NonIntegerResultError, SeedWithoutZeroError
+from .errors import (
+    BudgetExceededError, InvalidDivisorError, InvariantError, NonIntegerResultError,
+    SeedWithoutZeroError,
+)
 from .gf import FieldCtx
 from .subspaces import Subspace, base_of, enumerate_subspaces, gaussian_coefficient, span
+
+# Most delta-subspaces orbit_decomposition will enumerate; the largest
+# instance in the tests and the benchmark is [8 choose 2]_2 = 10795.
+ENUMERATION_BUDGET = 10**5
 
 
 @dataclass(frozen=True)
@@ -119,12 +126,19 @@ def orbit_decomposition(ctx: FieldCtx, q: int, delta: int) -> OrbitReport:
     Every orbit contributes its lexicographically least canonical basis as
     representative, so reports are reproducible.  Orbit sizes and the
     per-base counts are validated against the orbit-stabilizer relation and
-    the Gaussian coefficient before returning.
+    the Gaussian coefficient before returning.  Raises BudgetExceededError
+    when there are more than ENUMERATION_BUDGET subspaces to enumerate.
     """
     m = ctx.subfield_degree(q)
     ell = ctx.n // m
     if delta < 1 or delta > ell:
         raise ValueError(f"need 1 <= delta <= ell = {ell}, got {delta}")
+    total = gaussian_coefficient(ell, delta, q)
+    if total > ENUMERATION_BUDGET:
+        raise BudgetExceededError(
+            f"{total} {delta}-subspaces exceed the enumeration budget of "
+            f"{ENUMERATION_BUDGET}"
+        )
     mul = ctx.mul
     group = ctx.order - 1
     seen: set[frozenset[int]] = set()
@@ -149,10 +163,9 @@ def orbit_decomposition(ctx: FieldCtx, q: int, delta: int) -> OrbitReport:
         reps.append(min(orbit, key=lambda T: T.basis))
         sizes.append(len(scaled))
         seen.update(scaled)
-    if sum(counts.values()) != gaussian_coefficient(ell, delta, q):
+    if sum(counts.values()) != total:
         raise InvariantError(
-            f"orbits cover {sum(counts.values())} subspaces, expected "
-            f"{gaussian_coefficient(ell, delta, q)}"
+            f"orbits cover {sum(counts.values())} subspaces, expected {total}"
         )
     return OrbitReport(q, ell, delta, counts, len(reps), tuple(reps), tuple(sizes))
 
@@ -195,13 +208,16 @@ def count_with_base(q: int, ell: int, delta: int, m: int) -> int:
     return total
 
 
+def base_counts(q: int, ell: int, delta: int) -> dict[int, int]:
+    """count_with_base for every base degree m dividing gcd(ell, delta)."""
+    return {m: count_with_base(q, ell, delta, m) for m in _divisors(gcd(ell, delta))}
+
+
 def orbit_count_formula(q: int, ell: int, delta: int) -> int:
     """Closed-form orbit count via Burnside: weighted base counts over q^ell - 1."""
     if delta < 1 or delta > ell:
         raise ValueError(f"need 1 <= delta <= ell, got delta={delta}, ell={ell}")
-    num = 0
-    for m in _divisors(gcd(ell, delta)):
-        num += (q**m - 1) * count_with_base(q, ell, delta, m)
+    num = sum((q**m - 1) * n for m, n in base_counts(q, ell, delta).items())
     den = q**ell - 1
     if num % den:
         raise NonIntegerResultError(

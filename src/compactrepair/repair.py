@@ -64,6 +64,10 @@ class SeedScheme:
         if len(u) != self.ell:
             raise ValueError(f"need {self.ell} polynomials, got {len(u)}")
         for ui in u:
+            if not all(0 <= c < ctx.order for c in ui):
+                raise ValueError(
+                    f"u coefficients must be field elements in [0, {ctx.order})"
+                )
             trimmed = len(ui)
             while trimmed and ui[trimmed - 1] == 0:
                 trimmed -= 1
@@ -85,14 +89,6 @@ class SeedScheme:
         if x not in self.subspace.members:
             return [0] * self.ell
         return [ctx.mul(ctx.poly_eval(ui, x), self._on_support) for ui in self.u]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "seed_basis": self.subspace.to_json(),
-            "k": self.k,
-            "u": [list(ui) for ui in self.u],
-            "bandwidth": self.bandwidth,
-        }
 
     def __repr__(self):
         return (
@@ -127,14 +123,6 @@ class RepairScheme:
         ctx = self.ctx
         y = ctx.mul(ctx.sub(x, self.alpha_star), ctx.inv(self.b))
         return self.seed.evals_at(y)
-
-    def to_json_dict(self) -> dict:
-        # the seed's sorted canonical basis is its stable identifier
-        return {
-            "seed_basis": self.seed.subspace.to_json(),
-            "alpha_star": self.alpha_star,
-            "b": self.b,
-        }
 
     def __repr__(self):
         return f"RepairScheme(alpha_star={self.alpha_star}, b={self.b})"

@@ -74,6 +74,11 @@ def _closure(ctx: FieldCtx, m: int, basis) -> frozenset[int]:
 def span(ctx: FieldCtx, q: int, generators) -> Subspace:
     """Smallest F_q-subspace containing the generators, in canonical form."""
     m = ctx.subfield_degree(q)
+    generators = list(generators)
+    if not all(0 <= g < ctx.order for g in generators):
+        raise ValueError(
+            f"span generators must be field elements in [0, {ctx.order})"
+        )
     rows = [list(ctx.coords(g, m)) for g in generators]
     rref, pivots = ctx.rref_over(m, rows)
     basis = tuple(ctx.from_coords(r, m) for r in rref)

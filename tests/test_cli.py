@@ -1,4 +1,5 @@
 import json
+import re
 
 from compactrepair.cli import main
 
@@ -197,3 +198,39 @@ def test_simulate_forged_bundle_exits_1(capsys, tmp_path):
     assert code == 1
     assert out == ""
     assert err.count("\n") == 1 and "tolerance" in err
+
+
+def test_simulate_rejected_bundle_exits_1(capsys, tmp_path, forged_bundle):
+    data, pattern = forged_bundle
+    bundle_path = tmp_path / "bundle.json"
+    bundle_path.write_text(json.dumps(data))
+    code, out, err = run_cli(
+        capsys, "simulate", "--bundle", str(bundle_path),
+        "--alpha-star", "6", "--failures", "2",
+    )
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and re.search(pattern, err)
+
+
+def test_design_out_of_field_seed_basis_exits_1(capsys):
+    code, out, err = run_cli(
+        capsys, "design", "--q", "2", "--ell", "4", "--k", "2",
+        "--seed-basis", "4,99",
+    )
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and "field elements" in err
+
+
+def test_orbit_enumeration_over_budget_exits_1(capsys):
+    # [12 choose 6]_2 is about 2.3e11 subspaces
+    for argv in (
+        ["orbits", "--q", "2", "--ell", "12", "--delta", "6"],
+        ["design", "--q", "2", "--ell", "12", "--k", "2", "--delta", "6",
+         "--multi-seed"],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1 and "budget" in err

@@ -202,6 +202,28 @@ def test_load_bundle_rejects_forged_tolerance(bundle_s1):
         load_bundle(forged)
 
 
+def test_load_bundle_rejects_forgery(forged_bundle):
+    data, pattern = forged_bundle
+    with pytest.raises(ValueError, match=pattern):
+        load_bundle(data)
+
+
+def test_load_bundle_names_every_disagreeing_field(bundle_s1):
+    forged = bundle_s1.to_json_dict()
+    forged["q"] = 4
+    forged["seeds"][0]["base_m"] = 1
+    with pytest.raises(ValueError) as err:
+        load_bundle(forged)
+    bad = str(err.value).split(": ")[-1].split(", ")
+    assert bad == ["q", "seeds[0].base_m"]
+
+
+def test_load_bundle_ignores_tool_version(bundle_s1):
+    blob = bundle_s1.to_json_dict()
+    blob["provenance"]["tool"] = "compactrepair 9.9.9"
+    assert load_bundle(blob).dumps() == bundle_s1.dumps()
+
+
 def test_bundle_schema_tag(bundle_s1):
     blob = bundle_s1.to_json_dict()
     assert blob["schema"] == 1
@@ -277,6 +299,12 @@ def test_simulate_bandwidth_table(bundle_s1):
     assert bw["decentralized_per_repair_mean"] == bundle_s1.schemes[0].bandwidth
     assert bw["decentralized_total"] == 2 * bundle_s1.schemes[0].bandwidth
     assert rep.group_selection == "first-intact"
+
+
+def test_simulate_bandwidth_table_without_failures(bundle_s1):
+    bw = simulate_failures(bundle_s1, 0, 0).bandwidth
+    assert bw["centralized_total"] == 2 * 4
+    assert bw["naive_decentralized_total"] == 0
 
 
 def test_bandwidth_comparison_table():

@@ -7,6 +7,7 @@ from compactrepair import (
     coset_family,
     count_with_base,
     enumerate_subspaces,
+    field_new,
     gaussian_coefficient,
     mobius,
     orbit_count_formula,
@@ -15,9 +16,11 @@ from compactrepair import (
     stabilizer_order,
 )
 from compactrepair.errors import (
+    BudgetExceededError,
     InvalidDivisorError,
     SeedWithoutZeroError,
 )
+from compactrepair.orbits import ENUMERATION_BUDGET
 
 
 def brute_force_orbits(ctx, q, delta):
@@ -182,6 +185,12 @@ def test_orbit_decomposition_2_4_2(gf16):
 def test_orbit_decomposition_single_orbit_cases(gf16):
     assert orbit_decomposition(gf16, 2, 4).orbit_count == 1
     assert orbit_decomposition(gf16, 2, 1).orbit_count == 1
+
+
+def test_orbit_decomposition_refuses_unbounded_enumeration():
+    assert gaussian_coefficient(6, 3, 2) <= ENUMERATION_BUDGET
+    with pytest.raises(BudgetExceededError, match="budget"):
+        orbit_decomposition(field_new(2, 1, 12), 2, 6)
 
 
 def test_representatives_are_lex_least(gf16):

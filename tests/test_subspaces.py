@@ -30,6 +30,12 @@ def test_span_empty_is_trivial(gf16):
     assert S.basis == ()
 
 
+@pytest.mark.parametrize("bad", [16, 99, -1])
+def test_span_rejects_out_of_field_generator(gf16, bad):
+    with pytest.raises(ValueError, match="field elements"):
+        span(gf16, 2, [4, bad])
+
+
 def test_span_golden_seed(gf16):
     # the golden subfield-coset seed: {0, z^2, z^7, z^12}
     S = span(gf16, 2, [gf16.exp(2), gf16.exp(7)])
