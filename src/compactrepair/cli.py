@@ -21,8 +21,8 @@ from .design import (
     simulate_failures,
     verify_reference_example,
 )
-from .errors import CompactRepairError
-from .gf import field_new, is_prime
+from .errors import CompactRepairError, FieldTooLargeError
+from .gf import MAX_FIELD_ORDER, field_new, is_prime
 from .orbits import orbit_decomposition
 
 USAGE_ERROR = 1
@@ -37,6 +37,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _prime_power(q: int) -> tuple[int, int]:
     """Factor q = p^s with p prime, or raise ValueError."""
+    if q > MAX_FIELD_ORDER:  # before the factor scan, which is linear in q
+        raise FieldTooLargeError(f"q = {q} exceeds the field order cap of 2^20")
     if q < 2:
         raise ValueError(f"q = {q} is not a prime power")
     p = next((f for f in range(2, q + 1) if q % f == 0), q)

@@ -200,16 +200,22 @@ class FieldCtx:
     """
 
     def __init__(self, p: int, s: int, ell: int, modulus=None):
-        if not is_prime(p):
-            raise NonPrimeError(f"p = {p} is not prime")
         if s < 1 or ell < 1:
             raise ValueError("s and ell must be positive")
         n = s * ell
-        order = p**n
-        if order > MAX_FIELD_ORDER:
+        # Bound the order before testing p for primality or computing p**n:
+        # both take time growing with p and n, and p^n >= 2^n for p >= 2.
+        if p >= 2 and (
+            p > MAX_FIELD_ORDER
+            or n >= MAX_FIELD_ORDER.bit_length()
+            or p**n > MAX_FIELD_ORDER
+        ):
             raise FieldTooLargeError(
                 f"field order {p}^{n} exceeds the cap of 2^20"
             )
+        if not is_prime(p):
+            raise NonPrimeError(f"p = {p} is not prime")
+        order = p**n
         self.p = p
         self.s = s
         self.ell = ell

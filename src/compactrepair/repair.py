@@ -21,6 +21,14 @@ trace-dual basis of {g_i(0)}.  Substituting x -> (x - a*)/b turns the seed
 into a scheme for f(a*) with helpers a* + b(S\\{0}) and identical
 bandwidth, which is what makes coset families of a single seed cheap to
 deploy.
+
+The substitution also means a dilated scheme evaluates at helper beta
+exactly as its seed does at the seed point y = (beta - a*)/b, and at a*
+as the seed does at 0.  So each seed computes, once at construction, every
+helper's echelon basis and combination rows and the trace-dual basis at
+its repaired point, and every dilation shares them: a helper payload then
+costs rank-many multiplications and (cached) traces, and recovery needs no
+rank check or Gram-matrix inverse of its own.
 """
 
 from __future__ import annotations
@@ -42,8 +50,11 @@ from .subspaces import Subspace, linear_term_of_subspace_polynomial
 class SeedScheme:
     """Check-polynomial family repairing f(0) over the helpers S\\{0}.
 
-    Immutable after construction; bandwidth is the total F_q-symbol
-    download, summed over helpers.
+    Immutable after construction.  ``echelon`` maps each helper x to the
+    (basis, combination) pair of its payloads (see HelperPayload);
+    ``duals`` is the trace-dual basis of {g_i(0)}, or None when those
+    evaluations do not have full rank.  ``bandwidth``, the total F_q-symbol
+    download, is the sum of the helpers' ranks.
     """
 
     def __init__(self, ctx: FieldCtx, subspace: Subspace, k: int, u):
@@ -81,7 +92,24 @@ class SeedScheme:
         self._on_support = ctx.neg(ctx.inv(c))
         self.helpers = subspace.star()
         self.repaired_point = 0
-        self.bandwidth = bandwidth(self)
+        self.echelon = {
+            x: _echelon(ctx, self.mq, self.evals_at(x)) for x in self.helpers
+        }
+        self.bandwidth = sum(len(basis) for basis, _ in self.echelon.values())
+        self.duals = (
+            ctx.dual_basis(self.evals_at(0), self.mq)
+            if verify_full_rank(self)
+            else None
+        )
+
+    @property
+    def seed(self) -> SeedScheme:
+        """A seed is its own identity dilation."""
+        return self
+
+    def seed_point(self, x: int) -> int:
+        """The point of the seed that x maps to: x itself."""
+        return x
 
     def evals_at(self, x: int) -> list[int]:
         """[g_1(x), ..., g_ell(x)]; zero off the support S."""
@@ -101,7 +129,7 @@ class RepairScheme:
     """Seed scheme dilated by b and translated to repair f(alpha_star).
 
     Stored as (seed, alpha_star, b); evaluations substitute lazily, so
-    h_i(x) = g_i((x - alpha_star)/b).
+    h_i(x) = g_i(seed_point(x)) with seed_point(x) = (x - alpha_star)/b.
     """
 
     def __init__(self, seed: SeedScheme, alpha_star: int, b: int):
@@ -111,6 +139,7 @@ class RepairScheme:
         self.ctx = seed.ctx
         self.alpha_star = alpha_star
         self.b = b
+        self._b_inv = seed.ctx.inv(b)
         self.mq = seed.mq
         self.ell = seed.ell
         ctx = seed.ctx
@@ -119,10 +148,13 @@ class RepairScheme:
         )
         self.repaired_point = alpha_star
 
-    def evals_at(self, x: int) -> list[int]:
+    def seed_point(self, x: int) -> int:
+        """The point of the seed that x maps to: (x - alpha_star)/b."""
         ctx = self.ctx
-        y = ctx.mul(ctx.sub(x, self.alpha_star), ctx.inv(self.b))
-        return self.seed.evals_at(y)
+        return ctx.mul(ctx.sub(x, self.alpha_star), self._b_inv)
+
+    def evals_at(self, x: int) -> list[int]:
+        return self.seed.evals_at(self.seed_point(x))
 
     def __repr__(self):
         return f"RepairScheme(alpha_star={self.alpha_star}, b={self.b})"
@@ -144,6 +176,17 @@ class HelperPayload:
     combination: tuple[tuple[int, ...], ...]
 
 
+def _echelon(ctx: FieldCtx, mq: int, evals) -> tuple[tuple, tuple]:
+    """(basis, combination) of one helper's evaluations, as in HelperPayload."""
+    coords = [ctx.coords(v, mq) for v in evals]
+    rref, pivots = ctx.rref_over(mq, coords)
+    basis = tuple(ctx.from_coords(r, mq) for r in rref)
+    # Reduced echelon form: the coefficient of basis_j in evals[i] is just
+    # the coordinate of evals[i] at basis_j's pivot column.
+    combination = tuple(tuple(c[p] for p in pivots) for c in coords)
+    return basis, combination
+
+
 def naive_seed_scheme(ctx: FieldCtx, S: Subspace, k: int) -> SeedScheme:
     """Baseline scheme: u_i are constants forming an F_q-basis.
 
@@ -163,7 +206,11 @@ def verify_full_rank(scheme) -> bool:
 
 
 def bandwidth(scheme) -> int:
-    """Total F_q-symbols downloaded: sum of evaluation ranks over helpers."""
+    """Total F_q-symbols downloaded: sum of evaluation ranks over helpers.
+
+    Recomputed from the evaluations; a SeedScheme's ``bandwidth`` is the
+    same sum over its stored echelon bases.
+    """
     ctx = scheme.ctx
     return sum(
         ctx.rank_over(scheme.mq, scheme.evals_at(beta)) for beta in scheme.helpers
@@ -176,24 +223,19 @@ def dilate_translate(seed: SeedScheme, alpha_star: int, b: int) -> RepairScheme:
 
 
 def helper_payload(scheme: RepairScheme, beta: int, f_beta: int) -> HelperPayload:
-    """Payload the helper at beta sends, given its stored symbol f_beta."""
+    """Payload the helper at beta sends, given its stored symbol f_beta.
+
+    The echelon data come from the seed at beta's seed point.
+    """
     if beta not in scheme.helpers:
         raise NotAHelperError(f"{beta} is not a helper of this scheme")
     ctx = scheme.ctx
     mq = scheme.mq
-    evals = scheme.evals_at(beta)
-    rows = [list(ctx.coords(v, mq)) for v in evals]
-    rref, pivots = ctx.rref_over(mq, rows)
-    basis = [ctx.from_coords(r, mq) for r in rref]
+    basis, combination = scheme.seed.echelon[scheme.seed_point(beta)]
     symbols = tuple(
         ctx.trace_to_subfield(ctx.mul(xi, f_beta), mq) for xi in basis
     )
-    # Reduced echelon form: the coefficient of basis_j in evals[i] is just
-    # the coordinate of evals[i] at basis_j's pivot column.
-    combination = tuple(
-        tuple(ctx.coords(v, mq)[p] for p in pivots) for v in evals
-    )
-    return HelperPayload(beta, len(pivots), symbols, combination)
+    return HelperPayload(beta, len(basis), symbols, combination)
 
 
 def recover_symbol(scheme: RepairScheme, payloads) -> int:
@@ -201,10 +243,10 @@ def recover_symbol(scheme: RepairScheme, payloads) -> int:
 
     Each check identity gives Tr(h_i(a*) f(a*)) = -sum_beta Tr(h_i(beta)
     f(beta)); the right side assembles from payload symbols, and the left
-    side determines f(a*) through the trace-dual basis of {h_i(a*)}.
+    side determines f(a*) through the trace-dual basis of {h_i(a*)}, which
+    is the seed's dual basis at 0.
     """
     ctx = scheme.ctx
-    mq = scheme.mq
     by_beta = {}
     for p in payloads:
         if p.beta in by_beta:
@@ -216,12 +258,11 @@ def recover_symbol(scheme: RepairScheme, payloads) -> int:
         raise MissingPayloadError(
             f"payloads must cover helpers exactly (missing {missing}, extra {extra})"
         )
-    w = scheme.evals_at(scheme.alpha_star)
-    if ctx.rank_over(mq, w) != scheme.ell:
+    duals = scheme.seed.duals
+    if duals is None:
         raise RankDeficientError(
             "check evaluations at the repaired point do not have full rank"
         )
-    duals = ctx.dual_basis(w, mq)
     result = 0
     for i in range(scheme.ell):
         acc = 0

@@ -93,6 +93,9 @@ FORGERIES = {
     "k-not-an-integer": (
         "single", _set(("code", "k"), "2"), True, r"code\.k"
     ),
+    "prime-over-cap": (
+        "single", _set(("field", "p"), 2**61 - 1), True, "exceeds the cap"
+    ),
 }
 
 

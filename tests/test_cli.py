@@ -1,5 +1,6 @@
 import json
 import re
+import time
 
 from compactrepair.cli import main
 
@@ -26,6 +27,16 @@ def test_field_info_prime_power_q(capsys):
     data = json.loads(out)
     assert data["p"] == 2 and data["s"] == 2 and data["q"] == 4
     assert data["order"] == 16
+
+
+def test_field_info_q_over_cap_exits_1(capsys):
+    # a prime q far above the cap must fail before any scan over its factors
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "field-info", "--q", "1000000007", "--ell", "1")
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and "exceeds" in err
 
 
 def test_orbits_command(capsys):

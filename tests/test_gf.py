@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -45,6 +46,16 @@ def test_construction_errors():
         field_new(2, 1, 4, (1, 1, 1))  # wrong degree
     with pytest.raises(ValueError):
         field_new(2, 1, 4, (1, 1, 0, 0, 0))  # not monic
+
+
+def test_order_cap_checked_before_primality():
+    # trial division of 2^61 - 1, or computing 3^(10^9), would run for
+    # minutes; the cap must reject both first
+    start = time.perf_counter()
+    for p, ell in ((2**61 - 1, 1), (3, 10**9)):
+        with pytest.raises(FieldTooLargeError):
+            field_new(p, 1, ell)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_modulus_override_matches_default(gf16):

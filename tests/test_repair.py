@@ -1,13 +1,17 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from compactrepair import (
+    HelperPayload,
     SeedScheme,
     bandwidth,
     check_polynomial_validity,
     coset_family,
     dilate_translate,
+    field_new,
     helper_payload,
     naive_seed_scheme,
     recover_symbol,
@@ -238,6 +242,85 @@ def payloads_for(ctx, scheme, f):
         helper_payload(scheme, beta, ctx.poly_eval(f, beta))
         for beta in scheme.helpers
     ]
+
+
+# name -> (p, s, ell, seed basis as powers of z, k, search budget)
+SMALL_SEEDS = {
+    "gf16": (2, 1, 4, (2, 7), 2, 400),  # the golden seed
+    "gf27": (3, 1, 3, (0, 1), 3, 200),
+    "gf64-q4": (2, 2, 3, (1,), 2, 200),  # GF(64) over F_4
+    "gf81-q3": (3, 1, 4, (0, 1), 3, 200),
+}
+
+
+def searched_seed(name):
+    p, s, ell, exps, k, budget = SMALL_SEEDS[name]
+    ctx = field_new(p, s, ell)
+    S = span(ctx, ctx.q, [ctx.exp(e) for e in exps])
+    return search_seed_scheme(ctx, S, k, budget=budget, rng_seed=0)
+
+
+def payload_from_scratch(d, beta, f_beta):
+    """Oracle: echelon basis of d.evals_at(beta), traces, pivot coordinates."""
+    ctx, mq = d.ctx, d.mq
+    rows = [list(ctx.coords(v, mq)) for v in d.evals_at(beta)]
+    rref, pivots = ctx.rref_over(mq, rows)
+    basis = [ctx.from_coords(r, mq) for r in rref]
+    symbols = tuple(ctx.trace_to_subfield(ctx.mul(xi, f_beta), mq) for xi in basis)
+    combination = tuple(tuple(row[p] for p in pivots) for row in rows)
+    return HelperPayload(beta, len(pivots), symbols, combination)
+
+
+def check_payloads_match_oracle(seed, pairs, rng):
+    ctx = seed.ctx
+    for alpha, b in pairs:
+        d = dilate_translate(seed, alpha, b)
+        f = [rng.randrange(ctx.order) for _ in range(seed.k)]
+        payloads = payloads_for(ctx, d, f)
+        for p in payloads:
+            assert p == payload_from_scratch(d, p.beta, ctx.poly_eval(f, p.beta))
+        assert sum(p.rank for p in payloads) == bandwidth(d) == seed.bandwidth
+
+
+@pytest.mark.parametrize("searched", [False, True], ids=["naive", "searched"])
+def test_seed_payloads_match_oracle_every_dilation(gf16, golden_seed, searched):
+    # payloads read per-helper data the seed computed once; every (a*, b)
+    # must still give what a from-scratch row reduction gives
+    if searched:
+        seed = search_seed_scheme(gf16, golden_seed, 2, budget=400, rng_seed=0)
+    else:
+        seed = naive_seed_scheme(gf16, golden_seed, 2)
+    pairs = [(alpha, gf16.exp(j)) for alpha in gf16.elements() for j in range(15)]
+    check_payloads_match_oracle(seed, pairs, random.Random(43))
+
+
+@pytest.mark.parametrize("name", ["gf81-q3", "gf64-q4"])
+def test_seed_payloads_match_oracle_other_fields(name):
+    # odd p, and a base field F_q larger than F_p
+    seed = searched_seed(name)
+    order = seed.ctx.order
+    rng = random.Random(47)
+    pairs = [(rng.randrange(order), rng.randrange(1, order)) for _ in range(60)]
+    check_payloads_match_oracle(seed, pairs, rng)
+
+
+@pytest.fixture(scope="module", params=["gf16", "gf27", "gf64-q4"])
+def small_seed(request):
+    return searched_seed(request.param)
+
+
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_recovery_property_any_dilation(small_seed, data):
+    ctx = small_seed.ctx
+    element = st.integers(0, ctx.order - 1)
+    alpha = data.draw(element, label="alpha_star")
+    b = data.draw(st.integers(1, ctx.order - 1), label="b")
+    f = data.draw(st.lists(element, max_size=small_seed.k), label="f")
+    d = dilate_translate(small_seed, alpha, b)
+    payloads = payloads_for(ctx, d, f)
+    assert recover_symbol(d, payloads) == ctx.poly_eval(f, alpha)
+    assert sum(len(p.symbols) for p in payloads) == small_seed.bandwidth
 
 
 def test_recover_constant_and_zero(gf16, naive16):
