@@ -48,7 +48,7 @@ from .hitting import BoundsReport, HittingResult, bounds, bounds_for_seed, min_h
 from .orbits import (
     OrbitReport, base_counts, coset_family, orbit_count_formula, orbit_decomposition, stabilizer_order
 )
-from .repair import SeedScheme, search_seed_scheme, verify_full_rank
+from .repair import SeedScheme, search_seed_scheme
 from .subspaces import (
     Subspace,
     base_of,
@@ -254,23 +254,22 @@ def load_bundle(data) -> DesignBundle:
 
 
 def _check_certificate(bundle: DesignBundle, error: type[Exception]) -> None:
-    """Raise error unless the witness, the bounds and every scheme check out.
+    """Raise error unless the witness and the bounds check out.
 
     A group b*S* meets the witness W iff log b = log w - log s for some w in
     W and s in S*, so W hits every group of a seed iff those differences
-    cover Z_(n-1): |W| * |S*| work and no coset family.  A generic seed's
+    cover Z_(n-1): |W| * |S*| work and no coset family.  Every scheme is
+    full-rank already, since SeedScheme accepts no other.  A generic seed's
     size is only checked against its bounds; minimality is not re-proved.
     """
     ctx, mhs, bnd, group = bundle.ctx, bundle.mhs, bundle.bounds, bundle.n - 1
     if len(set(mhs.witness)) != mhs.size or not all(0 < w <= group for w in mhs.witness):
         raise error("mhs witness must list distinct nonzero field elements")
     witness_logs = [ctx.log(w) for w in mhs.witness]
-    for i, (seed, scheme) in enumerate(zip(bundle.seeds, bundle.schemes)):
+    for i, seed in enumerate(bundle.seeds):
         seed_logs = [ctx.log(s) for s in seed.star()]
         if len({(a - b) % group for a in witness_logs for b in seed_logs}) < group:
             raise error(f"mhs witness misses a group of seed {i} {seed.to_json()}")
-        if not verify_full_rank(scheme):
-            raise error(f"repair scheme of seed {i} is not full-rank")
     within = bnd.lower <= mhs.size <= bnd.upper and bnd.exact in (None, mhs.size)
     if mhs.method == "exact" and not within:
         raise error(f"exact |MHS| = {mhs.size} is off the bounds {bnd}")
@@ -328,6 +327,8 @@ def design_single_seed(
     else:
         if delta is None:
             raise ValueError("give either seed_basis or delta")
+        if not 1 <= delta <= ell:
+            raise ValueError(f"need 1 <= delta <= ell = {ell}, got delta = {delta}")
         seed = _seed_from_strategy(ctx, delta, strategy)
     _validate_code(ctx, k, seed.dim)
     mhs = min_hitting_set(coset_family([seed]))
@@ -469,6 +470,8 @@ def simulate_failures(
     else:
         if rng_seed is None:
             raise ValueError("monte-carlo mode requires rng_seed")
+        if trials < 1:
+            raise ValueError(f"monte-carlo mode needs trials >= 1, got {trials}")
         gen = np.random.Generator(np.random.Philox(key=rng_seed))
         evaluated = trials
         uni = np.array(universe)
@@ -520,6 +523,10 @@ def bandwidth_comparison(
     cost; measured per-repair bandwidths may be given alongside (one value,
     or one per repair).
     """
+    if not 1 <= k < n:
+        raise ValueError(f"need 1 <= k < n, got k = {k}, n = {n}")
+    if ell < 1:
+        raise ValueError(f"need ell >= 1, got {ell}")
     if e < 1:
         raise ValueError("need at least one failure to repair")
     if not 0 <= saving < 1:

@@ -272,23 +272,8 @@ class FieldCtx:
                     a ^= mm
             return res
         p, n = self.p, self.n
-        da = _digits(a, p, n)
-        db = _digits(b, p, n)
-        prod = [0] * (2 * n - 1)
-        for i, ai in enumerate(da):
-            if ai == 0:
-                continue
-            for j, bj in enumerate(db):
-                prod[i + j] = (prod[i + j] + ai * bj) % p
-        mod = self.modulus
-        for i in range(2 * n - 2, n - 1, -1):
-            c = prod[i]
-            if c == 0:
-                continue
-            prod[i] = 0
-            for j in range(n):
-                prod[i - n + j] = (prod[i - n + j] - c * mod[j]) % p
-        return _undigits(prod[:n], p)
+        prod = _poly_mul_mod(_digits(a, p, n), _digits(b, p, n), self.modulus, p)
+        return _undigits(prod, p)
 
     def _pow_poly(self, a: int, e: int) -> int:
         result = 1
@@ -474,38 +459,22 @@ class FieldCtx:
         gram = [
             [self.trace_to_subfield(self.mul(wi, wj), m) for wj in ws] for wi in ws
         ]
-        ginv = self._matinv_subfield(gram)
+        # Row-reduce [gram | I] to [I | gram^-1]; gram is singular exactly
+        # when ws is not an F_{p^m}-basis.
+        rows = [
+            row + [1 if i == j else 0 for j in range(big_l)]
+            for i, row in enumerate(gram)
+        ]
+        rref, pivots = self.rref_over(m, rows)
+        if pivots != list(range(big_l)):
+            raise RankDeficientError("singular matrix over subfield")
         dual = []
         for j in range(big_l):
             acc = 0
             for a in range(big_l):
-                acc = self.add(acc, self.mul(ginv[a][j], ws[a]))
+                acc = self.add(acc, self.mul(rref[a][big_l + j], ws[a]))
             dual.append(acc)
         return tuple(dual)
-
-    def _matinv_subfield(self, mat):
-        k = len(mat)
-        a = [row[:] for row in mat]
-        inv = [[1 if i == j else 0 for j in range(k)] for i in range(k)]
-        for col in range(k):
-            piv = next((r for r in range(col, k) if a[r][col] != 0), None)
-            if piv is None:
-                raise RankDeficientError("singular matrix over subfield")
-            if piv != col:
-                a[col], a[piv] = a[piv], a[col]
-                inv[col], inv[piv] = inv[piv], inv[col]
-            scale = self.inv(a[col][col])
-            for j in range(k):
-                a[col][j] = self.mul(a[col][j], scale)
-                inv[col][j] = self.mul(inv[col][j], scale)
-            for r in range(k):
-                if r == col or a[r][col] == 0:
-                    continue
-                f = a[r][col]
-                for j in range(k):
-                    a[r][j] = self.sub(a[r][j], self.mul(f, a[col][j]))
-                    inv[r][j] = self.sub(inv[r][j], self.mul(f, inv[col][j]))
-        return inv
 
     def coords(self, x: int, m: int) -> tuple[int, ...]:
         """Coordinates of x over F_{p^m} in the power basis of the generator."""

@@ -13,22 +13,23 @@ sum_{a in field} g_i(a) f(a) = 0 for every message polynomial f of degree
 below k; the multiplier vector of the dual code is a nonzero constant for
 full-length codes and is absorbed into the u_i.
 
-A scheme is valid when the evaluations {g_i(0)} have full rank over F_q;
-repairing then works by trace accounting: each helper sends the F_q-traces
-of its symbol against an echelon basis of span{g_i(helper)}, which costs
-rank-many F_q-symbols, and the replacement node resolves f(0) through the
-trace-dual basis of {g_i(0)}.  Substituting x -> (x - a*)/b turns the seed
-into a scheme for f(a*) with helpers a* + b(S\\{0}) and identical
-bandwidth, which is what makes coset families of a single seed cheap to
-deploy.
+A scheme is valid when the evaluations {g_i(0)} have full rank over F_q,
+and SeedScheme accepts no other; repairing then works by trace accounting:
+each helper sends the F_q-traces of its symbol against an echelon basis of
+span{g_i(helper)}, which costs rank-many F_q-symbols, and the replacement
+node resolves f(0) through the trace-dual basis of {g_i(0)}.  Substituting
+x -> (x - a*)/b turns the seed into a scheme for f(a*) with helpers
+a* + b(S\\{0}) and identical bandwidth, which is what makes coset families
+of a single seed cheap to deploy.
 
 The substitution also means a dilated scheme evaluates at helper beta
 exactly as its seed does at the seed point y = (beta - a*)/b, and at a*
 as the seed does at 0.  So each seed computes, once at construction, every
-helper's echelon basis and combination rows and the trace-dual basis at
-its repaired point, and every dilation shares them: a helper payload then
-costs rank-many multiplications and (cached) traces, and recovery needs no
-rank check or Gram-matrix inverse of its own.
+helper's echelon basis and one recovery weight per basis element, which
+folds the trace-dual basis at the repaired point into the helper's pivot
+coordinates, and every dilation shares them.  A helper payload is then
+just its rank-many trace symbols, and recovery is one bandwidth-long sum
+of symbol times weight.
 """
 
 from __future__ import annotations
@@ -50,11 +51,11 @@ from .subspaces import Subspace, linear_term_of_subspace_polynomial
 class SeedScheme:
     """Check-polynomial family repairing f(0) over the helpers S\\{0}.
 
-    Immutable after construction.  ``echelon`` maps each helper x to the
-    (basis, combination) pair of its payloads (see HelperPayload);
-    ``duals`` is the trace-dual basis of {g_i(0)}, or None when those
-    evaluations do not have full rank.  ``bandwidth``, the total F_q-symbol
-    download, is the sum of the helpers' ranks.
+    Immutable after construction, and full-rank by construction: u whose
+    evaluations at 0 do not span F_q^ell raise RankDeficientError.
+    ``helper_data`` maps each helper x to its (basis, weights), see
+    _helper_data.  ``bandwidth``, the total F_q-symbol download, is the sum
+    of the helpers' ranks.
     """
 
     def __init__(self, ctx: FieldCtx, subspace: Subspace, k: int, u):
@@ -92,15 +93,16 @@ class SeedScheme:
         self._on_support = ctx.neg(ctx.inv(c))
         self.helpers = subspace.star()
         self.repaired_point = 0
-        self.echelon = {
-            x: _echelon(ctx, self.mq, self.evals_at(x)) for x in self.helpers
+        if not verify_full_rank(self):
+            raise RankDeficientError(
+                "check evaluations at the repaired point are not full-rank"
+            )
+        duals = ctx.dual_basis(self.evals_at(0), self.mq)
+        self.helper_data = {
+            x: _helper_data(ctx, self.mq, self.evals_at(x), duals)
+            for x in self.helpers
         }
-        self.bandwidth = sum(len(basis) for basis, _ in self.echelon.values())
-        self.duals = (
-            ctx.dual_basis(self.evals_at(0), self.mq)
-            if verify_full_rank(self)
-            else None
-        )
+        self.bandwidth = sum(len(basis) for basis, _ in self.helper_data.values())
 
     @property
     def seed(self) -> SeedScheme:
@@ -164,27 +166,35 @@ class RepairScheme:
 class HelperPayload:
     """What one helper uploads: traces against an echelon basis of its span.
 
-    symbols[j] = Tr(basis_j * f(beta)); combination[i][j] are the F_q
-    coefficients with evals[i] = sum_j combination[i][j] * basis_j, so the
-    replacement node can reassemble Tr(h_i(beta) f(beta)) from rank-many
-    downloaded symbols.
+    symbols[j] = Tr(basis_j * f(beta)) for the echelon basis of
+    span{h_i(beta)} over F_q, so len(symbols) is the helper's rank, its
+    share of the repair bandwidth.
     """
 
     beta: int
-    rank: int
     symbols: tuple[int, ...]
-    combination: tuple[tuple[int, ...], ...]
 
 
-def _echelon(ctx: FieldCtx, mq: int, evals) -> tuple[tuple, tuple]:
-    """(basis, combination) of one helper's evaluations, as in HelperPayload."""
+def _helper_data(ctx: FieldCtx, mq: int, evals, duals) -> tuple[tuple, tuple]:
+    """(basis, weights) of one helper's evaluations g_1(x), ..., g_ell(x).
+
+    basis is the reduced echelon basis of the evaluations over F_q, so
+    g_i(x) = sum_j c_ij basis_j with c_ij the coordinate of g_i(x) at
+    basis_j's pivot column.  The check identities give Tr(g_i(0) f(0)) =
+    -sum_x sum_j c_ij Tr(basis_j f(x)), and expanding f(0) in the
+    trace-dual basis of {g_i(0)} gives f(0) = sum_x sum_j Tr(basis_j f(x))
+    * w_j with w_j = -sum_i c_ij dual_i.
+    """
     coords = [ctx.coords(v, mq) for v in evals]
     rref, pivots = ctx.rref_over(mq, coords)
     basis = tuple(ctx.from_coords(r, mq) for r in rref)
-    # Reduced echelon form: the coefficient of basis_j in evals[i] is just
-    # the coordinate of evals[i] at basis_j's pivot column.
-    combination = tuple(tuple(c[p] for p in pivots) for c in coords)
-    return basis, combination
+    weights = []
+    for p in pivots:
+        acc = 0
+        for c, dual in zip(coords, duals):
+            acc = ctx.add(acc, ctx.mul(c[p], dual))
+        weights.append(ctx.neg(acc))
+    return basis, tuple(weights)
 
 
 def naive_seed_scheme(ctx: FieldCtx, S: Subspace, k: int) -> SeedScheme:
@@ -231,22 +241,22 @@ def helper_payload(scheme: RepairScheme, beta: int, f_beta: int) -> HelperPayloa
         raise NotAHelperError(f"{beta} is not a helper of this scheme")
     ctx = scheme.ctx
     mq = scheme.mq
-    basis, combination = scheme.seed.echelon[scheme.seed_point(beta)]
+    basis, _ = scheme.seed.helper_data[scheme.seed_point(beta)]
     symbols = tuple(
         ctx.trace_to_subfield(ctx.mul(xi, f_beta), mq) for xi in basis
     )
-    return HelperPayload(beta, len(basis), symbols, combination)
+    return HelperPayload(beta, symbols)
 
 
 def recover_symbol(scheme: RepairScheme, payloads) -> int:
     """Resolve f(alpha_star) from one payload per helper.
 
-    Each check identity gives Tr(h_i(a*) f(a*)) = -sum_beta Tr(h_i(beta)
-    f(beta)); the right side assembles from payload symbols, and the left
-    side determines f(a*) through the trace-dual basis of {h_i(a*)}, which
-    is the seed's dual basis at 0.
+    f(alpha_star) is the sum of every payload symbol times the weight the
+    seed stores for it at the helper's seed point (see _helper_data): a
+    dilated scheme's evaluations at a* are the seed's at 0.
     """
     ctx = scheme.ctx
+    seed = scheme.seed
     by_beta = {}
     for p in payloads:
         if p.beta in by_beta:
@@ -258,20 +268,16 @@ def recover_symbol(scheme: RepairScheme, payloads) -> int:
         raise MissingPayloadError(
             f"payloads must cover helpers exactly (missing {missing}, extra {extra})"
         )
-    duals = scheme.seed.duals
-    if duals is None:
-        raise RankDeficientError(
-            "check evaluations at the repaired point do not have full rank"
-        )
     result = 0
-    for i in range(scheme.ell):
-        acc = 0
-        for beta in scheme.helpers:
-            p = by_beta[beta]
-            for c, t in zip(p.combination[i], p.symbols):
-                acc = ctx.add(acc, ctx.mul(c, t))
-        t_i = ctx.neg(acc)  # Tr(h_i(a*) f(a*)) as an F_q scalar
-        result = ctx.add(result, ctx.mul(t_i, duals[i]))
+    for beta, p in by_beta.items():
+        _, weights = seed.helper_data[scheme.seed_point(beta)]
+        if len(p.symbols) != len(weights):
+            raise ValueError(
+                f"payload for helper {beta} has {len(p.symbols)} symbols, "
+                f"its rank is {len(weights)}"
+            )
+        for t, w in zip(p.symbols, weights):
+            result = ctx.add(result, ctx.mul(t, w))
     return result
 
 

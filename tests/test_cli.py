@@ -245,3 +245,42 @@ def test_orbit_enumeration_over_budget_exits_1(capsys):
         assert code == 1
         assert out == ""
         assert err.count("\n") == 1 and "budget" in err
+
+
+def assert_one_line_error(code, out, err, pattern):
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert re.search(pattern, err)
+
+
+def test_design_delta_out_of_range_exits_1(capsys):
+    for delta in ("0", "-1"):
+        result = run_cli(
+            capsys, "design", "--q", "2", "--ell", "4", "--k", "2", "--delta", delta
+        )
+        assert_one_line_error(*result, "delta")
+
+
+def test_simulate_monte_carlo_without_trials_exits_1(capsys, tmp_path):
+    bundle_path = tmp_path / "bundle.json"
+    code, _, _ = run_cli(
+        capsys, "design", "--q", "2", "--ell", "4", "--k", "2",
+        "--seed-basis", "4,11", "-o", str(bundle_path),
+    )
+    assert code == 0
+    for trials in ("0", "-1"):
+        result = run_cli(
+            capsys, "simulate", "--bundle", str(bundle_path), "--alpha-star", "6",
+            "--failures", "2", "--mode", "monte-carlo", "--trials", trials,
+            "--rng-seed", "1",
+        )
+        assert_one_line_error(*result, "trials")
+
+
+def test_compare_bandwidth_impossible_code_exits_1(capsys):
+    for n, k, ell in (("16", "20", "4"), ("-3", "-2", "-4")):
+        result = run_cli(
+            capsys, "compare-bandwidth", "--n", n, "--k", k, "--ell", ell, "--e", "2"
+        )
+        assert_one_line_error(*result, "need 1 <= k < n")

@@ -73,6 +73,12 @@ def test_single_seed_validation():
         design_single_seed(2, 1, 4, 2)  # neither basis nor delta
 
 
+@pytest.mark.parametrize("delta", [0, -1, 5])
+def test_single_seed_rejects_delta_out_of_range(delta):
+    with pytest.raises(ValueError, match="1 <= delta <= ell"):
+        design_single_seed(2, 1, 4, 2, delta=delta)
+
+
 def test_tolerance_within_bounds(bundle_s1, bundle_s2, bundle_multi):
     for b in (bundle_s1, bundle_s2, bundle_multi):
         assert b.bounds.lower - 1 <= b.tolerance <= b.bounds.upper - 1
@@ -291,6 +297,14 @@ def test_simulate_requires_seed_for_monte_carlo(bundle_s1):
         simulate_failures(bundle_s1, 0, 5, mode="monte-carlo")
 
 
+@pytest.mark.parametrize("trials", [0, -1])
+def test_simulate_monte_carlo_needs_a_trial(bundle_s1, trials):
+    with pytest.raises(ValueError, match="trials"):
+        simulate_failures(
+            bundle_s1, 0, 5, mode="monte-carlo", trials=trials, rng_seed=1
+        )
+
+
 def test_simulate_bandwidth_table(bundle_s1):
     ctx = bundle_s1.ctx
     rep = simulate_failures(bundle_s1, ctx.exp(5), 2)
@@ -322,6 +336,14 @@ def test_bandwidth_comparison_table():
         bandwidth_comparison(16, 2, 4, 0)
     with pytest.raises(ValueError):
         bandwidth_comparison(16, 2, 4, 2, saving=1.0)
+
+
+@pytest.mark.parametrize(
+    "n, k, ell", [(16, 20, 4), (16, 16, 4), (16, 0, 4), (-3, -2, -4), (16, 2, 0)]
+)
+def test_bandwidth_comparison_rejects_impossible_code(n, k, ell):
+    with pytest.raises(ValueError, match="k|ell"):
+        bandwidth_comparison(n, k, ell, 2)
 
 
 def test_repair_correctness_over_bundles(bundle_s1, bundle_s2, bundle_multi):

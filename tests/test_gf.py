@@ -1,13 +1,18 @@
+import hashlib
+import json
 import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from compactrepair import field_new
 from compactrepair.errors import (
     FieldTooLargeError,
     InvalidSubfieldError,
     NonPrimeError,
+    RankDeficientError,
     ReducibleModulusError,
 )
 
@@ -88,6 +93,61 @@ def test_field_axioms(field, request):
         assert ctx.mul(a, b) == ctx.mul(b, a)
         assert ctx.mul(a, ctx.add(b, c)) == ctx.add(ctx.mul(a, b), ctx.mul(a, c))
         assert ctx.mul(ctx.mul(a, b), c) == ctx.mul(a, ctx.mul(b, c))
+
+
+@pytest.fixture(scope="module", params=[(3, 2), (3, 3), (3, 4), (5, 3)],
+                ids=["gf9", "gf27", "gf81", "gf125"])
+def odd_field(request):
+    p, n = request.param
+    return field_new(p, 1, n)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_odd_p_field_axioms_property(odd_field, data):
+    ctx = odd_field
+    element = st.integers(0, ctx.order - 1)
+    a, b, c = (data.draw(element, label=name) for name in "abc")
+    add, mul = ctx.add, ctx.mul
+    assert add(add(a, b), c) == add(a, add(b, c))
+    assert mul(mul(a, b), c) == mul(a, mul(b, c))
+    assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
+    assert add(a, ctx.neg(a)) == 0
+    assert ctx.neg(ctx.neg(a)) == a
+    assert ctx.sub(add(a, b), b) == a
+    assert add(ctx.sub(a, b), b) == a
+    if b:
+        assert mul(b, ctx.inv(b)) == 1
+        assert mul(ctx.div(a, b), b) == a
+        assert ctx.div(mul(a, b), b) == a
+
+
+# sha256 prefixes of JSON [generator, [z^0, ..., z^(order-2)]] for odd-p
+# fields.  Every golden value of the package rests on these tables, so a
+# change to the field bootstrap must leave them exactly as they are.
+ODD_P_TABLE_DIGESTS = {
+    (3, 1): "df09e20dae855952",
+    (3, 2): "2d3183ae05f5fbb4",
+    (3, 3): "a49b0ad2f1362350",
+    (3, 4): "e789d04cc6cc7131",
+    (3, 5): "24d9798413de672c",
+    (3, 6): "c8a3bf083ffdc7f8",
+    (3, 7): "f88650c7dfc073a3",
+    (5, 2): "bd4ed951b2fe2a9e",
+    (5, 3): "533198bc75424876",
+    (5, 4): "fde8831a337a4d84",
+    (7, 2): "ab4ec64b726753df",
+    (7, 3): "819b409d8f0405ed",
+    (11, 2): "b53f4e57aeac5fbb",
+    (13, 2): "9c15ac7e1f6abd3d",
+}
+
+
+@pytest.mark.parametrize("p, n", list(ODD_P_TABLE_DIGESTS))
+def test_odd_p_generator_and_tables_golden(p, n):
+    ctx = field_new(p, 1, n)
+    blob = json.dumps([ctx.generator, [ctx.exp(j) for j in range(ctx.order - 1)]])
+    assert hashlib.sha256(blob.encode()).hexdigest()[:16] == ODD_P_TABLE_DIGESTS[(p, n)]
 
 
 def test_division_by_zero(gf16):
@@ -221,3 +281,26 @@ def test_designated_subfield_context(gf16_q4):
     assert gf16_q4.q == 4
     assert gf16_q4.order == 16
     assert len(gf16_q4.subfield_elements(2)) == 4
+
+
+def test_dual_basis(gf16, gf64, gf9, gf16_q4):
+    rng = random.Random(13)
+    for ctx in (gf16, gf64, gf9, gf16_q4):
+        for m in range(1, ctx.n + 1):
+            if ctx.n % m:
+                continue
+            big_l = ctx.n // m
+            for _ in range(10):
+                ws = [rng.randrange(1, ctx.order) for _ in range(big_l)]
+                if ctx.rank_over(m, ws) < big_l:
+                    with pytest.raises(RankDeficientError):
+                        ctx.dual_basis(ws, m)
+                    continue
+                dual = ctx.dual_basis(ws, m)
+                for i, w in enumerate(ws):
+                    for j, d in enumerate(dual):
+                        assert ctx.trace_to_subfield(ctx.mul(w, d), m) == (i == j)
+            if big_l > 1:
+                # a repeated element makes the Gram matrix singular
+                with pytest.raises(RankDeficientError):
+                    ctx.dual_basis([1] * big_l, m)

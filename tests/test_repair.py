@@ -100,8 +100,8 @@ def test_dimension_too_small(gf16, golden_seed):
 
 def test_duplicate_u_rows_fail_rank(gf16, golden_seed):
     u = [(1,), (1,), (gf16.exp(1),), (gf16.exp(2),)]
-    scheme = SeedScheme(gf16, golden_seed, 2, u)
-    assert not verify_full_rank(scheme)
+    with pytest.raises(RankDeficientError, match="full-rank"):
+        SeedScheme(gf16, golden_seed, 2, u)
 
 
 def test_u_degree_bound_enforced(gf16, golden_seed):
@@ -209,18 +209,28 @@ def test_helper_payload_shape(gf16, naive16):
     total = 0
     for beta in d.helpers:
         p = helper_payload(d, beta, gf16.poly_eval(f, beta))
-        assert p.rank <= 4
-        assert len(p.symbols) == p.rank
-        assert all(len(row) == p.rank for row in p.combination)
-        total += p.rank
+        assert p.beta == beta
+        assert len(p.symbols) <= 4
+        total += len(p.symbols)
     assert total == bandwidth(d)
     with pytest.raises(NotAHelperError):
         helper_payload(d, gf16.exp(5), 0)
 
 
+def echelon_from_scratch(d, beta):
+    """Oracle: echelon basis of d.evals_at(beta) and each evaluation's
+    coordinates at the basis' pivot columns."""
+    ctx, mq = d.ctx, d.mq
+    rows = [list(ctx.coords(v, mq)) for v in d.evals_at(beta)]
+    rref, pivots = ctx.rref_over(mq, rows)
+    basis = tuple(ctx.from_coords(r, mq) for r in rref)
+    combination = [[row[p] for p in pivots] for row in rows]
+    return basis, combination
+
+
 def test_payload_reassembles_traces(gf16, naive16):
-    # oracle: payload symbols and combination rows reproduce
-    # Tr(h_i(beta) * f(beta)) for random messages
+    # oracle: payload symbols and the pivot coordinates of the evaluations
+    # reproduce Tr(h_i(beta) * f(beta)) for random messages
     rng = random.Random(23)
     d = dilate_translate(naive16, gf16.exp(9), gf16.exp(4))
     for _ in range(20):
@@ -229,10 +239,11 @@ def test_payload_reassembles_traces(gf16, naive16):
             fb = gf16.poly_eval(f, beta)
             p = helper_payload(d, beta, fb)
             evals = d.evals_at(beta)
+            _, combination = echelon_from_scratch(d, beta)
             for i in range(4):
                 direct = gf16.trace_to_subfield(gf16.mul(evals[i], fb), 1)
                 assembled = 0
-                for c, t in zip(p.combination[i], p.symbols):
+                for c, t in zip(combination[i], p.symbols, strict=True):
                     assembled = gf16.add(assembled, gf16.mul(c, t))
                 assert assembled == direct
 
@@ -261,14 +272,26 @@ def searched_seed(name):
 
 
 def payload_from_scratch(d, beta, f_beta):
-    """Oracle: echelon basis of d.evals_at(beta), traces, pivot coordinates."""
+    """Oracle: traces of f_beta against the echelon basis of d.evals_at(beta)."""
     ctx, mq = d.ctx, d.mq
-    rows = [list(ctx.coords(v, mq)) for v in d.evals_at(beta)]
-    rref, pivots = ctx.rref_over(mq, rows)
-    basis = [ctx.from_coords(r, mq) for r in rref]
+    basis, _ = echelon_from_scratch(d, beta)
     symbols = tuple(ctx.trace_to_subfield(ctx.mul(xi, f_beta), mq) for xi in basis)
-    combination = tuple(tuple(row[p] for p in pivots) for row in rows)
-    return HelperPayload(beta, len(pivots), symbols, combination)
+    return HelperPayload(beta, symbols)
+
+
+def weights_from_scratch(d, beta):
+    """Oracle: w_j = -sum_i c_ij dual_i, with c_ij the pivot coordinates of
+    d.evals_at(beta) and dual the trace-dual basis at the repaired point."""
+    ctx = d.ctx
+    duals = ctx.dual_basis(d.evals_at(d.repaired_point), d.mq)
+    _, combination = echelon_from_scratch(d, beta)
+    weights = []
+    for j in range(len(combination[0])):
+        acc = 0
+        for row, dual in zip(combination, duals, strict=True):
+            acc = ctx.add(acc, ctx.mul(row[j], dual))
+        weights.append(ctx.neg(acc))
+    return tuple(weights)
 
 
 def check_payloads_match_oracle(seed, pairs, rng):
@@ -279,7 +302,9 @@ def check_payloads_match_oracle(seed, pairs, rng):
         payloads = payloads_for(ctx, d, f)
         for p in payloads:
             assert p == payload_from_scratch(d, p.beta, ctx.poly_eval(f, p.beta))
-        assert sum(p.rank for p in payloads) == bandwidth(d) == seed.bandwidth
+            _, weights = seed.helper_data[d.seed_point(p.beta)]
+            assert weights == weights_from_scratch(d, p.beta)
+        assert sum(len(p.symbols) for p in payloads) == bandwidth(d) == seed.bandwidth
 
 
 @pytest.mark.parametrize("searched", [False, True], ids=["naive", "searched"])
@@ -362,12 +387,21 @@ def test_recover_payload_errors(gf16, naive16):
 
 
 def test_recover_rank_deficient(gf16, golden_seed):
-    u = [(1,), (1,), (gf16.exp(1),), (gf16.exp(2),)]
-    bad = SeedScheme(gf16, golden_seed, 2, u)
-    d = dilate_translate(bad, gf16.exp(5), 1)
+    # u_4 vanishes at the repaired point, so no scheme (and no recovery)
+    # can be built from u
+    u = [(1,), (gf16.exp(1),), (gf16.exp(2),), (0, 1)]
+    with pytest.raises(RankDeficientError, match="full-rank"):
+        SeedScheme(gf16, golden_seed, 2, u)
+
+
+def test_recover_rejects_wrong_symbol_count(gf16, naive16):
+    d = dilate_translate(naive16, gf16.exp(5), 1)
     pls = payloads_for(gf16, d, [3, 1])
-    with pytest.raises(RankDeficientError):
-        recover_symbol(d, pls)
+    first = pls[0]
+    for symbols in (first.symbols[:-1], first.symbols + (0,), ()):
+        forged = [HelperPayload(first.beta, symbols)] + pls[1:]
+        with pytest.raises(ValueError, match="symbols"):
+            recover_symbol(d, forged)
 
 
 def test_search_budget_zero_returns_naive(gf16, golden_seed):
@@ -380,17 +414,18 @@ def test_search_improves_or_matches_baseline(gf16, golden_seed):
     best = search_seed_scheme(gf16, golden_seed, 2, budget=400, rng_seed=0)
     assert verify_full_rank(best)
     assert best.bandwidth <= 12
-    # oracle: a small structured family of candidates (basis constants
-    # times x^e) bounds what the search should at least match
+    # oracle: a structured family of full-rank candidates, u_i = z^i +
+    # [bit i of mask] z^(i+t) x, bounds what the search should at least match
     structured_best = 12
-    for mask in range(16):
-        u = tuple(
-            (0, gf16.exp(i)) if (mask >> i) & 1 else (gf16.exp(i),)
-            for i in range(4)
-        )
-        cand = SeedScheme(gf16, golden_seed, 2, u)
-        if verify_full_rank(cand):
+    for t in range(1, 15):
+        for mask in range(16):
+            u = tuple(
+                (gf16.exp(i), gf16.exp(i + t) if (mask >> i) & 1 else 0)
+                for i in range(4)
+            )
+            cand = SeedScheme(gf16, golden_seed, 2, u)
             structured_best = min(structured_best, cand.bandwidth)
+    assert structured_best == 8
     assert best.bandwidth <= structured_best
 
 
