@@ -26,7 +26,6 @@ from .hitting import (
     bounds,
     bounds_for_seed,
     min_hitting_set,
-    verify_tolerance_exhaustive,
 )
 from .orbits import (
     CosetFamily,
@@ -44,7 +43,6 @@ from .repair import (
     RepairScheme,
     SeedScheme,
     bandwidth,
-    check_polynomial_validity,
     dilate_translate,
     helper_payload,
     naive_seed_scheme,
@@ -80,7 +78,6 @@ __all__ = [
     "base_of",
     "bounds",
     "bounds_for_seed",
-    "check_polynomial_validity",
     "coset_family",
     "count_with_base",
     "design_multi_seed",
@@ -104,5 +101,4 @@ __all__ = [
     "subspace_polynomial",
     "verify_full_rank",
     "verify_reference_example",
-    "verify_tolerance_exhaustive",
 ]

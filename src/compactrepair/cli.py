@@ -13,7 +13,6 @@ import json
 import sys
 
 from .design import (
-    DEFAULT_SEARCH_BUDGET,
     bandwidth_comparison,
     design_multi_seed,
     design_single_seed,
@@ -105,30 +104,20 @@ def _cmd_orbits(args) -> int:
 
 def _cmd_design(args) -> int:
     p, s = _prime_power(args.q)
-    common = {
-        "modulus": _parse_modulus(args.modulus),
-        "search_budget": args.search_budget,
-        "rng_seed": args.rng_seed,
-    }
+    modulus = _parse_modulus(args.modulus)
     if args.multi_seed:
         if args.delta is None:
             raise ValueError("--multi-seed requires --delta")
-        bundle = design_multi_seed(p, s, args.ell, args.k, args.delta, **common)
+        bundle = design_multi_seed(p, s, args.ell, args.k, args.delta, modulus=modulus)
     elif args.seed_basis is not None:
         bundle = design_single_seed(
-            p, s, args.ell, args.k, seed_basis=_parse_ints(args.seed_basis), **common
+            p, s, args.ell, args.k, seed_basis=_parse_ints(args.seed_basis), modulus=modulus
         )
     else:
         if args.delta is None:
             raise ValueError("give --seed-basis or --delta")
         bundle = design_single_seed(
-            p,
-            s,
-            args.ell,
-            args.k,
-            delta=args.delta,
-            strategy=args.strategy,
-            **common,
+            p, s, args.ell, args.k, delta=args.delta, strategy=args.strategy, modulus=modulus
         )
     _emit(bundle.to_json_dict(), args.output)
     return 0
@@ -198,8 +187,10 @@ def build_parser() -> _Parser:
         "--strategy", default="subfield-coset", choices=["subfield-coset", "first"]
     )
     sp.add_argument("--modulus")
-    sp.add_argument("--search-budget", type=int, default=DEFAULT_SEARCH_BUDGET)
-    sp.add_argument("--rng-seed", type=int, default=0)
+    sp.add_argument(
+        "--rng-seed", type=int, default=0,
+        help="accepted and ignored: the repair scheme is a closed form",
+    )
     add_common(sp)
     sp.set_defaults(func=_cmd_design)
 

@@ -59,7 +59,6 @@ from .subspaces import (
 
 TOOL_NAME = "compactrepair"
 SCHEMA_VERSION = 1
-DEFAULT_SEARCH_BUDGET = 300
 DEFAULT_EXHAUSTIVE_THRESHOLD = 10**7
 _ABSENT = object()
 
@@ -283,6 +282,8 @@ def _validate_code(ctx: FieldCtx, k: int, delta: int) -> None:
     n = ctx.order
     if not 1 <= k < n:
         raise ValueError(f"need 1 <= k < n = {n}, got k = {k}")
+    if not 1 <= delta <= ctx.ell:
+        raise ValueError(f"need 1 <= delta <= ell = {ctx.ell}, got delta = {delta}")
     if ctx.q**delta <= k:
         raise ValueError(
             f"seed size q^delta = {ctx.q**delta} must exceed k = {k}"
@@ -314,30 +315,30 @@ def design_single_seed(
     delta: int | None = None,
     strategy: str = "subfield-coset",
     modulus=None,
-    search_budget: int = DEFAULT_SEARCH_BUDGET,
     rng_seed: int = 0,
 ) -> DesignBundle:
-    """Design with one seed: groups, exact tolerance, bounds, repair scheme."""
+    """Design with one seed: groups, exact tolerance, bounds, repair scheme.
+
+    The scheme is search_seed_scheme's closed form.  rng_seed is accepted
+    for earlier callers and ignored; it is not written to the config.
+    """
     ctx = field_new(p, s, ell, modulus)
     q = ctx.q
     if seed_basis is not None:
         seed = span(ctx, q, list(seed_basis))
         if seed.dim == 0:
             raise ValueError("seed basis spans only the trivial subspace")
+        _validate_code(ctx, k, seed.dim)
     else:
         if delta is None:
             raise ValueError("give either seed_basis or delta")
-        if not 1 <= delta <= ell:
-            raise ValueError(f"need 1 <= delta <= ell = {ell}, got delta = {delta}")
+        _validate_code(ctx, k, delta)
         seed = _seed_from_strategy(ctx, delta, strategy)
-    _validate_code(ctx, k, seed.dim)
     mhs = min_hitting_set(coset_family([seed]))
-    scheme = search_seed_scheme(ctx, seed, k, search_budget, rng_seed=rng_seed)
+    scheme = search_seed_scheme(ctx, seed, k)
     config = {
         "strategy": None if seed_basis is not None else strategy,
         "seed_basis": sorted(seed.basis),
-        "search_budget": search_budget,
-        "rng_seed": rng_seed,
         "group_selection": "first-intact",
     }
     bundle = DesignBundle(ctx, k, "single-seed", (seed,), (scheme,), mhs, config)
@@ -353,7 +354,6 @@ def design_multi_seed(
     delta: int,
     *,
     modulus=None,
-    search_budget: int = DEFAULT_SEARCH_BUDGET,
     rng_seed: int = 0,
 ) -> DesignBundle:
     """Design from one seed per scaling orbit; tolerance attains the bound.
@@ -364,7 +364,9 @@ def design_multi_seed(
     F_q-line of U hits the family, and by the Bose-Burton bound no smaller
     set does: |MHS| = (q^(ell-delta+1) - 1)/(q - 1).  U is spanned by
     z^0, ..., z^(ell-delta) for the field generator z; the witness is
-    checked against every set before it is returned.
+    checked against every set before it is returned.  Each seed's scheme is
+    search_seed_scheme's closed form; rng_seed is accepted for earlier
+    callers and ignored, and it is not written to the config.
     """
     ctx = field_new(p, s, ell, modulus)
     q = ctx.q
@@ -375,16 +377,8 @@ def design_multi_seed(
     witness = tuple(
         sorted({min(ctx.mul(c, v) for c in scalars) for v in U.members if v})
     )
-    schemes = tuple(
-        search_seed_scheme(ctx, seed, k, search_budget, rng_seed=rng_seed)
-        for seed in seeds
-    )
-    config = {
-        "strategy": "orbit-representatives",
-        "search_budget": search_budget,
-        "rng_seed": rng_seed,
-        "group_selection": "first-intact",
-    }
+    schemes = tuple(search_seed_scheme(ctx, seed, k) for seed in seeds)
+    config = {"strategy": "orbit-representatives", "group_selection": "first-intact"}
     mhs = HittingResult(witness, "exact")
     bundle = DesignBundle(ctx, k, "multi-seed", seeds, schemes, mhs, config)
     _check_certificate(bundle, InvariantError)

@@ -25,14 +25,12 @@ order q^(ell-delta) (rescaling collapses the sandwich to q^(ell-delta)+1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from math import comb
 
 import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
 from scipy.sparse import csr_array
 
-from .errors import BudgetExceededError, EmptyFamilyError, InvariantError
+from .errors import EmptyFamilyError, InvariantError
 from .subspaces import Subspace, base_of
 
 DEFAULT_NODE_BUDGET = 10**7
@@ -64,13 +62,6 @@ class BoundsReport:
 def _family_sets(family) -> list[frozenset[int]]:
     raw = getattr(family, "sets", family)
     return [frozenset(s) for s in raw]
-
-
-def _family_universe(family, sets) -> frozenset[int]:
-    uni = getattr(family, "universe", None)
-    if uni is None:
-        uni = frozenset().union(*sets)
-    return frozenset(uni)
 
 
 def _greedy_hitting(sets, elements) -> list[int]:
@@ -126,30 +117,6 @@ def min_hitting_set(family, budget: int = DEFAULT_NODE_BUDGET) -> HittingResult:
     if candidate is None or len(greedy) <= len(candidate):
         candidate = greedy
     return HittingResult(tuple(candidate), "greedy-upper-only")
-
-
-def verify_tolerance_exhaustive(family, e: int, budget: int = 10**7) -> bool:
-    """True iff every e-subset of the universe leaves some set untouched.
-
-    Raises BudgetExceededError when C(|universe|, e) exceeds the budget;
-    callers wanting larger e should fall back to Monte Carlo sampling.
-    """
-    sets = _family_sets(family)
-    if not sets:
-        raise EmptyFamilyError("cannot verify an empty family")
-    universe = sorted(_family_universe(family, sets))
-    if e < 0 or e > len(universe):
-        raise ValueError(f"need 0 <= e <= {len(universe)}, got {e}")
-    patterns = comb(len(universe), e)
-    if patterns > budget:
-        raise BudgetExceededError(
-            f"{patterns} failure patterns exceed the budget of {budget}"
-        )
-    for pattern in combinations(universe, e):
-        failed = frozenset(pattern)
-        if not any(s.isdisjoint(failed) for s in sets):
-            return False
-    return True
 
 
 def bounds(q: int, ell: int, delta: int) -> BoundsReport:

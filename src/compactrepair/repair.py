@@ -34,7 +34,6 @@ of symbol times weight.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 from .errors import (
@@ -45,7 +44,12 @@ from .errors import (
     ZeroDilationError,
 )
 from .gf import FieldCtx
-from .subspaces import Subspace, linear_term_of_subspace_polynomial
+from .subspaces import (
+    Subspace,
+    linear_term_of_subspace_polynomial,
+    span,
+    subspace_polynomial,
+)
 
 
 class SeedScheme:
@@ -54,8 +58,9 @@ class SeedScheme:
     Immutable after construction, and full-rank by construction: u whose
     evaluations at 0 do not span F_q^ell raise RankDeficientError.
     ``helper_data`` maps each helper x to its (basis, weights), see
-    _helper_data.  ``bandwidth``, the total F_q-symbol download, is the sum
-    of the helpers' ranks.
+    _helper_data; ``scalars`` is the set of F_q elements, the values a
+    payload symbol may take.  ``bandwidth``, the total F_q-symbol download,
+    is the sum of the helpers' ranks.
     """
 
     def __init__(self, ctx: FieldCtx, subspace: Subspace, k: int, u):
@@ -92,6 +97,7 @@ class SeedScheme:
         c = linear_term_of_subspace_polynomial(subspace)
         self._on_support = ctx.neg(ctx.inv(c))
         self.helpers = subspace.star()
+        self.scalars = frozenset(ctx.subfield_elements(self.mq))
         self.repaired_point = 0
         if not verify_full_rank(self):
             raise RankDeficientError(
@@ -253,7 +259,8 @@ def recover_symbol(scheme: RepairScheme, payloads) -> int:
 
     f(alpha_star) is the sum of every payload symbol times the weight the
     seed stores for it at the helper's seed point (see _helper_data): a
-    dilated scheme's evaluations at a* are the seed's at 0.
+    dilated scheme's evaluations at a* are the seed's at 0.  A symbol
+    outside F_q raises ValueError naming its helper.
     """
     ctx = scheme.ctx
     seed = scheme.seed
@@ -276,99 +283,40 @@ def recover_symbol(scheme: RepairScheme, payloads) -> int:
                 f"payload for helper {beta} has {len(p.symbols)} symbols, "
                 f"its rank is {len(weights)}"
             )
+        if not seed.scalars.issuperset(p.symbols):
+            raise ValueError(
+                f"payload for helper {beta} has a symbol outside F_{seed.subspace.q}: "
+                f"{sorted(set(p.symbols) - seed.scalars)}"
+            )
         for t, w in zip(p.symbols, weights):
             result = ctx.add(result, ctx.mul(t, w))
     return result
 
 
-def check_polynomial_validity(ctx: FieldCtx, k: int, coeffs) -> bool:
-    """True iff the polynomial is a dual-code check: degree <= q^ell - k - 1."""
-    deg = len(coeffs) - 1
-    while deg >= 0 and coeffs[deg] == 0:
-        deg -= 1
-    if deg < 0:
-        return True  # the zero polynomial is (degenerately) orthogonal
-    return deg <= ctx.order - k - 1
+def search_seed_scheme(ctx: FieldCtx, S: Subspace, k: int) -> SeedScheme:
+    """Closed-form subspace-polynomial scheme (Dau & Milenkovic, ISIT 2017).
 
+    Let r be the largest integer with q^r <= |S| - k (so r < delta), W =
+    span_q(z^0, ..., z^(r-1)) for the field generator z, and L_W the
+    subspace polynomial of W.  Then u_i(x) = L_W(z^i x)/x for i < ell.  L_W
+    is q-linearized with nonzero linear coefficient c, so u_i has degree
+    q^r - 1 < |S| - k and u_i(0) = c z^i: the scheme is full-rank.  At a
+    helper x the u_i(x) span L_W(x * field)/x, the image of L_W scaled, of
+    dimension ell - r; every helper sends ell - r symbols and the bandwidth
+    is exactly (|S| - 1)(ell - r).  r = 0 gives the naive scheme.
 
-def search_seed_scheme(
-    ctx: FieldCtx,
-    S: Subspace,
-    k: int,
-    budget: int,
-    rng_seed: int = 0,
-) -> SeedScheme:
-    """Heuristic bandwidth search over the u coefficients.
-
-    Coordinate descent with random restarts: each step re-tries one
-    coefficient slot against every field value, keeping strict improvements
-    that preserve the Full-Rank Condition.  The budget counts candidate
-    evaluations; budget 0 returns the naive baseline.  The result is always
-    valid and never worse than the baseline.
+    Nothing is searched.  The name stays because perfbench's tracer looks
+    the function up by it and the benchmark reports its
+    repair.search_seed_scheme.* metrics.
     """
-    naive = naive_seed_scheme(ctx, S, k)
-    if budget <= 0:
-        return naive
-    mq = naive.mq
-    ell = naive.ell
-    helpers = naive.helpers
-    slots = len(S.members) - k
-    rng = random.Random(rng_seed)
-
-    def score(u) -> int | None:
-        at_zero = [ctx.poly_eval(ui, 0) for ui in u]
-        if ctx.rank_over(mq, at_zero) != ell:
-            return None
-        return sum(
-            ctx.rank_over(mq, [ctx.poly_eval(ui, a) for ui in u]) for a in helpers
-        )
-
-    def pad(u):
-        return [list(ui) + [0] * (slots - len(ui)) for ui in u]
-
-    current = pad(naive.u)
-    current_bw = naive.bandwidth
-    best_u = [list(ui) for ui in current]
-    best_bw = current_bw
-    spent = 0
-    stall = 0
-    while spent < budget:
-        i = rng.randrange(ell)
-        d = rng.randrange(slots)
-        original = current[i][d]
-        improved = False
-        for v in range(ctx.order):
-            if v == original or spent >= budget:
-                continue
-            spent += 1
-            current[i][d] = v
-            bw = score(current)
-            if bw is not None and bw < current_bw:
-                current_bw = bw
-                original = v
-                improved = True
-            current[i][d] = original
-        if improved:
-            stall = 0
-            if current_bw < best_bw:
-                best_bw = current_bw
-                best_u = [list(ui) for ui in current]
-        else:
-            stall += 1
-        if stall > 4 * ell * slots:
-            # Restart from a random valid point; keep the global best.
-            for _ in range(64):
-                if spent >= budget:
-                    break
-                spent += 1
-                cand = [
-                    [rng.randrange(ctx.order) for _ in range(slots)]
-                    for _ in range(ell)
-                ]
-                bw = score(cand)
-                if bw is not None:
-                    current = cand
-                    current_bw = bw
-                    break
-            stall = 0
-    return SeedScheme(ctx, S, k, tuple(tuple(ui) for ui in best_u))
+    q = S.q
+    r = 0
+    while q ** (r + 1) <= len(S.members) - k:
+        r += 1
+    L = subspace_polynomial(span(ctx, q, [ctx.exp(j) for j in range(r)]))
+    # L_W(z^i x)/x: the coefficient of x^t in L_W, times z^(i t), moves to x^(t-1).
+    u = tuple(
+        tuple(ctx.mul(c, ctx.exp(i * t)) for t, c in enumerate(L) if t)
+        for i in range(S.ell)
+    )
+    return SeedScheme(ctx, S, k, u)

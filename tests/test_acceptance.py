@@ -31,8 +31,8 @@ from compactrepair import (
     span,
     verify_full_rank,
     verify_reference_example,
-    verify_tolerance_exhaustive,
 )
+from oracles import verify_tolerance_exhaustive
 
 SWEEP_GRID = [(2, 4), (2, 6), (3, 2)]
 

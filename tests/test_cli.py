@@ -121,6 +121,20 @@ def test_design_deterministic_bytes(capsys, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_design_rng_seed_is_ignored(capsys, tmp_path):
+    paths = [tmp_path / f"{seed}.json" for seed in ("0", "5", "123")]
+    for path in paths:
+        code, _, _ = run_cli(
+            capsys,
+            "design",
+            "--q", "2", "--ell", "4", "--k", "2", "--delta", "2", "--multi-seed",
+            "--rng-seed", path.stem,
+            "-o", str(path),
+        )
+        assert code == 0
+    assert len({path.read_bytes() for path in paths}) == 1
+
+
 def test_compare_bandwidth_cli(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -255,11 +269,13 @@ def assert_one_line_error(code, out, err, pattern):
 
 
 def test_design_delta_out_of_range_exits_1(capsys):
-    for delta in ("0", "-1"):
-        result = run_cli(
-            capsys, "design", "--q", "2", "--ell", "4", "--k", "2", "--delta", delta
-        )
-        assert_one_line_error(*result, "delta")
+    for delta in ("0", "-1", "5"):
+        for mode in ((), ("--multi-seed",)):
+            result = run_cli(
+                capsys, "design", "--q", "2", "--ell", "4", "--k", "2", "--delta", delta,
+                *mode,
+            )
+            assert_one_line_error(*result, rf"1 <= delta <= ell = 4, got delta = {delta}$")
 
 
 def test_simulate_monte_carlo_without_trials_exits_1(capsys, tmp_path):

@@ -79,6 +79,12 @@ def test_single_seed_rejects_delta_out_of_range(delta):
         design_single_seed(2, 1, 4, 2, delta=delta)
 
 
+@pytest.mark.parametrize("delta", [0, -1, 5])
+def test_multi_seed_rejects_delta_out_of_range(delta):
+    with pytest.raises(ValueError, match=r"1 <= delta <= ell = 4, got delta = -?\d$"):
+        design_multi_seed(2, 1, 4, 2, delta)
+
+
 def test_tolerance_within_bounds(bundle_s1, bundle_s2, bundle_multi):
     for b in (bundle_s1, bundle_s2, bundle_multi):
         assert b.bounds.lower - 1 <= b.tolerance <= b.bounds.upper - 1
@@ -102,7 +108,7 @@ def test_multi_seed_trivial_delta_ell():
 
 
 def test_multi_seed_2_6_3_solver_confirmed():
-    bundle = design_multi_seed(2, 1, 6, 4, 3, search_budget=0)
+    bundle = design_multi_seed(2, 1, 6, 4, 3)
     assert len(bundle.seeds) == 23
     assert bundle.mhs.size == 15
     assert bundle.mhs.method == "exact"
@@ -121,7 +127,7 @@ def test_multi_seed_line_cover_witness_is_optimal(monkeypatch, q, ell, delta):
     with monkeypatch.context() as m:
         # The witness is built from the Bose-Burton bound, not solved for.
         m.setattr(hitting, "milp", None)
-        bundle = design_multi_seed(p, s, ell, 1, delta, search_budget=0)
+        bundle = design_multi_seed(p, s, ell, 1, delta)
     fam = coset_family(list(bundle.seeds))
     assert bundle.mhs.method == "exact"
     assert bundle.mhs.size == (q ** (ell - delta + 1) - 1) // (q - 1)
@@ -131,7 +137,7 @@ def test_multi_seed_line_cover_witness_is_optimal(monkeypatch, q, ell, delta):
 
 
 def test_multi_seed_2_6_2_attains_upper_bound():
-    bundle = design_multi_seed(2, 1, 6, 2, 2, search_budget=0)
+    bundle = design_multi_seed(2, 1, 6, 2, 2)
     assert len(bundle.seeds) == 11
     assert bundle.mhs.size == bundle.bounds.upper == 31
     assert bundle.mhs.method == "exact"
@@ -194,6 +200,40 @@ def test_bundle_determinism():
     c = design_multi_seed(2, 1, 4, 2, 2)
     d = design_multi_seed(2, 1, 4, 2, 2)
     assert c.dumps() == d.dumps()
+
+
+def test_bundles_do_not_depend_on_rng_seed():
+    # the scheme is a closed form; rng_seed is accepted and ignored
+    single = {
+        design_single_seed(2, 1, 4, 2, seed_basis=[4, 11], rng_seed=r).dumps()
+        for r in (0, 1, 3, 999)
+    }
+    multi = {design_multi_seed(2, 1, 5, 2, 2, rng_seed=r).dumps() for r in (0, 1, 7)}
+    assert len(single) == len(multi) == 1
+    for text in single | multi:
+        assert "rng_seed" not in json.loads(text)["config"]
+
+
+@pytest.mark.parametrize(
+    "design",
+    [
+        lambda: design_single_seed(2, 1, 4, 2, seed_basis=[4, 11]),
+        lambda: design_single_seed(2, 1, 8, 4, delta=4),
+        lambda: design_single_seed(3, 1, 4, 3, delta=2),
+        lambda: design_single_seed(2, 2, 3, 2, delta=1),
+        lambda: design_multi_seed(2, 1, 5, 2, 2),
+        lambda: design_multi_seed(3, 1, 3, 4, 2),
+    ],
+    ids=["gf16-golden", "gf256-d4", "gf81-q3", "gf64-q4", "gf32-multi", "gf27-multi"],
+)
+def test_design_bandwidth_is_closed_form(design):
+    # every seed scheme: bandwidth (|S| - 1)(ell - r), r the largest with
+    # q^r <= |S| - k
+    bundle = design()
+    q, ell, size = bundle.q, bundle.ctx.ell, bundle.q**bundle.delta
+    r = max(j for j in range(bundle.delta) if q**j <= size - bundle.k)
+    for scheme in bundle.schemes:
+        assert scheme.bandwidth == (size - 1) * (ell - r)
 
 
 def test_load_bundle_rejects_forged_tolerance(bundle_s1):

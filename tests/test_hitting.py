@@ -10,9 +10,9 @@ from compactrepair import (
     enumerate_subspaces,
     min_hitting_set,
     span,
-    verify_tolerance_exhaustive,
 )
 from compactrepair.errors import BudgetExceededError, EmptyFamilyError
+from oracles import verify_tolerance_exhaustive
 
 
 def brute_force_mhs_size(sets):
