@@ -1,0 +1,116 @@
+"""Byte-identity guard: pinned sha256 values of outputs that must never drift.
+
+Each digest was taken from the version before orbit enumeration, coset
+families and subspace polynomials were rewritten on the scaling structure.
+A digest that changes means the output bytes changed: CLI `orbits` JSON
+and orbit sizes, bundle dumps(), or a seed scheme's u.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from compactrepair import (
+    design_multi_seed,
+    design_single_seed,
+    field_new,
+    orbit_decomposition,
+    search_seed_scheme,
+    span,
+)
+from compactrepair.cli import main
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# (q, ell, delta, p, s) -> (sha of the CLI JSON, sha of json.dumps(orbit_sizes))
+ORBITS = {
+    (2, 4, 2, 2, 1): (
+        "bb18ce92875f7805d23cf319b7a89eb36ebc0142ef468704f4a15c4cd7e59dd7",
+        "6754ca479e971888e8cd6131abf5a42ac33423e38f332eeed83f58756d49d9da",
+    ),
+    (2, 6, 3, 2, 1): (
+        "da5338a1e40002777197c6d29daf1d20b9ac790bff591aad02b16565dc87a939",
+        "33889527a2cd31065a5517eafe3835a52e7925713d9b22e685722a2716cebe0f",
+    ),
+    (2, 8, 2, 2, 1): (
+        "c7dafadbc2c86e48e10cae55d8ee312242928e239fe146318bf849a6ed0e88d8",
+        "e836f45f5b1762e72bf71723532f73a30dc733d8df8554125befef8a27717bc7",
+    ),
+    (3, 3, 2, 3, 1): (
+        "42c856674ce3aeba5dbf5864357acf26cea438b9fff46ed52958d68135eddcd5",
+        "525ec3b5ad9afc0f09a5f7e0eb865e97f5b4b614a85cf93f3ae644f8e5f874f0",
+    ),
+    (4, 3, 2, 2, 2): (
+        "fbb6f462ab9b035fd29de4fe06cdbbf60edd5b8b772365f06672291a7d0c54b1",
+        "3db4e2d15128484c18e33cde50510caf0a36044278b0f9e265f49f31e9bb1ee0",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "case", list(ORBITS), ids=[f"q{c[0]}-ell{c[1]}-delta{c[2]}" for c in ORBITS]
+)
+def test_orbits_output_is_pinned(case, tmp_path):
+    q, ell, delta, p, s = case
+    out = tmp_path / "orbits.json"
+    argv = ["orbits", "--q", str(q), "--ell", str(ell), "--delta", str(delta)]
+    assert main(argv + ["-o", str(out)]) == 0
+    sizes = orbit_decomposition(field_new(p, s, ell), q, delta).orbit_sizes
+    assert (_sha(out.read_text()), _sha(json.dumps(sizes))) == ORBITS[case]
+
+
+# The bundles perfbench designs for repair-traffic and failure-sim (each
+# once), and the GF(16) golden design.
+BUNDLES = {
+    "gf256-d4": (
+        lambda: design_single_seed(2, 1, 8, 4, delta=4, rng_seed=1),
+        "1888ff46939ed12c260b2d306e8738aaecbd827133e43398f7f05fccac5965f5",
+    ),
+    "gf81-q3": (
+        lambda: design_single_seed(3, 1, 4, 3, delta=2, rng_seed=1),
+        "c276b27fc62a26294cbbdb4a9dffd0bc0b3ec5538869ce70e20c9d2a9769452d",
+    ),
+    "gf64-q4": (
+        lambda: design_single_seed(2, 2, 3, 2, delta=1, rng_seed=1),
+        "e368cddfe8d4d1b9e09326e8b93e4b2d90ed2605690fd8836756c4ee3d11e8df",
+    ),
+    "gf32-multi": (
+        lambda: design_multi_seed(2, 1, 5, 2, 2, rng_seed=1),
+        "9689a4240d8c13ca8556dc7d37c2a85a4d09a9b4064c868896f41ef755a22d01",
+    ),
+    "gf729-q3": (
+        lambda: design_single_seed(3, 1, 6, 3, delta=2, rng_seed=1),
+        "565e689fddf181226476c07ee6aa500fce1845c27b4cb9a3e44443a32f809fcc",
+    ),
+    "gf16-multi": (
+        lambda: design_multi_seed(2, 1, 4, 2, 2, rng_seed=1),
+        "903f5a995c3f11357ade718ecbb0aa33712e9e3c127470d4094c312bc22cf6a8",
+    ),
+    "gf64-d2": (
+        lambda: design_single_seed(2, 1, 6, 2, delta=2, rng_seed=1),
+        "613910d5dcd789ffcf321f85a7bd445cbdc993dc5b50d7afc7acbaf65e032945",
+    ),
+    "gf16-golden": (
+        lambda: design_single_seed(2, 1, 4, 2, seed_basis=[4, 11]),
+        "0e58197dcee14a4f8a43ce6bde9b7934b2ccaee8bc4299330732df3599511fda",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(BUNDLES))
+def test_bundle_dumps_are_pinned(name):
+    build, digest = BUNDLES[name]
+    assert _sha(build().dumps()) == digest
+
+
+def test_gf4096_delta10_scheme_u_is_pinned():
+    ctx = field_new(2, 1, 12)
+    S = span(ctx, 2, [ctx.exp(j) for j in range(10)])
+    u = search_seed_scheme(ctx, S, 2).u
+    assert _sha(json.dumps(u)) == (
+        "590ae75da34808f4bdde0fa483b6d0e6799bf22ae771fc3970374e43c7078407"
+    )
