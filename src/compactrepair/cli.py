@@ -21,7 +21,7 @@ from .design import (
     verify_reference_example,
 )
 from .errors import CompactRepairError, FieldTooLargeError
-from .gf import MAX_FIELD_ORDER, field_new, is_prime
+from .gf import MAX_FIELD_ORDER, field_new, prime_factors
 from .orbits import orbit_decomposition
 
 USAGE_ERROR = 1
@@ -36,20 +36,14 @@ class _Parser(argparse.ArgumentParser):
 
 def _prime_power(q: int) -> tuple[int, int]:
     """Factor q = p^s with p prime, or raise ValueError."""
-    if q > MAX_FIELD_ORDER:  # before the factor scan, which is linear in q
+    if q > MAX_FIELD_ORDER:
         raise FieldTooLargeError(f"q = {q} exceeds the field order cap of 2^20")
-    if q < 2:
+    factors = prime_factors(q)
+    if len(factors) != 1:
         raise ValueError(f"q = {q} is not a prime power")
-    p = next((f for f in range(2, q + 1) if q % f == 0), q)
-    if not is_prime(p):
-        raise ValueError(f"q = {q} is not a prime power")
-    s = 0
-    v = q
-    while v % p == 0:
-        v //= p
+    p, s = factors[0], 1
+    while p**s < q:
         s += 1
-    if v != 1:
-        raise ValueError(f"q = {q} is not a prime power")
     return p, s
 
 
@@ -133,7 +127,6 @@ def _cmd_simulate(args) -> int:
         mode=args.mode,
         trials=args.trials,
         rng_seed=args.rng_seed,
-        exhaustive_threshold=args.threshold,
     )
     _emit(report.to_json_dict(), args.output)
     return 0
@@ -201,7 +194,6 @@ def build_parser() -> _Parser:
     sp.add_argument("--mode", default="auto", choices=["auto", "exhaustive", "monte-carlo"])
     sp.add_argument("--trials", type=int, default=10000)
     sp.add_argument("--rng-seed", type=int, default=None)
-    sp.add_argument("--threshold", type=int, default=10**7)
     add_common(sp)
     sp.set_defaults(func=_cmd_simulate)
 

@@ -23,12 +23,12 @@ per F_q-line of a single (ell-delta+1)-dimensional subspace; the design
 builds that witness directly and checks that it hits every set, with no
 solver call.
 
-The failure simulator draws e-failure patterns (exhaustively below a
-pattern threshold, else Monte Carlo on a counter-based Philox stream) and
-reports the fraction of patterns leaving at least one intact group, plus a
-centralized-vs-decentralized bandwidth table.  Replacement nodes pick the
-first intact group in family order; that policy is recorded in the bundle
-config.
+The failure simulator draws e-failure patterns (exhaustively up to
+DEFAULT_EXHAUSTIVE_THRESHOLD patterns, else Monte Carlo on a counter-based
+Philox stream) and reports the fraction of patterns leaving at least one
+intact group, plus a centralized-vs-decentralized bandwidth table.
+Replacement nodes pick the first intact group in family order; that policy
+is recorded in the bundle config.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from math import comb
 import numpy as np
 
 from . import __version__
-from .errors import ExampleCheckError, InvariantError
+from .errors import InvariantError
 from .gf import FieldCtx, field_new
 from .hitting import BoundsReport, HittingResult, bounds, bounds_for_seed, min_hitting_set
 from .orbits import (
@@ -416,13 +416,13 @@ def simulate_failures(
     mode: str = "auto",
     trials: int = 10000,
     rng_seed: int | None = None,
-    exhaustive_threshold: int = DEFAULT_EXHAUSTIVE_THRESHOLD,
 ) -> SimReport:
     """Fraction of e-failure patterns that leave the symbol repairable.
 
     Patterns are e-subsets of the other n-1 nodes.  Exhaustive when the
-    pattern count is within the threshold; otherwise Monte Carlo, which
-    requires rng_seed (a counter-based Philox stream keyed on it).
+    pattern count is within DEFAULT_EXHAUSTIVE_THRESHOLD; otherwise Monte
+    Carlo, which requires rng_seed (a counter-based Philox stream keyed on
+    it).
     """
     ctx = bundle.ctx
     n = ctx.order
@@ -437,13 +437,13 @@ def simulate_failures(
     universe = sorted(family.universe)
     total = comb(n - 1, e)
     if mode == "auto":
-        mode = "exhaustive" if total <= exhaustive_threshold else "monte-carlo"
+        mode = "exhaustive" if total <= DEFAULT_EXHAUSTIVE_THRESHOLD else "monte-carlo"
     if mode not in ("exhaustive", "monte-carlo"):
         raise ValueError(f"unknown mode: {mode!r}")
-    if mode == "exhaustive" and total > exhaustive_threshold:
+    if mode == "exhaustive" and total > DEFAULT_EXHAUSTIVE_THRESHOLD:
         raise ValueError(
             f"{total} patterns exceed the exhaustive threshold "
-            f"{exhaustive_threshold}; use monte-carlo"
+            f"{DEFAULT_EXHAUSTIVE_THRESHOLD}; use monte-carlo"
         )
 
     def first_intact(failed: frozenset[int]) -> int | None:
@@ -547,7 +547,7 @@ def bandwidth_comparison(
     }
 
 
-def verify_reference_example(modulus=None, strict: bool = False) -> dict:
+def verify_reference_example(modulus=None) -> dict:
     """Golden checks for the bundled GF(16), k=2 reference design.
 
     Runs the full pipeline on the two reference seeds and compares every
@@ -604,7 +604,7 @@ def verify_reference_example(modulus=None, strict: bool = False) -> dict:
     check("first-seed-subfield-coset-value", 5, bounds_for_seed(first).exact)
 
     failures = [c["name"] for c in checks if not c["passed"]]
-    report = {
+    return {
         "field": {"p": 2, "s": 1, "ell": 4, "modulus": list(ctx.modulus)},
         "generator": z,
         "checks": checks,
@@ -612,10 +612,3 @@ def verify_reference_example(modulus=None, strict: bool = False) -> dict:
         "all_pass": not failures,
         "first_divergence": failures[0] if failures else None,
     }
-    if strict and failures:
-        bad = next(c for c in checks if not c["passed"])
-        raise ExampleCheckError(
-            f"check {bad['name']!r} diverged: expected {bad['expected']}, "
-            f"got {bad['actual']}"
-        )
-    return report

@@ -61,9 +61,5 @@ class NonIntegerResultError(CompactRepairError, ArithmeticError):
     """Burnside sum failed to divide exactly; signals an implementation bug."""
 
 
-class ExampleCheckError(CompactRepairError, AssertionError):
-    """A golden check of the bundled reference design diverged."""
-
-
 class InvariantError(CompactRepairError, RuntimeError):
     """A mathematical invariant of a computed result failed; signals a bug."""

@@ -45,21 +45,6 @@ DEFAULT_MODULI = {
 }
 
 
-def is_prime(v: int) -> bool:
-    if v < 2:
-        return False
-    if v < 4:
-        return True
-    if v % 2 == 0:
-        return False
-    f = 3
-    while f * f <= v:
-        if v % f == 0:
-            return False
-        f += 2
-    return True
-
-
 def prime_factors(v: int) -> list[int]:
     """Distinct prime factors of v, ascending."""
     out = []
@@ -213,7 +198,7 @@ class FieldCtx:
             raise FieldTooLargeError(
                 f"field order {p}^{n} exceeds the cap of 2^20"
             )
-        if not is_prime(p):
+        if prime_factors(p) != [p]:
             raise NonPrimeError(f"p = {p} is not prime")
         order = p**n
         self.p = p
@@ -387,10 +372,16 @@ class FieldCtx:
     # -- polynomials over the field ---------------------------------------
 
     def poly_eval(self, coeffs, x: int) -> int:
-        """Horner evaluation; coeffs low degree first."""
+        """Sum of c * x^t over the nonzero coefficients; coeffs low degree first.
+
+        Zero coefficients cost nothing, so a sparse polynomial such as a
+        closed-form scheme's u_i (nonzero only at x^(q^j - 1)) evaluates in
+        its number of terms, not its degree.  pow(0, 0) = 1 covers x = 0.
+        """
         acc = 0
-        for c in reversed(coeffs):
-            acc = self.add(self.mul(acc, x), c)
+        for t, c in enumerate(coeffs):
+            if c:
+                acc = self.add(acc, self.mul(c, self.pow(x, t)))
         return acc
 
     # -- subfields ---------------------------------------------------------

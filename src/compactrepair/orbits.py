@@ -24,8 +24,8 @@ from .errors import (
     BudgetExceededError, InvalidDivisorError, InvariantError, NonIntegerResultError,
     SeedWithoutZeroError,
 )
-from .gf import FieldCtx
-from .subspaces import Subspace, base_of, enumerate_subspaces, gaussian_coefficient, span
+from .gf import FieldCtx, prime_factors
+from .subspaces import Subspace, base_of, enumerate_subspaces, gaussian_coefficient
 
 # Most delta-subspaces orbit_decomposition will enumerate; the largest
 # instance in the tests and the benchmark is [8 choose 2]_2 = 10795.
@@ -55,7 +55,13 @@ class CosetFamily:
 
 
 def coset_family(seeds, center: int | None = None) -> CosetFamily:
-    """Build the deduplicated coset family of one or more subspace seeds."""
+    """Build the deduplicated coset family of one or more subspace seeds.
+
+    z^j * S* depends only on j modulo (q^ell - 1) / stabilizer_order(S), so
+    each seed scales by z^j for j below that period and no further: every
+    group appears once, at its first multiplier.  Groups already produced
+    by an earlier seed keep that seed's witness.
+    """
     seeds = list(seeds)
     if not seeds:
         raise ValueError("need at least one seed")
@@ -70,7 +76,7 @@ def coset_family(seeds, center: int | None = None) -> CosetFamily:
     first_seen: dict[frozenset[int], tuple[int, int]] = {}
     for t, S in enumerate(seeds):
         star = S.star()
-        for j in range(ctx.order - 1):
+        for j in range((ctx.order - 1) // stabilizer_order(S)):
             b = ctx.exp(j)
             if center is None:
                 grp = frozenset(mul(b, x) for x in star)
@@ -123,11 +129,15 @@ class OrbitReport:
 def orbit_decomposition(ctx: FieldCtx, q: int, delta: int) -> OrbitReport:
     """Partition all delta-dimensional subspaces into scaling orbits.
 
-    Every orbit contributes its lexicographically least canonical basis as
-    representative, so reports are reproducible.  Orbit sizes and the
-    per-base counts are validated against the orbit-stabilizer relation and
-    the Gaussian coefficient before returning.  Raises BudgetExceededError
-    when there are more than ENUMERATION_BUDGET subspaces to enumerate.
+    The enumeration gives every subspace with its canonical basis.  Orbits
+    are popped from it in enumeration order: the first pending subspace S
+    is walked through S, zS, z^2 S, ... until the walk returns to S, and
+    every subspace on the walk leaves the pending map.  Each orbit's
+    representative is its lexicographically least canonical basis, so
+    reports are reproducible.  The walk length is checked against the
+    orbit-stabilizer relation for base_of(S), and the per-base counts
+    against the Gaussian coefficient.  Raises BudgetExceededError when
+    there are more than ENUMERATION_BUDGET subspaces to enumerate.
     """
     m = ctx.subfield_degree(q)
     ell = ctx.n // m
@@ -139,30 +149,26 @@ def orbit_decomposition(ctx: FieldCtx, q: int, delta: int) -> OrbitReport:
             f"{total} {delta}-subspaces exceed the enumeration budget of "
             f"{ENUMERATION_BUDGET}"
         )
-    mul = ctx.mul
-    group = ctx.order - 1
-    seen: set[frozenset[int]] = set()
+    mul, z = ctx.mul, ctx.generator
+    pending = {S.members: S.basis for S in enumerate_subspaces(ctx, q, delta)}
     reps: list[Subspace] = []
     sizes: list[int] = []
     counts: dict[int, int] = {mm: 0 for mm in range(1, gcd(ell, delta) + 1) if gcd(ell, delta) % mm == 0}
-    for S in enumerate_subspaces(ctx, q, delta):
-        if S.members in seen:
-            continue
-        scaled: dict[frozenset[int], int] = {}
-        for j in range(group):
-            b = ctx.exp(j)
-            scaled.setdefault(frozenset(mul(b, x) for x in S.members), b)
-        orbit = [span(ctx, q, [mul(b, g) for g in S.basis]) for b in scaled.values()]
-        base_m = base_of(S)
-        if len(scaled) * (q**base_m - 1) != q**ell - 1:
+    while pending:
+        start = members = next(iter(pending))
+        orbit = []
+        while not orbit or members != start:
+            orbit.append((pending.pop(members), members))
+            members = frozenset(mul(z, x) for x in members)
+        base_m = base_of(Subspace(ctx, q, delta, *orbit[0]))
+        if len(orbit) * (q**base_m - 1) != q**ell - 1:
             raise InvariantError(
-                f"orbit of size {len(scaled)} breaks orbit-stabilizer for "
+                f"orbit of size {len(orbit)} breaks orbit-stabilizer for "
                 f"base field order q^{base_m}"
             )
-        counts[base_m] += len(scaled)
-        reps.append(min(orbit, key=lambda T: T.basis))
-        sizes.append(len(scaled))
-        seen.update(scaled)
+        counts[base_m] += len(orbit)
+        reps.append(Subspace(ctx, q, delta, *min(orbit)))
+        sizes.append(len(orbit))
     if sum(counts.values()) != total:
         raise InvariantError(
             f"orbits cover {sum(counts.values())} subspaces, expected {total}"
@@ -174,18 +180,10 @@ def mobius(v: int) -> int:
     """Mobius function: 0 unless v is squarefree, else (-1)^(#prime factors)."""
     if v < 1:
         raise ValueError("mobius is defined on positive integers")
-    count = 0
-    f = 2
-    while f * f <= v:
-        if v % f == 0:
-            v //= f
-            if v % f == 0:
-                return 0
-            count += 1
-        f += 1 if f == 2 else 2
-    if v > 1:
-        count += 1
-    return (-1) ** count
+    factors = prime_factors(v)
+    if any(v % (f * f) == 0 for f in factors):
+        return 0
+    return (-1) ** len(factors)
 
 
 def _divisors(v: int) -> list[int]:

@@ -44,12 +44,7 @@ from .errors import (
     ZeroDilationError,
 )
 from .gf import FieldCtx
-from .subspaces import (
-    Subspace,
-    linear_term_of_subspace_polynomial,
-    span,
-    subspace_polynomial,
-)
+from .subspaces import Subspace, span, subspace_polynomial
 
 
 class SeedScheme:
@@ -94,7 +89,7 @@ class SeedScheme:
                 )
         self.u = u
         # Value of M_S on S: -1/c with c the linear coefficient of L_S.
-        c = linear_term_of_subspace_polynomial(subspace)
+        c = subspace_polynomial(subspace)[0]
         self._on_support = ctx.neg(ctx.inv(c))
         self.helpers = subspace.star()
         self.scalars = frozenset(ctx.subfield_elements(self.mq))
@@ -314,9 +309,11 @@ def search_seed_scheme(ctx: FieldCtx, S: Subspace, k: int) -> SeedScheme:
     while q ** (r + 1) <= len(S.members) - k:
         r += 1
     L = subspace_polynomial(span(ctx, q, [ctx.exp(j) for j in range(r)]))
-    # L_W(z^i x)/x: the coefficient of x^t in L_W, times z^(i t), moves to x^(t-1).
-    u = tuple(
-        tuple(ctx.mul(c, ctx.exp(i * t)) for t, c in enumerate(L) if t)
-        for i in range(S.ell)
-    )
+    # L_W(z^i x)/x: the term a_j x^(q^j) of L_W becomes a_j z^(i q^j) x^(q^j - 1).
+    u = []
+    for i in range(S.ell):
+        ui = [0] * q**r
+        for j, a in enumerate(L):
+            ui[q**j - 1] = ctx.mul(a, ctx.exp(i * q**j))
+        u.append(ui)
     return SeedScheme(ctx, S, k, u)

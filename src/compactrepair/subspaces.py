@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import gcd
 
 from .errors import InvariantError
 from .gf import FieldCtx
@@ -142,7 +143,7 @@ def base_of(S: Subspace) -> int:
         raise ValueError("the trivial subspace has no base field")
     ctx = S.ctx
     mq = S.subfield_m
-    g = _gcd(S.ell, S.dim)
+    g = gcd(S.ell, S.dim)
     group = ctx.order - 1
     for m in range(g, 0, -1):
         if g % m:
@@ -154,35 +155,25 @@ def base_of(S: Subspace) -> int:
     raise AssertionError("unreachable: every subspace is q-closed")
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
-
-
 def subspace_polynomial(S: Subspace) -> tuple[int, ...]:
-    """Coefficients (low first) of prod_{a in S} (x - a); monic, degree |S|."""
-    ctx = S.ctx
-    coeffs = [1]
-    for a in sorted(S.members):
-        na = ctx.neg(a)
-        nxt = [0] * (len(coeffs) + 1)
-        for i, c in enumerate(coeffs):
-            nxt[i + 1] = ctx.add(nxt[i + 1], c)
-            nxt[i] = ctx.add(nxt[i], ctx.mul(c, na))
-        coeffs = nxt
-    return tuple(coeffs)
+    """q-linearized coefficients (a_0, ..., a_dim) of prod_{a in S} (x - a).
 
-
-def linear_term_of_subspace_polynomial(S: Subspace) -> int:
-    """Coefficient of x in the subspace polynomial, without building it.
-
-    Equals the product of (-a) over nonzero members: the polynomial is
-    q-linearized, so its formal derivative is this constant.
+    The subspace polynomial of an F_q-subspace is L_S(x) = sum_j a_j
+    x^(q^j), monic (a_dim = 1), and a_0 is its linear coefficient, the
+    product of -a over the nonzero members.  Built one basis vector v at a
+    time: with W' = W + F_q v, L_W'(x) = prod_{c in F_q} (L_W(x) + c L_W(v))
+    = L_W(x)^q - L_W(v)^(q-1) L_W(x), and the q-th power maps a_j x^(q^j)
+    to a_j^q x^(q^(j+1)).  That is O(dim^2) field operations.
     """
-    ctx = S.ctx
-    acc = 1
-    for a in S.members:
-        if a:
-            acc = ctx.mul(acc, ctx.neg(a))
-    return acc
+    ctx, q = S.ctx, S.q
+    coeffs = [1]  # L(x) = x for the trivial subspace
+    for v in S.basis:
+        value = 0
+        for j, a in enumerate(coeffs):
+            value = ctx.add(value, ctx.mul(a, ctx.pow(v, q**j)))
+        beta = ctx.pow(value, q - 1)
+        shifted = [0] + [ctx.pow(a, q) for a in coeffs]
+        coeffs = [
+            ctx.sub(hi, ctx.mul(beta, lo)) for hi, lo in zip(shifted, coeffs + [0])
+        ]
+    return tuple(coeffs)

@@ -23,6 +23,11 @@ def gf9():
 
 
 @pytest.fixture(scope="session")
+def gf25():
+    return field_new(5, 1, 2)
+
+
+@pytest.fixture(scope="session")
 def gf16_q4():
     """GF(16) viewed over the designated subfield F_4 (q = p^s = 4)."""
     return field_new(2, 2, 2)

@@ -1,13 +1,14 @@
 """Brute-force oracles the tests check the library against.
 
-Neither is part of the library: no design path needs them, and both are
-exponential or exhaustive by construction.
+None is part of the library: no design path needs them, and each is the
+exhaustive or dense form of something the library computes from structure.
 """
 
 from itertools import combinations
 from math import comb
 
 from compactrepair.errors import BudgetExceededError, EmptyFamilyError
+from compactrepair.orbits import CosetFamily
 
 
 def check_polynomial_validity(ctx, k: int, coeffs) -> bool:
@@ -44,3 +45,62 @@ def verify_tolerance_exhaustive(family, e: int, budget: int = 10**7) -> bool:
         if not any(s.isdisjoint(failed) for s in sets):
             return False
     return True
+
+
+def coset_family_scan(seeds, center=None) -> CosetFamily:
+    """coset_family by scanning every multiplier z^j, j < q^ell - 1.
+
+    Each distinct group keeps the first (seed index, b) that produced it,
+    seeds in order and multipliers in increasing j.
+    """
+    seeds = list(seeds)
+    ctx = seeds[0].ctx
+    shift = 0 if center is None else center
+    first_seen = {}
+    for t, S in enumerate(seeds):
+        star = S.star()
+        for j in range(ctx.order - 1):
+            b = ctx.exp(j)
+            grp = frozenset(ctx.add(shift, ctx.mul(b, x)) for x in star)
+            first_seen.setdefault(grp, (t, b))
+    universe = frozenset(ctx.elements()) - {shift}
+    sets = tuple(first_seen)
+    return CosetFamily(
+        ctx,
+        seeds[0].q,
+        center,
+        sets,
+        tuple(first_seen[g][0] for g in sets),
+        tuple(first_seen[g][1] for g in sets),
+        universe,
+    )
+
+
+def subspace_polynomial_product(S) -> tuple:
+    """Dense coefficients (low first) of prod_{a in S} (x - a); degree |S|."""
+    ctx = S.ctx
+    coeffs = [1]
+    for a in sorted(S.members):
+        na = ctx.neg(a)
+        nxt = [0] * (len(coeffs) + 1)
+        for i, c in enumerate(coeffs):
+            nxt[i + 1] = ctx.add(nxt[i + 1], c)
+            nxt[i] = ctx.add(nxt[i], ctx.mul(c, na))
+        coeffs = nxt
+    return tuple(coeffs)
+
+
+def linearized_to_dense(ctx, q: int, coeffs) -> tuple:
+    """Dense coefficients of sum_j coeffs[j] x^(q^j)."""
+    dense = [0] * (q ** (len(coeffs) - 1) + 1)
+    for j, a in enumerate(coeffs):
+        dense[q**j] = a
+    return tuple(dense)
+
+
+def horner_eval(ctx, coeffs, x: int) -> int:
+    """Dense Horner evaluation of a polynomial, coefficients low first."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = ctx.add(ctx.mul(acc, x), c)
+    return acc

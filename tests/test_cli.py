@@ -27,6 +27,14 @@ def test_field_info_prime_power_q(capsys):
     data = json.loads(out)
     assert data["p"] == 2 and data["s"] == 2 and data["q"] == 4
     assert data["order"] == 16
+    for q, p, s in ((2, 2, 1), (8, 2, 3), (9, 3, 2), (25, 5, 2), (27, 3, 3), (121, 11, 2)):
+        code, out, _ = run_cli(capsys, "field-info", "--q", str(q), "--ell", "1")
+        assert code == 0
+        assert (json.loads(out)["p"], json.loads(out)["s"]) == (p, s)
+    for q in (-4, 0, 1, 6, 12, 100, 1000):
+        code, out, err = run_cli(capsys, "field-info", "--q", str(q), "--ell", "1")
+        assert code == 1 and out == ""
+        assert err == f"compactrepair: error: q = {q} is not a prime power\n"
 
 
 def test_field_info_q_over_cap_exits_1(capsys):

@@ -17,7 +17,6 @@ from compactrepair import (
     verify_reference_example,
 )
 from compactrepair import hitting
-from compactrepair.errors import ExampleCheckError
 
 
 @pytest.fixture(scope="module")
@@ -415,8 +414,6 @@ def test_verify_example_divergent_modulus():
     report = verify_reference_example((1, 0, 0, 1, 1))  # x^4 + x^3 + 1
     assert report["all_pass"] is False
     assert report["first_divergence"] == "first-seed-groups-at-z5"
-    with pytest.raises(ExampleCheckError):
-        verify_reference_example((1, 0, 0, 1, 1), strict=True)
 
 
 def test_mhs_cross_check_multi(bundle_multi):

@@ -15,6 +15,7 @@ from compactrepair.errors import (
     RankDeficientError,
     ReducibleModulusError,
 )
+from oracles import horner_eval
 
 
 def test_default_gf16_modulus_and_generator(gf16):
@@ -250,6 +251,26 @@ def test_poly_eval(gf16):
     f = [rng.randrange(16) for _ in range(5)]
     codeword = [gf16.poly_eval(f, a) for a in gf16.elements()]
     assert len(codeword) == 16
+
+
+def test_poly_eval_matches_horner(gf16, gf9, gf25, gf16_q4):
+    rng = random.Random(5)
+    f4 = gf16.subfield_elements(2)
+    for ctx in (gf16, gf9, gf25, gf16_q4):
+        q = ctx.q
+        polys = [[], [0], [0, 0, 0], [ctx.generator]]
+        polys += [[rng.randrange(ctx.order) for _ in range(n)] for n in (1, 4, 9)]
+        # closed-form shape: nonzero only at x^(q^j - 1)
+        sparse = [0] * q**2
+        for j in range(3):
+            sparse[q**j - 1] = rng.randrange(1, ctx.order)
+        polys.append(sparse)
+        polys.append([0] * 7 + [rng.randrange(1, ctx.order)])
+        if ctx is gf16:  # coefficients in the F_4 subfield
+            polys.append([rng.choice(f4) for _ in range(6)])
+        for f in polys:
+            for x in ctx.elements():  # x = 0 included
+                assert ctx.poly_eval(f, x) == horner_eval(ctx, f, x)
 
 
 def test_coords_roundtrip_and_linearity(gf16, gf64, gf9):

@@ -4,6 +4,7 @@ from dataclasses import dataclass
 import pytest
 
 from compactrepair import (
+    base_of,
     coset_family,
     count_with_base,
     enumerate_subspaces,
@@ -18,9 +19,11 @@ from compactrepair import (
 from compactrepair.errors import (
     BudgetExceededError,
     InvalidDivisorError,
+    InvariantError,
     SeedWithoutZeroError,
 )
 from compactrepair.orbits import ENUMERATION_BUDGET
+from oracles import coset_family_scan
 
 
 def brute_force_orbits(ctx, q, delta):
@@ -148,8 +151,10 @@ def test_orbit_stabilizer_relation_exhaustive(field, request):
     group = ctx.order - 1
     for delta in range(1, ctx.n + 1):
         for S in enumerate_subspaces(ctx, 2, delta):
-            fam = coset_family([S])
-            assert len(fam.sets) * stabilizer_order(S) == group
+            # the scan over every multiplier is independent of the stabilizer
+            scanned = coset_family_scan([S])
+            assert len(scanned.sets) * stabilizer_order(S) == group
+            assert coset_family([S]).sets == scanned.sets
 
 
 def test_element_regularity(gf16):
@@ -193,15 +198,112 @@ def test_orbit_decomposition_refuses_unbounded_enumeration():
         orbit_decomposition(field_new(2, 1, 12), 2, 6)
 
 
-def test_representatives_are_lex_least(gf16):
-    rep = orbit_decomposition(gf16, 2, 2)
-    for S in rep.representatives:
-        orbit_bases = []
-        for j in range(15):
-            b = gf16.exp(j)
-            T = span(gf16, 2, [gf16.mul(b, g) for g in S.basis])
-            orbit_bases.append(T.basis)
-        assert S.basis == min(orbit_bases)
+# (p, s, ell, delta): GF(16), GF(64), GF(27) over F_3 and GF(64) over F_4.
+ORBIT_CASES = [(2, 1, 4, 2), (2, 1, 6, 3), (3, 1, 3, 2), (2, 2, 3, 2)]
+
+
+def scaled_bases(ctx, S):
+    """Oracle: canonical bases of b*S for every nonzero b, by re-spanning."""
+    return [
+        span(ctx, S.q, [ctx.mul(ctx.exp(j), g) for g in S.basis]).basis
+        for j in range(ctx.order - 1)
+    ]
+
+
+def test_orbit_decomposition_checks_stabilizer_and_total(gf16, monkeypatch):
+    import compactrepair.orbits as orbits_module
+
+    # the walk length is checked against base_of, not derived from it
+    monkeypatch.setattr(orbits_module, "base_of", lambda S: 2)
+    with pytest.raises(InvariantError, match="orbit-stabilizer"):
+        orbit_decomposition(gf16, 2, 2)
+    monkeypatch.undo()
+    monkeypatch.setattr(orbits_module, "gaussian_coefficient", lambda ell, delta, q: 36)
+    with pytest.raises(InvariantError, match="expected 36"):
+        orbit_decomposition(gf16, 2, 2)
+
+
+def test_trivial_seed_has_no_coset_family(gf16):
+    with pytest.raises(ValueError, match="trivial subspace"):
+        coset_family([span(gf16, 2, [])])
+
+
+def test_representatives_are_lex_least():
+    for p, s, ell, delta in ORBIT_CASES:
+        ctx = field_new(p, s, ell)
+        for S in orbit_decomposition(ctx, ctx.q, delta).representatives:
+            assert S.basis == min(scaled_bases(ctx, S))
+
+
+@pytest.mark.parametrize(
+    "case", ORBIT_CASES, ids=[f"p{c[0]}-s{c[1]}-ell{c[2]}-delta{c[3]}" for c in ORBIT_CASES]
+)
+def test_orbit_sizes_match_brute_force(case):
+    p, s, ell, delta = case
+    ctx = field_new(p, s, ell)
+    rep = orbit_decomposition(ctx, ctx.q, delta)
+    covered = set()
+    for S, size in zip(rep.representatives, rep.orbit_sizes):
+        orbit = set(scaled_bases(ctx, S))
+        assert len(orbit) == size
+        assert covered.isdisjoint(orbit)
+        covered |= orbit
+    assert len(covered) == gaussian_coefficient(ell, delta, ctx.q)
+    oracle = brute_force_orbits(ctx, ctx.q, delta)
+    assert sorted(rep.orbit_sizes) == sorted(len(o) for o in oracle)
+
+
+def subfield_coset_seed(ctx, delta, j):
+    """z^j * F_(q^delta) as an F_q-subspace (needs delta | ell)."""
+    q = ctx.q
+    gamma = ctx.exp((ctx.order - 1) // (q**delta - 1))
+    return span(ctx, q, [ctx.mul(ctx.exp(j), ctx.pow(gamma, i)) for i in range(delta)])
+
+
+def assert_family_matches_scan(seeds, center):
+    fam = coset_family(seeds, center=center)
+    scanned = coset_family_scan(seeds, center=center)
+    assert fam.sets == scanned.sets
+    assert fam.seed_index == scanned.seed_index
+    assert fam.b_value == scanned.b_value
+    assert fam.universe == scanned.universe
+    assert fam.center == center
+
+
+def test_coset_family_matches_scan_every_gf16_subspace(gf16):
+    alpha = random.Random(67).randrange(1, 16)
+    for delta in (1, 2, 3):
+        for S in enumerate_subspaces(gf16, 2, delta):
+            for center in (None, 0, alpha):
+                assert_family_matches_scan([S], center)
+
+
+@pytest.mark.parametrize("p,s,ell", [(2, 2, 3), (3, 1, 4)], ids=["gf64-q4", "gf81-q3"])
+def test_coset_family_matches_scan_subfield_and_generic(p, s, ell):
+    ctx = field_new(p, s, ell)
+    rng = random.Random(71)
+    seeds = [subfield_coset_seed(ctx, d, 5) for d in range(1, ell + 1) if ell % d == 0]
+    seeds += [span(ctx, ctx.q, [rng.randrange(1, ctx.order) for _ in range(2)]) for _ in range(4)]
+    assert {base_of(S) for S in seeds} >= {1, ell}
+    alpha = rng.randrange(1, ctx.order)
+    for S in seeds:
+        for center in (None, 0, alpha):
+            assert_family_matches_scan([S], center)
+    assert_family_matches_scan(seeds, alpha)
+
+
+def test_coset_family_two_seeds_of_one_orbit(gf16):
+    generic = span(gf16, 2, [gf16.exp(4), gf16.exp(5)])
+    coset = subfield_coset_seed(gf16, 2, 0)
+    for S in (generic, coset):
+        T = span(gf16, 2, [gf16.mul(gf16.exp(3), g) for g in S.basis])
+        assert T != S
+        for center in (None, 0, gf16.exp(5)):
+            fam = coset_family([S, T], center=center)
+            assert_family_matches_scan([S, T], center)
+            # the second seed adds no group: every witness names the first
+            assert set(fam.seed_index) == {0}
+            assert len(fam) == len(coset_family([S], center=center))
 
 
 def test_mobius_values():
@@ -214,6 +316,12 @@ def test_mobius_values():
     assert mobius(30) == -1
     with pytest.raises(ValueError):
         mobius(0)
+    # oracle: mu(1) = 1 and sum_{d | v} mu(d) = 0 for v > 1
+    top = 2000
+    mu = [0, 1] + [0] * (top - 1)
+    for v in range(2, top + 1):
+        mu[v] = -sum(mu[d] for d in range(1, v // 2 + 1) if v % d == 0)
+    assert [mobius(v) for v in range(1, top + 1)] == mu[1:]
 
 
 def test_count_with_base_values(gf16):

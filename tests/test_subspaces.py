@@ -10,7 +10,7 @@ from compactrepair import (
     span,
     subspace_polynomial,
 )
-from compactrepair.subspaces import linear_term_of_subspace_polynomial
+from oracles import linearized_to_dense, subspace_polynomial_product
 
 
 def brute_force_subspaces(ctx, q, delta):
@@ -174,43 +174,66 @@ def test_canonical_equality_iff_member_equality(gf16):
         assert a.members != b.members
 
 
+def random_subspaces(ctx, dims, per_dim, seed):
+    """per_dim spans of dim random nonzero generators over the field's q."""
+    rng = random.Random(seed)
+    for dim in dims:
+        for _ in range(per_dim):
+            yield span(ctx, ctx.q, [rng.randrange(1, ctx.order) for _ in range(dim)])
+
+
 def test_subspace_polynomial_trivial(gf16):
     S = span(gf16, 2, [])
-    assert subspace_polynomial(S) == (0, 1)  # L(x) = x
+    assert subspace_polynomial(S) == (1,)  # L(x) = x
+    assert linearized_to_dense(gf16, 2, (1,)) == subspace_polynomial_product(S) == (0, 1)
 
 
-def test_subspace_polynomial_roots(gf16):
-    S = span(gf16, 2, [gf16.exp(2), gf16.exp(7)])
-    L = subspace_polynomial(S)
-    assert len(L) == len(S.members) + 1
-    assert L[-1] == 1  # monic
-    for x in gf16.elements():
-        value = gf16.poly_eval(L, x)
-        assert (value == 0) == (x in S.members)
+def test_subspace_polynomial_roots(gf16, gf9, gf16_q4, gf25):
+    golden = span(gf16, 2, [gf16.exp(2), gf16.exp(7)])
+    cases = [golden]
+    for ctx in (gf9, gf16_q4, gf25):
+        cases += list(random_subspaces(ctx, (1, 2), 2, 61))
+    for S in cases:
+        ctx = S.ctx
+        L = subspace_polynomial(S)
+        assert len(L) == S.dim + 1
+        assert L[-1] == 1  # monic
+        dense = linearized_to_dense(ctx, S.q, L)
+        assert dense == subspace_polynomial_product(S)
+        for x in ctx.elements():
+            assert (ctx.poly_eval(dense, x) == 0) == (x in S.members)
 
 
-@pytest.mark.parametrize("field,deltas", [("gf16", (1, 2, 3)), ("gf64", (1, 2, 3))])
+@pytest.mark.parametrize(
+    "field,deltas",
+    [
+        ("gf16", (1, 2, 3)),
+        ("gf64", (1, 2, 3)),
+        ("gf9", (1, 2)),
+        ("gf16_q4", (1, 2)),
+        ("gf25", (1, 2)),
+    ],
+)
 def test_subspace_polynomial_is_linearized(field, deltas, request):
     ctx = request.getfixturevalue(field)
-    rng = random.Random(53)
-    for delta in deltas:
-        for _ in range(5):
-            gens = [rng.randrange(1, ctx.order) for _ in range(delta)]
-            S = span(ctx, 2, gens)
-            L = subspace_polynomial(S)
-            powers = {2**i for i in range(S.dim + 1)}
-            for exponent, coeff in enumerate(L):
-                if coeff != 0:
-                    assert exponent in powers
+    for S in random_subspaces(ctx, deltas, 5, 53):
+        product = subspace_polynomial_product(S)
+        powers = {S.q**i for i in range(S.dim + 1)}
+        for exponent, coeff in enumerate(product):
+            if coeff != 0:
+                assert exponent in powers
+        assert linearized_to_dense(ctx, S.q, subspace_polynomial(S)) == product
 
 
-def test_linear_term_shortcut(gf16, gf64):
-    rng = random.Random(59)
-    for ctx in (gf16, gf64):
-        for _ in range(10):
-            S = span(ctx, 2, [rng.randrange(1, ctx.order) for _ in range(2)])
-            L = subspace_polynomial(S)
-            assert linear_term_of_subspace_polynomial(S) == L[1]
+def test_linear_term_shortcut(gf16, gf64, gf9, gf16_q4, gf25):
+    for ctx in (gf16, gf64, gf9, gf16_q4, gf25):
+        for S in random_subspaces(ctx, (1, 2), 5, 59):
+            a0 = subspace_polynomial(S)[0]
+            assert a0 == subspace_polynomial_product(S)[1]
+            acc = 1
+            for a in S.members - {0}:
+                acc = ctx.mul(acc, ctx.neg(a))
+            assert a0 == acc
 
 
 def test_serialization_is_sorted_basis(gf16):
