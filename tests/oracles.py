@@ -8,7 +8,7 @@ from itertools import combinations
 from math import comb
 
 from compactrepair.errors import BudgetExceededError, EmptyFamilyError
-from compactrepair.orbits import CosetFamily
+from compactrepair.orbits import CosetFamily, coset_family
 
 
 def check_polynomial_validity(ctx, k: int, coeffs) -> bool:
@@ -104,3 +104,40 @@ def horner_eval(ctx, coeffs, x: int) -> int:
     for c in reversed(coeffs):
         acc = ctx.add(ctx.mul(acc, x), c)
     return acc
+
+
+def simulate_first_intact(bundle, alpha_star: int, e: int) -> dict:
+    """Exhaustive simulate_failures report, one frozenset scan per pattern.
+
+    Every e-subset of the nodes other than alpha_star survives with the
+    first group in coset_family order that it misses, and that group's seed
+    bandwidth is the repair's cost.
+    """
+    family = coset_family(list(bundle.seeds), center=alpha_star)
+    bws = [bundle.schemes[t].bandwidth for t in family.seed_index]
+    survived = bw_sum = 0
+    for pattern in combinations(sorted(family.universe), e):
+        failed = frozenset(pattern)
+        bw = next((b for g, b in zip(family.sets, bws) if g.isdisjoint(failed)), None)
+        if bw is not None:
+            survived += 1
+            bw_sum += bw
+    total = comb(len(family.universe), e)
+    frac = survived / total
+    per_repair = bw_sum / survived if survived else None
+    k, ell = bundle.k, bundle.ctx.ell
+    return {
+        "e": e,
+        "mode": "exhaustive",
+        "patterns": total,
+        "survived": frac,
+        "failure_probability": 1.0 - frac,
+        "bandwidth": {
+            "centralized_total": (k + max(e - 1, 0)) * ell,
+            "naive_decentralized_total": e * k * ell,
+            "decentralized_per_repair_mean": per_repair,
+            "decentralized_total": e * per_repair if per_repair is not None else None,
+        },
+        "group_selection": "first-intact",
+        "rng_seed": None,
+    }

@@ -1,13 +1,16 @@
 """Byte-identity guard: pinned sha256 values of outputs that must never drift.
 
-Each digest was taken from the version before orbit enumeration, coset
-families and subspace polynomials were rewritten on the scaling structure.
-A digest that changes means the output bytes changed: CLI `orbits` JSON
-and orbit sizes, bundle dumps(), or a seed scheme's u.
+The orbit, bundle and scheme digests were taken from the version before
+orbit enumeration, coset families and subspace polynomials were rewritten
+on the scaling structure; the exhaustive simulation digest from the version
+that scanned one frozenset per failure pattern.  A digest that changes
+means the output bytes changed: CLI `orbits` JSON and orbit sizes, bundle
+dumps(), a seed scheme's u, or an exhaustive SimReport.
 """
 
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -15,11 +18,14 @@ from compactrepair import (
     design_multi_seed,
     design_single_seed,
     field_new,
+    load_bundle,
     orbit_decomposition,
     search_seed_scheme,
+    simulate_failures,
     span,
 )
 from compactrepair.cli import main
+from oracles import simulate_first_intact
 
 
 def _sha(text: str) -> str:
@@ -113,4 +119,41 @@ def test_gf4096_delta10_scheme_u_is_pinned():
     u = search_seed_scheme(ctx, S, 2).u
     assert _sha(json.dumps(u)) == (
         "590ae75da34808f4bdde0fa483b6d0e6799bf22ae771fc3970374e43c7078407"
+    )
+
+
+# Exhaustive simulations whose group order shows: the GF(16) multi-seed
+# fixture's seeds repair at bandwidths 6, 7 and 7, so which intact group is
+# first moves decentralized_per_repair_mean.  GF(81)/F_3 adds odd q and the
+# extremes e = 0 and e = n - 1.
+SIM_FIXTURE = Path(__file__).resolve().parent / "data" / "gf16_multi_seed_delta2_searched_u.json"
+SIM_KEYS = (
+    "e", "mode", "patterns", "survived", "failure_probability", "bandwidth",
+    "group_selection", "rng_seed",
+)
+
+
+@pytest.fixture(scope="module")
+def sim_grid():
+    gf16 = load_bundle(json.loads(SIM_FIXTURE.read_text()))
+    gf81 = design_single_seed(3, 1, 4, 3, delta=2)
+    grid = [(gf16, alpha, e) for alpha in (0, 6, 13) for e in range(16)]
+    grid += [(gf81, 41, e) for e in (0, 1, 2, 3, 79, 80)]
+    return grid
+
+
+def test_exhaustive_simulation_matches_first_intact_oracle(sim_grid):
+    for bundle, alpha, e in sim_grid:
+        report = simulate_failures(bundle, alpha, e, mode="exhaustive")
+        assert report.to_json_dict() == simulate_first_intact(bundle, alpha, e), (alpha, e)
+
+
+def test_exhaustive_simulation_is_pinned(sim_grid):
+    reports = [
+        simulate_failures(bundle, alpha, e, mode="exhaustive").to_json_dict()
+        for bundle, alpha, e in sim_grid
+    ]
+    pinned = [{key: report[key] for key in SIM_KEYS} for report in reports]
+    assert _sha(json.dumps(pinned, sort_keys=True)) == (
+        "bf47d53569ce973c0a79b4afad1bb0449eea2267c6644a608e16f59e700211fe"
     )
