@@ -28,7 +28,14 @@ DEFAULT_EXHAUSTIVE_THRESHOLD patterns, else Monte Carlo on a counter-based
 Philox stream) and reports the fraction of patterns leaving at least one
 intact group, plus a centralized-vs-decentralized bandwidth table.
 Replacement nodes pick the first intact group in family order; that policy
-is recorded in the bundle config.
+is recorded in the bundle config.  Patterns are scanned in chunks of
+bounded size, each chunk walking the groups once in family order and
+testing all its pending patterns against a group at a time.  Monte Carlo
+draws a chunk's patterns by Floyd's algorithm run across its trials, one
+gen.integers call per failed point, and reports a 95% Clopper-Pearson
+interval on the survival.  Earlier versions drew one gen.choice sample per
+trial, so for a given rng_seed the Monte Carlo values differ from theirs;
+they are still deterministic.
 """
 
 from __future__ import annotations
@@ -36,10 +43,11 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations, islice
 from math import comb
 
 import numpy as np
+from scipy.special import betaincinv
 
 from . import __version__
 from .errors import InvariantError
@@ -60,6 +68,10 @@ from .subspaces import (
 TOOL_NAME = "compactrepair"
 SCHEMA_VERSION = 1
 DEFAULT_EXHAUSTIVE_THRESHOLD = 10**7
+# Failed points held per scan chunk, and cells of the Monte Carlo sampler's
+# taken matrix, whatever the pattern count.
+_CHUNK_POINTS = 1 << 16
+_CHUNK_CELLS = 1 << 22
 _ABSENT = object()
 
 # The JSON shape of a bundle's inputs; load_bundle reads nothing else.
@@ -395,6 +407,7 @@ class SimReport:
     bandwidth: dict
     group_selection: str
     rng_seed: int | None
+    survived_interval: tuple[float, float] | None = None  # Monte Carlo only
 
     def to_json_dict(self) -> dict:
         return {
@@ -402,6 +415,9 @@ class SimReport:
             "mode": self.mode,
             "patterns": self.patterns,
             "survived": self.survived,
+            "survived_interval": (
+                list(self.survived_interval) if self.survived_interval else None
+            ),
             "failure_probability": self.failure_probability,
             "bandwidth": self.bandwidth,
             "group_selection": self.group_selection,
@@ -421,8 +437,9 @@ def simulate_failures(
 
     Patterns are e-subsets of the other n-1 nodes.  Exhaustive when the
     pattern count is within DEFAULT_EXHAUSTIVE_THRESHOLD; otherwise Monte
-    Carlo, which requires rng_seed (a counter-based Philox stream keyed on
-    it).
+    Carlo, which requires rng_seed (the key of a counter-based Philox
+    stream) and reports a 95% Clopper-Pearson interval on the survival.
+    A given rng_seed must lie in [0, 2**128), in either mode.
     """
     ctx = bundle.ctx
     n = ctx.order
@@ -430,9 +447,9 @@ def simulate_failures(
         raise ValueError(f"need 0 <= alpha_star < n = {n}, got {alpha_star}")
     if not 0 <= e < n:
         raise ValueError(f"need 0 <= e < n = {n}, got {e}")
+    if rng_seed is not None and not 0 <= rng_seed < 2**128:
+        raise ValueError(f"need 0 <= rng_seed < 2**128, got {rng_seed}")
     family = coset_family(list(bundle.seeds), center=alpha_star)
-    groups = family.sets
-    seed_of_group = family.seed_index
     bw_of_seed = [scheme.bandwidth for scheme in bundle.schemes]
     universe = sorted(family.universe)
     total = comb(n - 1, e)
@@ -445,22 +462,9 @@ def simulate_failures(
             f"{total} patterns exceed the exhaustive threshold "
             f"{DEFAULT_EXHAUSTIVE_THRESHOLD}; use monte-carlo"
         )
-
-    def first_intact(failed: frozenset[int]) -> int | None:
-        for i, g in enumerate(groups):
-            if g.isdisjoint(failed):
-                return i
-        return None
-
-    survived = 0
-    bw_sum = 0
     if mode == "exhaustive":
         evaluated = total
-        for pattern in combinations(universe, e):
-            i = first_intact(frozenset(pattern))
-            if i is not None:
-                survived += 1
-                bw_sum += bw_of_seed[seed_of_group[i]]
+        chunks = _all_patterns(universe, e, total)
     else:
         if rng_seed is None:
             raise ValueError("monte-carlo mode requires rng_seed")
@@ -468,15 +472,12 @@ def simulate_failures(
             raise ValueError(f"monte-carlo mode needs trials >= 1, got {trials}")
         gen = np.random.Generator(np.random.Philox(key=rng_seed))
         evaluated = trials
-        uni = np.array(universe)
-        for _ in range(trials):
-            pattern = frozenset(
-                int(x) for x in gen.choice(uni, size=e, replace=False)
-            )
-            i = first_intact(pattern)
-            if i is not None:
-                survived += 1
-                bw_sum += bw_of_seed[seed_of_group[i]]
+        chunks = _sampled_patterns(gen, universe, e, trials)
+    # Every group has |S*| points: one row per group, in family order.
+    points = np.fromiter(chain.from_iterable(family.sets), np.intp)
+    group_points = points.reshape(len(family.sets), -1)
+    group_bw = [bw_of_seed[t] for t in family.seed_index]
+    survived, bw_sum = _first_intact_scan(chunks, group_points, group_bw, n)
     frac = survived / evaluated if evaluated else 1.0
     per_repair = (bw_sum / survived) if survived else None
     bandwidth_table = {
@@ -484,6 +485,7 @@ def simulate_failures(
         "decentralized_per_repair_mean": per_repair,
         "decentralized_total": e * per_repair if per_repair is not None else None,
     }
+    interval = _clopper_pearson(survived, trials) if mode == "monte-carlo" else None
     return SimReport(
         e,
         mode,
@@ -493,7 +495,83 @@ def simulate_failures(
         bandwidth_table,
         "first-intact",
         rng_seed,
+        interval,
     )
+
+
+def _chunk_size(e: int) -> int:
+    """Patterns per chunk: about _CHUNK_POINTS failed points, at least one pattern."""
+    return max(1, _CHUNK_POINTS // max(e, 1))
+
+
+def _all_patterns(universe: list[int], e: int, total: int):
+    """Every e-subset of universe in combinations order, in (e, count) chunks.
+
+    Each column is one pattern; the scan reduces over axis 0, which numpy
+    does fastest on this layout.
+    """
+    combos = combinations(universe, e)
+    size = _chunk_size(e)
+    for start in range(0, total, size):
+        count = min(size, total - start)
+        flat = np.fromiter(chain.from_iterable(islice(combos, count)), np.intp, count * e)
+        yield np.ascontiguousarray(flat.reshape(count, e).T)
+
+
+def _sampled_patterns(gen: np.random.Generator, universe: list[int], e: int, trials: int):
+    """trials uniform e-subsets of universe, in (e, count) chunks.
+
+    Floyd's algorithm, run across a chunk of trials at once: for j from
+    N-e to N-1 it draws t uniform in [0, j] for every trial (one
+    gen.integers call) and takes index j instead where the trial already
+    holds t.  A trials-by-N taken matrix makes that test one lookup.
+    """
+    points = np.array(universe)
+    N = len(points)
+    size = max(1, min(_chunk_size(e), _CHUNK_CELLS // N))
+    taken = np.zeros((size, N), dtype=bool)
+    for start in range(0, trials, size):
+        count = min(size, trials - start)
+        trial = np.arange(count)
+        picks = np.empty((e, count), np.intp)
+        for i, j in enumerate(range(N - e, N)):
+            t = gen.integers(0, j + 1, size=count)
+            t[taken[trial, t]] = j
+            taken[trial, t] = True
+            picks[i] = t
+        taken[trial, picks] = False
+        yield points[picks]
+
+
+def _first_intact_scan(chunks, group_points, group_bw, n: int) -> tuple[int, int]:
+    """Patterns that miss some group, and their summed first-intact bandwidth.
+
+    Each chunk walks the groups in family order: a group's points are
+    marked in a length-n vector, every pending pattern (a column) is tested
+    against it at once, and the patterns that miss it survive at its
+    bandwidth and leave the pending set.
+    """
+    member = np.zeros(n, dtype=bool)
+    survived = bw_sum = 0
+    for pending in chunks:
+        for points, bw in zip(group_points, group_bw):
+            if not pending.shape[1]:
+                break
+            member[points] = True
+            hit = member[pending].any(axis=0)
+            member[points] = False
+            alive = pending.shape[1] - int(np.count_nonzero(hit))
+            survived += alive
+            bw_sum += alive * bw
+            pending = pending.compress(hit, axis=1)
+    return survived, bw_sum
+
+
+def _clopper_pearson(x: int, trials: int) -> tuple[float, float]:
+    """Two-sided 95% Clopper-Pearson interval for x successes in trials."""
+    lower = betaincinv(x, trials - x + 1, 0.025) if x else 0.0
+    upper = betaincinv(x + 1, trials - x, 0.975) if x < trials else 1.0
+    return float(lower), float(upper)
 
 
 def _repair_totals(k: int, ell: int, e: int) -> dict:

@@ -131,6 +131,7 @@ def simulate_first_intact(bundle, alpha_star: int, e: int) -> dict:
         "mode": "exhaustive",
         "patterns": total,
         "survived": frac,
+        "survived_interval": None,
         "failure_probability": 1.0 - frac,
         "bandwidth": {
             "centralized_total": (k + max(e - 1, 0)) * ell,
@@ -141,3 +142,19 @@ def simulate_first_intact(bundle, alpha_star: int, e: int) -> dict:
         "group_selection": "first-intact",
         "rng_seed": None,
     }
+
+
+def partition_dead_patterns(blocks: int, size: int, points: int, e: int) -> int:
+    """e-subsets of `points` nodes that meet each of `blocks` disjoint size-sets.
+
+    Inclusion-exclusion over the j blocks a pattern misses:
+    sum_j (-1)^j C(blocks, j) C(points - j*size, e).
+    """
+    return sum(
+        (-1) ** j * comb(blocks, j) * comb(points - j * size, e) for j in range(blocks + 1)
+    )
+
+
+def binomial_upper_tail(trials: int, x: int, p: float) -> float:
+    """P(X >= x) for X ~ Binomial(trials, p), summed term by term."""
+    return sum(comb(trials, k) * p**k * (1 - p) ** (trials - k) for k in range(x, trials + 1))

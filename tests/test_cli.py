@@ -97,6 +97,8 @@ def test_design_and_simulate_roundtrip(capsys, tmp_path):
     sim = json.loads(out)
     assert sim["mode"] == "monte-carlo"
     assert 0.0 < sim["survived"] < 1.0
+    low, high = sim["survived_interval"]
+    assert low < sim["survived"] < high
 
 
 def test_design_multi_seed_cli(capsys, tmp_path):
@@ -300,6 +302,22 @@ def test_simulate_monte_carlo_without_trials_exits_1(capsys, tmp_path):
             "--rng-seed", "1",
         )
         assert_one_line_error(*result, "trials")
+
+
+def test_simulate_out_of_range_rng_seed_exits_1(capsys, tmp_path):
+    bundle_path = tmp_path / "bundle.json"
+    code, _, _ = run_cli(
+        capsys, "design", "--q", "2", "--ell", "4", "--k", "2",
+        "--seed-basis", "4,11", "-o", str(bundle_path),
+    )
+    assert code == 0
+    for rng_seed in ("-1", str(2**128)):
+        for mode in ((), ("--mode", "monte-carlo")):
+            result = run_cli(
+                capsys, "simulate", "--bundle", str(bundle_path), "--alpha-star", "6",
+                "--failures", "5", "--rng-seed", rng_seed, *mode,
+            )
+            assert_one_line_error(*result, rf"need 0 <= rng_seed < 2\*\*128, got {rng_seed}$")
 
 
 def test_compare_bandwidth_impossible_code_exits_1(capsys):

@@ -1,6 +1,8 @@
 import json
 import random
+from math import comb
 
+import numpy as np
 import pytest
 
 from compactrepair import (
@@ -16,7 +18,8 @@ from compactrepair import (
     simulate_failures,
     verify_reference_example,
 )
-from compactrepair import hitting
+from compactrepair import design, hitting
+from oracles import binomial_upper_tail, partition_dead_patterns
 
 
 @pytest.fixture(scope="module")
@@ -323,6 +326,133 @@ def test_simulate_monte_carlo_agrees(bundle_s1):
         bundle_s1, alpha, e, mode="monte-carlo", trials=4000, rng_seed=12345
     )
     assert again.survived == mc.survived
+
+
+@pytest.fixture(scope="module")
+def partition_bundles():
+    """Subfield-coset designs: (bundle, B groups, s points each) tiling n - 1."""
+    gf16 = design_single_seed(2, 1, 4, 2, delta=2)
+    gf64 = design_single_seed(2, 1, 6, 2, delta=2)
+    gf81 = design_single_seed(3, 1, 4, 3, delta=2)
+    gf256 = design_single_seed(2, 1, 8, 4, delta=4)
+    return {
+        "gf16": (gf16, 5, 3),
+        "gf64": (gf64, 21, 3),
+        "gf81": (gf81, 10, 8),
+        "gf256": (gf256, 17, 15),
+    }
+
+
+@pytest.mark.parametrize(
+    "name, failures",
+    [("gf16", range(4, 9)), ("gf64", range(6)), ("gf81", (0, 1, 2, 3, 4, 79, 80))],
+)
+def test_simulate_exhaustive_equals_partition_closed_form(partition_bundles, name, failures):
+    bundle, blocks, size = partition_bundles[name]
+    assert bundle.coset_counts == (blocks,) and blocks * size == bundle.n - 1
+    for e in failures:
+        rep = simulate_failures(bundle, bundle.ctx.exp(1), e, mode="exhaustive")
+        total = comb(bundle.n - 1, e)
+        dead = partition_dead_patterns(blocks, size, bundle.n - 1, e)
+        assert rep.patterns == total
+        assert rep.survived == (total - dead) / total, e
+
+
+def test_simulate_monte_carlo_near_partition_closed_form(partition_bundles):
+    # C(255, 40) patterns: only Monte Carlo runs, the closed form is exact
+    bundle, blocks, size = partition_bundles["gf256"]
+    e, trials = 40, 20000
+    total = comb(bundle.n - 1, e)
+    p = 1 - partition_dead_patterns(blocks, size, bundle.n - 1, e) / total
+    rep = simulate_failures(bundle, 7, e, trials=trials, rng_seed=2026)
+    assert rep.mode == "monte-carlo" and rep.patterns == trials
+    assert abs(rep.survived - p) <= 4 * (p * (1 - p) / trials) ** 0.5
+    low, high = rep.survived_interval
+    assert 0 <= low <= rep.survived <= high <= 1
+
+
+def _sampled(universe, e, trials, rng_seed):
+    gen = np.random.Generator(np.random.Philox(key=rng_seed))
+    return list(design._sampled_patterns(gen, universe, e, trials))
+
+
+@pytest.mark.parametrize("e", [0, 1, 3, 14])
+def test_sampled_patterns_are_distinct_e_subsets(bundle_s1, e):
+    # the universe simulate_failures samples from: every node but a*
+    alpha = bundle_s1.ctx.exp(5)
+    universe = sorted(coset_family(list(bundle_s1.seeds), center=alpha).universe)
+    assert universe == [x for x in range(bundle_s1.n) if x != alpha]
+    chunks = _sampled(universe, e, 3000, rng_seed=11)
+    assert sum(chunk.shape[1] for chunk in chunks) == 3000
+    for chunk in chunks:
+        assert chunk.shape[0] == e
+        for pattern in chunk.T:
+            assert len(set(pattern.tolist())) == e
+            assert alpha not in pattern and set(pattern.tolist()) <= set(universe)
+    again = _sampled(universe, e, 3000, rng_seed=11)
+    assert all(np.array_equal(a, b) for a, b in zip(chunks, again))
+
+
+def test_sampled_patterns_hit_each_point_evenly():
+    universe = list(range(1, 16))
+    e, trials = 3, 30000
+    counts = np.bincount(np.concatenate([c.ravel() for c in _sampled(universe, e, trials, 5)]))
+    expected = trials * e / len(universe)
+    sigma = (trials * e / len(universe) * (1 - e / len(universe))) ** 0.5
+    assert counts[0] == 0
+    assert np.all(np.abs(counts[1:] - expected) <= 5 * sigma)
+
+
+def test_monte_carlo_chunks_do_not_grow_with_trials():
+    # a chunk holds at most _CHUNK_POINTS failed points and its taken matrix
+    # _CHUNK_CELLS cells, however many trials are asked for
+    universe = list(range(1, 256))
+    for e in (1, 40, 200):
+        gen = np.random.Generator(np.random.Philox(key=1))
+        trials = 3 * design._chunk_size(e) + 1
+        widths = [c.shape[1] for c in design._sampled_patterns(gen, universe, e, trials)]
+        assert sum(widths) == trials and len(widths) >= 4
+        assert max(widths) * e <= design._CHUNK_POINTS
+        assert max(widths) * len(universe) <= design._CHUNK_CELLS
+
+
+def test_clopper_pearson_interval():
+    for x, trials in ((0, 50), (1, 50), (17, 40), (399, 400), (400, 400), (5, 100)):
+        low, high = design._clopper_pearson(x, trials)
+        assert 0.0 <= low <= x / trials <= high <= 1.0
+        # each end leaves 2.5% of the binomial mass beyond the observed count
+        if x:
+            assert binomial_upper_tail(trials, x, low) == pytest.approx(0.025, rel=1e-6)
+        else:
+            assert low == 0.0 and high == pytest.approx(1 - 0.025 ** (1 / trials))
+        if x < trials:
+            assert 1 - binomial_upper_tail(trials, x + 1, high) == pytest.approx(0.025, rel=1e-6)
+        else:
+            assert high == 1.0 and low == pytest.approx(0.025 ** (1 / trials))
+    assert design._clopper_pearson(5, 100) == pytest.approx((0.016432, 0.112835), abs=1e-6)
+
+
+def test_simulate_reports_interval_only_for_monte_carlo(bundle_s1):
+    exact = simulate_failures(bundle_s1, 6, 5)
+    assert exact.survived_interval is None
+    assert exact.to_json_dict()["survived_interval"] is None
+    mc = simulate_failures(bundle_s1, 6, 5, mode="monte-carlo", trials=500, rng_seed=3)
+    low, high = mc.to_json_dict()["survived_interval"]
+    assert (low, high) == mc.survived_interval
+    assert low < mc.survived < high
+
+
+@pytest.mark.parametrize("rng_seed", [-1, 2**128, -(2**200)])
+@pytest.mark.parametrize("mode", ["exhaustive", "monte-carlo"])
+def test_simulate_rejects_out_of_range_rng_seed(bundle_s1, rng_seed, mode):
+    with pytest.raises(ValueError, match=r"rng_seed < 2\*\*128, got"):
+        simulate_failures(bundle_s1, 6, 5, mode=mode, trials=10, rng_seed=rng_seed)
+
+
+def test_simulate_accepts_extreme_rng_seeds(bundle_s1):
+    for rng_seed in (0, 2**128 - 1):
+        rep = simulate_failures(bundle_s1, 6, 5, mode="monte-carlo", trials=10, rng_seed=rng_seed)
+        assert rep.rng_seed == rng_seed
 
 
 @pytest.mark.parametrize("alpha_star", [16, 99, -1])
