@@ -450,7 +450,6 @@ def simulate_failures(
     if rng_seed is not None and not 0 <= rng_seed < 2**128:
         raise ValueError(f"need 0 <= rng_seed < 2**128, got {rng_seed}")
     family = coset_family(list(bundle.seeds), center=alpha_star)
-    bw_of_seed = [scheme.bandwidth for scheme in bundle.schemes]
     universe = sorted(family.universe)
     total = comb(n - 1, e)
     if mode == "auto":
@@ -476,7 +475,7 @@ def simulate_failures(
     # Every group has |S*| points: one row per group, in family order.
     points = np.fromiter(chain.from_iterable(family.sets), np.intp)
     group_points = points.reshape(len(family.sets), -1)
-    group_bw = [bw_of_seed[t] for t in family.seed_index]
+    group_bw = [bundle.schemes[t].bandwidth for t in family.seed_index]
     survived, bw_sum = _first_intact_scan(chunks, group_points, group_bw, n)
     frac = survived / evaluated if evaluated else 1.0
     per_repair = (bw_sum / survived) if survived else None
