@@ -144,11 +144,35 @@ ODD_P_TABLE_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("p, n", list(ODD_P_TABLE_DIGESTS))
-def test_odd_p_generator_and_tables_golden(p, n):
+# The same digests for the larger fields the benchmark and the CLI build,
+# both characteristics and a prime field, taken from the per-element build.
+LARGE_TABLE_DIGESTS = {
+    (2, 8): "b382a0a8b881033d",
+    (2, 12): "8455e642bb2f6fcf",
+    (2, 16): "5dafe634e51e102f",
+    (2, 20): "d71e11d2fe1d4ae6",
+    (3, 8): "d4bd1f0b827e9638",
+    (5, 6): "d0d943fbc11a838d",
+    (3, 10): "b269dae356fa519c",
+    (7, 4): "269617e4cab539b6",
+    (65521, 1): "6f5ac363b6c4b746",
+}
+
+
+def _table_digest(p, n):
     ctx = field_new(p, 1, n)
     blob = json.dumps([ctx.generator, [ctx.exp(j) for j in range(ctx.order - 1)]])
-    assert hashlib.sha256(blob.encode()).hexdigest()[:16] == ODD_P_TABLE_DIGESTS[(p, n)]
+    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("p, n", list(ODD_P_TABLE_DIGESTS))
+def test_odd_p_generator_and_tables_golden(p, n):
+    assert _table_digest(p, n) == ODD_P_TABLE_DIGESTS[(p, n)]
+
+
+@pytest.mark.parametrize("p, n", list(LARGE_TABLE_DIGESTS))
+def test_large_field_generator_and_tables_golden(p, n):
+    assert _table_digest(p, n) == LARGE_TABLE_DIGESTS[(p, n)]
 
 
 def test_division_by_zero(gf16):
