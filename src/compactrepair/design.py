@@ -28,7 +28,9 @@ DEFAULT_EXHAUSTIVE_THRESHOLD patterns, else Monte Carlo on a counter-based
 Philox stream) and reports the fraction of patterns leaving at least one
 intact group, plus a centralized-vs-decentralized bandwidth table.
 Replacement nodes pick the first intact group in family order; that policy
-is recorded in the bundle config.  Patterns are scanned in chunks of
+is recorded in the bundle config.  A bundle computes its groups around 0
+once; the simulator shifts each pattern by -a* instead of building the
+groups around a*.  Patterns are scanned in chunks of
 bounded size, each chunk walking the groups once in family order and
 testing all its pending patterns against a group at a time.  Monte Carlo
 draws a chunk's patterns by Floyd's algorithm run across its trials, one
@@ -43,6 +45,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, combinations, islice
 from math import comb
 
@@ -140,6 +143,18 @@ class DesignBundle:
         q, ell, delta = self.q, self.ctx.ell, self.delta
         counts, orbit_count = base_counts(q, ell, delta), orbit_count_formula(q, ell, delta)
         return OrbitReport(q, ell, delta, counts, orbit_count, self.seeds, self.coset_counts)
+
+    @cached_property
+    def _groups_at_zero(self) -> tuple[np.ndarray, list[int]]:
+        """The groups b*S* in coset_family order, a row of points each, and their bandwidths.
+
+        x -> x + a* carries them onto the groups a* + b*S* around any a*, in
+        the same order and with the same seeds.
+        """
+        family = coset_family(list(self.seeds))
+        points = np.fromiter(chain.from_iterable(family.sets), np.intp)
+        bandwidths = [self.schemes[t].bandwidth for t in family.seed_index]
+        return points.reshape(len(family.sets), -1), bandwidths
 
     def to_json_dict(self) -> dict:
         ctx = self.ctx
@@ -449,8 +464,9 @@ def simulate_failures(
         raise ValueError(f"need 0 <= e < n = {n}, got {e}")
     if rng_seed is not None and not 0 <= rng_seed < 2**128:
         raise ValueError(f"need 0 <= rng_seed < 2**128, got {rng_seed}")
-    family = coset_family(list(bundle.seeds), center=alpha_star)
-    universe = sorted(family.universe)
+    # Patterns shifted by -a* meet the groups around 0 exactly where they
+    # met the groups around a*; universe lists the shifts in ascending x.
+    universe = [ctx.sub(x, alpha_star) for x in range(n) if x != alpha_star]
     total = comb(n - 1, e)
     if mode == "auto":
         mode = "exhaustive" if total <= DEFAULT_EXHAUSTIVE_THRESHOLD else "monte-carlo"
@@ -472,11 +488,7 @@ def simulate_failures(
         gen = np.random.Generator(np.random.Philox(key=rng_seed))
         evaluated = trials
         chunks = _sampled_patterns(gen, universe, e, trials)
-    # Every group has |S*| points: one row per group, in family order.
-    points = np.fromiter(chain.from_iterable(family.sets), np.intp)
-    group_points = points.reshape(len(family.sets), -1)
-    group_bw = [bundle.schemes[t].bandwidth for t in family.seed_index]
-    survived, bw_sum = _first_intact_scan(chunks, group_points, group_bw, n)
+    survived, bw_sum = _first_intact_scan(chunks, *bundle._groups_at_zero, n)
     frac = survived / evaluated if evaluated else 1.0
     per_repair = (bw_sum / survived) if survived else None
     bandwidth_table = {

@@ -2,9 +2,9 @@
 
 Elements are integers in [0, p^(s*ell)) encoding the coefficient vector of
 a residue polynomial over F_p, least significant digit = constant term
-(for p = 2 this is the usual bit-vector encoding).  Multiplication runs on
-log/antilog tables built from a verified primitive element, so arithmetic
-is O(1) table lookups plus, for p > 2, a short digit loop for addition.
+(for p = 2 this is the usual bit-vector encoding).  Arithmetic is O(1)
+table lookups: log/antilog tables of a verified primitive element, filled by
+doubling with numpy, and for p > 2 a Zech-logarithm table for addition.
 
 A FieldCtx fixes one modulus and one primitive generator z at construction
 and never mutates afterwards; instances are safe to share across threads.
@@ -26,9 +26,14 @@ coefficient-encoding order unless an explicit modulus is supplied.
 
 from __future__ import annotations
 
+import operator
+
+import numpy as np
+
 from .errors import (
     FieldTooLargeError,
     InvalidSubfieldError,
+    InvariantError,
     NonPrimeError,
     RankDeficientError,
     ReducibleModulusError,
@@ -78,7 +83,7 @@ def _undigits(ds, p: int) -> int:
 # ----------------------------------------------------------------------
 # Polynomial arithmetic over F_p on plain coefficient lists (low first).
 # Used only while bootstrapping a FieldCtx (irreducibility test, generator
-# search); everything afterwards goes through the log tables.
+# search, the doubling matrices); everything afterwards uses the tables.
 # ----------------------------------------------------------------------
 
 def _poly_trim(a):
@@ -227,11 +232,10 @@ class FieldCtx:
         self._mod_int = _undigits(list(modulus), p) if p == 2 else None
 
         if p == 2:
-            self.add = self._add_gf2
-            self.neg = self._neg_gf2
+            self.add, self.neg = operator.xor, operator.pos  # -x = x
         else:
-            self.add = self._add_generic
-            self.neg = self._neg_generic
+            self.add, self.neg = self._add_zech, self._neg_zech
+            self._half = (order - 1) // 2
 
         self.generator = self._find_generator()
         self._build_tables()
@@ -281,53 +285,59 @@ class FieldCtx:
         raise RuntimeError("no primitive element found")  # unreachable
 
     def _build_tables(self):
-        order = self.order
-        g = self.generator
+        """exp and log tables by doubling, and for p > 2 the Zech table.
+
+        Row t of powers is z^t: its encoding for p = 2, else its digit vector.
+        Rows [2^t, 2^(t+1)) are rows [0, 2^t) times c = z^(2^t), an F_p-linear
+        map with rows x^i * c: n masked XORs for p = 2, else a product mod p.
+        """
+        p, n, order, g = self.p, self.n, self.order, self.generator
         size = order - 1
-        exp = [0] * (2 * size if size > 1 else 2)
-        log = [-1] * order
-        cur = 1
-        for i in range(size):
-            exp[i] = cur
-            log[cur] = i
-            cur = self._mul_poly(cur, g)
-        if cur != 1 or any(log[v] < 0 for v in range(1, order)):
-            raise RuntimeError("generator failed the order check")
-        for i in range(size, len(exp)):
-            exp[i] = exp[i - size]
-        self._exp = exp
-        self._log = log
+        dtype = np.uint32 if p == 2 else np.min_scalar_type(p - 1)
+        powers = np.zeros(size if p == 2 else (size, n), dtype)
+        powers.flat[0] = 1
+        c, done = g, 1
+        while done < size:
+            rows = min(done, size - done)
+            cols = [self._mul_poly(p**i, c) for i in range(n)]  # x^i * c
+            if p == 2:
+                for i, col in enumerate(cols):
+                    powers[done : done + rows] ^= (powers[:rows] >> i & 1) * col
+            else:
+                wide = np.min_scalar_type(n * (p - 1) ** 2)  # holds a row's dot product
+                m = np.array([_digits(col, p, n) for col in cols], wide)
+                powers[done : done + rows] = powers[:rows] @ m % p
+            done, c = done + rows, self._mul_poly(c, c)
+        exp = powers
+        if p != 2:
+            exp = np.zeros(size, np.uint32)
+            for digit in powers.T[::-1]:
+                exp = exp * p + digit
+        del powers
+        log = np.full(order, -1, np.int32)
+        log[exp] = np.arange(size, dtype=np.int32)
+        if self._mul_poly(int(exp[-1]), g) != 1 or (log[1:] < 0).any():
+            raise InvariantError("generator failed the order check")
+        # pool[v + 1] is the int v: the tables share one set of int objects.
+        pool = np.arange(-1, order, dtype=object)
+        self._log = pool[log + 1].tolist()
+        if p != 2:  # zech[t] = log(1 + z^t): the lowest digit of z^t plus one, mod p
+            self._zech = pool[log[exp + np.where(exp % p == p - 1, 1 - p, 1)] + 1].tolist()
+        self._exp = pool[exp + 1].tolist() * 2
 
     # -- core arithmetic -------------------------------------------------
 
-    def _add_gf2(self, x: int, y: int) -> int:
-        return x ^ y
+    def _add_zech(self, x: int, y: int) -> int:
+        """z^a + z^b = z^(a + zech[b - a]); a negative b - a indexes from the end."""
+        if not (x and y):
+            return x or y
+        a = self._log[x]
+        d = self._zech[self._log[y] - a]
+        return self._exp[a + d] if d >= 0 else 0
 
-    def _neg_gf2(self, x: int) -> int:
-        return x
-
-    def _add_generic(self, x: int, y: int) -> int:
-        p = self.p
-        res = 0
-        mult = 1
-        while x or y:
-            res += ((x + y) % p) * mult
-            x //= p
-            y //= p
-            mult *= p
-        return res
-
-    def _neg_generic(self, x: int) -> int:
-        p = self.p
-        res = 0
-        mult = 1
-        while x:
-            d = x % p
-            if d:
-                res += (p - d) * mult
-            x //= p
-            mult *= p
-        return res
+    def _neg_zech(self, x: int) -> int:
+        """-1 = z^((order - 1)/2), so -x shifts the log by half the group."""
+        return self._exp[self._log[x] + self._half] if x else 0
 
     def sub(self, x: int, y: int) -> int:
         return self.add(x, self.neg(y))
@@ -389,9 +399,7 @@ class FieldCtx:
     def subfield_degree(self, q_order: int) -> int:
         """m such that q_order = p^m and F_{p^m} lives inside, else error."""
         for m in range(1, self.n + 1):
-            if self.n % m:
-                continue
-            if self.p**m == q_order:
+            if self.n % m == 0 and self.p**m == q_order:
                 return m
         raise InvalidSubfieldError(
             f"{q_order} is not the order of a subfield of GF({self.p}^{self.n})"
@@ -418,14 +426,12 @@ class FieldCtx:
         if self.n % m:
             raise InvalidSubfieldError(f"m = {m} does not divide {self.n}")
         cache = self._trace_cache.setdefault(m, {})
-        hit = cache.get(x)
-        if hit is not None:
-            return hit
-        acc = 0
-        for i in range(self.n // m):
-            acc = self.add(acc, self.pow(x, self.p ** (m * i)))
-        cache[x] = acc
-        return acc
+        if x not in cache:
+            acc = 0
+            for i in range(self.n // m):
+                acc = self.add(acc, self.pow(x, self.p ** (m * i)))
+            cache[x] = acc
+        return cache[x]
 
     # -- linear algebra over a subfield -------------------------------------
     # Entries of all row vectors below are field elements constrained to the
@@ -470,13 +476,10 @@ class FieldCtx:
     def coords(self, x: int, m: int) -> tuple[int, ...]:
         """Coordinates of x over F_{p^m} in the power basis of the generator."""
         cache = self._coords_cache.setdefault(m, {})
-        hit = cache.get(x)
-        if hit is not None:
-            return hit
-        _, dual = self._power_basis(m)
-        cs = tuple(self.trace_to_subfield(self.mul(x, d), m) for d in dual)
-        cache[x] = cs
-        return cs
+        if x not in cache:
+            _, dual = self._power_basis(m)
+            cache[x] = tuple(self.trace_to_subfield(self.mul(x, d), m) for d in dual)
+        return cache[x]
 
     def from_coords(self, cs, m: int) -> int:
         basis, _ = self._power_basis(m)
@@ -499,12 +502,9 @@ class FieldCtx:
             scale = self.inv(work[r][col])
             work[r] = [self.mul(v, scale) for v in work[r]]
             for i in range(len(work)):
-                if i == r or work[i][col] == 0:
-                    continue
                 f = work[i][col]
-                work[i] = [
-                    self.sub(v, self.mul(f, w)) for v, w in zip(work[i], work[r])
-                ]
+                if i != r and f:
+                    work[i] = [self.sub(v, self.mul(f, w)) for v, w in zip(work[i], work[r])]
             pivots.append(col)
             r += 1
         return work[:r], pivots

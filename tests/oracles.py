@@ -76,6 +76,31 @@ def coset_family_scan(seeds, center=None) -> CosetFamily:
     )
 
 
+def digit_add(p: int, x: int, y: int) -> int:
+    """x + y digit by digit mod p, on the base-p encoding of the elements."""
+    res = 0
+    mult = 1
+    while x or y:
+        res += ((x + y) % p) * mult
+        x //= p
+        y //= p
+        mult *= p
+    return res
+
+
+def digit_neg(p: int, x: int) -> int:
+    """-x digit by digit mod p, on the base-p encoding of the element."""
+    res = 0
+    mult = 1
+    while x:
+        d = x % p
+        if d:
+            res += (p - d) * mult
+        x //= p
+        mult *= p
+    return res
+
+
 def subspace_polynomial_product(S) -> tuple:
     """Dense coefficients (low first) of prod_{a in S} (x - a); degree |S|."""
     ctx = S.ctx

@@ -19,7 +19,7 @@ from compactrepair import (
     verify_reference_example,
 )
 from compactrepair import design, hitting
-from oracles import binomial_upper_tail, partition_dead_patterns
+from oracles import binomial_upper_tail, partition_dead_patterns, simulate_first_intact
 
 
 @pytest.fixture(scope="module")
@@ -297,6 +297,17 @@ def test_simulate_exhaustive_at_tolerance(bundle_s1):
     beyond = simulate_failures(bundle_s1, alpha, bundle_s1.tolerance + 1)
     assert beyond.survived < 1.0
     assert beyond.failure_probability == pytest.approx(1.0 - beyond.survived)
+
+
+@pytest.mark.parametrize("alpha", [0, 5, 13, 26])
+def test_simulate_odd_p_beyond_tolerance_matches_centred_oracle(alpha):
+    # The scan shifts patterns onto the groups around 0; the oracle builds
+    # the groups around alpha.  GF(27) has tolerance 3, so e = 4 and 5 kill
+    # some patterns and the survival depends on which points the shift hits.
+    bundle = design_multi_seed(3, 1, 3, 2, 2)
+    for e in (3, 4, 5):
+        report = simulate_failures(bundle, alpha, e, mode="exhaustive")
+        assert report.to_json_dict() == simulate_first_intact(bundle, alpha, e), e
 
 
 def test_simulate_witness_pattern_kills_groups(bundle_s1):

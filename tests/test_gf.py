@@ -15,7 +15,7 @@ from compactrepair.errors import (
     RankDeficientError,
     ReducibleModulusError,
 )
-from oracles import horner_eval
+from oracles import digit_add, digit_neg, horner_eval
 
 
 def test_default_gf16_modulus_and_generator(gf16):
@@ -121,6 +121,40 @@ def test_odd_p_field_axioms_property(odd_field, data):
         assert mul(b, ctx.inv(b)) == 1
         assert mul(ctx.div(a, b), b) == a
         assert ctx.div(mul(a, b), b) == a
+
+
+def _check_against_digit_loops(ctx, x, y):
+    p = ctx.p
+    assert ctx.add(x, y) == digit_add(p, x, y)
+    assert ctx.neg(x) == digit_neg(p, x)
+    assert ctx.sub(x, y) == digit_add(p, x, digit_neg(p, y))
+    assert ctx.add(x, ctx.neg(x)) == 0
+
+
+@pytest.mark.parametrize("p, s, ell", [(5, 1, 2), (3, 1, 3), (3, 2, 2)],
+                         ids=["gf25", "gf27", "gf81_over_f9"])
+def test_zech_arithmetic_matches_digit_loops_exhaustive(p, s, ell):
+    ctx = field_new(p, s, ell)
+    for x in ctx.elements():
+        for y in ctx.elements():
+            _check_against_digit_loops(ctx, x, y)
+
+
+@pytest.fixture(scope="module", params=[(3, 4), (5, 3), (7, 2), (3, 8)],
+                ids=["gf81", "gf125", "gf49", "gf6561"])
+def zech_field(request):
+    p, n = request.param
+    return field_new(p, 1, n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_zech_arithmetic_matches_digit_loops_property(zech_field, data):
+    ctx = zech_field
+    element = st.integers(0, ctx.order - 1)
+    x, y = data.draw(element, label="x"), data.draw(element, label="y")
+    for a, b in ((x, y), (x, 0), (0, y), (x, ctx.neg(x))):
+        _check_against_digit_loops(ctx, a, b)
 
 
 # sha256 prefixes of JSON [generator, [z^0, ..., z^(order-2)]] for odd-p
