@@ -465,8 +465,8 @@ def simulate_failures(
     if rng_seed is not None and not 0 <= rng_seed < 2**128:
         raise ValueError(f"need 0 <= rng_seed < 2**128, got {rng_seed}")
     # Patterns shifted by -a* meet the groups around 0 exactly where they
-    # met the groups around a*; universe lists the shifts in ascending x.
-    universe = [ctx.sub(x, alpha_star) for x in range(n) if x != alpha_star]
+    # met the groups around a*.
+    universe = _shifted_universe(ctx, alpha_star)
     total = comb(n - 1, e)
     if mode == "auto":
         mode = "exhaustive" if total <= DEFAULT_EXHAUSTIVE_THRESHOLD else "monte-carlo"
@@ -479,7 +479,7 @@ def simulate_failures(
         )
     if mode == "exhaustive":
         evaluated = total
-        chunks = _all_patterns(universe, e, total)
+        chunks = _all_patterns(universe.tolist(), e, total)
     else:
         if rng_seed is None:
             raise ValueError("monte-carlo mode requires rng_seed")
@@ -510,6 +510,24 @@ def simulate_failures(
     )
 
 
+def _shifted_universe(ctx: FieldCtx, alpha_star: int) -> np.ndarray:
+    """x - a* for every element x != a*, in ascending x.
+
+    Subtraction is digit-wise mod p on the coefficient encoding: an XOR
+    for p = 2, one array pass per digit otherwise.
+    """
+    x = np.arange(ctx.order, dtype=np.intp)
+    x = x[x != alpha_star]
+    if ctx.p == 2:
+        return x ^ alpha_star
+    out = np.zeros_like(x)
+    weight = 1
+    for _ in range(ctx.n):
+        out += (x // weight - alpha_star // weight) % ctx.p * weight
+        weight *= ctx.p
+    return out
+
+
 def _chunk_size(e: int) -> int:
     """Patterns per chunk: about _CHUNK_POINTS failed points, at least one pattern."""
     return max(1, _CHUNK_POINTS // max(e, 1))
@@ -529,7 +547,7 @@ def _all_patterns(universe: list[int], e: int, total: int):
         yield np.ascontiguousarray(flat.reshape(count, e).T)
 
 
-def _sampled_patterns(gen: np.random.Generator, universe: list[int], e: int, trials: int):
+def _sampled_patterns(gen: np.random.Generator, universe: np.ndarray, e: int, trials: int):
     """trials uniform e-subsets of universe, in (e, count) chunks.
 
     Floyd's algorithm, run across a chunk of trials at once: for j from
@@ -537,7 +555,7 @@ def _sampled_patterns(gen: np.random.Generator, universe: list[int], e: int, tri
     gen.integers call) and takes index j instead where the trial already
     holds t.  A trials-by-N taken matrix makes that test one lookup.
     """
-    points = np.array(universe)
+    points = np.asarray(universe)
     N = len(points)
     size = max(1, min(_chunk_size(e), _CHUNK_CELLS // N))
     taken = np.zeros((size, N), dtype=bool)

@@ -4,6 +4,8 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from compactrepair import (
     bandwidth_comparison,
@@ -11,11 +13,13 @@ from compactrepair import (
     design_multi_seed,
     design_single_seed,
     dilate_translate,
+    field_new,
     helper_payload,
     load_bundle,
     min_hitting_set,
     recover_symbol,
     simulate_failures,
+    span,
     verify_reference_example,
 )
 from compactrepair import design, hitting
@@ -193,6 +197,39 @@ def test_bundle_roundtrip(bundle_s1, bundle_multi):
         again = load_bundle(json.loads(json.dumps(blob)))
         assert again.to_json_dict() == blob
         assert again.tolerance == bundle.tolerance
+
+
+# (p, s, ell) with field order at most 49: every multi-seed design stays small.
+ROUND_TRIP_FIELDS = [(2, 1, 2), (2, 1, 3), (2, 1, 4), (2, 1, 5), (2, 2, 2), (3, 1, 2),
+                     (3, 1, 3), (5, 1, 2), (7, 1, 2)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_bundle_round_trip_property(data):
+    p, s, ell = data.draw(st.sampled_from(ROUND_TRIP_FIELDS), label="field")
+    mode = data.draw(
+        st.sampled_from(["subfield-coset", "first", "seed-basis", "multi-seed"]), label="mode"
+    )
+    q = p**s
+    basis = None
+    if mode == "seed-basis":
+        element = st.integers(1, q**ell - 1)
+        basis = data.draw(st.lists(element, min_size=1, max_size=ell), label="basis")
+        delta = span(field_new(p, s, ell), q, basis).dim
+    elif mode == "subfield-coset":
+        delta = data.draw(st.sampled_from([d for d in range(1, ell + 1) if ell % d == 0]))
+    else:
+        delta = data.draw(st.integers(1, ell), label="delta")
+    k = data.draw(st.integers(1, q**delta - 1), label="k")
+    if mode == "multi-seed":
+        bundle = design_multi_seed(p, s, ell, k, delta)
+    elif mode == "seed-basis":
+        bundle = design_single_seed(p, s, ell, k, seed_basis=basis)
+    else:
+        bundle = design_single_seed(p, s, ell, k, delta=delta, strategy=mode)
+    text = bundle.dumps()
+    assert load_bundle(json.loads(text)).dumps() == text
 
 
 def test_bundle_determinism():
@@ -561,3 +598,14 @@ def test_mhs_cross_check_multi(bundle_multi):
     fam = coset_family(list(bundle_multi.seeds))
     res = min_hitting_set(fam)
     assert res.size == bundle_multi.bounds.upper == 7
+
+
+@pytest.mark.parametrize(
+    "field", [(2, 1, 4), (2, 1, 7), (3, 1, 4), (3, 2, 2), (5, 1, 2), (2, 2, 3)],
+    ids=["gf16", "gf128", "gf81", "gf81-q9", "gf25", "gf64-q4"],
+)
+def test_shifted_universe_matches_field_subtraction(field):
+    ctx = field_new(*field)
+    for alpha in sorted({0, 1, ctx.generator, ctx.order // 2, ctx.order - 1}):
+        expected = [ctx.sub(x, alpha) for x in range(ctx.order) if x != alpha]
+        assert design._shifted_universe(ctx, alpha).tolist() == expected

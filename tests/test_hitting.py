@@ -1,5 +1,7 @@
 import itertools
 import random
+import sys
+import threading
 
 import pytest
 
@@ -8,10 +10,12 @@ from compactrepair import (
     bounds_for_seed,
     coset_family,
     enumerate_subspaces,
+    field_new,
+    hitting,
     min_hitting_set,
     span,
 )
-from compactrepair.errors import BudgetExceededError, EmptyFamilyError
+from compactrepair.errors import BudgetExceededError, EmptyFamilyError, InvariantError
 from oracles import verify_tolerance_exhaustive
 
 
@@ -216,3 +220,133 @@ def test_sandwich_sampled_gf81():
             b = bounds(3, 4, delta)
             assert res.method == "exact"
             assert b.lower <= res.size <= b.upper
+
+
+# ----------------------------------------------------------------------
+# The ΓL-canonical memo in front of the solver
+# ----------------------------------------------------------------------
+
+
+@pytest.fixture
+def empty_memo():
+    hitting._MEMO.clear()
+    yield hitting._MEMO
+    hitting._MEMO.clear()
+
+
+def frobenius_conjugates(S):
+    """Every image x -> x^(p^f) of the seed S, f < n, as subspaces."""
+    ctx = S.ctx
+    return [
+        span(ctx, S.q, [ctx.pow(b, ctx.p**f) for b in S.basis]) for f in range(ctx.n)
+    ]
+
+
+def test_least_translate_matches_brute_force():
+    rng = random.Random(5)
+    for _ in range(300):
+        group = rng.randint(1, 40)
+        logs = rng.sample(range(group), rng.randint(1, group))
+        brute = min(tuple(sorted((x - t) % group for x in logs)) for t in range(group))
+        assert hitting._least_translate(logs, group) == brute
+
+
+def test_memo_result_does_not_depend_on_history(empty_memo):
+    ctx = field_new(2, 1, 5)
+    generic = [S for S in enumerate_subspaces(ctx, 2, 2) if bounds_for_seed(S).exact is None]
+    first = frozenset(coset_family(generic[:1]).sets)
+    other = next(S for S in generic if frozenset(coset_family([S]).sets) != first)
+    for seeds in ([generic[0]], [generic[0], other]):
+        target = coset_family(seeds)
+        fresh = min_hitting_set(target)
+        empty_memo.clear()
+        conjugates = [frobenius_conjugates(S) for S in seeds]
+        families = [coset_family(list(c)) for c in zip(*conjugates)]
+        random.Random(len(seeds)).shuffle(families)
+        for fam in families:
+            res = min_hitting_set(fam)
+            assert all(set(res.witness) & s for s in fam.sets)
+        assert len(empty_memo) == 1
+        assert min_hitting_set(target) == fresh
+        empty_memo.clear()
+
+
+SIZE_AGREEMENT = [
+    ((2, 1, 5), 2),
+    ((2, 1, 5), 3),
+    ((2, 1, 6), 2),
+    ((2, 1, 6), 4),
+    ((3, 1, 4), 2),
+    ((2, 2, 3), 1),
+    ((2, 2, 3), 2),
+]
+
+
+@pytest.mark.parametrize(
+    "field,delta", SIZE_AGREEMENT, ids=[f"{p}^{s * ell}-q{p**s}-d{d}" for (p, s, ell), d in SIZE_AGREEMENT]
+)
+def test_memo_size_agrees_with_direct_solve(field, delta):
+    ctx = field_new(*field)
+    seen = set()
+    for S in enumerate_subspaces(ctx, ctx.q, delta):
+        fam = coset_family([S])
+        if frozenset(fam.sets) in seen:
+            continue
+        seen.add(frozenset(fam.sets))
+        memo = min_hitting_set(fam)
+        direct = hitting._solve(list(fam.sets), hitting.DEFAULT_NODE_BUDGET)
+        assert memo.method == direct.method == "exact"
+        assert memo.size == direct.size
+        assert all(set(memo.witness) & s for s in fam.sets)
+
+
+def test_corrupted_memo_entry_raises(gf16, empty_memo):
+    fam = coset_family([span(gf16, 2, [gf16.exp(4), gf16.exp(5)])])
+    min_hitting_set(fam)
+    (key, (logs, method)), = empty_memo.items()
+    empty_memo[key] = (logs[1:], method)
+    with pytest.raises(InvariantError):
+        min_hitting_set(fam)
+
+
+def test_raw_and_centred_families_bypass_memo(gf16, empty_memo):
+    S = span(gf16, 2, [gf16.exp(4), gf16.exp(5)])
+    fam = coset_family([S])
+    assert min_hitting_set(list(fam.sets)).size == 6
+    assert min_hitting_set(coset_family([S], center=gf16.exp(3))).size == 6
+    assert not empty_memo
+    assert min_hitting_set(fam).size == 6
+    assert len(empty_memo) == 1
+
+
+def test_memo_evicts_oldest_under_concurrent_callers(gf16, empty_memo, monkeypatch):
+    # Two slots for the three classes of GF(16) delta=2 force evictions
+    # while eight threads solve every family at once.
+    monkeypatch.setattr(hitting, "MEMO_LIMIT", 2)
+    families = [coset_family([S]) for S in enumerate_subspaces(gf16, 2, 2)]
+    expected = [hitting._solve(list(fam.sets), hitting.DEFAULT_NODE_BUDGET).size for fam in families]
+    errors = []
+
+    def worker(seed):
+        order = list(range(len(families)))
+        random.Random(seed).shuffle(order)
+        try:
+            for i in order:
+                if min_hitting_set(families[i]).size != expected[i]:
+                    errors.append(f"size of family {i}")
+        except Exception as exc:  # reported below with the thread's seed
+            errors.append(f"{seed}: {exc!r}")
+
+    threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors
+    assert len(empty_memo) <= 2
