@@ -70,7 +70,8 @@ def test_orbits_output_is_pinned(case, tmp_path):
 
 
 # The bundles perfbench designs for repair-traffic and failure-sim (each
-# once), and the GF(16) golden design.
+# once), the GF(16) golden design, and one generic seed whose witness is
+# the MILP's, which moves if the solver's rows or columns are reordered.
 BUNDLES = {
     "gf256-d4": (
         lambda: design_single_seed(2, 1, 8, 4, delta=4, rng_seed=1),
@@ -103,6 +104,10 @@ BUNDLES = {
     "gf16-golden": (
         lambda: design_single_seed(2, 1, 4, 2, seed_basis=[4, 11]),
         "0e58197dcee14a4f8a43ce6bde9b7934b2ccaee8bc4299330732df3599511fda",
+    ),
+    "gf64-d3-generic": (
+        lambda: design_single_seed(2, 1, 6, 2, delta=3, strategy="first"),
+        "4c444ce0d3a781ccd899a320aebe22bcd3fcdeba727216456720ba0b537ff84a",
     ),
 }
 
