@@ -42,10 +42,8 @@ from .repair import (
     HelperPayload,
     RepairScheme,
     SeedScheme,
-    bandwidth,
     dilate_translate,
     helper_payload,
-    naive_seed_scheme,
     recover_symbol,
     search_seed_scheme,
     verify_full_rank,
@@ -72,7 +70,6 @@ __all__ = [
     "SeedScheme",
     "SimReport",
     "Subspace",
-    "bandwidth",
     "bandwidth_comparison",
     "base_counts",
     "base_of",
@@ -90,7 +87,6 @@ __all__ = [
     "load_bundle",
     "min_hitting_set",
     "mobius",
-    "naive_seed_scheme",
     "orbit_count_formula",
     "orbit_decomposition",
     "recover_symbol",

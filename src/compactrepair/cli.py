@@ -134,9 +134,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_compare_bandwidth(args) -> int:
     bws = _parse_ints(args.scheme_bw) if args.scheme_bw else None
-    table = bandwidth_comparison(
-        args.n, args.k, args.ell, args.e, scheme_bandwidths=bws, saving=args.saving
-    )
+    table = bandwidth_comparison(args.n, args.k, args.ell, args.e, scheme_bandwidths=bws)
     _emit(table, args.output)
     return 0
 
@@ -202,7 +200,6 @@ def build_parser() -> _Parser:
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--ell", type=int, required=True)
     sp.add_argument("--e", type=int, required=True)
-    sp.add_argument("--saving", type=float, default=0.0)
     sp.add_argument("--scheme-bw", help="comma-separated measured bandwidths")
     add_common(sp)
     sp.set_defaults(func=_cmd_compare_bandwidth)

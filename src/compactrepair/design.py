@@ -151,10 +151,9 @@ class DesignBundle:
         x -> x + a* carries them onto the groups a* + b*S* around any a*, in
         the same order and with the same seeds.
         """
-        family = coset_family(list(self.seeds))
-        points = np.fromiter(chain.from_iterable(family.sets), np.intp)
+        family = coset_family(self.seeds)
         bandwidths = [self.schemes[t].bandwidth for t in family.seed_index]
-        return points.reshape(len(family.sets), -1), bandwidths
+        return np.concatenate(family.blocks()), bandwidths
 
     def to_json_dict(self) -> dict:
         ctx = self.ctx
@@ -282,26 +281,24 @@ def load_bundle(data) -> DesignBundle:
 def _check_certificate(bundle: DesignBundle, error: type[Exception]) -> None:
     """Raise error unless the witness and the bounds check out.
 
-    A group b*S* meets the witness W iff log b = log w - log s for some w in
-    W and s in S*, so W hits every group of a seed iff those differences
-    cover Z_(n-1): |W| * |S*| work and no coset family.  Every scheme is
-    full-rank already, since SeedScheme accepts no other.  A generic seed's
-    size is only checked against its bounds; minimality is not re-proved.
+    The witness must hit every group (CosetFamily.first_miss, |W| * |S*|
+    work per seed and no group built).  Every scheme is full-rank already,
+    since SeedScheme accepts no other.  A generic seed's size is only
+    checked against its bounds; minimality is not re-proved.
     """
-    ctx, mhs, bnd, group = bundle.ctx, bundle.mhs, bundle.bounds, bundle.n - 1
-    if len(set(mhs.witness)) != mhs.size or not all(0 < w <= group for w in mhs.witness):
+    ctx, mhs, bnd = bundle.ctx, bundle.mhs, bundle.bounds
+    if len(set(mhs.witness)) != mhs.size or not all(0 < w < bundle.n for w in mhs.witness):
         raise error("mhs witness must list distinct nonzero field elements")
-    witness_logs = [ctx.log(w) for w in mhs.witness]
-    for i, seed in enumerate(bundle.seeds):
-        seed_logs = [ctx.log(s) for s in seed.star()]
-        if len({(a - b) % group for a in witness_logs for b in seed_logs}) < group:
-            raise error(f"mhs witness misses a group of seed {i} {seed.to_json()}")
+    family = coset_family(bundle.seeds)
+    missed = family.first_miss(mhs.witness)
+    if missed is not None:
+        raise error(f"mhs witness misses a group of seed {missed} {bundle.seeds[missed].to_json()}")
     within = bnd.lower <= mhs.size <= bnd.upper and bnd.exact in (None, mhs.size)
     if mhs.method == "exact" and not within:
         raise error(f"exact |MHS| = {mhs.size} is off the bounds {bnd}")
     if bundle.mode == "multi-seed":
         expected = gaussian_coefficient(ctx.ell, bundle.delta, ctx.q)
-        if len(coset_family(bundle.seeds)) != expected:
+        if len(family) != expected:
             raise error(f"multi-seed coset sets are not all {expected} {bundle.delta}-subspaces")
 
 
@@ -312,9 +309,7 @@ def _validate_code(ctx: FieldCtx, k: int, delta: int) -> None:
     if not 1 <= delta <= ctx.ell:
         raise ValueError(f"need 1 <= delta <= ell = {ctx.ell}, got delta = {delta}")
     if ctx.q**delta <= k:
-        raise ValueError(
-            f"seed size q^delta = {ctx.q**delta} must exceed k = {k}"
-        )
+        raise ValueError(f"seed size q^delta = {ctx.q**delta} must exceed k = {k}")
 
 
 def _seed_from_strategy(ctx: FieldCtx, delta: int, strategy: str) -> Subspace:
@@ -511,21 +506,9 @@ def simulate_failures(
 
 
 def _shifted_universe(ctx: FieldCtx, alpha_star: int) -> np.ndarray:
-    """x - a* for every element x != a*, in ascending x.
-
-    Subtraction is digit-wise mod p on the coefficient encoding: an XOR
-    for p = 2, one array pass per digit otherwise.
-    """
+    """x - a* for every element x != a*, in ascending x."""
     x = np.arange(ctx.order, dtype=np.intp)
-    x = x[x != alpha_star]
-    if ctx.p == 2:
-        return x ^ alpha_star
-    out = np.zeros_like(x)
-    weight = 1
-    for _ in range(ctx.n):
-        out += (x // weight - alpha_star // weight) % ctx.p * weight
-        weight *= ctx.p
-    return out
+    return ctx.add_array(x[x != alpha_star], ctx.neg(alpha_star))
 
 
 def _chunk_size(e: int) -> int:
@@ -614,15 +597,14 @@ def bandwidth_comparison(
     ell: int,
     e: int,
     scheme_bandwidths=None,
-    saving: float = 0.0,
 ) -> dict:
     """Centralized repair cost vs decentralized trace-repair cost.
 
     Centralized: one repair node downloads k symbols and redistributes, at
-    k*ell + (e-1)*ell subfield symbols total.  Decentralized: each of the e
-    replacement nodes repairs independently at k*ell*(1-saving) formula
-    cost; measured per-repair bandwidths may be given alongside (one value,
-    or one per repair).
+    k*ell + (e-1)*ell subfield symbols total.  Naive decentralized: each of
+    the e replacement nodes downloads k full symbols.  Measured per-repair
+    bandwidths may be given (one value, or one per repair); their total is
+    decentralized_measured_total.
     """
     if not 1 <= k < n:
         raise ValueError(f"need 1 <= k < n, got k = {k}, n = {n}")
@@ -630,26 +612,20 @@ def bandwidth_comparison(
         raise ValueError(f"need ell >= 1, got {ell}")
     if e < 1:
         raise ValueError("need at least one failure to repair")
-    if not 0 <= saving < 1:
-        raise ValueError("saving must lie in [0, 1)")
     measured = None
     if scheme_bandwidths is not None:
         bws = list(scheme_bandwidths)
         if len(bws) == 1:
             bws = bws * e
         if len(bws) != e:
-            raise ValueError(
-                f"need 1 or {e} scheme bandwidths, got {len(bws)}"
-            )
+            raise ValueError(f"need 1 or {e} scheme bandwidths, got {len(bws)}")
         measured = sum(bws)
     return {
         "n": n,
         "k": k,
         "ell": ell,
         "e": e,
-        "saving": saving,
         **_repair_totals(k, ell, e),
-        "decentralized_formula_total": e * k * ell * (1.0 - saving),
         "decentralized_measured_total": measured,
     }
 
@@ -702,10 +678,10 @@ def verify_reference_example(modulus=None) -> dict:
         sorted(sorted(g) for g in expected_groups),
         sorted(sorted(g) for g in got_groups.sets),
     )
-    check("first-seed-coset-count", 5, len(first_family.sets))
+    check("first-seed-coset-count", 5, len(first_family))
     check("first-seed-mhs-size", 5, first_mhs.size)
     check("first-seed-tolerance", 4, first_mhs.size - 1)
-    check("second-seed-coset-count", 15, len(second_family.sets))
+    check("second-seed-coset-count", 15, len(second_family))
     check("second-seed-mhs-size", 6, second_mhs.size)
     check("second-seed-tolerance", 5, second_mhs.size - 1)
     check("first-seed-subfield-coset-value", 5, bounds_for_seed(first).exact)

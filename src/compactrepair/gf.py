@@ -324,6 +324,7 @@ class FieldCtx:
         if p != 2:  # zech[t] = log(1 + z^t): the lowest digit of z^t plus one, mod p
             self._zech = pool[log[exp + np.where(exp % p == p - 1, 1 - p, 1)] + 1].tolist()
         self._exp = pool[exp + 1].tolist() * 2
+        self._exp_table = exp
 
     # -- core arithmetic -------------------------------------------------
 
@@ -372,6 +373,25 @@ class FieldCtx:
         if x == 0:
             raise ValueError("discrete log of zero is undefined")
         return self._log[x]
+
+    def exp_array(self, logs) -> np.ndarray:
+        """z^j for every j of an integer array, as an array of the same shape."""
+        return self._exp_table[np.asarray(logs) % (self.order - 1)]
+
+    def add_array(self, xs, c: int) -> np.ndarray:
+        """x + c for every element x of an integer array.
+
+        Addition is digit-wise mod p on the coefficient encoding: an XOR
+        for p = 2, one array pass per digit otherwise.
+        """
+        x = np.asarray(xs, np.intp)
+        if self.p == 2:
+            return x ^ c
+        out, weight = np.zeros_like(x), 1
+        while weight < self.order:
+            out += (x // weight + c // weight) % self.p * weight
+            weight *= self.p
+        return out
 
     def elements(self) -> range:
         return range(self.order)

@@ -5,8 +5,11 @@ adversary must hit every group to make the symbol unrepairable.  Finding a
 minimum hitting set is NP-hard in general; at desk scale (universe within
 the field cap, up to a few thousand sets) every instance here is solved
 exactly by one 0/1 integer program (HiGHS via scipy.optimize.milp) over a
-sparse set-by-element incidence matrix.  The solver's witness is checked to
-hit every set before it is reported with method="exact".
+sparse set-by-element incidence matrix, built in numpy: one row per set in
+family order (a CosetFamily's groups come from its per-seed log arrays, a
+raw list of sets is deduplicated first) and one column per element in
+ascending value.  The witness is checked to hit every row before it is
+reported with method="exact".
 
 If the solver's node budget runs out, or it returns no verified optimum,
 the smaller of its verified incumbent and a greedy max-coverage cover is
@@ -16,20 +19,20 @@ for fixed inputs, but only size and the hitting property are contractual.
 |MHS| is invariant under the semilinear group GammaL(1, q^ell): scaling
 x -> b*x and the Frobenius map x -> x^p both carry a coset family around 0
 onto another one, set for set.  So a CosetFamily with center None (every
-family the library builds, each closed under scaling) is solved once per
-class.  In discrete logs a scaling is a translation, so each scaling orbit
-reduces to the least translate of its log-set (Booth's least rotation of
-the cyclic gap sequence); the Frobenius power x -> x^(p^f) multiplies logs
-by p^f.  The canonical key is the sorted tuple of orbit forms at the
-smallest f < n that minimises it.  A miss solves the coset family of the
-key's seeds and stores its witness logs in a bounded module-level memo,
-keyed by (p, n, modulus, generator, q, budget, key) rather than by the
-FieldCtx object, which every CLI call and load_bundle builds anew.  The
-stored witness is mapped back by log -> p^(n-f) * log and checked to hit
-every set of the caller's family (InvariantError otherwise).  Every caller
-gets the canonical solve mapped back, hit or miss, so a result depends on
-the family alone, never on what the process solved before: the memo is a
-pure cache.  Raw lists of sets and centred families are solved directly.
+family the library builds) is solved once per class.  A scaling adds a
+constant to logs, so each kept seed's logs reduce to their least translate
+(orbits._least_translate); x -> x^(p^f) multiplies logs by p^f.  The
+canonical key is the sorted tuple of these forms at the smallest f < n
+that minimises it.  A miss solves the coset family of the key's seeds and
+stores its witness logs in a bounded module-level memo, keyed by (p, n,
+modulus, generator, q, budget, key) rather than by the FieldCtx object,
+which every CLI call and load_bundle builds anew.  The stored witness is
+mapped back by log -> p^(n-f) * log and checked to hit every group of the
+caller's family (CosetFamily.first_miss; InvariantError otherwise).  Every
+caller gets the canonical solve mapped back, hit or miss, so a result
+depends on the family alone, never on what the process solved before: the
+memo is a pure cache.  Raw lists of sets and centred families are solved
+directly.
 
 For a single subspace seed, |MHS| is sandwiched between
 ceil((q^ell - 1)/(q^delta - 1)), by double counting element occurrences,
@@ -50,7 +53,7 @@ from scipy.optimize import Bounds, LinearConstraint, milp
 from scipy.sparse import csr_array
 
 from .errors import EmptyFamilyError, InvariantError
-from .orbits import CosetFamily, coset_family
+from .orbits import CosetFamily, _least_translate, coset_family
 from .subspaces import Subspace, base_of, span
 
 DEFAULT_NODE_BUDGET = 10**7
@@ -85,26 +88,36 @@ class BoundsReport:
     case: str  # "subfield-coset" | "nested-subspace" | "generic"
 
 
-def _family_sets(family) -> list[frozenset[int]]:
-    raw = getattr(family, "sets", family)
-    return [frozenset(s) for s in raw]
+def _rows(family) -> tuple[np.ndarray, np.ndarray]:
+    """(values, indptr): set r of the family is values[indptr[r]:indptr[r + 1]].
+
+    A CosetFamily lists its groups in family order.  Any other iterable of
+    sets is deduplicated, keeping first-seen order.
+    """
+    if isinstance(family, CosetFamily):
+        blocks = family.blocks()
+        values = np.concatenate([block.ravel() for block in blocks])
+        lengths = np.repeat([b.shape[1] for b in blocks], [b.shape[0] for b in blocks])
+    else:
+        sets = list(dict.fromkeys(frozenset(s) for s in family))
+        if not sets:
+            raise EmptyFamilyError("cannot hit an empty family")
+        if any(not s for s in sets):
+            raise ValueError("a family containing the empty set has no hitting set")
+        values = np.array([e for s in sets for e in sorted(s)], np.int64)
+        lengths = [len(s) for s in sets]
+    return values, np.concatenate(([0], np.cumsum(lengths)))
 
 
-def _greedy_hitting(sets, elements) -> list[int]:
-    emask = {e: 0 for e in elements}
-    for i, s in enumerate(sets):
-        for e in s:
-            emask[e] |= 1 << i
+def _greedy_hitting(a: csr_array) -> list[int]:
+    """Columns picked by max coverage of unhit rows; ties go to the lowest column."""
+    by_col = a.tocsc()
+    unhit = np.ones(a.shape[0])
     picked = []
-    unhit = (1 << len(sets)) - 1
-    while unhit:
-        best_e, best_c = None, 0
-        for e in elements:
-            c = (emask[e] & unhit).bit_count()
-            if c > best_c:
-                best_e, best_c = e, c
-        picked.append(best_e)
-        unhit &= ~emask[best_e]
+    while unhit.any():
+        col = int(np.argmax(a.T @ unhit))
+        picked.append(col)
+        unhit[by_col.indices[by_col.indptr[col] : by_col.indptr[col + 1]]] = 0.0
     return picked
 
 
@@ -117,23 +130,18 @@ def min_hitting_set(family, budget: int = DEFAULT_NODE_BUDGET) -> HittingResult:
     """
     if isinstance(family, CosetFamily) and family.center is None:
         return _memo_solve(family, budget)
-    return _solve(_family_sets(family), budget)
+    return _solve(*_rows(family), budget)
 
 
-def _solve(sets: list[frozenset[int]], budget: int) -> HittingResult:
-    """One HiGHS MILP over the set-by-element incidence matrix."""
-    if not sets:
-        raise EmptyFamilyError("cannot hit an empty family")
-    if any(not s for s in sets):
-        raise ValueError("a family containing the empty set has no hitting set")
-    # Duplicates do not change the optimum; drop them, keeping first-seen order.
-    sets = list(dict.fromkeys(sets))
-    elements = sorted(frozenset().union(*sets))
-    index = {e: i for i, e in enumerate(elements)}
-    rows = [r for r, s in enumerate(sets) for _ in s]
-    cols = [index[e] for s in sets for e in s]
+def _solve(values: np.ndarray, indptr: np.ndarray, budget: int) -> HittingResult:
+    """One HiGHS MILP over the set-by-element incidence matrix.
+
+    Rows are the sets in order and columns the elements in ascending
+    value, so equal families give HiGHS equal matrices.
+    """
+    elements, cols = np.unique(values, return_inverse=True)
     a = csr_array(
-        (np.ones(len(cols)), (rows, cols)), shape=(len(sets), len(elements))
+        (np.ones(len(cols)), cols, indptr), shape=(len(indptr) - 1, len(elements))
     )
     res = milp(
         c=np.ones(len(elements)),
@@ -144,68 +152,30 @@ def _solve(sets: list[frozenset[int]], budget: int) -> HittingResult:
     )
     candidate = None
     if res.x is not None:
-        candidate = [e for e in elements if res.x[index[e]] > 0.5]
-        if any(s.isdisjoint(candidate) for s in sets):
-            candidate = None
+        chosen = res.x[cols] > 0.5
+        if np.logical_or.reduceat(chosen, indptr[:-1]).all():
+            candidate = np.flatnonzero(res.x > 0.5)
     if res.status == 0 and candidate is not None:
-        return HittingResult(tuple(candidate), "exact")
+        return HittingResult(tuple(elements[candidate].tolist()), "exact")
     # Budget exhausted (or solver gave up): report the best upper bound seen.
-    greedy = sorted(_greedy_hitting(sets, elements))
+    greedy = sorted(_greedy_hitting(a))
     if candidate is None or len(greedy) <= len(candidate):
         candidate = greedy
-    return HittingResult(tuple(candidate), "greedy-upper-only")
-
-
-def _least_rotation(seq: list[int]) -> int:
-    """Start of the lexicographically least rotation of seq (Booth, linear time)."""
-    doubled = seq + seq
-    fail = [-1] * len(doubled)
-    k = 0
-    for j in range(1, len(doubled)):
-        c = doubled[j]
-        i = fail[j - k - 1]
-        while i != -1 and c != doubled[k + i + 1]:
-            if c < doubled[k + i + 1]:
-                k = j - i - 1
-            i = fail[i]
-        if c != doubled[k + i + 1]:  # here i == -1
-            if c < doubled[k]:
-                k = j
-            fail[j - k] = -1
-        else:
-            fail[j - k] = i + 1
-    return k
-
-
-def _least_translate(logs, group: int) -> tuple[int, ...]:
-    """The lexicographically least translate of a log-set mod group.
-
-    A translate that puts member s_r at 0 lists the partial sums of the
-    cyclic gap sequence read from r, so the least translate starts at the
-    least rotation of the gaps.
-    """
-    s = sorted(logs)
-    gaps = [b - a for a, b in zip(s, s[1:])] + [s[0] + group - s[-1]]
-    start = s[_least_rotation(gaps)]
-    return tuple(sorted((x - start) % group for x in s))
+    return HittingResult(tuple(elements[candidate].tolist()), "greedy-upper-only")
 
 
 def _canonical_class(family: CosetFamily) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """(f, key): the least image of the family's scaling orbits under x -> x^(p^f).
 
-    One log-set per orbit (the first set of each seed index) is mapped by
-    log -> p^f * log and reduced to its least translate; the key is the
-    sorted tuple of those forms, at the smallest f < n that minimises it.
+    Each kept seed's logs are mapped by log -> p^f * log and reduced to
+    their least translate; the key is the sorted tuple of those forms, at
+    the smallest f < n that minimises it.
     """
     ctx = family.ctx
     group = ctx.order - 1
-    firsts: dict[int, frozenset[int]] = {}
-    for t, s in zip(family.seed_index, family.sets):
-        firsts.setdefault(t, s)
-    orbit_logs = [[ctx.log(x) for x in s] for s in firsts.values()]
     key, f = min(
         (tuple(sorted(_least_translate([ctx.p**f * v % group for v in logs], group)
-                      for logs in orbit_logs)), f)
+                      for logs in family.logs)), f)
         for f in range(ctx.n)
     )
     return f, key
@@ -220,7 +190,7 @@ def _memo_solve(family: CosetFamily, budget: int) -> HittingResult:
     entry = _MEMO.get(memo_key)
     if entry is None:
         seeds = [span(ctx, family.q, [ctx.exp(v) for v in form]) for form in key]
-        res = _solve(list(coset_family(seeds).sets), budget)
+        res = _solve(*_rows(coset_family(seeds)), budget)
         entry = (tuple(ctx.log(w) for w in res.witness), res.method)
         with _MEMO_LOCK:
             if len(_MEMO) >= MEMO_LIMIT:
@@ -229,7 +199,7 @@ def _memo_solve(family: CosetFamily, budget: int) -> HittingResult:
     logs, method = entry
     back = ctx.p ** (ctx.n - f)
     witness = tuple(sorted(ctx.exp(back * v % group) for v in logs))
-    if any(s.isdisjoint(witness) for s in family.sets):
+    if family.first_miss(witness) is not None:
         raise InvariantError("memoised witness misses a set of the caller's family")
     return HittingResult(witness, method)
 

@@ -18,7 +18,10 @@ coset, which is what the multi-seed designs exploit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
+
+import numpy as np
 
 from .errors import (
     BudgetExceededError, InvalidDivisorError, InvariantError, NonIntegerResultError,
@@ -34,68 +37,128 @@ ENUMERATION_BUDGET = 10**5
 
 @dataclass(frozen=True)
 class CosetFamily:
-    """The distinct sets {center + b*S_t} over all nonzero b and seeds t.
+    """The distinct groups {center + b*S_t*} over all nonzero b and seeds t.
 
-    sets[i] was first produced by seeds[seed_index[i]] with multiplier
-    b_value[i]; that witness pair lets callers rebuild the matching dilated
-    repair scheme for any group.  universe is where failure patterns live:
-    everything except the repaired point (or except 0 when center is None).
+    In discrete logs a scaling is a translation, so one seed holds all of
+    its groups: group j of seed t is z^j * S_t*, the elements whose logs
+    are logs[i] + j, for j below periods[i] = (q^ell - 1) /
+    stabilizer_order(S_t), where kept[i] = t.  Two seeds share all of their
+    groups (one lies in the other's scaling orbit) or none, so a seed whose
+    groups an earlier seed already gave is dropped and kept lists the
+    others.  Family order is seeds in order, then j ascending; blocks()
+    builds the groups as arrays, and sets, seed_index and len() are views
+    in that order.
     """
 
     ctx: FieldCtx
     q: int
     center: int | None
-    sets: tuple[frozenset[int], ...]
-    seed_index: tuple[int, ...]
-    b_value: tuple[int, ...]
-    universe: frozenset[int]
+    kept: tuple[int, ...]
+    logs: tuple[tuple[int, ...], ...]  # sorted logs of S_t*
+    periods: tuple[int, ...]
 
     def __len__(self):
-        return len(self.sets)
+        return sum(self.periods)
+
+    def blocks(self) -> list[np.ndarray]:
+        """One (period, |S_t*|) array per kept seed; row j is group j, shifted by center."""
+        out = []
+        for logs, period in zip(self.logs, self.periods):
+            steps = np.arange(period, dtype=np.int32)[:, None]  # logs stay below 2^21
+            block = self.ctx.exp_array(steps + np.array(logs, np.int32))
+            out.append(block if self.center is None else self.ctx.add_array(block, self.center))
+        return out
+
+    @cached_property
+    def sets(self) -> tuple[frozenset[int], ...]:
+        """Every group as a frozenset, in family order."""
+        return tuple(frozenset(row) for block in self.blocks() for row in block.tolist())
+
+    @property
+    def seed_index(self) -> tuple[int, ...]:
+        """The seed each group comes from, in family order."""
+        return tuple(t for t, period in zip(self.kept, self.periods) for _ in range(period))
+
+    def first_miss(self, witness) -> int | None:
+        """The first kept seed with a group that misses witness, else None.
+
+        Group j of seed t meets w iff j = log(w - center) - log s for some
+        s in S_t*.  Those differences are periodic in j with the seed's
+        period, so taken mod the period they must cover every j below it:
+        |witness| * |S_t*| work and no group is built.
+        """
+        ctx, shift = self.ctx, self.center or 0
+        wlogs = np.array([ctx.log(ctx.sub(w, shift)) for w in witness if w != shift], np.int64)
+        for t, logs, period in zip(self.kept, self.logs, self.periods):
+            covered = np.zeros(period, bool)
+            covered[(wlogs[:, None] - np.array(logs)) % period] = True
+            if not covered.all():
+                return t
+        return None
 
 
 def coset_family(seeds, center: int | None = None) -> CosetFamily:
     """Build the deduplicated coset family of one or more subspace seeds.
 
-    z^j * S* depends only on j modulo (q^ell - 1) / stabilizer_order(S), so
-    each seed scales by z^j for j below that period and no further: every
-    group appears once, at its first multiplier.  Groups already produced
-    by an earlier seed keep that seed's witness.
+    Each seed is stored as its sorted logs and its period; no group is
+    built.  A seed is dropped when its least translate (the orbit form of
+    its logs, see _least_translate) equals an earlier seed's.  center must
+    be a field element.
     """
     seeds = list(seeds)
     if not seeds:
         raise ValueError("need at least one seed")
     ctx = seeds[0].ctx
     q = seeds[0].q
-    for S in seeds:
+    if center is not None and not 0 <= center < ctx.order:
+        raise ValueError(f"need 0 <= center < n = {ctx.order}, got {center}")
+    group = ctx.order - 1
+    forms: dict[tuple[int, ...], tuple] = {}  # least translate -> (t, logs, period)
+    for t, S in enumerate(seeds):
         if S.ctx is not ctx or S.q != q:
             raise ValueError("all seeds must share one field context and q")
         if 0 not in S.members:
             raise SeedWithoutZeroError(f"seed {sorted(S.members)} does not contain 0")
-    add, mul = ctx.add, ctx.mul
-    first_seen: dict[frozenset[int], tuple[int, int]] = {}
-    for t, S in enumerate(seeds):
-        star = S.star()
-        for j in range((ctx.order - 1) // stabilizer_order(S)):
-            b = ctx.exp(j)
-            if center is None:
-                grp = frozenset(mul(b, x) for x in star)
-            else:
-                grp = frozenset(add(center, mul(b, x)) for x in star)
-            if grp not in first_seen:
-                first_seen[grp] = (t, b)
-    universe = frozenset(ctx.elements()) - {0 if center is None else center}
-    sets = tuple(first_seen)
-    witnesses = tuple(first_seen[g] for g in sets)
-    return CosetFamily(
-        ctx,
-        q,
-        center,
-        sets,
-        tuple(w[0] for w in witnesses),
-        tuple(w[1] for w in witnesses),
-        universe,
-    )
+        period = group // stabilizer_order(S)  # rejects the trivial seed
+        star_logs = tuple(sorted(ctx.log(x) for x in S.star()))
+        forms.setdefault(_least_translate(star_logs, group), (t, star_logs, period))
+    kept, logs, periods = zip(*forms.values())
+    return CosetFamily(ctx, q, center, kept, logs, periods)
+
+
+def _least_rotation(seq: list[int]) -> int:
+    """Start of the lexicographically least rotation of seq (Booth, linear time)."""
+    doubled = seq + seq
+    fail = [-1] * len(doubled)
+    k = 0
+    for j in range(1, len(doubled)):
+        c = doubled[j]
+        i = fail[j - k - 1]
+        while i != -1 and c != doubled[k + i + 1]:
+            if c < doubled[k + i + 1]:
+                k = j - i - 1
+            i = fail[i]
+        if c != doubled[k + i + 1]:  # here i == -1
+            if c < doubled[k]:
+                k = j
+            fail[j - k] = -1
+        else:
+            fail[j - k] = i + 1
+    return k
+
+
+def _least_translate(logs, group: int) -> tuple[int, ...]:
+    """The lexicographically least translate of a log-set mod group.
+
+    A translate that puts member s_r at 0 lists the partial sums of the
+    cyclic gap sequence read from r, so the least translate starts at the
+    least rotation of the gaps.  It is the same for every scaling of the
+    set, so it names the set's scaling orbit.
+    """
+    s = sorted(logs)
+    gaps = [b - a for a, b in zip(s, s[1:])] + [s[0] + group - s[-1]]
+    start = s[_least_rotation(gaps)]
+    return tuple(sorted((x - start) % group for x in s))
 
 
 def stabilizer_order(S: Subspace) -> int:

@@ -198,34 +198,10 @@ def _helper_data(ctx: FieldCtx, mq: int, evals, duals) -> tuple[tuple, tuple]:
     return basis, tuple(weights)
 
 
-def naive_seed_scheme(ctx: FieldCtx, S: Subspace, k: int) -> SeedScheme:
-    """Baseline scheme: u_i are constants forming an F_q-basis.
-
-    Every helper then sees a full-rank evaluation set, so the bandwidth is
-    (|S| - 1) * ell symbols, the full-download worst case.
-    """
-    mq = ctx.subfield_degree(S.q)
-    ell = ctx.n // mq
-    u = tuple((ctx.exp(i),) for i in range(ell))
-    return SeedScheme(ctx, S, k, u)
-
-
 def verify_full_rank(scheme) -> bool:
     """Full-Rank Condition: the evaluations at the repaired point span F_q^ell."""
     evals = scheme.evals_at(scheme.repaired_point)
     return scheme.ctx.rank_over(scheme.mq, evals) == scheme.ell
-
-
-def bandwidth(scheme) -> int:
-    """Total F_q-symbols downloaded: sum of evaluation ranks over helpers.
-
-    Recomputed from the evaluations; a SeedScheme's ``bandwidth`` is the
-    same sum over its stored echelon bases.
-    """
-    ctx = scheme.ctx
-    return sum(
-        ctx.rank_over(scheme.mq, scheme.evals_at(beta)) for beta in scheme.helpers
-    )
 
 
 def dilate_translate(seed: SeedScheme, alpha_star: int, b: int) -> RepairScheme:

@@ -4,11 +4,13 @@ None is part of the library: no design path needs them, and each is the
 exhaustive or dense form of something the library computes from structure.
 """
 
+from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
 from compactrepair.errors import BudgetExceededError, EmptyFamilyError
 from compactrepair.orbits import CosetFamily, coset_family
+from compactrepair.repair import SeedScheme
 
 
 def check_polynomial_validity(ctx, k: int, coeffs) -> bool:
@@ -24,15 +26,18 @@ def check_polynomial_validity(ctx, k: int, coeffs) -> bool:
 def verify_tolerance_exhaustive(family, e: int, budget: int = 10**7) -> bool:
     """True iff every e-subset of the universe leaves some set untouched.
 
-    family is a CosetFamily (whose universe is used) or a list of sets
-    (whose union is).  Raises BudgetExceededError when C(|universe|, e)
-    exceeds the budget.
+    family is a CosetFamily, whose universe is every element but its
+    center (0 when it has none), or a list of sets, whose universe is their
+    union.  Raises BudgetExceededError when C(|universe|, e) exceeds the
+    budget.
     """
     sets = [frozenset(s) for s in getattr(family, "sets", family)]
     if not sets:
         raise EmptyFamilyError("cannot verify an empty family")
-    universe = getattr(family, "universe", None)
-    universe = sorted(frozenset().union(*sets) if universe is None else universe)
+    if isinstance(family, CosetFamily):
+        universe = family_universe(family)
+    else:
+        universe = sorted(frozenset().union(*sets))
     if e < 0 or e > len(universe):
         raise ValueError(f"need 0 <= e <= {len(universe)}, got {e}")
     patterns = comb(len(universe), e)
@@ -47,8 +52,23 @@ def verify_tolerance_exhaustive(family, e: int, budget: int = 10**7) -> bool:
     return True
 
 
-def coset_family_scan(seeds, center=None) -> CosetFamily:
-    """coset_family by scanning every multiplier z^j, j < q^ell - 1.
+def family_universe(family) -> list[int]:
+    """Where a CosetFamily's failure patterns live: every element but its center (or 0)."""
+    skip = family.center or 0
+    return [x for x in family.ctx.elements() if x != skip]
+
+
+@dataclass(frozen=True)
+class ScannedFamily:
+    """Groups found by coset_family_scan, each with the first (seed, b) that gave it."""
+
+    sets: tuple[frozenset[int], ...]
+    seed_index: tuple[int, ...]
+    multipliers: tuple[int, ...]
+
+
+def coset_family_scan(seeds, center=None) -> ScannedFamily:
+    """The groups of coset_family by scanning every multiplier z^j, j < q^ell - 1.
 
     Each distinct group keeps the first (seed index, b) that produced it,
     seeds in order and multipliers in increasing j.
@@ -63,17 +83,21 @@ def coset_family_scan(seeds, center=None) -> CosetFamily:
             b = ctx.exp(j)
             grp = frozenset(ctx.add(shift, ctx.mul(b, x)) for x in star)
             first_seen.setdefault(grp, (t, b))
-    universe = frozenset(ctx.elements()) - {shift}
     sets = tuple(first_seen)
-    return CosetFamily(
-        ctx,
-        seeds[0].q,
-        center,
+    return ScannedFamily(
         sets,
         tuple(first_seen[g][0] for g in sets),
         tuple(first_seen[g][1] for g in sets),
-        universe,
     )
+
+
+def group_witnesses(family) -> list[tuple[int, int]]:
+    """(seed index, multiplier b) of each group of a CosetFamily, in family order.
+
+    Group j of a kept seed t is center + z^j * S_t*, so its b is z^j.
+    """
+    ctx = family.ctx
+    return [(t, ctx.exp(j)) for t, period in zip(family.kept, family.periods) for j in range(period)]
 
 
 def digit_add(p: int, x: int, y: int) -> int:
@@ -140,14 +164,15 @@ def simulate_first_intact(bundle, alpha_star: int, e: int) -> dict:
     """
     family = coset_family(list(bundle.seeds), center=alpha_star)
     bws = [bundle.schemes[t].bandwidth for t in family.seed_index]
+    universe = family_universe(family)
     survived = bw_sum = 0
-    for pattern in combinations(sorted(family.universe), e):
+    for pattern in combinations(universe, e):
         failed = frozenset(pattern)
         bw = next((b for g, b in zip(family.sets, bws) if g.isdisjoint(failed)), None)
         if bw is not None:
             survived += 1
             bw_sum += bw
-    total = comb(len(family.universe), e)
+    total = comb(len(universe), e)
     frac = survived / total
     per_repair = bw_sum / survived if survived else None
     k, ell = bundle.k, bundle.ctx.ell
@@ -167,6 +192,27 @@ def simulate_first_intact(bundle, alpha_star: int, e: int) -> dict:
         "group_selection": "first-intact",
         "rng_seed": None,
     }
+
+
+def naive_seed_scheme(ctx, S, k: int) -> SeedScheme:
+    """Baseline scheme: u_i are constants forming an F_q-basis.
+
+    Every helper then sees a full-rank evaluation set, so the bandwidth is
+    (|S| - 1) * ell symbols, the full-download worst case.
+    """
+    ell = ctx.n // ctx.subfield_degree(S.q)
+    u = tuple((ctx.exp(i),) for i in range(ell))
+    return SeedScheme(ctx, S, k, u)
+
+
+def bandwidth(scheme) -> int:
+    """Total F_q-symbols downloaded: sum of evaluation ranks over helpers.
+
+    Recomputed from the evaluations; a SeedScheme's ``bandwidth`` is the
+    same sum over its stored echelon bases.
+    """
+    ctx = scheme.ctx
+    return sum(ctx.rank_over(scheme.mq, scheme.evals_at(beta)) for beta in scheme.helpers)
 
 
 def partition_dead_patterns(blocks: int, size: int, points: int, e: int) -> int:

@@ -12,7 +12,6 @@ from math import comb, gcd
 
 from compactrepair import (
     base_of,
-    bandwidth,
     bounds,
     coset_family,
     count_with_base,
@@ -24,7 +23,6 @@ from compactrepair import (
     gaussian_coefficient,
     helper_payload,
     min_hitting_set,
-    naive_seed_scheme,
     orbit_count_formula,
     orbit_decomposition,
     recover_symbol,
@@ -32,7 +30,7 @@ from compactrepair import (
     verify_full_rank,
     verify_reference_example,
 )
-from oracles import verify_tolerance_exhaustive
+from oracles import bandwidth, group_witnesses, naive_seed_scheme, verify_tolerance_exhaustive
 
 SWEEP_GRID = [(2, 4), (2, 6), (3, 2)]
 
@@ -113,7 +111,7 @@ def test_criterion_4_upper_bound_attainment():
         assert res.method == "exact"
         assert res.size == 7
         assert bundle.tolerance == 6
-        assert comb(len(fam.universe), 6) == 5005
+        assert comb(bundle.n - 1, 6) == 5005
         assert verify_tolerance_exhaustive(fam, 6) is True
         assert verify_tolerance_exhaustive(fam, 7) is False
 
@@ -131,7 +129,7 @@ def test_criterion_5_repair_correctness():
             ctx = bundle.ctx
             for alpha in (0, ctx.exp(5), ctx.exp(9)):
                 fam = coset_family(list(bundle.seeds), center=alpha)
-                for t, b in zip(fam.seed_index, fam.b_value):
+                for t, b in group_witnesses(fam):
                     scheme = dilate_translate(bundle.schemes[t], alpha, b)
                     for _ in range(100):
                         f = [rng.randrange(16) for _ in range(bundle.k)]

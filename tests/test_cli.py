@@ -149,12 +149,11 @@ def test_compare_bandwidth_cli(capsys):
     code, out, _ = run_cli(
         capsys,
         "compare-bandwidth",
-        "--n", "30", "--k", "10", "--ell", "8", "--e", "5", "--saving", "0.3",
+        "--n", "30", "--k", "10", "--ell", "8", "--e", "5",
     )
     assert code == 0
     data = json.loads(out)
     assert data["centralized_total"] == 112
-    assert data["decentralized_formula_total"] == 280.0
 
 
 def test_verify_example_cli(capsys):

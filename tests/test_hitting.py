@@ -2,6 +2,7 @@ import itertools
 import random
 import sys
 import threading
+from types import SimpleNamespace
 
 import pytest
 
@@ -13,6 +14,7 @@ from compactrepair import (
     field_new,
     hitting,
     min_hitting_set,
+    orbits,
     span,
 )
 from compactrepair.errors import BudgetExceededError, EmptyFamilyError, InvariantError
@@ -111,6 +113,28 @@ def test_budget_exhaustion_flags_result(gf64):
     assert res.method == "greedy-upper-only"
     assert res.size >= exact.size
     assert all(set(res.witness) & s for s in fam.sets)
+
+
+def reference_greedy(sets):
+    """Max coverage of the unhit sets, one element at a time; ties go to the least element."""
+    unhit = list(dict.fromkeys(frozenset(s) for s in sets))
+    picked = []
+    while unhit:
+        best = max(sorted(set().union(*unhit)), key=lambda e: sum(e in s for s in unhit))
+        picked.append(best)
+        unhit = [s for s in unhit if best not in s]
+    return sorted(picked)
+
+
+def test_greedy_fallback_matches_reference(monkeypatch):
+    # With no solver result at all, the witness is the greedy cover.
+    monkeypatch.setattr(hitting, "milp", lambda **kw: SimpleNamespace(x=None, status=1))
+    rng = random.Random(13)
+    for _ in range(60):
+        sets = random_family(rng)
+        res = min_hitting_set(sets)
+        assert res.method == "greedy-upper-only"
+        assert list(res.witness) == reference_greedy(sets)
 
 
 def test_monotone_under_adding_sets():
@@ -248,7 +272,7 @@ def test_least_translate_matches_brute_force():
         group = rng.randint(1, 40)
         logs = rng.sample(range(group), rng.randint(1, group))
         brute = min(tuple(sorted((x - t) % group for x in logs)) for t in range(group))
-        assert hitting._least_translate(logs, group) == brute
+        assert orbits._least_translate(logs, group) == brute
 
 
 def test_memo_result_does_not_depend_on_history(empty_memo):
@@ -294,7 +318,7 @@ def test_memo_size_agrees_with_direct_solve(field, delta):
             continue
         seen.add(frozenset(fam.sets))
         memo = min_hitting_set(fam)
-        direct = hitting._solve(list(fam.sets), hitting.DEFAULT_NODE_BUDGET)
+        direct = min_hitting_set(list(fam.sets))
         assert memo.method == direct.method == "exact"
         assert memo.size == direct.size
         assert all(set(memo.witness) & s for s in fam.sets)
@@ -324,7 +348,7 @@ def test_memo_evicts_oldest_under_concurrent_callers(gf16, empty_memo, monkeypat
     # while eight threads solve every family at once.
     monkeypatch.setattr(hitting, "MEMO_LIMIT", 2)
     families = [coset_family([S]) for S in enumerate_subspaces(gf16, 2, 2)]
-    expected = [hitting._solve(list(fam.sets), hitting.DEFAULT_NODE_BUDGET).size for fam in families]
+    expected = [min_hitting_set(list(fam.sets)).size for fam in families]
     errors = []
 
     def worker(seed):

@@ -1,6 +1,8 @@
 import random
+import tracemalloc
 from dataclasses import dataclass
 
+import numpy as np
 import pytest
 
 from compactrepair import (
@@ -23,7 +25,7 @@ from compactrepair.errors import (
     SeedWithoutZeroError,
 )
 from compactrepair.orbits import ENUMERATION_BUDGET
-from oracles import coset_family_scan
+from oracles import coset_family_scan, group_witnesses
 
 
 def brute_force_orbits(ctx, q, delta):
@@ -65,7 +67,7 @@ def test_golden_coset_family_centered(gf16):
     assert sorted(sorted(g) for g in fam.sets) == sorted(sorted(g) for g in expected)
     assert len(fam.sets) == 5
     assert all(gf16.exp(5) not in g for g in fam.sets)
-    assert fam.universe == frozenset(gf16.elements()) - {gf16.exp(5)}
+    assert frozenset().union(*fam.sets) == frozenset(gf16.elements()) - {gf16.exp(5)}
 
 
 def test_second_seed_has_fifteen_groups(gf16):
@@ -86,13 +88,43 @@ def test_whole_field_seed_single_group(gf16):
 def test_group_sizes_and_witnesses(gf16):
     S = span(gf16, 2, [gf16.exp(4), gf16.exp(5)])
     fam = coset_family([S], center=gf16.exp(3))
-    for grp, t, b in zip(fam.sets, fam.seed_index, fam.b_value):
+    for grp, (t, b) in zip(fam.sets, group_witnesses(fam), strict=True):
         assert len(grp) == 3
         assert t == 0
         rebuilt = frozenset(
             gf16.add(gf16.exp(3), gf16.mul(b, x)) for x in S.members if x
         )
         assert rebuilt == grp
+
+
+@pytest.mark.parametrize("p,ell", [(2, 4), (3, 2), (5, 2)], ids=["gf16", "gf9", "gf25"])
+def test_center_outside_the_field_rejected(p, ell):
+    ctx = field_new(p, 1, ell)
+    S = span(ctx, p, [1])
+    for center in (-1, -ctx.order, ctx.order, ctx.order + 3):
+        with pytest.raises(ValueError, match="center"):
+            coset_family([S], center=center)
+    top = coset_family([S], center=ctx.order - 1)
+    assert frozenset().union(*top.sets) == frozenset(range(ctx.order - 1))
+
+
+def test_generic_gf65536_family_is_held_in_logs():
+    # A generic delta=4 seed has 65535 groups of 15 points; the element-set
+    # build this replaced peaked near 60 MB under tracemalloc.
+    ctx = field_new(2, 1, 16)
+    S = next(enumerate_subspaces(ctx, 2, 4))
+    assert base_of(S) == 1
+    tracemalloc.start()
+    try:
+        fam = coset_family([S])
+        groups = np.concatenate(fam.blocks())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20
+    assert groups.shape == (65535, 15) == (len(fam), len(S.star()))
+    # every nonzero element lies in exactly |S*| groups, 0 in none
+    assert np.bincount(groups.ravel(), minlength=ctx.order).tolist() == [0] + [15] * 65535
 
 
 def test_seed_without_zero_rejected(gf16):
@@ -265,8 +297,7 @@ def assert_family_matches_scan(seeds, center):
     scanned = coset_family_scan(seeds, center=center)
     assert fam.sets == scanned.sets
     assert fam.seed_index == scanned.seed_index
-    assert fam.b_value == scanned.b_value
-    assert fam.universe == scanned.universe
+    assert group_witnesses(fam) == list(zip(scanned.seed_index, scanned.multipliers))
     assert fam.center == center
 
 

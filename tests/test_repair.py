@@ -7,12 +7,10 @@ from hypothesis import strategies as st
 from compactrepair import (
     HelperPayload,
     SeedScheme,
-    bandwidth,
     coset_family,
     dilate_translate,
     field_new,
     helper_payload,
-    naive_seed_scheme,
     recover_symbol,
     search_seed_scheme,
     span,
@@ -25,7 +23,7 @@ from compactrepair.errors import (
     RankDeficientError,
     ZeroDilationError,
 )
-from oracles import check_polynomial_validity
+from oracles import bandwidth, check_polynomial_validity, naive_seed_scheme
 
 
 @pytest.fixture
