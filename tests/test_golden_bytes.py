@@ -2,8 +2,10 @@
 
 The orbit, bundle and scheme digests were taken from the version before
 orbit enumeration, coset families and subspace polynomials were rewritten
-on the scaling structure; the exhaustive simulation digest from the version
-that scanned one frozenset per failure pattern.  A digest that changes
+on the scaling structure, except the (3,4,2), (5,3,2), (4,4,2) and (2,8,3)
+orbit digests, taken from the version that built every subspace one field
+element at a time; the exhaustive simulation digest from the version that
+scanned one frozenset per failure pattern.  A digest that changes
 means the output bytes changed: CLI `orbits` JSON and orbit sizes, bundle
 dumps(), a seed scheme's u, or an exhaustive SimReport.
 """
@@ -53,6 +55,24 @@ ORBITS = {
     (4, 3, 2, 2, 2): (
         "fbb6f462ab9b035fd29de4fe06cdbbf60edd5b8b772365f06672291a7d0c54b1",
         "3db4e2d15128484c18e33cde50510caf0a36044278b0f9e265f49f31e9bb1ee0",
+    ),
+    # odd p and F_4 scalars in the subspace enumeration, and the largest
+    # decomposition under ENUMERATION_BUDGET that the tests run
+    (3, 4, 2, 3, 1): (
+        "2ae822f8b315bfa61f32883537b7940a554142d7b848e2d135151dee548364d9",
+        "2dd691422427654935aa79274df34a1e2aef00d029f767a50b11b8c9ebc1e7ff",
+    ),
+    (5, 3, 2, 5, 1): (
+        "7875b5a8df00c3f1315cd309e78b27ff3b8aad2159e4a4145bb1a5a09fe4dc41",
+        "8eefd2920366bc3e63649af9c0f30192857c178059490e64b5e5dcd3c1edba5c",
+    ),
+    (4, 4, 2, 2, 2): (
+        "c98d94a749041a122375008f39e63bc2bc14007ecee19a61e6bf7d6ff9d1c3fd",
+        "13789e64988d3ab2af34ea60521a85796fd0181206099fe38512280d2b993075",
+    ),
+    (2, 8, 3, 2, 1): (
+        "108773c21dc17867347d9554e9d63084071a76e47f9f33fe52a127996f64e916",
+        "9918f837fa34cbf3d191d9ac8cfa4809eff821e4ad3e560ddd15ee8837a6d24f",
     ),
 }
 
