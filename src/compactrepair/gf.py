@@ -325,6 +325,7 @@ class FieldCtx:
             self._zech = pool[log[exp + np.where(exp % p == p - 1, 1 - p, 1)] + 1].tolist()
         self._exp = pool[exp + 1].tolist() * 2
         self._exp_table = exp
+        self._log_table = log
 
     # -- core arithmetic -------------------------------------------------
 
@@ -378,16 +379,24 @@ class FieldCtx:
         """z^j for every j of an integer array, as an array of the same shape."""
         return self._exp_table[np.asarray(logs) % (self.order - 1)]
 
-    def add_array(self, xs, c: int) -> np.ndarray:
-        """x + c for every element x of an integer array.
+    def log_array(self, xs) -> np.ndarray:
+        """Discrete logs of an integer array of nonzero elements, same shape."""
+        logs = self._log_table[np.asarray(xs)]
+        if (logs < 0).any():
+            raise ValueError("discrete log of zero is undefined")
+        return logs
 
-        Addition is digit-wise mod p on the coefficient encoding: an XOR
-        for p = 2, one array pass per digit otherwise.
+    def add_array(self, xs, c) -> np.ndarray:
+        """x + c elementwise, for an integer array xs and an int or array c.
+
+        xs and c broadcast together.  Addition is digit-wise mod p on the
+        coefficient encoding: an XOR for p = 2, one array pass per digit
+        otherwise.
         """
         x = np.asarray(xs, np.intp)
         if self.p == 2:
             return x ^ c
-        out, weight = np.zeros_like(x), 1
+        out, weight = np.zeros(np.broadcast_shapes(x.shape, np.shape(c)), np.intp), 1
         while weight < self.order:
             out += (x // weight + c // weight) % self.p * weight
             weight *= self.p

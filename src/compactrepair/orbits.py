@@ -28,10 +28,11 @@ from .errors import (
     SeedWithoutZeroError,
 )
 from .gf import FieldCtx, prime_factors
-from .subspaces import Subspace, base_of, enumerate_subspaces, gaussian_coefficient
+from .subspaces import Subspace, _subspace_blocks, base_of, gaussian_coefficient
 
 # Most delta-subspaces orbit_decomposition will enumerate; the largest
-# instance in the tests and the benchmark is [8 choose 2]_2 = 10795.
+# instance in the tests is [8 choose 3]_2 = 97155, and in the benchmark
+# [8 choose 2]_2 = 10795.
 ENUMERATION_BUDGET = 10**5
 
 
@@ -192,15 +193,20 @@ class OrbitReport:
 def orbit_decomposition(ctx: FieldCtx, q: int, delta: int) -> OrbitReport:
     """Partition all delta-dimensional subspaces into scaling orbits.
 
-    The enumeration gives every subspace with its canonical basis.  Orbits
-    are popped from it in enumeration order: the first pending subspace S
-    is walked through S, zS, z^2 S, ... until the walk returns to S, and
-    every subspace on the walk leaves the pending map.  Each orbit's
-    representative is its lexicographically least canonical basis, so
-    reports are reproducible.  The walk length is checked against the
-    orbit-stabilizer relation for base_of(S), and the per-base counts
-    against the Gaussian coefficient.  Raises BudgetExceededError when
-    there are more than ENUMERATION_BUDGET subspaces to enumerate.
+    Works on the arrays of the subspace enumeration, with no Subspace
+    built but the representatives.  Subspace k is keyed by the sorted
+    logs of its nonzero members; scaling by z adds 1 to every log, so one
+    row sort of keys and images together pairs each image with the
+    subspace it equals, giving the permutation nxt (S_k scaled by z is
+    S_nxt[k]).  Its cycles are the orbits: each is labelled by its first
+    enumerated subspace (pointer doubling takes the least index around
+    every cycle), orbits are listed in that order, and an orbit's size is
+    its cycle length.  Each orbit's representative is its
+    lexicographically least canonical basis, so reports are reproducible.
+    The cycle length is checked against the orbit-stabilizer relation for
+    base_of of the representative, and the per-base counts against the
+    Gaussian coefficient.  Raises BudgetExceededError when there are more
+    than ENUMERATION_BUDGET subspaces to enumerate.
     """
     m = ctx.subfield_degree(q)
     ell = ctx.n // m
@@ -212,31 +218,63 @@ def orbit_decomposition(ctx: FieldCtx, q: int, delta: int) -> OrbitReport:
             f"{total} {delta}-subspaces exceed the enumeration budget of "
             f"{ENUMERATION_BUDGET}"
         )
-    mul, z = ctx.mul, ctx.generator
-    pending = {S.members: S.basis for S in enumerate_subspaces(ctx, q, delta)}
+    group = ctx.order - 1
+    blocks = [
+        (bases, np.sort(ctx.log_array(members[:, 1:]), axis=1))
+        for bases, members in _subspace_blocks(ctx, q, delta)
+    ]
+    bases = np.concatenate([b for b, _ in blocks])
+    keys = np.concatenate([k for _, k in blocks])
+    found = len(keys)
+    # Sort keys (tag 0) and z-images (tag 1) together: equal rows pair up,
+    # the key first, so each image sits right after the subspace it equals.
+    rows = _pack(np.concatenate([keys, np.sort((keys + 1) % group, axis=1)]), group)
+    tags = np.repeat([0, 1], found)
+    order = np.lexsort((tags, *rows.T[::-1]))
+    subspace, image = order[0::2], order[1::2]
+    if not (
+        (subspace < found).all()
+        and (image >= found).all()
+        and (rows[subspace] == rows[image]).all()
+    ):
+        raise InvariantError("scaling by z does not permute the enumerated subspaces")
+    nxt = np.empty(found, np.intp)
+    nxt[image - found] = subspace
+    first, jump = np.arange(found), nxt
+    for _ in range((group - 1).bit_length()):  # 2^steps >= group >= any cycle
+        first = np.minimum(first, first[jump])
+        jump = jump[jump]
+    _, orbit_of, sizes = np.unique(first, return_inverse=True, return_counts=True)
+    by_basis = np.lexsort((*bases.T[::-1], orbit_of))
+    starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
     reps: list[Subspace] = []
-    sizes: list[int] = []
     counts: dict[int, int] = {mm: 0 for mm in range(1, gcd(ell, delta) + 1) if gcd(ell, delta) % mm == 0}
-    while pending:
-        start = members = next(iter(pending))
-        orbit = []
-        while not orbit or members != start:
-            orbit.append((pending.pop(members), members))
-            members = frozenset(mul(z, x) for x in members)
-        base_m = base_of(Subspace(ctx, q, delta, *orbit[0]))
-        if len(orbit) * (q**base_m - 1) != q**ell - 1:
+    for r, size in zip(by_basis[starts].tolist(), sizes.tolist()):
+        members = frozenset([0, *ctx.exp_array(keys[r]).tolist()])
+        rep = Subspace(ctx, q, delta, tuple(bases[r].tolist()), members)
+        base_m = base_of(rep)
+        if size * (q**base_m - 1) != q**ell - 1:
             raise InvariantError(
-                f"orbit of size {len(orbit)} breaks orbit-stabilizer for "
+                f"orbit of size {size} breaks orbit-stabilizer for "
                 f"base field order q^{base_m}"
             )
-        counts[base_m] += len(orbit)
-        reps.append(Subspace(ctx, q, delta, *min(orbit)))
-        sizes.append(len(orbit))
+        counts[base_m] += size
+        reps.append(rep)
     if sum(counts.values()) != total:
         raise InvariantError(
             f"orbits cover {sum(counts.values())} subspaces, expected {total}"
         )
-    return OrbitReport(q, ell, delta, counts, len(reps), tuple(reps), tuple(sizes))
+    return OrbitReport(q, ell, delta, counts, len(reps), tuple(reps), tuple(sizes.tolist()))
+
+
+def _pack(rows: np.ndarray, group: int) -> np.ndarray:
+    """Rows of logs below group, several logs to an int64 word; equal iff equal."""
+    bits = max(1, (group - 1).bit_length())  # GF(2) has group 1
+    per = 63 // bits
+    words = np.zeros((len(rows), -(-rows.shape[1] // per)), np.int64)
+    for c, col in enumerate(rows.T):
+        words[:, c // per] = words[:, c // per] << bits | col
+    return words
 
 
 def mobius(v: int) -> int:

@@ -5,12 +5,41 @@ exhaustive or dense form of something the library computes from structure.
 """
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 
 from compactrepair.errors import BudgetExceededError, EmptyFamilyError
 from compactrepair.orbits import CosetFamily, coset_family
 from compactrepair.repair import SeedScheme
+from compactrepair.subspaces import Subspace, _closure
+
+
+def enumerate_subspaces_scan(ctx, q: int, delta: int):
+    """Every delta-dimensional F_q-subspace, built one field element at a time.
+
+    Same order as enumerate_subspaces: pivot-column combinations
+    ascending, then the free entries of the reduced row echelon basis in
+    subfield-element order.  Each basis vector comes from from_coords and
+    the members from span's closure.
+    """
+    m = ctx.subfield_degree(q)
+    ell = ctx.n // m
+    scalars = ctx.subfield_elements(m)
+    for pivots in combinations(range(ell), delta):
+        free = [
+            (i, j)
+            for i in range(delta)
+            for j in range(ell)
+            if j > pivots[i] and j not in pivots
+        ]
+        for values in product(scalars, repeat=len(free)):
+            rows = [[0] * ell for _ in range(delta)]
+            for i, pcol in enumerate(pivots):
+                rows[i][pcol] = 1
+            for (i, j), v in zip(free, values):
+                rows[i][j] = v
+            basis = tuple(ctx.from_coords(r, m) for r in rows)
+            yield Subspace(ctx, q, delta, basis, _closure(ctx, m, basis))
 
 
 def check_polynomial_validity(ctx, k: int, coeffs) -> bool:

@@ -3,6 +3,7 @@ import json
 import random
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -138,6 +139,20 @@ def test_zech_arithmetic_matches_digit_loops_exhaustive(p, s, ell):
     for x in ctx.elements():
         for y in ctx.elements():
             _check_against_digit_loops(ctx, x, y)
+
+
+@pytest.mark.parametrize("p, s, ell", [(2, 1, 4), (2, 2, 2), (3, 1, 3), (5, 1, 2)],
+                         ids=["gf16", "gf16-q4", "gf27", "gf25"])
+def test_array_arithmetic_matches_scalar_exhaustive(p, s, ell):
+    ctx = field_new(p, s, ell)
+    xs = np.array(ctx.elements())
+    # add_array takes an int or an array that broadcasts against xs
+    table = ctx.add_array(xs[:, None], xs[None, :])
+    assert table.tolist() == [[ctx.add(x, y) for y in ctx.elements()] for x in ctx.elements()]
+    assert ctx.add_array(xs, 5).tolist() == [ctx.add(x, 5) for x in ctx.elements()]
+    assert ctx.log_array(xs[1:]).tolist() == [ctx.log(x) for x in ctx.nonzero_elements()]
+    with pytest.raises(ValueError, match="zero"):
+        ctx.log_array(xs)
 
 
 @pytest.fixture(scope="module", params=[(3, 4), (5, 3), (7, 2), (3, 8)],

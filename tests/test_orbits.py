@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from compactrepair import (
+    base_counts,
     base_of,
     coset_family,
     count_with_base,
@@ -224,14 +225,22 @@ def test_orbit_decomposition_single_orbit_cases(gf16):
     assert orbit_decomposition(gf16, 2, 1).orbit_count == 1
 
 
+def test_orbit_decomposition_gf256_delta3():
+    # the largest decomposition under ENUMERATION_BUDGET in the tests
+    rep = orbit_decomposition(field_new(2, 1, 8), 2, 3)
+    assert rep.orbit_count == orbit_count_formula(2, 8, 3) == 381
+    assert rep.counts_by_base == base_counts(2, 8, 3)
+    assert sum(rep.orbit_sizes) == 97155 == gaussian_coefficient(8, 3, 2)
+
+
 def test_orbit_decomposition_refuses_unbounded_enumeration():
     assert gaussian_coefficient(6, 3, 2) <= ENUMERATION_BUDGET
     with pytest.raises(BudgetExceededError, match="budget"):
         orbit_decomposition(field_new(2, 1, 12), 2, 6)
 
 
-# (p, s, ell, delta): GF(16), GF(64), GF(27) over F_3 and GF(64) over F_4.
-ORBIT_CASES = [(2, 1, 4, 2), (2, 1, 6, 3), (3, 1, 3, 2), (2, 2, 3, 2)]
+# (p, s, ell, delta): GF(16), GF(64), GF(27) and GF(81) over F_3, GF(64) over F_4.
+ORBIT_CASES = [(2, 1, 4, 2), (2, 1, 6, 3), (3, 1, 3, 2), (2, 2, 3, 2), (3, 1, 4, 2)]
 
 
 def scaled_bases(ctx, S):
@@ -252,6 +261,21 @@ def test_orbit_decomposition_checks_stabilizer_and_total(gf16, monkeypatch):
     monkeypatch.undo()
     monkeypatch.setattr(orbits_module, "gaussian_coefficient", lambda ell, delta, q: 36)
     with pytest.raises(InvariantError, match="expected 36"):
+        orbit_decomposition(gf16, 2, 2)
+
+
+def test_orbit_decomposition_checks_scaling_closure(gf16, monkeypatch):
+    import compactrepair.orbits as orbits_module
+
+    # without its first subspace the enumeration is not closed under z
+    blocks = orbits_module._subspace_blocks
+
+    def drop_first(ctx, q, delta):
+        for i, (bases, members) in enumerate(blocks(ctx, q, delta)):
+            yield (bases[1:], members[1:]) if i == 0 else (bases, members)
+
+    monkeypatch.setattr(orbits_module, "_subspace_blocks", drop_first)
+    with pytest.raises(InvariantError, match="does not permute"):
         orbit_decomposition(gf16, 2, 2)
 
 

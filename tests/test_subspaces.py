@@ -1,16 +1,20 @@
 import itertools
 import random
+import time
 
 import pytest
 
+import compactrepair.design as design_module
 from compactrepair import (
     base_of,
+    design_single_seed,
     enumerate_subspaces,
+    field_new,
     gaussian_coefficient,
     span,
     subspace_polynomial,
 )
-from oracles import linearized_to_dense, subspace_polynomial_product
+from oracles import enumerate_subspaces_scan, linearized_to_dense, subspace_polynomial_product
 
 
 def brute_force_subspaces(ctx, q, delta):
@@ -90,6 +94,55 @@ def test_enumeration_matches_brute_force(gf16):
     # canonical bases agree between the two construction paths
     for members, S in enumerated.items():
         assert oracle[members].basis == S.basis
+
+
+# (p, s, ell, deltas): GF(16), GF(64), GF(81) over F_3, GF(64) over F_4, GF(125)
+SCAN_CASES = [
+    (2, 1, 4, (0, 1, 2, 3, 4)),
+    (2, 1, 6, (3,)),
+    (3, 1, 4, (2,)),
+    (2, 2, 3, (2,)),
+    (5, 1, 3, (1, 2)),
+]
+
+
+@pytest.mark.parametrize(
+    "case", SCAN_CASES, ids=[f"p{c[0]}-s{c[1]}-ell{c[2]}" for c in SCAN_CASES]
+)
+def test_enumeration_matches_element_scan(case):
+    p, s, ell, deltas = case
+    ctx = field_new(p, s, ell)
+    for delta in deltas:
+        got = [(S.dim, S.basis, S.members) for S in enumerate_subspaces(ctx, ctx.q, delta)]
+        scan = [(S.dim, S.basis, S.members) for S in enumerate_subspaces_scan(ctx, ctx.q, delta)]
+        assert got == scan
+        assert len(got) == gaussian_coefficient(ell, delta, ctx.q)
+
+
+class _SeedChosen(Exception):
+    pass
+
+
+def test_enumeration_is_lazy(monkeypatch):
+    # The first pivot block of GF(2^12) 6-subspaces holds 2^36 subspaces.
+    ctx = field_new(2, 1, 12)
+    start = time.perf_counter()
+    first = next(enumerate_subspaces(ctx, 2, 6))
+    assert time.perf_counter() - start < 1.0
+    assert first == next(enumerate_subspaces_scan(ctx, 2, 6))
+
+    # design_single_seed then solves an exact MILP with no time bound, so
+    # stop it at the solver: everything before, the seed pick included, is timed.
+    def stop(family):
+        raise _SeedChosen(family)
+
+    monkeypatch.setattr(design_module, "min_hitting_set", stop)
+    start = time.perf_counter()
+    with pytest.raises(_SeedChosen) as stopped:
+        design_single_seed(2, 1, 12, 2, delta=6, strategy="first")
+    assert time.perf_counter() - start < 1.0
+    family = stopped.value.args[0]
+    assert family.logs == (tuple(sorted(ctx.log(x) for x in first.star())),)
 
 
 def test_enumeration_yields_each_once(gf64):
