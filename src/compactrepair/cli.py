@@ -97,13 +97,20 @@ def _cmd_orbits(args) -> int:
 
 
 def _cmd_design(args) -> int:
+    basis_given = args.seed_basis is not None
+    if args.multi_seed and basis_given:
+        raise ValueError("--multi-seed and --seed-basis cannot be combined")
+    if basis_given and args.delta is not None:
+        raise ValueError("--seed-basis fixes the dimension; drop --delta")
+    if args.strategy is not None and (args.multi_seed or basis_given):
+        raise ValueError("--strategy picks the seed for --delta alone; drop it")
     p, s = _prime_power(args.q)
     modulus = _parse_modulus(args.modulus)
     if args.multi_seed:
         if args.delta is None:
             raise ValueError("--multi-seed requires --delta")
         bundle = design_multi_seed(p, s, args.ell, args.k, args.delta, modulus=modulus)
-    elif args.seed_basis is not None:
+    elif basis_given:
         bundle = design_single_seed(
             p, s, args.ell, args.k, seed_basis=_parse_ints(args.seed_basis), modulus=modulus
         )
@@ -111,7 +118,8 @@ def _cmd_design(args) -> int:
         if args.delta is None:
             raise ValueError("give --seed-basis or --delta")
         bundle = design_single_seed(
-            p, s, args.ell, args.k, delta=args.delta, strategy=args.strategy, modulus=modulus
+            p, s, args.ell, args.k, delta=args.delta,
+            strategy=args.strategy or "subfield-coset", modulus=modulus,
         )
     _emit(bundle.to_json_dict(), args.output)
     return 0
@@ -175,7 +183,8 @@ def build_parser() -> _Parser:
     sp.add_argument("--multi-seed", action="store_true")
     sp.add_argument("--seed-basis", help="comma-separated basis elements")
     sp.add_argument(
-        "--strategy", default="subfield-coset", choices=["subfield-coset", "first"]
+        "--strategy", choices=["subfield-coset", "first"],
+        help="single seed from --delta (default subfield-coset)",
     )
     sp.add_argument("--modulus")
     sp.add_argument(

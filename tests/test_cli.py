@@ -257,6 +257,37 @@ def test_design_out_of_field_seed_basis_exits_1(capsys):
     assert err.count("\n") == 1 and "field elements" in err
 
 
+def test_design_conflicting_flags_exit_1(capsys, tmp_path):
+    base = ("design", "--q", "2", "--ell", "4", "--k", "2")
+    for extra, pattern in (
+        (("--delta", "2", "--multi-seed", "--seed-basis", "1,2"), "--multi-seed and --seed-basis"),
+        (("--seed-basis", "1,2", "--delta", "3"), "--seed-basis fixes the dimension"),
+        (("--seed-basis", "1,2", "--delta", "2"), "--seed-basis fixes the dimension"),
+        (("--seed-basis", "1,2", "--strategy", "first"), "--strategy"),
+        (("--seed-basis", "1,2", "--strategy", "subfield-coset"), "--strategy"),
+        (("--delta", "2", "--multi-seed", "--strategy", "first"), "--strategy"),
+    ):
+        out = tmp_path / "bundle.json"
+        result = run_cli(capsys, *base, *extra, "-o", str(out))
+        assert_one_line_error(*result, pattern)
+        assert not out.exists()
+
+
+def test_design_strategy_defaults_to_subfield_coset(capsys, tmp_path):
+    strategies = {}
+    for extra in ((), ("--strategy", "subfield-coset"), ("--strategy", "first")):
+        out = tmp_path / "bundle.json"
+        code, _, _ = run_cli(capsys, "design", "--q", "2", "--ell", "4", "--k", "2",
+                             "--delta", "2", *extra, "-o", str(out))
+        assert code == 0
+        strategies[extra] = json.loads(out.read_text())["config"]["strategy"]
+    assert strategies == {
+        (): "subfield-coset",
+        ("--strategy", "subfield-coset"): "subfield-coset",
+        ("--strategy", "first"): "first",
+    }
+
+
 def test_orbit_enumeration_over_budget_exits_1(capsys):
     # [12 choose 6]_2 is about 2.3e11 subspaces
     for argv in (
