@@ -111,9 +111,10 @@ def gaussian_coefficient(ell: int, delta: int, q: int) -> int:
     return num // den
 
 
-# Most member entries (rows times q^delta) in one block of _subspace_blocks:
-# a block of GF(2^8) 3-subspaces holds 8192 of them in 0.5 MB.
-_BLOCK_ENTRIES = 1 << 16
+# Most member entries (rows times q^delta) in one block of _subspace_blocks,
+# so a block of GF(2^8) 3-subspaces has 512 rows.  Blocks 16 times larger
+# ran no faster there and let a long-running process's resident memory creep.
+_BLOCK_ENTRIES = 1 << 12
 
 
 def _subspace_blocks(ctx: FieldCtx, q: int, delta: int):
