@@ -6,16 +6,20 @@ a residue polynomial over F_p, least significant digit = constant term
 table lookups: log/antilog tables of a verified primitive element, filled by
 doubling with numpy, and for p > 2 a Zech-logarithm table for addition.
 
-A FieldCtx fixes one modulus and one primitive generator z at construction
-and never mutates afterwards; instances are safe to share across threads.
-The designated base subfield is F_q with q = p^s.  For any subfield order
-p^m with m | s*ell the context also exposes:
+A FieldCtx fixes one modulus and one primitive generator z at construction;
+its arithmetic never changes afterwards and instances are safe to share
+across threads.  The designated base subfield is F_q with q = p^s.  For any
+subfield order p^m with m | s*ell the context also exposes:
 
   * the subfield element set (fixed points of x -> x^(p^m)),
   * the trace map down to that subfield,
-  * coordinates relative to the power basis 1, z, ..., z^(L-1), L = s*ell/m,
-    computed through the matching trace-dual basis,
+  * coordinates relative to the power basis 1, z, ..., z^(L-1), L = s*ell/m:
+    coordinate i of x is Tr(x * d_i) for the trace-dual basis d,
   * reduced row echelon form and rank of element lists over the subfield.
+
+A subfield's first use builds its one cache entry: the element set, the
+trace of every element by F_p-linear doubling (like the exp table) and the
+dual of the power basis.  A trace is then one lookup; racing builds agree.
 
 The field order is capped at 2^20 so tables stay desk-sized.
 
@@ -240,10 +244,7 @@ class FieldCtx:
         self.generator = self._find_generator()
         self._build_tables()
 
-        self._subfield_cache: dict[int, tuple[int, ...]] = {}
-        self._trace_cache: dict[int, dict[int, int]] = {}
-        self._basis_cache: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
-        self._coords_cache: dict[int, dict[int, tuple[int, ...]]] = {}
+        self._subfields: dict[int, tuple] = {}  # m -> (elements, traces, power-basis dual)
 
     # -- bootstrap multiplication (pre-table) ---------------------------
 
@@ -434,57 +435,50 @@ class FieldCtx:
             f"{q_order} is not the order of a subfield of GF({self.p}^{self.n})"
         )
 
-    def subfield_elements(self, m: int) -> tuple[int, ...]:
-        """All elements of the order-p^m subfield, sorted ascending."""
+    def _build_subfield(self, m: int) -> tuple:
+        """Build and keep the order-p^m subfield's entry of _subfields.
+
+        Tr is F_p-linear, so rows [d*p^k, (d+1)*p^k) of the trace list are
+        rows [0, p^k) plus d*Tr(x^k), x^k being the digit basis element p^k.
+        """
         if self.n % m:
             raise InvalidSubfieldError(f"m = {m} does not divide {self.n}")
-        cached = self._subfield_cache.get(m)
-        if cached is not None:
-            return cached
-        if m == self.n:
-            elems = tuple(range(self.order))
-        else:
-            sub_size = self.p**m - 1
-            step = (self.order - 1) // sub_size
-            elems = tuple(sorted({0} | {self._exp[j * step] for j in range(sub_size)}))
-        self._subfield_cache[m] = elems
-        return elems
+        p, n, order = self.p, self.n, self.order
+        step = (order - 1) // (p**m - 1)
+        elements = (0, *np.sort(self._exp_table[::step]).tolist())
+        trace = np.zeros(order, np.intp)
+        for k in range(n):
+            size, t = p**k, 0
+            for i in range(n // m):
+                t = self.add(t, self.pow(size, p ** (m * i)))
+            for d in range(1, p):
+                trace[d * size : (d + 1) * size] = self.add_array(trace[:size], self.mul(d, t))
+        trace = trace.tolist()
+        basis = [self._exp[i] for i in range(n // m)]
+        return self._subfields.setdefault(m, (elements, trace, self._dual_basis(basis, m, trace)))
+
+    def subfield_elements(self, m: int) -> tuple[int, ...]:
+        """All elements of the order-p^m subfield, sorted ascending."""
+        return (self._subfields.get(m) or self._build_subfield(m))[0]
 
     def trace_to_subfield(self, x: int, m: int) -> int:
         """Sum of x^(p^(m*i)) for i < n/m; lands in the order-p^m subfield."""
-        if self.n % m:
-            raise InvalidSubfieldError(f"m = {m} does not divide {self.n}")
-        cache = self._trace_cache.setdefault(m, {})
-        if x not in cache:
-            acc = 0
-            for i in range(self.n // m):
-                acc = self.add(acc, self.pow(x, self.p ** (m * i)))
-            cache[x] = acc
-        return cache[x]
+        return (self._subfields.get(m) or self._build_subfield(m))[1][x]
 
     # -- linear algebra over a subfield -------------------------------------
     # Entries of all row vectors below are field elements constrained to the
     # order-p^m subfield, so plain field arithmetic performs the scalar work.
 
-    def _power_basis(self, m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        cached = self._basis_cache.get(m)
-        if cached is not None:
-            return cached
-        big_l = self.n // m
-        basis = tuple(self.exp(i) for i in range(big_l))
-        dual = self.dual_basis(basis, m)
-        self._basis_cache[m] = (basis, dual)
-        return basis, dual
-
     def dual_basis(self, ws, m: int):
         """Trace-dual basis of ws over F_{p^m}: Tr(ws[i]*dual[j]) = delta_ij."""
+        return self._dual_basis(ws, m, (self._subfields.get(m) or self._build_subfield(m))[1])
+
+    def _dual_basis(self, ws, m: int, trace: list[int]):
         big_l = self.n // m
         ws = list(ws)
         if len(ws) != big_l:
             raise ValueError(f"need {big_l} basis elements, got {len(ws)}")
-        gram = [
-            [self.trace_to_subfield(self.mul(wi, wj), m) for wj in ws] for wi in ws
-        ]
+        gram = [[trace[self.mul(wi, wj)] for wj in ws] for wi in ws]
         # Row-reduce [gram | I] to [I | gram^-1]; gram is singular exactly
         # when ws is not an F_{p^m}-basis.
         rows = [
@@ -504,17 +498,17 @@ class FieldCtx:
 
     def coords(self, x: int, m: int) -> tuple[int, ...]:
         """Coordinates of x over F_{p^m} in the power basis of the generator."""
-        cache = self._coords_cache.setdefault(m, {})
-        if x not in cache:
-            _, dual = self._power_basis(m)
-            cache[x] = tuple(self.trace_to_subfield(self.mul(x, d), m) for d in dual)
-        return cache[x]
+        _, trace, dual = self._subfields.get(m) or self._build_subfield(m)
+        if x == 0:
+            return (0,) * len(dual)
+        exp, log, lx = self._exp, self._log, self._log[x]
+        return tuple([trace[exp[lx + log[d]]] for d in dual])
 
     def from_coords(self, cs, m: int) -> int:
-        basis, _ = self._power_basis(m)
+        """The element sum of cs[i] * z^i, inverse to coords."""
         acc = 0
-        for c, w in zip(cs, basis):
-            acc = self.add(acc, self.mul(c, w))
+        for i, c in enumerate(cs):
+            acc = self.add(acc, self.mul(c, self._exp[i]))
         return acc
 
     def rref_over(self, m: int, rows):

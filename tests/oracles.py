@@ -129,6 +129,17 @@ def group_witnesses(family) -> list[tuple[int, int]]:
     return [(t, ctx.exp(j)) for t, period in zip(family.kept, family.periods) for j in range(period)]
 
 
+def trace_scan(ctx, x: int, m: int) -> int:
+    """Tr(x) down to the order-p^m subfield by its definition.
+
+    The sum of x^(p^(m*i)) for i < n/m, one pow per term.
+    """
+    acc = 0
+    for i in range(ctx.n // m):
+        acc = ctx.add(acc, ctx.pow(x, ctx.p ** (m * i)))
+    return acc
+
+
 def digit_add(p: int, x: int, y: int) -> int:
     """x + y digit by digit mod p, on the base-p encoding of the elements."""
     res = 0

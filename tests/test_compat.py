@@ -6,6 +6,7 @@ config.  Their u is an input and their config passes through, so
 they must still load and re-serialize to the same bytes.
 """
 
+import ast
 import importlib
 import json
 import types
@@ -15,6 +16,7 @@ import pytest
 
 from compactrepair import load_bundle, search_seed_scheme
 from compactrepair.cli import main
+from compactrepair.gf import FieldCtx
 
 REPO = Path(__file__).resolve().parent.parent
 FIXTURES = sorted((REPO / "tests" / "data").glob("*.json"))
@@ -61,3 +63,23 @@ def test_perfbench_traced_functions_exist():
         if not callable(getattr(importlib.import_module(f"compactrepair.{mod}"), fn, None))
     ]
     assert missing == []
+
+
+def test_perfbench_warm_field_methods_exist():
+    # perfbench/workloads.py's _warm calls these FieldCtx methods once per
+    # element; its source is parsed here, never imported or written to.
+    path = REPO / "perfbench" / "workloads.py"
+    warm = next(
+        node for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.FunctionDef) and node.name == "_warm"
+    )
+    called = {
+        node.func.attr
+        for node in ast.walk(warm)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "ctx"
+    }
+    assert {"elements", "subfield_degree", "trace_to_subfield", "coords"} <= called
+    assert all(callable(getattr(FieldCtx, name, None)) for name in called)

@@ -16,7 +16,7 @@ from compactrepair.errors import (
     RankDeficientError,
     ReducibleModulusError,
 )
-from oracles import digit_add, digit_neg, horner_eval
+from oracles import digit_add, digit_neg, horner_eval, trace_scan
 
 
 def test_default_gf16_modulus_and_generator(gf16):
@@ -290,6 +290,51 @@ def test_trace_tower_transitivity_gf16(gf16):
 def test_trace_invalid_subfield(gf16):
     with pytest.raises(InvalidSubfieldError):
         gf16.trace_to_subfield(3, 3)
+
+
+def _check_trace_and_coords(ctx, m, xs):
+    """trace_to_subfield and coords against trace_scan on the elements xs.
+
+    Coordinate i of x is Tr(x * d_i) for the trace-dual d of the power
+    basis, which is checked to be dual under trace_scan first.
+    """
+    big_l = ctx.n // m
+    dual = ctx.dual_basis([ctx.exp(i) for i in range(big_l)], m)
+    for i in range(big_l):
+        for j, d in enumerate(dual):
+            assert trace_scan(ctx, ctx.mul(ctx.exp(i), d), m) == (i == j)
+    for x in xs:
+        assert ctx.trace_to_subfield(x, m) == trace_scan(ctx, x, m)
+        assert ctx.coords(x, m) == tuple(trace_scan(ctx, ctx.mul(x, d), m) for d in dual)
+
+
+# (p, ell, subfield degrees m): GF(2), GF(16), GF(64), GF(9), GF(81), GF(125)
+TRACE_FIELDS = [
+    (2, 1, (1,)),
+    (2, 4, (1, 2, 4)),
+    (2, 6, (1, 2, 3, 6)),
+    (3, 2, (1, 2)),
+    (3, 4, (1, 2, 4)),
+    (5, 3, (1, 3)),
+]
+
+
+@pytest.mark.parametrize(
+    "p, ell, ms", TRACE_FIELDS, ids=[f"{p}^{ell}" for p, ell, _ in TRACE_FIELDS]
+)
+def test_trace_and_coords_match_trace_scan_exhaustive(p, ell, ms):
+    ctx = field_new(p, 1, ell)
+    for m in ms:
+        _check_trace_and_coords(ctx, m, ctx.elements())
+
+
+@pytest.mark.parametrize("p, ell, ms", [(2, 20, (1, 4)), (3, 12, (1, 3))], ids=["2^20", "3^12"])
+def test_trace_and_coords_match_trace_scan_sampled(p, ell, ms):
+    # the trace table is filled by doubling up to the full field order
+    ctx = field_new(p, 1, ell)
+    xs = [0, 1, ctx.order - 1, *random.Random(p).sample(range(ctx.order), 500)]
+    for m in ms:
+        _check_trace_and_coords(ctx, m, xs)
 
 
 def test_subfields_are_closed(gf16, gf64, gf9):
