@@ -22,8 +22,9 @@ onto another one, set for set.  So a CosetFamily with center None (every
 family the library builds) is solved once per class.  A scaling adds a
 constant to logs, so each kept seed's logs reduce to their least translate
 (orbits._least_translate); x -> x^(p^f) multiplies logs by p^f.  The
-canonical key is the sorted tuple of these forms at the smallest f < n
-that minimises it.  A miss solves the coset family of the key's seeds and
+canonical key is the sorted tuple of these forms, each with its seed's
+period (both maps keep stabilizers), at the smallest f < n that minimises
+it.  A miss solves the CosetFamily of the key's forms and periods and
 stores its witness logs in a bounded module-level memo, keyed by (p, n,
 modulus, generator, q, budget, key) rather than by the FieldCtx object,
 which every CLI call and load_bundle builds anew.  The stored witness is
@@ -53,8 +54,8 @@ from scipy.optimize import Bounds, LinearConstraint, milp
 from scipy.sparse import csr_array
 
 from .errors import EmptyFamilyError, InvariantError
-from .orbits import CosetFamily, _least_translate, coset_family
-from .subspaces import Subspace, base_of, span
+from .orbits import CosetFamily, _least_translate
+from .subspaces import Subspace, base_of
 
 DEFAULT_NODE_BUDGET = 10**7
 
@@ -164,18 +165,18 @@ def _solve(values: np.ndarray, indptr: np.ndarray, budget: int) -> HittingResult
     return HittingResult(tuple(elements[candidate].tolist()), "greedy-upper-only")
 
 
-def _canonical_class(family: CosetFamily) -> tuple[int, tuple[tuple[int, ...], ...]]:
+def _canonical_class(family: CosetFamily) -> tuple[int, tuple[tuple[tuple[int, ...], int], ...]]:
     """(f, key): the least image of the family's scaling orbits under x -> x^(p^f).
 
     Each kept seed's logs are mapped by log -> p^f * log and reduced to
-    their least translate; the key is the sorted tuple of those forms, at
-    the smallest f < n that minimises it.
+    their least translate, paired with the seed's period; the key is the
+    sorted tuple of those pairs, at the smallest f < n that minimises it.
     """
     ctx = family.ctx
     group = ctx.order - 1
     key, f = min(
-        (tuple(sorted(_least_translate([ctx.p**f * v % group for v in logs], group)
-                      for logs in family.logs)), f)
+        (tuple(sorted((_least_translate([ctx.p**f * v % group for v in logs], group), period)
+                      for logs, period in zip(family.logs, family.periods))), f)
         for f in range(ctx.n)
     )
     return f, key
@@ -189,8 +190,9 @@ def _memo_solve(family: CosetFamily, budget: int) -> HittingResult:
     memo_key = (ctx.p, ctx.n, ctx.modulus, ctx.generator, family.q, budget, key)
     entry = _MEMO.get(memo_key)
     if entry is None:
-        seeds = [span(ctx, family.q, [ctx.exp(v) for v in form]) for form in key]
-        res = _solve(*_rows(coset_family(seeds)), budget)
+        forms, periods = zip(*key)  # a form lists the logs of a seed's image
+        canonical = CosetFamily(ctx, family.q, None, tuple(range(len(key))), forms, periods)
+        res = _solve(*_rows(canonical), budget)
         entry = (tuple(ctx.log(w) for w in res.witness), res.method)
         with _MEMO_LOCK:
             if len(_MEMO) >= MEMO_LIMIT:

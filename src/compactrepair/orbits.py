@@ -30,10 +30,11 @@ from .errors import (
 from .gf import FieldCtx, prime_factors
 from .subspaces import Subspace, _subspace_blocks, base_of, gaussian_coefficient
 
-# Most delta-subspaces orbit_decomposition will enumerate; the largest
-# instance in the tests is [8 choose 3]_2 = 97155, and in the benchmark
-# [8 choose 2]_2 = 10795.
+# Most delta-subspaces, and nonzero members of them, orbit_decomposition
+# will enumerate; the largest instance in the tests is [8 choose 3]_2 =
+# 97155 (680085 members), and in the benchmark [8 choose 2]_2 = 10795 (32385).
 ENUMERATION_BUDGET = 10**5
+MEMBER_ENTRY_BUDGET = 10**6
 
 
 @dataclass(frozen=True)
@@ -205,18 +206,19 @@ def orbit_decomposition(ctx: FieldCtx, q: int, delta: int) -> OrbitReport:
     lexicographically least canonical basis, so reports are reproducible.
     The cycle length is checked against the orbit-stabilizer relation for
     base_of of the representative, and the per-base counts against the
-    Gaussian coefficient.  Raises BudgetExceededError when there are more
-    than ENUMERATION_BUDGET subspaces to enumerate.
+    Gaussian coefficient.  Raises BudgetExceededError, before any block is
+    built, past ENUMERATION_BUDGET subspaces or MEMBER_ENTRY_BUDGET members.
     """
     m = ctx.subfield_degree(q)
     ell = ctx.n // m
     if delta < 1 or delta > ell:
         raise ValueError(f"need 1 <= delta <= ell = {ell}, got {delta}")
     total = gaussian_coefficient(ell, delta, q)
-    if total > ENUMERATION_BUDGET:
+    entries = total * (q**delta - 1)
+    if total > ENUMERATION_BUDGET or entries > MEMBER_ENTRY_BUDGET:
         raise BudgetExceededError(
-            f"{total} {delta}-subspaces exceed the enumeration budget of "
-            f"{ENUMERATION_BUDGET}"
+            f"{total} {delta}-subspaces with {entries} nonzero members exceed the enumeration "
+            f"budget of {ENUMERATION_BUDGET} subspaces or {MEMBER_ENTRY_BUDGET} members"
         )
     group = ctx.order - 1
     blocks = [

@@ -94,11 +94,10 @@ class SeedScheme:
         self.helpers = subspace.star()
         self.scalars = frozenset(ctx.subfield_elements(self.mq))
         self.repaired_point = 0
-        if not verify_full_rank(self):
-            raise RankDeficientError(
-                "check evaluations at the repaired point are not full-rank"
-            )
-        duals = ctx.dual_basis(self.evals_at(0), self.mq)
+        try:  # the trace-dual basis exists exactly when the evaluations are full-rank
+            duals = ctx.dual_basis(self.evals_at(0), self.mq)
+        except RankDeficientError:
+            raise RankDeficientError("the check evaluations at 0 are not full-rank") from None
         self.helper_data = {
             x: _helper_data(ctx, self.mq, self.evals_at(x), duals)
             for x in self.helpers
@@ -136,6 +135,9 @@ class RepairScheme:
     """
 
     def __init__(self, seed: SeedScheme, alpha_star: int, b: int):
+        n = seed.ctx.order
+        if not (0 <= alpha_star < n and 0 <= b < n):
+            raise ValueError(f"alpha_star {alpha_star} and b {b} must be field elements < {n}")
         if b == 0:
             raise ZeroDilationError("dilation factor b must be nonzero")
         self.seed = seed
@@ -214,14 +216,14 @@ def helper_payload(scheme: RepairScheme, beta: int, f_beta: int) -> HelperPayloa
 
     The echelon data come from the seed at beta's seed point.
     """
-    if beta not in scheme.helpers:
-        raise NotAHelperError(f"{beta} is not a helper of this scheme")
     ctx = scheme.ctx
+    if not (0 <= beta < ctx.order and 0 <= f_beta < ctx.order):
+        raise ValueError(f"beta {beta} and f_beta {f_beta} must be field elements < {ctx.order}")
+    data = scheme.seed.helper_data.get(scheme.seed_point(beta))
+    if data is None:
+        raise NotAHelperError(f"{beta} is not a helper of this scheme")
     mq = scheme.mq
-    basis, _ = scheme.seed.helper_data[scheme.seed_point(beta)]
-    symbols = tuple(
-        ctx.trace_to_subfield(ctx.mul(xi, f_beta), mq) for xi in basis
-    )
+    symbols = tuple(ctx.trace_to_subfield(ctx.mul(xi, f_beta), mq) for xi in data[0])
     return HelperPayload(beta, symbols)
 
 
@@ -235,20 +237,20 @@ def recover_symbol(scheme: RepairScheme, payloads) -> int:
     """
     ctx = scheme.ctx
     seed = scheme.seed
-    by_beta = {}
+    by_beta = {}  # beta -> (payload, its helper data, None off the helpers)
     for p in payloads:
         if p.beta in by_beta:
             raise ValueError(f"duplicate payload for helper {p.beta}")
-        by_beta[p.beta] = p
-    missing = [b for b in scheme.helpers if b not in by_beta]
-    extra = [b for b in by_beta if b not in scheme.helpers]
-    if missing or extra:
+        point = scheme.seed_point(p.beta) if 0 <= p.beta < ctx.order else None
+        by_beta[p.beta] = p, seed.helper_data.get(point)
+    extra = [b for b, (_, data) in by_beta.items() if data is None]
+    if extra or len(by_beta) != len(scheme.helpers):
+        missing = [b for b in scheme.helpers if b not in by_beta]
         raise MissingPayloadError(
             f"payloads must cover helpers exactly (missing {missing}, extra {extra})"
         )
     result = 0
-    for beta, p in by_beta.items():
-        _, weights = seed.helper_data[scheme.seed_point(beta)]
+    for beta, (p, (_, weights)) in by_beta.items():
         if len(p.symbols) != len(weights):
             raise ValueError(
                 f"payload for helper {beta} has {len(p.symbols)} symbols, "

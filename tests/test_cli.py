@@ -289,10 +289,14 @@ def test_design_strategy_defaults_to_subfield_coset(capsys, tmp_path):
 
 
 def test_orbit_enumeration_over_budget_exits_1(capsys):
-    # [12 choose 6]_2 is about 2.3e11 subspaces
+    # [12 choose 6]_2 is about 2.3e11 subspaces; [16 choose 15]_2 = 65535
+    # passes the subspace budget but has about 2^31 nonzero members
     for argv in (
         ["orbits", "--q", "2", "--ell", "12", "--delta", "6"],
         ["design", "--q", "2", "--ell", "12", "--k", "2", "--delta", "6",
+         "--multi-seed"],
+        ["orbits", "--q", "2", "--ell", "16", "--delta", "15"],
+        ["design", "--q", "2", "--ell", "16", "--k", "2", "--delta", "15",
          "--multi-seed"],
     ):
         code, out, err = run_cli(capsys, *argv)

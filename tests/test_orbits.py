@@ -25,7 +25,7 @@ from compactrepair.errors import (
     InvariantError,
     SeedWithoutZeroError,
 )
-from compactrepair.orbits import ENUMERATION_BUDGET
+from compactrepair.orbits import ENUMERATION_BUDGET, MEMBER_ENTRY_BUDGET
 from oracles import coset_family_scan, group_witnesses
 
 
@@ -237,6 +237,22 @@ def test_orbit_decomposition_refuses_unbounded_enumeration():
     assert gaussian_coefficient(6, 3, 2) <= ENUMERATION_BUDGET
     with pytest.raises(BudgetExceededError, match="budget"):
         orbit_decomposition(field_new(2, 1, 12), 2, 6)
+
+
+def test_orbit_decomposition_refuses_oversized_members(monkeypatch):
+    import compactrepair.orbits as orbits_module
+
+    # 65535 subspaces pass the subspace budget, but with 32767 nonzero
+    # members each they would need about 2^31 log entries.
+    assert gaussian_coefficient(16, 15, 2) <= ENUMERATION_BUDGET
+    assert gaussian_coefficient(8, 3, 2) * (2**3 - 1) <= MEMBER_ENTRY_BUDGET
+
+    def no_blocks(*args):
+        raise AssertionError("a block was built before the budget check")
+
+    monkeypatch.setattr(orbits_module, "_subspace_blocks", no_blocks)
+    with pytest.raises(BudgetExceededError, match="2147385345 nonzero members exceed"):
+        orbit_decomposition(field_new(2, 1, 16), 2, 15)
 
 
 # (p, s, ell, delta): GF(16), GF(64), GF(27) and GF(81) over F_3, GF(64) over F_4.

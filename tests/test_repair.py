@@ -170,6 +170,41 @@ def test_zero_dilation_rejected(naive16):
         dilate_translate(naive16, 3, 0)
 
 
+@pytest.mark.parametrize(
+    "alpha_star,b",
+    [(-1, 3), (16, 3), (5, -1), (5, 20)],
+    ids=["alpha_star=-1", "alpha_star=16", "b=-1", "b=20"],
+)
+def test_dilation_outside_field_rejected(naive16, alpha_star, b):
+    # unchecked, b = 20 would dilate to helpers 18, 19 and 21, and b = -1 act as 15
+    with pytest.raises(ValueError, match="field elements"):
+        dilate_translate(naive16, alpha_star, b)
+
+
+@pytest.mark.parametrize(
+    "beta,f_beta",
+    [(None, -1), (None, 16), (-1, 3), (16, 3)],
+    ids=["f_beta=-1", "f_beta=16", "beta=-1", "beta=16"],
+)
+def test_helper_payload_outside_field_rejected(gf16, naive16, beta, f_beta):
+    # unchecked, f_beta = -1 would be read as 15 and f_beta = 16 would index
+    # past the tables; beta None stands for a helper of the scheme
+    d = dilate_translate(naive16, gf16.exp(5), gf16.exp(3))
+    beta = d.helpers[0] if beta is None else beta
+    with pytest.raises(ValueError, match="field elements"):
+        helper_payload(d, beta, f_beta)
+
+
+def test_recover_names_payloads_outside_field(gf16, naive16):
+    d = dilate_translate(naive16, gf16.exp(5), 1)
+    pls = payloads_for(gf16, d, [3, 1])
+    forged = [HelperPayload(-1, pls[0].symbols)] + pls[1:]
+    with pytest.raises(
+        MissingPayloadError, match=rf"missing \[{pls[0].beta}\], extra \[-1\]"
+    ):
+        recover_symbol(d, forged)
+
+
 def test_dilations_reproduce_golden_groups(gf16, naive16, golden_seed):
     alpha = gf16.exp(5)
     fam = coset_family([golden_seed], center=alpha)
