@@ -194,7 +194,9 @@ ODD_P_TABLE_DIGESTS = {
 
 
 # The same digests for the larger fields the benchmark and the CLI build,
-# both characteristics and a prime field, taken from the per-element build.
+# both characteristics and a prime field, taken from the per-element build,
+# and (from GF(3^12) on) for fields whose generator search or modulus search
+# runs long, taken from the polynomial-list bootstrap.
 LARGE_TABLE_DIGESTS = {
     (2, 8): "b382a0a8b881033d",
     (2, 12): "8455e642bb2f6fcf",
@@ -205,6 +207,13 @@ LARGE_TABLE_DIGESTS = {
     (3, 10): "b269dae356fa519c",
     (7, 4): "269617e4cab539b6",
     (65521, 1): "6f5ac363b6c4b746",
+    (3, 12): "7271798319db5dd3",
+    (7, 7): "e4a10d99dbb32420",
+    (13, 5): "049037c6ab74628e",
+    (31, 4): "86163a98beaa8366",
+    (1021, 2): "5790c3c0bd5cdd60",
+    (3, 9): "01ae30af4f70a3d9",
+    (2, 14): "9eea3f540e6f1625",
 }
 
 
