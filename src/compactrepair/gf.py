@@ -26,10 +26,26 @@ The field order is capped at 2^20 so tables stay desk-sized.
 Moduli: GF(16) is pinned to x^4 + x + 1 (the arithmetic every golden value
 in this package assumes); other fields take the first monic irreducible in
 coefficient-encoding order unless an explicit modulus is supplied.
+
+Bootstrap, done once per context with no per-coefficient Python loop:
+
+  * irreducibility: Ben-Or's test, gcd(x^(p^k) - x, f) = 1 for k <= n/2.
+    For p = 2 it runs on int bit vectors and stops at the first k that
+    fails; for odd p it tests a batch of candidate moduli at once in numpy
+    (one unit test of the product of the x^(p^k) - x).  An explicit
+    modulus is tested; a searched or pinned one is not tested again.
+  * generator: the first element in encoding order whose order is
+    p^n - 1, by square-and-multiply to (p^n - 1)/r for each prime r.  For
+    p = 2 candidates go one at a time on ints; for odd p in numpy batches
+    of digit rows, multiplied through a tensor T with row i*n + j the
+    digits of x^(i+j) mod f.
+  * tables: z^0 .. z^(p^n - 1) by doubling (see _build_tables), then one
+    Python int object per value shared by the exp, log and Zech lists.
 """
 
 from __future__ import annotations
 
+import functools
 import operator
 
 import numpy as np
@@ -47,6 +63,9 @@ from .errors import (
 FElem = int
 
 MAX_FIELD_ORDER = 1 << 20
+
+# Most candidates (moduli or generators) one numpy batch tests, for odd p.
+_BATCH = 1024
 
 # Pinned default moduli, keyed by (p, s*ell), coefficients low degree first.
 DEFAULT_MODULI = {
@@ -69,120 +88,179 @@ def prime_factors(v: int) -> list[int]:
     return out
 
 
-def _digits(v: int, p: int, width: int) -> list[int]:
-    out = []
-    for _ in range(width):
-        v, r = divmod(v, p)
-        out.append(r)
+def _digit_array(values, p: int, width: int) -> np.ndarray:
+    """Base-p digits of each int in values, lowest first, in a trailing axis."""
+    return np.asarray(values, np.int64)[..., None] // p ** np.arange(width) % p
+
+
+def _power(mul, a, e: int, one):
+    """a^e by square-and-multiply under the product mul, with identity one."""
+    out = one
+    while e:
+        if e & 1:
+            out = mul(out, a)
+        e >>= 1
+        if e:
+            a = mul(a, a)
     return out
 
 
-def _undigits(ds, p: int) -> int:
-    v = 0
-    for d in reversed(ds):
-        v = v * p + d
-    return v
-
-
 # ----------------------------------------------------------------------
-# Polynomial arithmetic over F_p on plain coefficient lists (low first).
-# Used only while bootstrapping a FieldCtx (irreducibility test, generator
-# search, the doubling matrices); everything afterwards uses the tables.
+# Residue arithmetic modulo a monic f of degree n over F_p, used only while
+# bootstrapping a FieldCtx (irreducibility test, generator search, doubling
+# matrices); everything afterwards uses the tables.  For p = 2 a residue is
+# an int bit vector; otherwise it is a row of n digits, and rows multiply in
+# numpy batches through a tensor built from f (or one tensor per f).
 # ----------------------------------------------------------------------
 
-def _poly_trim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _poly_mul_mod(a, b, mod, p):
-    n = len(mod) - 1
-    prod = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            prod[i + j] = (prod[i + j] + ai * bj) % p
-    for i in range(len(prod) - 1, n - 1, -1):
-        c = prod[i]
-        if c == 0:
-            continue
-        prod[i] = 0
-        for j in range(n):
-            prod[i - n + j] = (prod[i - n + j] - c * mod[j]) % p
-    return _poly_trim(prod)
-
-
-def _poly_pow_mod(a, e, mod, p):
-    result = [1]
-    base = list(a)
-    while e:
-        if e & 1:
-            result = _poly_mul_mod(result, base, mod, p)
-        base = _poly_mul_mod(base, base, mod, p)
-        e >>= 1
-    return result
-
-
-def _poly_mod(a, b, p):
-    r = _poly_trim(list(a))
-    db = len(b) - 1
-    lead_inv = pow(b[-1], p - 2, p)
-    while r and len(r) - 1 >= db:
-        c = (r[-1] * lead_inv) % p
-        shift = len(r) - 1 - db
-        for j, bj in enumerate(b):
-            r[shift + j] = (r[shift + j] - c * bj) % p
-        _poly_trim(r)
-    return r
-
-
-def _poly_gcd(a, b, p):
-    a, b = _poly_trim(list(a)), _poly_trim(list(b))
+def _gf2_mulmod(a: int, b: int, f: int, n: int) -> int:
+    """Carry-less a * b modulo f, for a, b < 2^n and f of degree n."""
+    out = 0
     while b:
-        a, b = b, _poly_mod(a, b, p)
+        if b & 1:
+            out ^= a
+        b >>= 1
+        a <<= 1
+        if a >> n:
+            a ^= f
+    return out
+
+
+def _gf2_gcd(a: int, b: int) -> int:
+    """Greatest common divisor of two polynomials over F_2 as bit vectors."""
+    while b:
+        while (shift := a.bit_length() - b.bit_length()) >= 0:
+            a ^= b << shift
+        a, b = b, a
     return a
+
+
+def _gf2_irreducible(f: int, n: int) -> bool:
+    """Ben-Or test of f of degree n over F_2 (see _irreducible_rows)."""
+    u = 2  # x
+    for _ in range(n // 2):
+        u = _gf2_mulmod(u, u, f, n)
+        if _gf2_gcd(f, u ^ 2) != 1:
+            return False
+    return True
+
+
+def _mul_tensors(moduli: np.ndarray, p: int) -> np.ndarray:
+    """Per modulus f, T with row i*n + j the digits of x^(i+j) mod f.
+
+    moduli is a (count, n + 1) array of monic f, low first; the product of
+    digit rows a and b modulo f is outer(a, b).ravel() @ T mod p.
+    """
+    count, n = moduli.shape[0], moduli.shape[1] - 1
+    rows = np.zeros((count, 2 * n - 1, n), np.int64)
+    rows[:, :n] = np.eye(n, dtype=np.int64)
+    for k in range(n, 2 * n - 1):  # x^k = x * x^(k-1), and x^n = -(f - x^n)
+        rows[:, k, 1:] = rows[:, k - 1, :-1]
+        rows[:, k] = (rows[:, k] - rows[:, k - 1, -1:] * moduli[:, :n]) % p
+    i = np.arange(n)
+    return rows[:, (i[:, None] + i).ravel()]
+
+
+def _mul_rows(a: np.ndarray, b: np.ndarray, t: np.ndarray, p: int) -> np.ndarray:
+    """Row-wise products of two (count, n) digit arrays under tensors t.
+
+    t holds one tensor per row, or one for all.  int64 holds each sum of
+    n^2 terms below (p-1)^3 for every field under the order cap: n = 1
+    leaves (2^20)^3, and n >= 2 needs p < 2^10.
+    """
+    count, n = a.shape
+    return (np.reshape(a[:, :, None] * b[:, None, :], (count, 1, n * n)) @ t)[:, 0] % p
+
+
+def _pow_rows(a: np.ndarray, e: int, t: np.ndarray, p: int) -> np.ndarray:
+    """Row-wise a^e for a (count, n) digit array."""
+    one = np.zeros_like(a)
+    one[:, 0] = 1
+    return _power(lambda u, v: _mul_rows(u, v, t, p), a, e, one)
+
+
+def _mul_matrices(c: np.ndarray, t: np.ndarray, p: int) -> np.ndarray:
+    """Per row c, the n x n matrix with row j the digits of x^j * c.
+
+    A digit row times that matrix is the row times c.
+    """
+    count, n = c.shape
+    return (c[:, None, :] @ t.reshape(-1, n, n * n)).reshape(count, n, n) % p
+
+
+def _invertible(m: np.ndarray, p: int) -> np.ndarray:
+    """Whether each of a stack of square digit matrices is invertible over F_p.
+
+    Per column, a row with a nonzero entry there is the pivot: every row is
+    scaled by the pivot entry and has its own entry times the pivot row
+    subtracted, and the pivot row is then dropped (zeroed).  That keeps the
+    rank of the rest, so the matrix is invertible iff every column finds one.
+    """
+    count, n = m.shape[:2]
+    ok, every = np.ones(count, bool), np.arange(count)
+    for j in range(n):
+        nonzero = m[:, :, j] != 0
+        ok &= nonzero.any(axis=1)
+        r = nonzero.argmax(axis=1)
+        pivot = m[every, r]
+        m[every, r] = 0
+        m = (m * pivot[:, j, None, None] - m[:, :, j, None] * pivot[:, None]) % p
+    return ok
+
+
+def _irreducible_rows(moduli: np.ndarray, p: int) -> np.ndarray:
+    """Ben-Or test of each row of moduli (monic, low first) over an odd p.
+
+    f is irreducible iff gcd(x^(p^k) - x, f) = 1 for every k <= n/2: a
+    reducible f has an irreducible factor of some degree k <= n/2, which
+    divides x^(p^k) - x.  A batch costs the same numpy calls at every k
+    whatever it holds, so the k are tested at once: the product of the
+    x^(p^k) - x is a unit mod f iff every gcd is 1.
+    """
+    count, n = moduli.shape[0], moduli.shape[1] - 1
+    t = _mul_tensors(moduli, p)
+    x = np.eye(1, n, 1, np.int64)
+    u, prod = np.repeat(x, count, axis=0), np.zeros((count, n), np.int64)
+    prod[:, 0] = 1
+    for _ in range(n // 2):
+        u = _pow_rows(u, p, t, p)
+        prod = _mul_rows(prod, u - x, t, p)
+    return _invertible(_mul_matrices(prod, t, p), p)
 
 
 def _is_irreducible(coeffs, p: int) -> bool:
-    """Rabin test: x^(p^n) = x mod f, and gcd(x^(p^(n/r)) - x, f) = 1."""
-    n = len(coeffs) - 1
-    if n == 1:
-        return True
-    if coeffs[0] == 0:
-        return False  # divisible by x
-    mod = list(coeffs)
-    x = [0, 1]
-    frob = {0: list(x)}
-    t = list(x)
-    for k in range(1, n + 1):
-        t = _poly_pow_mod(t, p, mod, p)
-        frob[k] = list(t)
-    if _poly_trim(list(frob[n])) != [0, 1]:
-        return False
-    for r in prime_factors(n):
-        u = list(frob[n // r])
-        # u - x
-        while len(u) < 2:
-            u.append(0)
-        u[1] = (u[1] - 1) % p
-        g = _poly_gcd(mod, u, p)
-        if len(g) != 1:
-            return False
-    return True
+    """Whether the monic polynomial with coeffs (low first) is irreducible."""
+    if p == 2:
+        return _gf2_irreducible(sum(c << i for i, c in enumerate(coeffs)), len(coeffs) - 1)
+    return bool(_irreducible_rows(np.array([coeffs], np.int64), p)[0])
+
+
+def _batches(start: int, stop: int):
+    """[start, stop) in consecutive arrays of 64 ints, doubling up to _BATCH.
+
+    A batch costs about the same numpy calls whatever its length, so the
+    first is long enough to hold the usual first hit (a generator below
+    40, an irreducible among the first few dozen moduli); later batches
+    grow so that a late hit takes few, and one batch's arrays stay bounded.
+    """
+    size = 64
+    while start < stop:
+        yield np.arange(start, min(start + size, stop))
+        start, size = start + size, min(2 * size, _BATCH)
 
 
 def find_irreducible(p: int, n: int) -> tuple[int, ...]:
     """First monic irreducible of degree n over F_p in encoding order."""
     if n == 1:
         return (0, 1)
-    for enc in range(1, p**n):
-        coeffs = _digits(enc, p, n) + [1]
-        if coeffs[0] == 0:
-            continue
-        if _is_irreducible(coeffs, p):
-            return tuple(coeffs)
+    if p == 2:  # encodings with the x^n and constant bits set
+        f = next(f for f in range(2**n + 1, 2 ** (n + 1), 2) if _gf2_irreducible(f, n))
+        return tuple(_digit_array(f, 2, n + 1).tolist())
+    for encs in _batches(p**n, 2 * p**n):  # the x^n digit is 1
+        moduli = _digit_array(encs[encs % p != 0], p, n + 1)  # x does not divide f
+        ok = _irreducible_rows(moduli, p)
+        if ok.any():
+            return tuple(moduli[ok.argmax()].tolist())
     raise RuntimeError(f"no irreducible of degree {n} over F_{p}")  # unreachable
 
 
@@ -219,25 +297,27 @@ class FieldCtx:
 
         if modulus is None:
             modulus = DEFAULT_MODULI.get((p, n)) or find_irreducible(p, n)
-        modulus = tuple(int(c) for c in modulus)
-        if len(modulus) != n + 1:
-            raise ValueError(
-                f"modulus must have degree {n} ({n + 1} coefficients, low first)"
-            )
-        if any(c < 0 or c >= p for c in modulus):
-            raise ValueError("modulus coefficients must lie in [0, p)")
-        if modulus[-1] != 1:
-            raise ValueError("modulus must be monic")
-        if not _is_irreducible(list(modulus), p):
-            raise ReducibleModulusError(
-                f"modulus {modulus} is reducible over F_{p}"
-            )
+        else:
+            modulus = tuple(int(c) for c in modulus)
+            if len(modulus) != n + 1:
+                raise ValueError(
+                    f"modulus must have degree {n} ({n + 1} coefficients, low first)"
+                )
+            if any(c < 0 or c >= p for c in modulus):
+                raise ValueError("modulus coefficients must lie in [0, p)")
+            if modulus[-1] != 1:
+                raise ValueError("modulus must be monic")
+            if not _is_irreducible(modulus, p):
+                raise ReducibleModulusError(
+                    f"modulus {modulus} is reducible over F_{p}"
+                )
         self.modulus = modulus
-        self._mod_int = _undigits(list(modulus), p) if p == 2 else None
-
+        # The modulus in the form the bootstrap multiplies with.
         if p == 2:
+            self._mod_int = sum(c << i for i, c in enumerate(modulus))
             self.add, self.neg = operator.xor, operator.pos  # -x = x
         else:
+            self._tensor = _mul_tensors(np.array([modulus], np.int64), p)
             self.add, self.neg = self._add_zech, self._neg_zech
             self._half = (order - 1) // 2
 
@@ -246,85 +326,92 @@ class FieldCtx:
 
         self._subfields: dict[int, tuple] = {}  # m -> (elements, traces, power-basis dual)
 
-    # -- bootstrap multiplication (pre-table) ---------------------------
-
-    def _mul_poly(self, a: int, b: int) -> int:
-        if self.p == 2:
-            res = 0
-            top = 1 << self.n
-            mm = self._mod_int
-            while b:
-                if b & 1:
-                    res ^= a
-                b >>= 1
-                a <<= 1
-                if a & top:
-                    a ^= mm
-            return res
-        p, n = self.p, self.n
-        prod = _poly_mul_mod(_digits(a, p, n), _digits(b, p, n), self.modulus, p)
-        return _undigits(prod, p)
-
-    def _pow_poly(self, a: int, e: int) -> int:
-        result = 1
-        while e:
-            if e & 1:
-                result = self._mul_poly(result, a)
-            a = self._mul_poly(a, a)
-            e >>= 1
-        return result
+    # -- bootstrap (pre-table) -------------------------------------------
 
     def _find_generator(self) -> int:
-        order = self.order
+        """The first element in encoding order of multiplicative order p^n - 1.
+
+        g is primitive iff g^((p^n - 1)/r) != 1 for each prime r | p^n - 1.
+        For odd p the candidates go in numpy batches (_batches).
+        """
+        p, n, order = self.p, self.n, self.order
         if order == 2:
             return 1
         group = order - 1
         checks = [group // f for f in prime_factors(group)]
-        for g in range(2, order):
-            if all(self._pow_poly(g, e) != 1 for e in checks):
-                return g
+        if p == 2:
+            mul = functools.partial(_gf2_mulmod, f=self._mod_int, n=n)
+            for g in range(2, order):
+                if all(_power(mul, g, e, 1) != 1 for e in checks):
+                    return g
+        else:
+            one = np.eye(1, n, 0, np.int64)
+            for cands in _batches(2, order):
+                rows = _digit_array(cands, p, n)
+                for e in checks:
+                    keep = (_pow_rows(rows, e, self._tensor, p) != one).any(axis=1)
+                    cands, rows = cands[keep], rows[keep]
+                if cands.size:
+                    return int(cands[0])
         raise RuntimeError("no primitive element found")  # unreachable
 
     def _build_tables(self):
         """exp and log tables by doubling, and for p > 2 the Zech table.
 
-        Row t of powers is z^t: its encoding for p = 2, else its digit vector.
-        Rows [2^t, 2^(t+1)) are rows [0, 2^t) times c = z^(2^t), an F_p-linear
-        map with rows x^i * c: n masked XORs for p = 2, else a product mod p.
+        Row t of powers is z^t for t <= q^n - 1: its encoding for p = 2, else
+        its digit vector.  Rows [2^t, 2^(t+1)) are rows [0, 2^t) times
+        c = z^(2^t), an F_p-linear map: for p = 2 a lookup per byte of the
+        encoding in tables of x * c, else a product mod p with the matrix
+        of rows x^i * c.  The last row, z^(q^n - 1), must be 1.
         """
         p, n, order, g = self.p, self.n, self.order, self.generator
         size = order - 1
-        dtype = np.uint32 if p == 2 else np.min_scalar_type(p - 1)
-        powers = np.zeros(size if p == 2 else (size, n), dtype)
-        powers.flat[0] = 1
-        c, done = g, 1
-        while done < size:
-            rows = min(done, size - done)
-            cols = [self._mul_poly(p**i, c) for i in range(n)]  # x^i * c
-            if p == 2:
-                for i, col in enumerate(cols):
-                    powers[done : done + rows] ^= (powers[:rows] >> i & 1) * col
-            else:
-                wide = np.min_scalar_type(n * (p - 1) ** 2)  # holds a row's dot product
-                m = np.array([_digits(col, p, n) for col in cols], wide)
+        if p == 2:
+            f = self._mod_int
+            powers = np.zeros(order, np.uint32)
+            powers[0], c, done = 1, g, 1
+            while done < order:
+                rows = min(done, order - done)
+                src, out, col = powers[:rows], np.zeros(rows, np.uint32), c
+                for low in range(0, n, 8):
+                    table = np.zeros(1, np.uint32)  # table[b] = (b << low) * c
+                    for _ in range(min(8, n - low)):
+                        table = np.concatenate([table, table ^ col])
+                        col <<= 1  # x^(i+1) * c from x^i * c
+                        if col >> n:
+                            col ^= f
+                    out ^= table[src >> low & 0xFF]
+                powers[done : done + rows] = out
+                done, c = done + rows, _gf2_mulmod(c, c, f, n)
+            exp = powers
+        else:
+            t = self._tensor
+            wide = np.min_scalar_type(n * (p - 1) ** 2)  # holds a row's dot product
+            powers = np.zeros((order, n), np.min_scalar_type(p - 1))
+            powers[0, 0], c, done = 1, _digit_array([g], p, n), 1
+            while done < order:
+                rows = min(done, order - done)
+                m = _mul_matrices(c, t, p)[0].astype(wide)
                 powers[done : done + rows] = powers[:rows] @ m % p
-            done, c = done + rows, self._mul_poly(c, c)
-        exp = powers
-        if p != 2:
-            exp = np.zeros(size, np.uint32)
-            for digit in powers.T[::-1]:
-                exp = exp * p + digit
-        del powers
+                done, c = done + rows, _mul_rows(c, c, t, p)
+            exp = powers @ p ** np.arange(n, dtype=np.uint32)
+            del powers
         log = np.full(order, -1, np.int32)
-        log[exp] = np.arange(size, dtype=np.int32)
-        if self._mul_poly(int(exp[-1]), g) != 1 or (log[1:] < 0).any():
+        log[exp[:size]] = np.arange(size, dtype=np.int32)
+        if exp[size] != 1 or (log[1:] < 0).any():
             raise InvariantError("generator failed the order check")
-        # pool[v + 1] is the int v: the tables share one set of int objects.
-        pool = np.arange(-1, order, dtype=object)
-        self._log = pool[log + 1].tolist()
+        exp = exp[:size]
+        # The tables share one int object per value: ints[t] is z^t for
+        # t < size, then come 0 and -1, so a value v >= 1 sits at log[v].
+        ints = np.append(exp, (0, -1)).astype(object)
+        self._exp = ints[:size].tolist() * 2
+
+        def shared(values):
+            return ints[np.where(values > 0, log[values], size - np.minimum(values, 0))].tolist()
+
+        self._log = shared(log)
         if p != 2:  # zech[t] = log(1 + z^t): the lowest digit of z^t plus one, mod p
-            self._zech = pool[log[exp + np.where(exp % p == p - 1, 1 - p, 1)] + 1].tolist()
-        self._exp = pool[exp + 1].tolist() * 2
+            self._zech = shared(log[exp + np.where(exp % p == p - 1, 1 - p, 1)])
         self._exp_table = exp
         self._log_table = log
 
@@ -403,6 +490,11 @@ class FieldCtx:
             weight *= self.p
         return out
 
+    def _check(self, x: int) -> None:
+        """Reject an int outside [0, order), which the tables would wrap."""
+        if not 0 <= x < self.order:
+            raise ValueError(f"{x} is not a field element in [0, {self.order})")
+
     def elements(self) -> range:
         return range(self.order)
 
@@ -418,9 +510,11 @@ class FieldCtx:
         closed-form scheme's u_i (nonzero only at x^(q^j - 1)) evaluates in
         its number of terms, not its degree.  pow(0, 0) = 1 covers x = 0.
         """
+        self._check(x)
         acc = 0
         for t, c in enumerate(coeffs):
             if c:
+                self._check(c)
                 acc = self.add(acc, self.mul(c, self.pow(x, t)))
         return acc
 
@@ -445,7 +539,10 @@ class FieldCtx:
             raise InvalidSubfieldError(f"m = {m} does not divide {self.n}")
         p, n, order = self.p, self.n, self.order
         step = (order - 1) // (p**m - 1)
-        elements = (0, *np.sort(self._exp_table[::step]).tolist())
+        # The subfield's own int objects from _exp: z^(j*step) at j, then 0,
+        # which the log -1 of 0 indexes.
+        ints = np.array([*self._exp[: order - 1 : step], 0], object)
+        elements = (0, *ints[np.argsort(self._exp_table[::step])].tolist())
         trace = np.zeros(order, np.intp)
         for k in range(n):
             size, t = p**k, 0
@@ -453,7 +550,7 @@ class FieldCtx:
                 t = self.add(t, self.pow(size, p ** (m * i)))
             for d in range(1, p):
                 trace[d * size : (d + 1) * size] = self.add_array(trace[:size], self.mul(d, t))
-        trace = trace.tolist()
+        trace = ints[self._log_table[trace] // step].tolist()
         basis = [self._exp[i] for i in range(n // m)]
         return self._subfields.setdefault(m, (elements, trace, self._dual_basis(basis, m, trace)))
 
@@ -471,6 +568,9 @@ class FieldCtx:
 
     def dual_basis(self, ws, m: int):
         """Trace-dual basis of ws over F_{p^m}: Tr(ws[i]*dual[j]) = delta_ij."""
+        ws = list(ws)
+        for w in ws:
+            self._check(w)
         return self._dual_basis(ws, m, (self._subfields.get(m) or self._build_subfield(m))[1])
 
     def _dual_basis(self, ws, m: int, trace: list[int]):
@@ -498,6 +598,7 @@ class FieldCtx:
 
     def coords(self, x: int, m: int) -> tuple[int, ...]:
         """Coordinates of x over F_{p^m} in the power basis of the generator."""
+        self._check(x)
         _, trace, dual = self._subfields.get(m) or self._build_subfield(m)
         if x == 0:
             return (0,) * len(dual)
@@ -533,7 +634,7 @@ class FieldCtx:
         return work[:r], pivots
 
     def rank_over(self, m: int, elems) -> int:
-        """F_{p^m}-rank of a list of field elements."""
+        """F_{p^m}-rank of a list of field elements (coords checks each)."""
         rows = [list(self.coords(x, m)) for x in elems]
         _, pivots = self.rref_over(m, rows)
         return len(pivots)

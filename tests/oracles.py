@@ -9,6 +9,7 @@ from itertools import combinations, product
 from math import comb
 
 from compactrepair.errors import BudgetExceededError, EmptyFamilyError
+from compactrepair.gf import prime_factors
 from compactrepair.orbits import CosetFamily, coset_family
 from compactrepair.repair import SeedScheme
 from compactrepair.subspaces import Subspace, _closure
@@ -163,6 +164,116 @@ def digit_neg(p: int, x: int) -> int:
         x //= p
         mult *= p
     return res
+
+
+# Polynomial arithmetic over F_p on plain coefficient lists (low first), for
+# the field-bootstrap references below.
+
+def _poly_trim(a):
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _poly_mul_mod(a, b, mod, p):
+    n = len(mod) - 1
+    prod = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, ai in enumerate(a):
+        if ai == 0:
+            continue
+        for j, bj in enumerate(b):
+            prod[i + j] = (prod[i + j] + ai * bj) % p
+    for i in range(len(prod) - 1, n - 1, -1):
+        c = prod[i]
+        if c == 0:
+            continue
+        prod[i] = 0
+        for j in range(n):
+            prod[i - n + j] = (prod[i - n + j] - c * mod[j]) % p
+    return _poly_trim(prod)
+
+
+def _poly_pow_mod(a, e, mod, p):
+    result = [1]
+    base = list(a)
+    while e:
+        if e & 1:
+            result = _poly_mul_mod(result, base, mod, p)
+        base = _poly_mul_mod(base, base, mod, p)
+        e >>= 1
+    return result
+
+
+def _poly_mod(a, b, p):
+    r = _poly_trim(list(a))
+    db = len(b) - 1
+    lead_inv = pow(b[-1], p - 2, p)
+    while r and len(r) - 1 >= db:
+        c = (r[-1] * lead_inv) % p
+        shift = len(r) - 1 - db
+        for j, bj in enumerate(b):
+            r[shift + j] = (r[shift + j] - c * bj) % p
+        _poly_trim(r)
+    return r
+
+
+def _poly_gcd(a, b, p):
+    a, b = _poly_trim(list(a)), _poly_trim(list(b))
+    while b:
+        a, b = b, _poly_mod(a, b, p)
+    return a
+
+
+def _digits(v: int, p: int, width: int) -> list[int]:
+    out = []
+    for _ in range(width):
+        v, r = divmod(v, p)
+        out.append(r)
+    return out
+
+
+def is_irreducible_rabin(coeffs, p: int) -> bool:
+    """Rabin test of a monic f (low first) over F_p, on coefficient lists.
+
+    x^(p^n) = x mod f, and gcd(x^(p^(n/r)) - x, f) = 1 for each prime r | n.
+    """
+    n = len(coeffs) - 1
+    if n == 1:
+        return True
+    if coeffs[0] == 0:
+        return False  # divisible by x
+    mod = list(coeffs)
+    frob = {0: [0, 1]}
+    t = [0, 1]
+    for k in range(1, n + 1):
+        t = _poly_pow_mod(t, p, mod, p)
+        frob[k] = list(t)
+    if _poly_trim(list(frob[n])) != [0, 1]:
+        return False
+    for r in prime_factors(n):
+        u = list(frob[n // r]) + [0, 0]
+        u[1] = (u[1] - 1) % p  # u - x
+        if len(_poly_gcd(mod, u, p)) != 1:
+            return False
+    return True
+
+
+def first_primitive_scan(p: int, modulus) -> int:
+    """The first g >= 2 in encoding order of order p^n - 1 modulo f, one at a time.
+
+    g^((p^n - 1)/r) != 1 for each prime r | p^n - 1, by square-and-multiply
+    on coefficient lists.
+    """
+    n = len(modulus) - 1
+    group = p**n - 1
+    if group == 1:
+        return 1
+    checks = [group // r for r in prime_factors(group)]
+    for g in range(2, p**n):
+        g_poly = _poly_trim(_digits(g, p, n))
+        if all(_poly_pow_mod(g_poly, e, list(modulus), p) != [1] for e in checks):
+            return g
+    raise AssertionError("no primitive element")
 
 
 def subspace_polynomial_product(S) -> tuple:

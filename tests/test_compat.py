@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from compactrepair import load_bundle, search_seed_scheme
+from compactrepair import cli, design, gf, load_bundle, search_seed_scheme
 from compactrepair.cli import main
 from compactrepair.gf import FieldCtx
 
@@ -83,3 +83,13 @@ def test_perfbench_warm_field_methods_exist():
     }
     assert {"elements", "subfield_degree", "trace_to_subfield", "coords"} <= called
     assert all(callable(getattr(FieldCtx, name, None)) for name in called)
+
+
+def test_perfbench_tracer_hooks_hold(gf16):
+    # perfbench/spans.py counts add and mul per context by setting instance
+    # attributes (restoring add, deleting mul) and finds new contexts by
+    # wrapping gf.field_new wherever a module imported it by that name.
+    assert "add" in vars(gf16) and "add" not in vars(FieldCtx)
+    assert "mul" in vars(FieldCtx) and "mul" not in vars(gf16)
+    assert cli.field_new is gf.field_new
+    assert design.field_new is gf.field_new

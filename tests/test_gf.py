@@ -16,7 +16,15 @@ from compactrepair.errors import (
     RankDeficientError,
     ReducibleModulusError,
 )
-from oracles import digit_add, digit_neg, horner_eval, trace_scan
+from compactrepair.gf import _irreducible_rows, _is_irreducible, find_irreducible
+from oracles import (
+    digit_add,
+    digit_neg,
+    first_primitive_scan,
+    horner_eval,
+    is_irreducible_rabin,
+    trace_scan,
+)
 
 
 def test_default_gf16_modulus_and_generator(gf16):
@@ -53,6 +61,61 @@ def test_construction_errors():
         field_new(2, 1, 4, (1, 1, 1))  # wrong degree
     with pytest.raises(ValueError):
         field_new(2, 1, 4, (1, 1, 0, 0, 0))  # not monic
+
+
+@pytest.mark.parametrize(
+    "p, modulus",
+    [
+        (2, (1, 0, 1, 0, 1)),  # (x^2 + x + 1)^2: no factor of degree 1
+        (2, (0, 1, 1, 0, 1)),  # x * (x^3 + x + 1)
+        (3, (2, 0, 1)),  # x^2 - 1 = (x + 1)(x + 2)
+        (3, (1, 0, 2, 0, 1)),  # (x^2 + 1)^2
+        (5, (4, 0, 0, 1)),  # x^3 - 4 has the root 4 over F_5
+    ],
+)
+def test_reducible_explicit_modulus_rejected(p, modulus):
+    with pytest.raises(ReducibleModulusError):
+        field_new(p, 1, len(modulus) - 1, modulus)
+
+
+# (p, largest n): every monic f of degree <= n with f(0) != 0 is tested.
+IRREDUCIBILITY_SWEEP = [(2, 10), (3, 6), (5, 4), (7, 3)]
+
+
+@pytest.mark.parametrize("p, top", IRREDUCIBILITY_SWEEP, ids=[f"{p}^<={n}" for p, n in IRREDUCIBILITY_SWEEP])
+def test_ben_or_matches_rabin_exhaustive(p, top):
+    for n in range(1, top + 1):
+        # encoding order of the monic polynomials, constant term nonzero
+        moduli = [
+            tuple((enc // p**i) % p for i in range(n + 1))
+            for enc in range(p**n, 2 * p**n)
+            if enc % p
+        ]
+        expected = [is_irreducible_rabin(list(f), p) for f in moduli]
+        assert [_is_irreducible(f, p) for f in moduli] == expected, (p, n)
+        if p != 2:  # the batched form find_irreducible runs
+            assert _irreducible_rows(np.array(moduli), p).tolist() == expected, (p, n)
+        if n > 1:  # degree 1 takes x itself, the one modulus with f(0) = 0
+            assert find_irreducible(p, n) == moduli[expected.index(True)], (p, n)
+
+
+def _prime_powers(limit):
+    sieve = [True] * (limit + 1)
+    for p in range(2, limit + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = [False] * len(sieve[p * p :: p])
+            n = 1
+            while p**n <= limit:
+                yield p, n
+                n += 1
+
+
+def test_generator_matches_sequential_scan_up_to_2_12():
+    fields = list(_prime_powers(1 << 12))
+    assert len(fields) == 564 + 40  # primes below 4096, and their higher powers
+    for p, n in fields:
+        ctx = field_new(p, 1, n)
+        assert ctx.generator == first_primitive_scan(p, ctx.modulus), (p, n)
 
 
 def test_order_cap_checked_before_primality():
@@ -344,6 +407,35 @@ def test_trace_and_coords_match_trace_scan_sampled(p, ell, ms):
     xs = [0, 1, ctx.order - 1, *random.Random(p).sample(range(ctx.order), 500)]
     for m in ms:
         _check_trace_and_coords(ctx, m, xs)
+
+
+def test_subfield_tables_share_int_objects():
+    # Python shares only the ints below 257; a trace list of fresh ints
+    # would hold one object per field element of the 263 * 263.
+    ctx = field_new(263, 1, 2)
+    trace = [ctx.trace_to_subfield(x, 1) for x in ctx.elements()]
+    elements = ctx.subfield_elements(1)
+    assert len(elements) == 263
+    assert {id(v) for v in trace} == {id(v) for v in elements}
+    assert {id(v) for v in elements} <= {id(v) for v in ctx._exp} | {id(0)}
+
+
+# Entry points that read the tables with an element argument; an int outside
+# [0, order) would wrap (negative) or run off the end of a table.
+OUT_OF_FIELD_CALLS = {
+    "coords": lambda ctx, x: ctx.coords(x, 1),
+    "dual_basis": lambda ctx, x: ctx.dual_basis([1, 2, 4, x], 1),
+    "rank_over": lambda ctx, x: ctx.rank_over(1, [1, x]),
+    "poly_eval-point": lambda ctx, x: ctx.poly_eval([1, 1], x),
+    "poly_eval-coefficient": lambda ctx, x: ctx.poly_eval([1, x], 3),
+}
+
+
+@pytest.mark.parametrize("x", [-1, 16])
+@pytest.mark.parametrize("call", list(OUT_OF_FIELD_CALLS))
+def test_out_of_field_ints_rejected(gf16, call, x):
+    with pytest.raises(ValueError, match="not a field element"):
+        OUT_OF_FIELD_CALLS[call](gf16, x)
 
 
 def test_subfields_are_closed(gf16, gf64, gf9):
