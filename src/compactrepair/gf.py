@@ -358,11 +358,11 @@ class FieldCtx:
     def _build_tables(self):
         """exp and log tables by doubling, and for p > 2 the Zech table.
 
-        Row t of powers is z^t for t <= q^n - 1: its encoding for p = 2, else
+        Row t of powers is z^t for t <= p^n - 1: its encoding for p = 2, else
         its digit vector.  Rows [2^t, 2^(t+1)) are rows [0, 2^t) times
         c = z^(2^t), an F_p-linear map: for p = 2 a lookup per byte of the
         encoding in tables of x * c, else a product mod p with the matrix
-        of rows x^i * c.  The last row, z^(q^n - 1), must be 1.
+        of rows x^i * c.  The last row, z^(p^n - 1), must be 1.
         """
         p, n, order, g = self.p, self.n, self.order, self.generator
         size = order - 1
