@@ -127,7 +127,11 @@ def _cmd_design(args) -> int:
 
 def _cmd_simulate(args) -> int:
     with open(args.bundle) as fh:
-        bundle = load_bundle(json.load(fh))
+        try:
+            data = json.load(fh)
+        except RecursionError:  # the decoder recurses once per nested array or object
+            raise ValueError(f"{args.bundle} nests too deep to be a bundle") from None
+    bundle = load_bundle(data)
     report = simulate_failures(
         bundle,
         args.alpha_star,
@@ -141,7 +145,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_compare_bandwidth(args) -> int:
-    bws = _parse_ints(args.scheme_bw) if args.scheme_bw else None
+    bws = _parse_ints(args.scheme_bw) if args.scheme_bw is not None else None
     table = bandwidth_comparison(args.n, args.k, args.ell, args.e, scheme_bandwidths=bws)
     _emit(table, args.output)
     return 0

@@ -84,7 +84,7 @@ _INPUTS = {
     "mode": ("single-seed", "multi-seed"),
     "seeds": [{"basis": [int], "scheme": {"u": [[int]]}}],
     "mhs": {"witness": [int], "method": ("exact", "greedy-upper-only")},
-    "config": dict,
+    "config": dict,  # of JSON scalars or arrays of scalars
 }
 
 
@@ -259,6 +259,10 @@ def load_bundle(data) -> DesignBundle:
     if data.get("schema") != SCHEMA_VERSION:
         raise ValueError(f"unsupported bundle schema: {data.get('schema')!r}")
     _check_shape(data, _INPUTS)
+    # A flat config cannot nest deep enough to overflow hashing or comparing it.
+    for key, value in data["config"].items():
+        if any(type(v) in (dict, list) for v in (value if type(value) is list else [value])):
+            raise ValueError(f"bundle.config.{key} must be a JSON scalar or an array of scalars")
     f, k, entries = data["field"], data["code"]["k"], data["seeds"]
     ctx = field_new(f["p"], f["s"], f["ell"], f["modulus"])
     seeds = tuple(span(ctx, ctx.q, entry["basis"]) for entry in entries)

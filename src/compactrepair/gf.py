@@ -15,11 +15,14 @@ subfield order p^m with m | s*ell the context also exposes:
   * the trace map down to that subfield,
   * coordinates relative to the power basis 1, z, ..., z^(L-1), L = s*ell/m:
     coordinate i of x is Tr(x * d_i) for the trace-dual basis d,
-  * reduced row echelon form and rank of element lists over the subfield.
+  * one row reduction over the subfield whose rows stay field elements
+    (_echelon): the canonical basis, pivots and rank of a span, and the
+    trace-dual basis of a basis.
 
 A subfield's first use builds its one cache entry: the element set, the
 trace of every element by F_p-linear doubling (like the exp table) and the
-dual of the power basis.  A trace is then one lookup; racing builds agree.
+dual of the power basis (by _echelon).  A trace is then one lookup; racing
+builds agree.
 
 The field order is capped at 2^20 so tables stay desk-sized.
 
@@ -551,8 +554,9 @@ class FieldCtx:
             for d in range(1, p):
                 trace[d * size : (d + 1) * size] = self.add_array(trace[:size], self.mul(d, t))
         trace = ints[self._log_table[trace] // step].tolist()
-        basis = [self._exp[i] for i in range(n // m)]
-        return self._subfields.setdefault(m, (elements, trace, self._dual_basis(basis, m, trace)))
+        basis = self._exp[: n // m]
+        dual = self._echelon(basis, basis, trace)[0]
+        return self._subfields.setdefault(m, (elements, trace, dual))
 
     def subfield_elements(self, m: int) -> tuple[int, ...]:
         """All elements of the order-p^m subfield, sorted ascending."""
@@ -563,38 +567,56 @@ class FieldCtx:
         return (self._subfields.get(m) or self._build_subfield(m))[1][x]
 
     # -- linear algebra over a subfield -------------------------------------
-    # Entries of all row vectors below are field elements constrained to the
-    # order-p^m subfield, so plain field arithmetic performs the scalar work.
+
+    def _echelon(self, elems, hs, trace: list[int]) -> tuple[tuple[int, ...], list[int]]:
+        """Reduced row echelon form of elems under coordinates y -> Tr(y * hs[j]).
+
+        Each row stays the field element it coordinates; Tr is
+        F_{p^m}-linear, so field sub, mul and inv on the elements are the
+        row operations.  Returns the reduced rows and their pivot columns.
+        With hs the dual of the power basis the rows are the canonical
+        basis of span(elems); with hs = elems = ws they are the trace-dual
+        basis of ws, which has len(ws) pivots iff ws is a basis.  RREF is
+        unique, so the choice of pivot row does not matter.
+        """
+        mul, sub = self.mul, self.sub
+        rows, basis, pivots = [y for y in elems if y], [], []
+        for j, h in enumerate(hs):
+            hit = next((i for i, y in enumerate(rows) if trace[mul(y, h)]), None)
+            if hit is None:
+                continue
+            top = rows.pop(hit)
+            pivot = mul(top, self.inv(trace[mul(top, h)]))
+            rows = [r for y in rows if (r := sub(y, mul(trace[mul(y, h)], pivot)))]
+            basis = [sub(b, mul(trace[mul(b, h)], pivot)) for b in basis]
+            basis.append(pivot)
+            pivots.append(j)
+        return tuple(basis), pivots
+
+    def echelon(self, elems, m: int) -> tuple[tuple[int, ...], list[int]]:
+        """Canonical basis of the F_{p^m}-span of elems, and its pivot columns.
+
+        The basis is the reduced row echelon form of the coordinates in the
+        power basis of the generator (see coords), each row as its element.
+        """
+        elems = list(elems)
+        for x in elems:
+            self._check(x)
+        _, trace, dual = self._subfields.get(m) or self._build_subfield(m)
+        return self._echelon(elems, dual, trace)
 
     def dual_basis(self, ws, m: int):
         """Trace-dual basis of ws over F_{p^m}: Tr(ws[i]*dual[j]) = delta_ij."""
         ws = list(ws)
         for w in ws:
             self._check(w)
-        return self._dual_basis(ws, m, (self._subfields.get(m) or self._build_subfield(m))[1])
-
-    def _dual_basis(self, ws, m: int, trace: list[int]):
-        big_l = self.n // m
-        ws = list(ws)
-        if len(ws) != big_l:
-            raise ValueError(f"need {big_l} basis elements, got {len(ws)}")
-        gram = [[trace[self.mul(wi, wj)] for wj in ws] for wi in ws]
-        # Row-reduce [gram | I] to [I | gram^-1]; gram is singular exactly
-        # when ws is not an F_{p^m}-basis.
-        rows = [
-            row + [1 if i == j else 0 for j in range(big_l)]
-            for i, row in enumerate(gram)
-        ]
-        rref, pivots = self.rref_over(m, rows)
-        if pivots != list(range(big_l)):
+        trace = (self._subfields.get(m) or self._build_subfield(m))[1]
+        if len(ws) != self.n // m:
+            raise ValueError(f"need {self.n // m} basis elements, got {len(ws)}")
+        dual, pivots = self._echelon(ws, ws, trace)
+        if len(pivots) < len(ws):
             raise RankDeficientError("singular matrix over subfield")
-        dual = []
-        for j in range(big_l):
-            acc = 0
-            for a in range(big_l):
-                acc = self.add(acc, self.mul(rref[a][big_l + j], ws[a]))
-            dual.append(acc)
-        return tuple(dual)
+        return dual
 
     def coords(self, x: int, m: int) -> tuple[int, ...]:
         """Coordinates of x over F_{p^m} in the power basis of the generator."""
@@ -605,39 +627,9 @@ class FieldCtx:
         exp, log, lx = self._exp, self._log, self._log[x]
         return tuple([trace[exp[lx + log[d]]] for d in dual])
 
-    def from_coords(self, cs, m: int) -> int:
-        """The element sum of cs[i] * z^i, inverse to coords."""
-        acc = 0
-        for i, c in enumerate(cs):
-            acc = self.add(acc, self.mul(c, self._exp[i]))
-        return acc
-
-    def rref_over(self, m: int, rows):
-        """Reduced row echelon form over F_{p^m}; returns (rows, pivot cols)."""
-        work = [list(r) for r in rows]
-        ncols = len(work[0]) if work else 0
-        pivots = []
-        r = 0
-        for col in range(ncols):
-            piv = next((i for i in range(r, len(work)) if work[i][col] != 0), None)
-            if piv is None:
-                continue
-            work[r], work[piv] = work[piv], work[r]
-            scale = self.inv(work[r][col])
-            work[r] = [self.mul(v, scale) for v in work[r]]
-            for i in range(len(work)):
-                f = work[i][col]
-                if i != r and f:
-                    work[i] = [self.sub(v, self.mul(f, w)) for v, w in zip(work[i], work[r])]
-            pivots.append(col)
-            r += 1
-        return work[:r], pivots
-
     def rank_over(self, m: int, elems) -> int:
-        """F_{p^m}-rank of a list of field elements (coords checks each)."""
-        rows = [list(self.coords(x, m)) for x in elems]
-        _, pivots = self.rref_over(m, rows)
-        return len(pivots)
+        """F_{p^m}-rank of a list of field elements."""
+        return len(self.echelon(elems, m)[1])
 
     def __repr__(self):
         return (

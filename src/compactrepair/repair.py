@@ -188,9 +188,8 @@ def _helper_data(ctx: FieldCtx, mq: int, evals, duals) -> tuple[tuple, tuple]:
     trace-dual basis of {g_i(0)} gives f(0) = sum_x sum_j Tr(basis_j f(x))
     * w_j with w_j = -sum_i c_ij dual_i.
     """
+    basis, pivots = ctx.echelon(evals, mq)
     coords = [ctx.coords(v, mq) for v in evals]
-    rref, pivots = ctx.rref_over(mq, coords)
-    basis = tuple(ctx.from_coords(r, mq) for r in rref)
     weights = []
     for p in pivots:
         acc = 0

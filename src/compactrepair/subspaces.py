@@ -2,9 +2,10 @@
 
 A Subspace is canonicalized by the reduced row echelon form of its basis
 over the scalar subfield, taken in the generator power-basis coordinates of
-its FieldCtx, so equal subspaces always carry identical basis tuples.  The
-member set is materialized up front (the 2^20 field cap keeps that cheap)
-for O(1) hit tests in the hitting-set and repair machinery.
+its FieldCtx (FieldCtx.echelon), so equal subspaces always carry identical
+basis tuples.  The member set is materialized up front (the 2^20 field cap
+keeps that cheap) for coset_family's logs, base_of's closure test, the
+support and helpers of a SeedScheme and design_multi_seed's witness.
 
 Enumeration works on numpy blocks: _subspace_blocks yields the canonical
 bases and member lists of many subspaces at once, built with array
@@ -89,10 +90,8 @@ def span(ctx: FieldCtx, q: int, generators) -> Subspace:
         raise ValueError(
             f"span generators must be field elements in [0, {ctx.order})"
         )
-    rows = [list(ctx.coords(g, m)) for g in generators]
-    rref, pivots = ctx.rref_over(m, rows)
-    basis = tuple(ctx.from_coords(r, m) for r in rref)
-    return Subspace(ctx, q, len(pivots), basis, _closure(ctx, m, basis))
+    basis, _ = ctx.echelon(generators, m)
+    return Subspace(ctx, q, len(basis), basis, _closure(ctx, m, basis))
 
 
 def gaussian_coefficient(ell: int, delta: int, q: int) -> int:

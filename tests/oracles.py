@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from math import comb
 
-from compactrepair.errors import BudgetExceededError, EmptyFamilyError
+from compactrepair.errors import BudgetExceededError, EmptyFamilyError, RankDeficientError
 from compactrepair.gf import prime_factors
 from compactrepair.orbits import CosetFamily, coset_family
 from compactrepair.repair import SeedScheme
@@ -39,7 +39,7 @@ def enumerate_subspaces_scan(ctx, q: int, delta: int):
                 rows[i][pcol] = 1
             for (i, j), v in zip(free, values):
                 rows[i][j] = v
-            basis = tuple(ctx.from_coords(r, m) for r in rows)
+            basis = tuple(from_coords(ctx, r, m) for r in rows)
             yield Subspace(ctx, q, delta, basis, _closure(ctx, m, basis))
 
 
@@ -139,6 +139,74 @@ def trace_scan(ctx, x: int, m: int) -> int:
     for i in range(ctx.n // m):
         acc = ctx.add(acc, ctx.pow(x, ctx.p ** (m * i)))
     return acc
+
+
+def rref_over(ctx, m: int, rows):
+    """Reduced row echelon form over F_{p^m} of coordinate rows; returns (rows, pivot cols).
+
+    Entries are field elements of the order-p^m subfield, so plain field
+    arithmetic does the scalar work.  The list form of FieldCtx.echelon.
+    """
+    work = [list(r) for r in rows]
+    ncols = len(work[0]) if work else 0
+    pivots = []
+    r = 0
+    for col in range(ncols):
+        piv = next((i for i in range(r, len(work)) if work[i][col] != 0), None)
+        if piv is None:
+            continue
+        work[r], work[piv] = work[piv], work[r]
+        scale = ctx.inv(work[r][col])
+        work[r] = [ctx.mul(v, scale) for v in work[r]]
+        for i in range(len(work)):
+            f = work[i][col]
+            if i != r and f:
+                work[i] = [ctx.sub(v, ctx.mul(f, w)) for v, w in zip(work[i], work[r])]
+        pivots.append(col)
+        r += 1
+    return work[:r], pivots
+
+
+def from_coords(ctx, cs, m: int) -> int:
+    """The element sum of cs[i] * z^i, inverse to FieldCtx.coords."""
+    acc = 0
+    for i, c in enumerate(cs):
+        acc = ctx.add(acc, ctx.mul(c, ctx.exp(i)))
+    return acc
+
+
+def echelon_scan(ctx, elems, m: int):
+    """FieldCtx.echelon through coordinate rows: coords, rref_over, from_coords."""
+    rref, pivots = rref_over(ctx, m, [ctx.coords(x, m) for x in elems])
+    return tuple(from_coords(ctx, r, m) for r in rref), pivots
+
+
+def dual_basis_gram(ctx, ws, m: int):
+    """Trace-dual basis of ws over F_{p^m} by inverting the Gram matrix.
+
+    Row-reduces [gram | I] to [I | gram^-1], gram[i][j] = Tr(ws[i] * ws[j]);
+    gram is singular exactly when ws is not an F_{p^m}-basis, which raises
+    RankDeficientError.
+    """
+    big_l = ctx.n // m
+    ws = list(ws)
+    if len(ws) != big_l:
+        raise ValueError(f"need {big_l} basis elements, got {len(ws)}")
+    gram = [[ctx.trace_to_subfield(ctx.mul(wi, wj), m) for wj in ws] for wi in ws]
+    rows = [
+        row + [1 if i == j else 0 for j in range(big_l)]
+        for i, row in enumerate(gram)
+    ]
+    rref, pivots = rref_over(ctx, m, rows)
+    if pivots != list(range(big_l)):
+        raise RankDeficientError("singular matrix over subfield")
+    dual = []
+    for j in range(big_l):
+        acc = 0
+        for a in range(big_l):
+            acc = ctx.add(acc, ctx.mul(rref[a][big_l + j], ws[a]))
+        dual.append(acc)
+    return tuple(dual)
 
 
 def digit_add(p: int, x: int, y: int) -> int:

@@ -184,6 +184,14 @@ def test_usage_errors_exit_1(capsys):
         "--alpha-star", "0", "--failures", "1",
     )
     assert code == 1
+    # an empty or malformed list is an error, never dropped
+    for argv in (
+        ("compare-bandwidth", "--n", "30", "--k", "10", "--ell", "8", "--e", "5", "--scheme-bw", ""),
+        ("compare-bandwidth", "--n", "30", "--k", "10", "--ell", "8", "--e", "5", "--scheme-bw", "3,"),
+        ("design", "--q", "2", "--ell", "4", "--k", "2", "--seed-basis", ""),
+    ):
+        code, out, err_text = run_cli(capsys, *argv)
+        assert (code, out, err_text.count("\n")) == (1, "", 1)
 
 
 def test_modulus_override_cli(capsys):
@@ -232,6 +240,40 @@ def test_simulate_forged_bundle_exits_1(capsys, tmp_path):
     assert code == 1
     assert out == ""
     assert err.count("\n") == 1 and "tolerance" in err
+
+
+def test_simulate_deeply_nested_bundle_exits_1(capsys, tmp_path):
+    # too deep for the JSON decoder, and a valid bundle whose config is too
+    # deep to hash or compare: both fail in one line, with no traceback
+    bundle_path = tmp_path / "bundle.json"
+    code, _, _ = run_cli(
+        capsys, "design", "--q", "2", "--ell", "4", "--k", "2",
+        "--delta", "2", "-o", str(bundle_path),
+    )
+    assert code == 0
+    data = json.loads(bundle_path.read_text())
+    for key in ("a", "b", "c"):
+        data["config"] = {key: data["config"]}
+    shallow_path = tmp_path / "shallow.json"
+    shallow_path.write_text(json.dumps(data))
+    for _ in range(897):
+        data["config"] = {"a": data["config"]}
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(data))
+    arrays_path = tmp_path / "arrays.json"
+    arrays_path.write_text("[" * 200_000)
+    for path, pattern in (
+        (shallow_path, "config.c must be a JSON scalar"),
+        (config_path, "config.a must be a JSON scalar"),
+        (arrays_path, "nests too deep"),
+    ):
+        code, out, err = run_cli(
+            capsys, "simulate", "--bundle", str(path),
+            "--alpha-star", "6", "--failures", "2",
+        )
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1 and pattern in err
 
 
 def test_simulate_rejected_bundle_exits_1(capsys, tmp_path, forged_bundle):

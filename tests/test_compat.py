@@ -8,13 +8,14 @@ they must still load and re-serialize to the same bytes.
 
 import ast
 import importlib
+import inspect
 import json
 import types
 from pathlib import Path
 
 import pytest
 
-from compactrepair import cli, design, gf, load_bundle, search_seed_scheme
+from compactrepair import cli, design, gf, load_bundle, repair, search_seed_scheme
 from compactrepair.cli import main
 from compactrepair.gf import FieldCtx
 
@@ -93,3 +94,55 @@ def test_perfbench_tracer_hooks_hold(gf16):
     assert "mul" in vars(FieldCtx) and "mul" not in vars(gf16)
     assert cli.field_new is gf.field_new
     assert design.field_new is gf.field_new
+
+
+def test_perfbench_workload_library_names_exist():
+    # perfbench/workloads.py reads these compactrepair.<module>.<attr> and
+    # passes these keywords (a **mapping aside); its source is parsed here,
+    # never imported or written to.
+    tree = ast.parse((REPO / "perfbench" / "workloads.py").read_text())
+    aliases = {
+        alias.asname or alias.name: alias.name.removeprefix("compactrepair.")
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+        if alias.name.startswith("compactrepair.")
+    }
+    assert set(aliases.values()) == {
+        "cli", "design", "gf", "hitting", "orbits", "repair", "subspaces"
+    }
+    keywords = {
+        id(node.func): [kw.arg for kw in node.keywords if kw.arg]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+    }
+    uses = [
+        (aliases[node.value.id], node.attr, keywords.get(id(node), []))
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in aliases
+    ]
+    missing, rejected = [], []
+    for mod, attr, kws in uses:
+        value = getattr(importlib.import_module(f"compactrepair.{mod}"), attr, None)
+        if value is None:
+            missing.append(f"{mod}.{attr}")
+        elif kws:
+            params = inspect.signature(value).parameters
+            rejected += [f"{mod}.{attr}({kw}=)" for kw in kws if kw not in params]
+    assert missing == [] and rejected == []
+    # both design functions still take the ignored rng_seed the workloads pass
+    for name in ("design_single_seed", "design_multi_seed"):
+        calls = [kws for mod, attr, kws in uses if (mod, attr) == ("design", name)]
+        assert calls and all("rng_seed" in kws for kws in calls)
+
+
+def test_perfbench_verify_full_rank_holds_on_closed_form(gf16, gf64, gf9):
+    # design-session checks every designed scheme with repair.verify_full_rank,
+    # which reads through FieldCtx.rank_over
+    for ctx, delta in ((gf16, 2), (gf64, 3), (gf9, 1)):
+        seed = design._seed_from_strategy(ctx, delta, "subfield-coset")
+        scheme = search_seed_scheme(ctx, seed, 2 if delta > 1 else 1)
+        assert repair.verify_full_rank(scheme)
+        assert repair.verify_full_rank(repair.dilate_translate(scheme, 3, ctx.generator))

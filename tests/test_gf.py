@@ -16,11 +16,14 @@ from compactrepair.errors import (
     RankDeficientError,
     ReducibleModulusError,
 )
-from compactrepair.gf import _irreducible_rows, _is_irreducible, find_irreducible
+from compactrepair.gf import FieldCtx, _irreducible_rows, _is_irreducible, find_irreducible
 from oracles import (
     digit_add,
     digit_neg,
+    dual_basis_gram,
+    echelon_scan,
     first_primitive_scan,
+    from_coords,
     horner_eval,
     is_irreducible_rabin,
     trace_scan,
@@ -424,6 +427,7 @@ def test_subfield_tables_share_int_objects():
 # [0, order) would wrap (negative) or run off the end of a table.
 OUT_OF_FIELD_CALLS = {
     "coords": lambda ctx, x: ctx.coords(x, 1),
+    "echelon": lambda ctx, x: ctx.echelon([1, x], 1),
     "dual_basis": lambda ctx, x: ctx.dual_basis([1, 2, 4, x], 1),
     "rank_over": lambda ctx, x: ctx.rank_over(1, [1, x]),
     "poly_eval-point": lambda ctx, x: ctx.poly_eval([1, 1], x),
@@ -498,13 +502,81 @@ def test_coords_roundtrip_and_linearity(gf16, gf64, gf9):
             if ctx.n % m:
                 continue
             for x in ctx.elements():
-                assert ctx.from_coords(ctx.coords(x, m), m) == x
+                assert from_coords(ctx, ctx.coords(x, m), m) == x
         rng = random.Random(5)
         for _ in range(50):
             x, y = rng.randrange(ctx.order), rng.randrange(ctx.order)
             cx, cy = ctx.coords(x, 1), ctx.coords(y, 1)
             cz = ctx.coords(ctx.add(x, y), 1)
             assert all(ctx.add(a, b) == c for a, b, c in zip(cx, cy, cz))
+
+
+def _dual_or_raise(dual_basis, ctx, ws, m):
+    try:
+        return dual_basis(ctx, ws, m)
+    except RankDeficientError:
+        return RankDeficientError
+
+
+def _check_echelon(ctx, m, lists):
+    """echelon and rank_over against coordinate rows through rref_over, and
+    dual_basis against the Gram-matrix inverse on every list of length L."""
+    big_l = ctx.n // m
+    for elems in lists:
+        basis, pivots = ctx.echelon(elems, m)
+        assert (basis, pivots) == echelon_scan(ctx, elems, m)
+        assert ctx.rank_over(m, elems) == len(pivots)
+        if len(elems) == big_l:
+            assert _dual_or_raise(FieldCtx.dual_basis, ctx, elems, m) == _dual_or_raise(
+                dual_basis_gram, ctx, elems, m
+            )
+
+
+def _sampled_lists(ctx, m, rng, count):
+    """Per draw, one list of up to L + 2 elements and one of exactly L; every
+    third draw picks from a pool of five (0, 1 and three more), so that zeros
+    and repeats are common."""
+    big_l = ctx.n // m
+    out = []
+    for t in range(count):
+        pool = [0, 1, *rng.sample(range(ctx.order), 3)] if t % 3 == 0 else range(ctx.order)
+        out.append([rng.choice(pool) for _ in range(rng.randrange(big_l + 3))])
+        out.append([rng.choice(pool) for _ in range(big_l)])
+    return out
+
+
+# (p, s, ell, subfield degrees m): GF(16), GF(64), GF(27), GF(81), GF(64)/F_4
+ECHELON_FIELDS = [
+    (2, 1, 4, (1, 2)),
+    (2, 1, 6, (1, 2, 3)),
+    (3, 1, 3, (1,)),
+    (3, 1, 4, (1, 2)),
+    (2, 2, 3, (2,)),
+]
+
+
+@pytest.mark.parametrize(
+    "p, s, ell, ms",
+    ECHELON_FIELDS,
+    ids=[f"{p**s}^{ell}-m{''.join(map(str, ms))}" for p, s, ell, ms in ECHELON_FIELDS],
+)
+def test_echelon_matches_rref_over_exhaustive(p, s, ell, ms):
+    # every list of at most two elements (zero and repeats included), then
+    # sampled longer lists
+    ctx = field_new(p, s, ell)
+    xs = ctx.elements()
+    rng = random.Random(ctx.order)
+    for m in ms:
+        lists = [[], *([x] for x in xs), *([x, y] for x in xs for y in xs)]
+        _check_echelon(ctx, m, lists + _sampled_lists(ctx, m, rng, 100))
+
+
+@pytest.mark.parametrize("p, ell, ms", [(2, 12, (1, 2, 3, 4)), (3, 8, (1, 2, 4))], ids=["2^12", "3^8"])
+def test_echelon_matches_rref_over_sampled(p, ell, ms):
+    ctx = field_new(p, 1, ell)
+    rng = random.Random(p)
+    for m in ms:
+        _check_echelon(ctx, m, _sampled_lists(ctx, m, rng, 100))
 
 
 def test_rank_over_subfield(gf16):
@@ -535,8 +607,11 @@ def test_dual_basis(gf16, gf64, gf9, gf16_q4):
                 if ctx.rank_over(m, ws) < big_l:
                     with pytest.raises(RankDeficientError):
                         ctx.dual_basis(ws, m)
+                    with pytest.raises(RankDeficientError):
+                        dual_basis_gram(ctx, ws, m)
                     continue
                 dual = ctx.dual_basis(ws, m)
+                assert dual == dual_basis_gram(ctx, ws, m)
                 for i, w in enumerate(ws):
                     for j, d in enumerate(dual):
                         assert ctx.trace_to_subfield(ctx.mul(w, d), m) == (i == j)

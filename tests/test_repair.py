@@ -23,7 +23,13 @@ from compactrepair.errors import (
     RankDeficientError,
     ZeroDilationError,
 )
-from oracles import bandwidth, check_polynomial_validity, naive_seed_scheme
+from oracles import (
+    bandwidth,
+    check_polynomial_validity,
+    from_coords,
+    naive_seed_scheme,
+    rref_over,
+)
 
 
 @pytest.fixture
@@ -255,8 +261,8 @@ def echelon_from_scratch(d, beta):
     coordinates at the basis' pivot columns."""
     ctx, mq = d.ctx, d.mq
     rows = [list(ctx.coords(v, mq)) for v in d.evals_at(beta)]
-    rref, pivots = ctx.rref_over(mq, rows)
-    basis = tuple(ctx.from_coords(r, mq) for r in rref)
+    rref, pivots = rref_over(ctx, mq, rows)
+    basis = tuple(from_coords(ctx, r, mq) for r in rref)
     combination = [[row[p] for p in pivots] for row in rows]
     return basis, combination
 
