@@ -89,6 +89,33 @@ def test_orbits_output_is_pinned(case, tmp_path):
     assert (_sha(out.read_text()), _sha(json.dumps(sizes))) == ORBITS[case]
 
 
+# The same cases with orbit order left out: sha of the sorted
+# (representative basis, size) pairs, counts_by_base and orbit_count.  A
+# rewrite that may only reorder the orbits must leave these unchanged.
+ORBIT_SETS = {
+    (2, 4, 2, 2, 1): "d0bf4a70392caf3ca6e15a3a2074e35b4cefb904a899c6373b32219d676ef883",
+    (2, 6, 3, 2, 1): "dcbcd1c4650b9b8fc4fe1ae8fc6a4ba1f6fb3d742f7844f591cab2d203193b2e",
+    (2, 8, 2, 2, 1): "cf063e7504835226ccf8b10562af3271e2675d7070352f192af5346cd3e20077",
+    (3, 3, 2, 3, 1): "92762e1c8bb061dc12792ffeb4c83445dbb11e2c4ec17e2c8dc70ef7f9282218",
+    (4, 3, 2, 2, 2): "499d0aefdab24684186c658d54108ca156668ecb0371d36d9c3ffbc9dc4975b2",
+    (3, 4, 2, 3, 1): "6176072b3d164a1a7bbd7a11201b331217427eff9ffe32e23470969af0537928",
+    (5, 3, 2, 5, 1): "b88304ad94e9dc39a5880304c4807dc31a8af44f92e721a03d440ff5efc93aa7",
+    (4, 4, 2, 2, 2): "0225f09e21abb94d8e949d919a44e1566e350a1c43ecf515c8bd5caa96513285",
+    (2, 8, 3, 2, 1): "836498d32550a19191f99c46ba7a0878d8345a5e458a4bfd012c4dcd4c7fd062",
+}
+
+
+@pytest.mark.parametrize(
+    "case", list(ORBIT_SETS), ids=[f"q{c[0]}-ell{c[1]}-delta{c[2]}" for c in ORBIT_SETS]
+)
+def test_orbit_set_is_pinned(case):
+    q, ell, delta, p, s = case
+    report = orbit_decomposition(field_new(p, s, ell), q, delta)
+    pairs = sorted(zip((rep.to_json() for rep in report.representatives), report.orbit_sizes))
+    text = json.dumps([pairs, sorted(report.counts_by_base.items()), report.orbit_count])
+    assert _sha(text) == ORBIT_SETS[case]
+
+
 # The bundles perfbench designs for repair-traffic and failure-sim (each
 # once), the GF(16) golden design, and one generic seed whose witness is
 # the MILP's, which moves if the solver's rows or columns are reordered.
