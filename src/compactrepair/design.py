@@ -606,24 +606,23 @@ def bandwidth_comparison(
 
     Centralized: one repair node downloads k symbols and redistributes, at
     k*ell + (e-1)*ell subfield symbols total.  Naive decentralized: each of
-    the e replacement nodes downloads k full symbols.  Measured per-repair
-    bandwidths may be given (one value, or one per repair); their total is
+    the e replacement nodes downloads k full symbols.  e counts failed
+    nodes, so 1 <= e < n.  Measured per-repair bandwidths may be given (one
+    value for every repair, or one per repair); their total is
     decentralized_measured_total.
     """
     if not 1 <= k < n:
         raise ValueError(f"need 1 <= k < n, got k = {k}, n = {n}")
     if ell < 1:
         raise ValueError(f"need ell >= 1, got {ell}")
-    if e < 1:
-        raise ValueError("need at least one failure to repair")
+    if not 1 <= e < n:
+        raise ValueError(f"need 1 <= e < n = {n}, got e = {e}")
     measured = None
     if scheme_bandwidths is not None:
         bws = list(scheme_bandwidths)
-        if len(bws) == 1:
-            bws = bws * e
-        if len(bws) != e:
+        if len(bws) not in (1, e):
             raise ValueError(f"need 1 or {e} scheme bandwidths, got {len(bws)}")
-        measured = sum(bws)
+        measured = bws[0] * e if len(bws) == 1 else sum(bws)
     return {
         "n": n,
         "k": k,

@@ -509,9 +509,10 @@ class FieldCtx:
     def poly_eval(self, coeffs, x: int) -> int:
         """Sum of c * x^t over the nonzero coefficients; coeffs low degree first.
 
-        Zero coefficients cost nothing, so a sparse polynomial such as a
-        closed-form scheme's u_i (nonzero only at x^(q^j - 1)) evaluates in
-        its number of terms, not its degree.  pow(0, 0) = 1 covers x = 0.
+        Every coefficient is read, so the cost grows with the degree even
+        when few terms are nonzero; a caller that evaluates one sparse
+        polynomial many times keeps its nonzero terms instead, as
+        SeedScheme does.  pow(0, 0) = 1 covers x = 0.
         """
         self._check(x)
         acc = 0

@@ -7,12 +7,16 @@ distinct groups per seed is (q^ell - 1)/(q^m - 1), where q^m is the order
 of the seed's base subfield, because the stabilizer of S\\{0} under scaling
 is exactly the multiplicative group of that base.
 
+A scaling translates logs, so the least translate of a seed's logs
+(_least_translate) names its scaling orbit, in every module.
+
 Orbit counting under scaling uses Burnside's lemma: the count of
 delta-dimensional subspaces with base exactly q^m comes out of a Mobius
-inversion over Gaussian coefficients, and the closed-form orbit count is
-cross-checked in tests against brute-force orbit decomposition.  One seed
-per orbit is enough to regenerate every delta-dimensional subspace as a
-coset, which is what the multi-seed designs exploit.
+inversion over Gaussian coefficients.  orbit_decomposition finds the
+orbits from the subspaces through 1, one of which every orbit has, and
+checks both closed forms against them.  One seed per orbit is enough to
+regenerate every delta-dimensional subspace as a coset, which is what the
+multi-seed designs exploit.
 """
 
 from __future__ import annotations
@@ -30,9 +34,10 @@ from .errors import (
 from .gf import FieldCtx, prime_factors
 from .subspaces import Subspace, _subspace_blocks, base_of, gaussian_coefficient
 
-# Most delta-subspaces, and nonzero members of them, orbit_decomposition
-# will enumerate; the largest instance in the tests is [8 choose 3]_2 =
-# 97155 (680085 members), and in the benchmark [8 choose 2]_2 = 10795 (32385).
+# Most delta-subspaces through 1, and nonzero members of them,
+# orbit_decomposition will enumerate; the largest instance in the tests is
+# GF(2^10), delta 3: [9 choose 2]_2 = 43435 (304045 members), and in the
+# benchmark GF(2^6), delta 3: [5 choose 2]_2 = 155 (1085).
 ENUMERATION_BUDGET = 10**5
 MEMBER_ENTRY_BUDGET = 10**6
 
@@ -194,89 +199,64 @@ class OrbitReport:
 def orbit_decomposition(ctx: FieldCtx, q: int, delta: int) -> OrbitReport:
     """Partition all delta-dimensional subspaces into scaling orbits.
 
-    Works on the arrays of the subspace enumeration, with no Subspace
-    built but the representatives.  Subspace k is keyed by the sorted
-    logs of its nonzero members; scaling by z adds 1 to every log, so one
-    row sort of keys and images together pairs each image with the
-    subspace it equals, giving the permutation nxt (S_k scaled by z is
-    S_nxt[k]).  Its cycles are the orbits: each is labelled by its first
-    enumerated subspace (pointer doubling takes the least index around
-    every cycle), orbits are listed in that order, and an orbit's size is
-    its cycle length.  Each orbit's representative is its
-    lexicographically least canonical basis, so reports are reproducible.
-    The cycle length is checked against the orbit-stabilizer relation for
-    base_of of the representative, and the per-base counts against the
-    Gaussian coefficient.  Raises BudgetExceededError, before any block is
-    built, past ENUMERATION_BUDGET subspaces or MEMBER_ENTRY_BUDGET members.
+    Every orbit has members through 1 (s^-1 * S contains 1 for s in S*),
+    so only those [ell - 1 choose delta - 1]_q subspaces are enumerated,
+    on the arrays of _subspace_blocks, and each is keyed by the least
+    translate of its logs (_least_translate), the orbit key coset_family
+    uses.  Orbits are listed in the order of their first enumerated
+    member.  An orbit's representative is its lexicographically least
+    canonical basis, so reports are reproducible; that basis starts with
+    the least nonzero element 1, so it is one of the members enumerated.
+    Its size is (q^ell - 1)/(q^m - 1) for m = base_of(representative).
+    Checked as invariants: each orbit has (q^delta - 1)/(q^m - 1) members
+    through 1 (orbit-stabilizer), the sizes add up to the Gaussian
+    coefficient, the per-base counts equal base_counts (Mobius) and the
+    orbit count equals orbit_count_formula (Burnside).  Raises
+    BudgetExceededError, before any block is built, past
+    ENUMERATION_BUDGET subspaces or MEMBER_ENTRY_BUDGET members through 1.
     """
     m = ctx.subfield_degree(q)
     ell = ctx.n // m
     if delta < 1 or delta > ell:
         raise ValueError(f"need 1 <= delta <= ell = {ell}, got {delta}")
-    total = gaussian_coefficient(ell, delta, q)
-    entries = total * (q**delta - 1)
-    if total > ENUMERATION_BUDGET or entries > MEMBER_ENTRY_BUDGET:
+    through_one = gaussian_coefficient(ell - 1, delta - 1, q)
+    entries = through_one * (q**delta - 1)
+    if through_one > ENUMERATION_BUDGET or entries > MEMBER_ENTRY_BUDGET:
         raise BudgetExceededError(
-            f"{total} {delta}-subspaces with {entries} nonzero members exceed the enumeration "
-            f"budget of {ENUMERATION_BUDGET} subspaces or {MEMBER_ENTRY_BUDGET} members"
+            f"{through_one} {delta}-subspaces through 1 with {entries} nonzero members exceed the "
+            f"enumeration budget of {ENUMERATION_BUDGET} subspaces or {MEMBER_ENTRY_BUDGET} members"
         )
     group = ctx.order - 1
-    blocks = [
-        (bases, np.sort(ctx.log_array(members[:, 1:]), axis=1))
-        for bases, members in _subspace_blocks(ctx, q, delta)
-    ]
-    bases = np.concatenate([b for b, _ in blocks])
-    keys = np.concatenate([k for _, k in blocks])
-    found = len(keys)
-    # Sort keys (tag 0) and z-images (tag 1) together: equal rows pair up,
-    # the key first, so each image sits right after the subspace it equals.
-    rows = _pack(np.concatenate([keys, np.sort((keys + 1) % group, axis=1)]), group)
-    tags = np.repeat([0, 1], found)
-    order = np.lexsort((tags, *rows.T[::-1]))
-    subspace, image = order[0::2], order[1::2]
-    if not (
-        (subspace < found).all()
-        and (image >= found).all()
-        and (rows[subspace] == rows[image]).all()
-    ):
-        raise InvariantError("scaling by z does not permute the enumerated subspaces")
-    nxt = np.empty(found, np.intp)
-    nxt[image - found] = subspace
-    first, jump = np.arange(found), nxt
-    for _ in range((group - 1).bit_length()):  # 2^steps >= group >= any cycle
-        first = np.minimum(first, first[jump])
-        jump = jump[jump]
-    _, orbit_of, sizes = np.unique(first, return_inverse=True, return_counts=True)
-    by_basis = np.lexsort((*bases.T[::-1], orbit_of))
-    starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+    orbits: dict[tuple[int, ...], list] = {}  # least translate -> [basis, members, count]
+    for bases, members in _subspace_blocks(ctx, q, delta, through_one=True):
+        logs = np.sort(ctx.log_array(members[:, 1:]), axis=1)
+        for basis, row, elems in zip(bases.tolist(), logs.tolist(), members.tolist()):
+            orbit = orbits.setdefault(_least_translate(row, group), [basis, elems, 0])
+            if basis < orbit[0]:
+                orbit[:2] = basis, elems
+            orbit[2] += 1
     reps: list[Subspace] = []
-    counts: dict[int, int] = {mm: 0 for mm in range(1, gcd(ell, delta) + 1) if gcd(ell, delta) % mm == 0}
-    for r, size in zip(by_basis[starts].tolist(), sizes.tolist()):
-        members = frozenset([0, *ctx.exp_array(keys[r]).tolist()])
-        rep = Subspace(ctx, q, delta, tuple(bases[r].tolist()), members)
+    sizes: list[int] = []
+    counts = dict.fromkeys(_divisors(gcd(ell, delta)), 0)
+    for basis, elems, found in orbits.values():
+        rep = Subspace(ctx, q, delta, tuple(basis), frozenset(elems))
         base_m = base_of(rep)
-        if size * (q**base_m - 1) != q**ell - 1:
+        if found * (q**base_m - 1) != q**delta - 1:
             raise InvariantError(
-                f"orbit of size {size} breaks orbit-stabilizer for "
-                f"base field order q^{base_m}"
+                f"orbit with {found} members through 1 breaks orbit-stabilizer for base q^{base_m}"
             )
+        size = (q**ell - 1) // (q**base_m - 1)
         counts[base_m] += size
         reps.append(rep)
+        sizes.append(size)
+    total = gaussian_coefficient(ell, delta, q)
     if sum(counts.values()) != total:
-        raise InvariantError(
-            f"orbits cover {sum(counts.values())} subspaces, expected {total}"
-        )
-    return OrbitReport(q, ell, delta, counts, len(reps), tuple(reps), tuple(sizes.tolist()))
-
-
-def _pack(rows: np.ndarray, group: int) -> np.ndarray:
-    """Rows of logs below group, several logs to an int64 word; equal iff equal."""
-    bits = max(1, (group - 1).bit_length())  # GF(2) has group 1
-    per = 63 // bits
-    words = np.zeros((len(rows), -(-rows.shape[1] // per)), np.int64)
-    for c, col in enumerate(rows.T):
-        words[:, c // per] = words[:, c // per] << bits | col
-    return words
+        raise InvariantError(f"orbits cover {sum(counts.values())} subspaces, expected {total}")
+    if counts != base_counts(q, ell, delta):
+        raise InvariantError(f"per-base counts {counts} differ from the Mobius inversion")
+    if len(reps) != orbit_count_formula(q, ell, delta):
+        raise InvariantError(f"{len(reps)} orbits differ from the Burnside count")
+    return OrbitReport(q, ell, delta, counts, len(reps), tuple(reps), tuple(sizes))
 
 
 def mobius(v: int) -> int:

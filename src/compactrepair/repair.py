@@ -88,6 +88,8 @@ class SeedScheme:
                     f"u polynomial degree must stay below {max_len}"
                 )
         self.u = u
+        # u_i's nonzero (degree, coefficient) terms: a closed form has few
+        self._terms = tuple(tuple((t, c) for t, c in enumerate(ui) if c) for ui in u)
         # Value of M_S on S: -1/c with c the linear coefficient of L_S.
         c = subspace_polynomial(subspace)[0]
         self._on_support = ctx.neg(ctx.inv(c))
@@ -118,7 +120,13 @@ class SeedScheme:
         ctx = self.ctx
         if x not in self.subspace.members:
             return [0] * self.ell
-        return [ctx.mul(ctx.poly_eval(ui, x), self._on_support) for ui in self.u]
+        values = []
+        for terms in self._terms:
+            acc = 0
+            for t, c in terms:
+                acc = ctx.add(acc, ctx.mul(c, ctx.pow(x, t)))
+            values.append(ctx.mul(acc, self._on_support))
+        return values
 
     def __repr__(self):
         return (

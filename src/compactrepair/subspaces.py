@@ -11,7 +11,7 @@ Enumeration works on numpy blocks: _subspace_blocks yields the canonical
 bases and member lists of many subspaces at once, built with array
 exp/log multiplication and digit-wise array addition.  enumerate_subspaces
 wraps its rows as Subspace objects, and orbit_decomposition reads the
-blocks directly.  span builds one subspace with a Python closure, which
+blocks of the subspaces through 1 directly.  span builds one subspace with a Python closure, which
 is faster than array set-up at that size.
 
 base_of(S) finds the largest m such that S is closed under scalars from
@@ -116,7 +116,7 @@ def gaussian_coefficient(ell: int, delta: int, q: int) -> int:
 _BLOCK_ENTRIES = 1 << 12
 
 
-def _subspace_blocks(ctx: FieldCtx, q: int, delta: int):
+def _subspace_blocks(ctx: FieldCtx, q: int, delta: int, *, through_one: bool = False):
     """Every delta-dimensional F_q-subspace, as (bases, members) int arrays.
 
     Pivot-column combinations ascend; within one, the free entries of the
@@ -127,6 +127,12 @@ def _subspace_blocks(ctx: FieldCtx, q: int, delta: int):
     plus its free entries c * z^j, looked up in a (q, ell) product table.
     Row r of members lists all q^delta F_q-combinations of that basis,
     column 0 being 0.
+
+    through_one keeps only the subspaces that contain 1 = z^0, in the same
+    order: those whose pivots start at column 0 and whose basis vector 0
+    is exactly 1, with no free entries (writing 1 in the reduced basis
+    reads its coefficients off the pivot columns).  There are
+    [ell - 1 choose delta - 1]_q of them.
     """
     m = ctx.subfield_degree(q)
     ell = ctx.n // m
@@ -137,11 +143,14 @@ def _subspace_blocks(ctx: FieldCtx, q: int, delta: int):
     products = np.zeros((q, ell), np.intp)
     products[1:] = ctx.exp_array(scalar_logs[:, None] + np.arange(ell))
     rows = max(1, _BLOCK_ENTRIES // q**delta)
-    for pivots in itertools.combinations(range(ell), delta):
+    pivot_lists = itertools.combinations(range(ell), delta)
+    if through_one:  # the combinations starting at 0 come first
+        pivot_lists = itertools.takewhile(lambda pivots: pivots[:1] == (0,), pivot_lists)
+    for pivots in pivot_lists:
         pivot_set = set(pivots)
         free = [
             (i, j)
-            for i in range(delta)
+            for i in range(int(through_one), delta)
             for j in range(ell)
             if j > pivots[i] and j not in pivot_set
         ]

@@ -2,6 +2,7 @@ import json
 import re
 import time
 
+from compactrepair import base_counts, load_bundle
 from compactrepair.cli import main
 
 
@@ -55,6 +56,27 @@ def test_orbits_command(capsys):
     data = json.loads(out)
     assert data["orbit_count"] == 3
     assert data["counts_by_base"] == {"1": 30, "2": 5}
+
+
+def test_orbits_command_gf1024_delta3(capsys):
+    # 43435 subspaces through 1 stand for all 6347715 3-subspaces
+    code, out, _ = run_cli(capsys, "orbits", "--q", "2", "--ell", "10", "--delta", "3")
+    assert code == 0
+    data = json.loads(out)
+    assert data["orbit_count"] == 6205 == len(data["representatives"])
+    assert data["counts_by_base"] == {str(m): n for m, n in base_counts(2, 10, 3).items()}
+
+
+def test_design_multi_seed_gf1024_loads(capsys, tmp_path):
+    bundle_path = tmp_path / "multi.json"
+    code, _, _ = run_cli(
+        capsys, "design", "--q", "2", "--ell", "10", "--k", "2",
+        "--delta", "2", "--multi-seed", "-o", str(bundle_path),
+    )
+    assert code == 0
+    bundle = load_bundle(json.loads(bundle_path.read_text()))
+    assert bundle.tolerance == 510
+    assert len(bundle.seeds) == 171
 
 
 def test_design_and_simulate_roundtrip(capsys, tmp_path):
@@ -402,3 +424,13 @@ def test_compare_bandwidth_impossible_code_exits_1(capsys):
             capsys, "compare-bandwidth", "--n", n, "--k", k, "--ell", ell, "--e", "2"
         )
         assert_one_line_error(*result, "need 1 <= k < n")
+
+
+def test_compare_bandwidth_failures_outside_code_exit_1(capsys):
+    # --e 10**13 once ended in a MemoryError traceback, --e 1000 in a table
+    for e in ("10000000000000", "1000", "16", "0"):
+        result = run_cli(
+            capsys, "compare-bandwidth", "--n", "16", "--k", "2", "--ell", "4",
+            "--e", e, "--scheme-bw", "5",
+        )
+        assert_one_line_error(*result, f"need 1 <= e < n = 16, got e = {e}$")

@@ -557,6 +557,22 @@ def test_bandwidth_comparison_table():
         bandwidth_comparison(16, 2, 4, 0)
 
 
+@pytest.mark.parametrize("e", [0, 16, 1000, 10**13])
+def test_bandwidth_comparison_rejects_failures_outside_code(e):
+    # e = 10**13 with one broadcast bandwidth once ran out of memory
+    with pytest.raises(ValueError, match=rf"need 1 <= e < n = 16, got e = {e}$"):
+        bandwidth_comparison(16, 2, 4, e, scheme_bandwidths=[5])
+
+
+def test_bandwidth_comparison_broadcasts_one_bandwidth():
+    n = 2**20
+    table = bandwidth_comparison(n, 2, 20, n - 1, scheme_bandwidths=[5])
+    assert table["decentralized_measured_total"] == 5 * (n - 1)
+    assert bandwidth_comparison(16, 2, 4, 15, scheme_bandwidths=[5])[
+        "decentralized_measured_total"
+    ] == 75
+
+
 @pytest.mark.parametrize(
     "n, k, ell", [(16, 20, 4), (16, 16, 4), (16, 0, 4), (-3, -2, -4), (16, 2, 0)]
 )

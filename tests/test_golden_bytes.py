@@ -4,8 +4,11 @@ The orbit, bundle and scheme digests were taken from the version before
 orbit enumeration, coset families and subspace polynomials were rewritten
 on the scaling structure, except the (3,4,2), (5,3,2), (4,4,2) and (2,8,3)
 orbit digests, taken from the version that built every subspace one field
-element at a time; the exhaustive simulation digest from the version that
-scanned one frozenset per failure pattern.  A digest that changes
+element at a time, and the (2,8,2) and (2,8,3) CLI JSON digests, taken
+from the version that lists orbits in the order of their first subspace
+through 1 (ORBIT_SETS shows that only the order moved); the exhaustive
+simulation digest from the version that scanned one frozenset per failure
+pattern.  A digest that changes
 means the output bytes changed: CLI `orbits` JSON and orbit sizes, bundle
 dumps(), a seed scheme's u, or an exhaustive SimReport.
 """
@@ -45,7 +48,7 @@ ORBITS = {
         "33889527a2cd31065a5517eafe3835a52e7925713d9b22e685722a2716cebe0f",
     ),
     (2, 8, 2, 2, 1): (
-        "c7dafadbc2c86e48e10cae55d8ee312242928e239fe146318bf849a6ed0e88d8",
+        "fe4e3c1f09293fc18fb0862e77b34ecd3b43fd5bf7950f444bdc982e1a4ede12",
         "e836f45f5b1762e72bf71723532f73a30dc733d8df8554125befef8a27717bc7",
     ),
     (3, 3, 2, 3, 1): (
@@ -56,8 +59,7 @@ ORBITS = {
         "fbb6f462ab9b035fd29de4fe06cdbbf60edd5b8b772365f06672291a7d0c54b1",
         "3db4e2d15128484c18e33cde50510caf0a36044278b0f9e265f49f31e9bb1ee0",
     ),
-    # odd p and F_4 scalars in the subspace enumeration, and the largest
-    # decomposition under ENUMERATION_BUDGET that the tests run
+    # odd p and F_4 scalars in the subspace enumeration, and GF(2^8) delta 3
     (3, 4, 2, 3, 1): (
         "2ae822f8b315bfa61f32883537b7940a554142d7b848e2d135151dee548364d9",
         "2dd691422427654935aa79274df34a1e2aef00d029f767a50b11b8c9ebc1e7ff",
@@ -71,7 +73,7 @@ ORBITS = {
         "13789e64988d3ab2af34ea60521a85796fd0181206099fe38512280d2b993075",
     ),
     (2, 8, 3, 2, 1): (
-        "108773c21dc17867347d9554e9d63084071a76e47f9f33fe52a127996f64e916",
+        "a1c89ec6e0dea72a52e26fc780da3cc3b50f7610c0894fd2f9ae6caa53b941ba",
         "9918f837fa34cbf3d191d9ac8cfa4809eff821e4ad3e560ddd15ee8837a6d24f",
     ),
 }

@@ -226,7 +226,6 @@ def test_orbit_decomposition_single_orbit_cases(gf16):
 
 
 def test_orbit_decomposition_gf256_delta3():
-    # the largest decomposition under ENUMERATION_BUDGET in the tests
     rep = orbit_decomposition(field_new(2, 1, 8), 2, 3)
     assert rep.orbit_count == orbit_count_formula(2, 8, 3) == 381
     assert rep.counts_by_base == base_counts(2, 8, 3)
@@ -242,21 +241,22 @@ def test_orbit_decomposition_refuses_unbounded_enumeration():
 def test_orbit_decomposition_refuses_oversized_members(monkeypatch):
     import compactrepair.orbits as orbits_module
 
-    # 65535 subspaces pass the subspace budget, but with 32767 nonzero
-    # members each they would need about 2^31 log entries.
-    assert gaussian_coefficient(16, 15, 2) <= ENUMERATION_BUDGET
-    assert gaussian_coefficient(8, 3, 2) * (2**3 - 1) <= MEMBER_ENTRY_BUDGET
+    # 32767 subspaces through 1 pass the subspace budget, but with 32767
+    # nonzero members each they would need about 2^30 log entries.
+    assert gaussian_coefficient(15, 14, 2) <= ENUMERATION_BUDGET
+    assert gaussian_coefficient(9, 2, 2) * (2**3 - 1) <= MEMBER_ENTRY_BUDGET
 
     def no_blocks(*args):
         raise AssertionError("a block was built before the budget check")
 
     monkeypatch.setattr(orbits_module, "_subspace_blocks", no_blocks)
-    with pytest.raises(BudgetExceededError, match="2147385345 nonzero members exceed"):
+    with pytest.raises(BudgetExceededError, match="32767 15-subspaces through 1 with 1073676289 nonzero members exceed"):
         orbit_decomposition(field_new(2, 1, 16), 2, 15)
 
 
-# (p, s, ell, delta): GF(16), GF(64), GF(27) and GF(81) over F_3, GF(64) over F_4.
-ORBIT_CASES = [(2, 1, 4, 2), (2, 1, 6, 3), (3, 1, 3, 2), (2, 2, 3, 2), (3, 1, 4, 2)]
+# (p, s, ell, delta): GF(16), GF(64), GF(27) and GF(81) over F_3, GF(64) over
+# F_4, and GF(256).
+ORBIT_CASES = [(2, 1, 4, 2), (2, 1, 6, 3), (3, 1, 3, 2), (2, 2, 3, 2), (3, 1, 4, 2), (2, 1, 8, 2)]
 
 
 def scaled_bases(ctx, S):
@@ -280,18 +280,32 @@ def test_orbit_decomposition_checks_stabilizer_and_total(gf16, monkeypatch):
         orbit_decomposition(gf16, 2, 2)
 
 
+def test_orbit_decomposition_checks_burnside_and_mobius(gf16, monkeypatch):
+    import compactrepair.orbits as orbits_module
+
+    # both closed forms are compared with the enumeration, not trusted
+    monkeypatch.setattr(orbits_module, "base_counts", lambda q, ell, delta: {1: 35, 2: 0})
+    with pytest.raises(InvariantError, match="Mobius"):
+        orbit_decomposition(gf16, 2, 2)
+    monkeypatch.undo()
+    monkeypatch.setattr(orbits_module, "orbit_count_formula", lambda q, ell, delta: 4)
+    with pytest.raises(InvariantError, match="Burnside"):
+        orbit_decomposition(gf16, 2, 2)
+
+
 def test_orbit_decomposition_checks_scaling_closure(gf16, monkeypatch):
     import compactrepair.orbits as orbits_module
 
-    # without its first subspace the enumeration is not closed under z
+    # without its first subspace through 1, that orbit has too few members
+    # through 1 for its stabilizer
     blocks = orbits_module._subspace_blocks
 
-    def drop_first(ctx, q, delta):
-        for i, (bases, members) in enumerate(blocks(ctx, q, delta)):
+    def drop_first(ctx, q, delta, **kwargs):
+        for i, (bases, members) in enumerate(blocks(ctx, q, delta, **kwargs)):
             yield (bases[1:], members[1:]) if i == 0 else (bases, members)
 
     monkeypatch.setattr(orbits_module, "_subspace_blocks", drop_first)
-    with pytest.raises(InvariantError, match="does not permute"):
+    with pytest.raises(InvariantError, match="2 members through 1 breaks orbit-stabilizer"):
         orbit_decomposition(gf16, 2, 2)
 
 
