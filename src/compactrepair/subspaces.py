@@ -11,8 +11,8 @@ Enumeration works on numpy blocks: _subspace_blocks yields the canonical
 bases and member lists of many subspaces at once, built with array
 exp/log multiplication and digit-wise array addition.  enumerate_subspaces
 wraps its rows as Subspace objects, and orbit_decomposition reads the
-blocks of the subspaces through 1 directly.  span builds one subspace with a Python closure, which
-is faster than array set-up at that size.
+blocks of the subspaces through 1 directly.  span builds one subspace
+with a Python closure, which is faster than array set-up at that size.
 
 base_of(S) finds the largest m such that S is closed under scalars from
 the order-q^m subfield; its multiplicative group is exactly the stabilizer

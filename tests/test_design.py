@@ -553,24 +553,11 @@ def test_bandwidth_comparison_table():
     assert measured["decentralized_measured_total"] == 33
     broadcast = bandwidth_comparison(16, 2, 4, 3, scheme_bandwidths=[12])
     assert broadcast["decentralized_measured_total"] == 36
-    with pytest.raises(ValueError):
-        bandwidth_comparison(16, 2, 4, 0)
-
-
-@pytest.mark.parametrize("e", [0, 16, 1000, 10**13])
-def test_bandwidth_comparison_rejects_failures_outside_code(e):
-    # e = 10**13 with one broadcast bandwidth once ran out of memory
-    with pytest.raises(ValueError, match=rf"need 1 <= e < n = 16, got e = {e}$"):
-        bandwidth_comparison(16, 2, 4, e, scheme_bandwidths=[5])
-
-
-def test_bandwidth_comparison_broadcasts_one_bandwidth():
-    n = 2**20
-    table = bandwidth_comparison(n, 2, 20, n - 1, scheme_bandwidths=[5])
-    assert table["decentralized_measured_total"] == 5 * (n - 1)
-    assert bandwidth_comparison(16, 2, 4, 15, scheme_bandwidths=[5])[
-        "decentralized_measured_total"
-    ] == 75
+    # e counts failed nodes; e = 10**13 with one broadcast bandwidth once
+    # ran out of memory, and e = 1000 gave a table
+    for e in (0, 16, 1000, 10**13):
+        with pytest.raises(ValueError, match=rf"need 1 <= e < n = 16, got e = {e}$"):
+            bandwidth_comparison(16, 2, 4, e, scheme_bandwidths=[5])
 
 
 @pytest.mark.parametrize(
