@@ -35,16 +35,14 @@ bounded size, each chunk walking the groups once in family order and
 testing all its pending patterns against a group at a time.  Monte Carlo
 draws a chunk's patterns by Floyd's algorithm run across its trials, one
 gen.integers call per failed point, and reports a 95% Clopper-Pearson
-interval on the survival.  Earlier versions drew one gen.choice sample per
-trial, so for a given rng_seed the Monte Carlo values differ from theirs;
-they are still deterministic.
+interval on the survival.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from itertools import chain, combinations, islice
 from math import comb
@@ -90,21 +88,36 @@ _INPUTS = {
 
 @dataclass(frozen=True)
 class DesignBundle:
-    """Serializable design artifact: the fields are the inputs, derived values properties."""
+    """Serializable design artifact: the fields are the inputs, derived values properties.
 
-    ctx: FieldCtx
-    k: int
+    Each scheme holds its seed subspace, the field and k, so ctx, k and
+    seeds are read from the schemes, which must agree on the field and k.
+    """
+
     mode: str  # "single-seed" | "multi-seed"
-    seeds: tuple[Subspace, ...]
     schemes: tuple[SeedScheme, ...]
     mhs: HittingResult
     config: dict
 
     def __post_init__(self):
-        dims = [S.dim for S in self.seeds]
+        dims = [scheme.subspace.dim for scheme in self.schemes]
         if len(set(dims)) != 1 or (self.mode == "single-seed" and len(dims) != 1):
             raise ValueError(f"a {self.mode} bundle cannot have seeds of dimensions {dims}")
+        if any(s.ctx is not self.ctx or s.k != self.k for s in self.schemes):
+            raise ValueError("a bundle's schemes must share one field and one k")
         _validate_code(self.ctx, self.k, self.delta)
+
+    @property
+    def ctx(self) -> FieldCtx:
+        return self.schemes[0].ctx
+
+    @property
+    def k(self) -> int:
+        return self.schemes[0].k
+
+    @property
+    def seeds(self) -> tuple[Subspace, ...]:
+        return tuple(scheme.subspace for scheme in self.schemes)
 
     @property
     def q(self) -> int:
@@ -265,12 +278,11 @@ def load_bundle(data) -> DesignBundle:
             raise ValueError(f"bundle.config.{key} must be a JSON scalar or an array of scalars")
     f, k, entries = data["field"], data["code"]["k"], data["seeds"]
     ctx = field_new(f["p"], f["s"], f["ell"], f["modulus"])
-    seeds = tuple(span(ctx, ctx.q, entry["basis"]) for entry in entries)
     schemes = tuple(
-        SeedScheme(ctx, S, k, entry["scheme"]["u"]) for S, entry in zip(seeds, entries)
+        SeedScheme(span(ctx, ctx.q, entry["basis"]), k, entry["scheme"]["u"]) for entry in entries
     )
     mhs = HittingResult(tuple(data["mhs"]["witness"]), data["mhs"]["method"])
-    bundle = DesignBundle(ctx, k, data["mode"], seeds, schemes, mhs, data["config"])
+    bundle = DesignBundle(data["mode"], schemes, mhs, data["config"])
     bad = _disagreements(data, bundle.to_json_dict())
     bad = [path for path in bad if path != "provenance.tool"]
     if bad:
@@ -361,13 +373,13 @@ def design_single_seed(
         _validate_code(ctx, k, delta)
         seed = _seed_from_strategy(ctx, delta, strategy)
     mhs = min_hitting_set(coset_family([seed]))
-    scheme = search_seed_scheme(ctx, seed, k)
+    scheme = search_seed_scheme(seed, k)
     config = {
         "strategy": None if seed_basis is not None else strategy,
         "seed_basis": sorted(seed.basis),
         "group_selection": "first-intact",
     }
-    bundle = DesignBundle(ctx, k, "single-seed", (seed,), (scheme,), mhs, config)
+    bundle = DesignBundle("single-seed", (scheme,), mhs, config)
     _check_certificate(bundle, InvariantError)
     return bundle
 
@@ -403,10 +415,10 @@ def design_multi_seed(
     witness = tuple(
         sorted({min(ctx.mul(c, v) for c in scalars) for v in U.members if v})
     )
-    schemes = tuple(search_seed_scheme(ctx, seed, k) for seed in seeds)
+    schemes = tuple(search_seed_scheme(seed, k) for seed in seeds)
     config = {"strategy": "orbit-representatives", "group_selection": "first-intact"}
     mhs = HittingResult(witness, "exact")
-    bundle = DesignBundle(ctx, k, "multi-seed", seeds, schemes, mhs, config)
+    bundle = DesignBundle("multi-seed", schemes, mhs, config)
     _check_certificate(bundle, InvariantError)
     return bundle
 
@@ -424,19 +436,7 @@ class SimReport:
     survived_interval: tuple[float, float] | None = None  # Monte Carlo only
 
     def to_json_dict(self) -> dict:
-        return {
-            "e": self.e,
-            "mode": self.mode,
-            "patterns": self.patterns,
-            "survived": self.survived,
-            "survived_interval": (
-                list(self.survived_interval) if self.survived_interval else None
-            ),
-            "failure_probability": self.failure_probability,
-            "bandwidth": self.bandwidth,
-            "group_selection": self.group_selection,
-            "rng_seed": self.rng_seed,
-        }
+        return asdict(self)
 
 
 def simulate_failures(
@@ -608,8 +608,8 @@ def bandwidth_comparison(
     k*ell + (e-1)*ell subfield symbols total.  Naive decentralized: each of
     the e replacement nodes downloads k full symbols.  e counts failed
     nodes, so 1 <= e < n.  Measured per-repair bandwidths may be given (one
-    value for every repair, or one per repair); their total is
-    decentralized_measured_total.
+    value for every repair, or one per repair, none negative); their total
+    is decentralized_measured_total.
     """
     if not 1 <= k < n:
         raise ValueError(f"need 1 <= k < n, got k = {k}, n = {n}")
@@ -622,6 +622,8 @@ def bandwidth_comparison(
         bws = list(scheme_bandwidths)
         if len(bws) not in (1, e):
             raise ValueError(f"need 1 or {e} scheme bandwidths, got {len(bws)}")
+        if any(bw < 0 for bw in bws):
+            raise ValueError(f"scheme bandwidths must be non-negative, got {bws}")
         measured = bws[0] * e if len(bws) == 1 else sum(bws)
     return {
         "n": n,
@@ -644,22 +646,20 @@ def verify_reference_example(modulus=None) -> dict:
     """
     ctx = field_new(2, 1, 4, modulus)
     z = ctx.generator
-
-    def zp(j):
-        return ctx.exp(j)
-
-    first = span(ctx, 2, [zp(2), zp(7)])
-    second = span(ctx, 2, [zp(4), zp(5)])
-    alpha = zp(5)
-    got_groups = coset_family([first], center=alpha)
+    first = span(ctx, 2, [ctx.exp(2), ctx.exp(7)])
+    second = span(ctx, 2, [ctx.exp(4), ctx.exp(5)])
     expected_groups = [
-        {zp(1), zp(13), zp(14)},
-        {zp(11), zp(4), zp(7)},
-        {zp(8), zp(6), zp(12)},
-        {zp(10), 0, zp(0)},
-        {zp(2), zp(9), zp(3)},
+        [ctx.exp(j) for j in (1, 13, 14)],
+        [ctx.exp(j) for j in (11, 4, 7)],
+        [ctx.exp(j) for j in (8, 6, 12)],
+        [ctx.exp(10), 0, ctx.exp(0)],
+        [ctx.exp(j) for j in (2, 9, 3)],
     ]
     first_family = coset_family([first])
+    # the groups around z^5 are those around 0 translated by z^5
+    got_groups = [
+        row for block in first_family.blocks() for row in ctx.add_array(block, ctx.exp(5)).tolist()
+    ]
     second_family = coset_family([second])
     first_mhs = min_hitting_set(first_family)
     second_mhs = min_hitting_set(second_family)
@@ -679,7 +679,7 @@ def verify_reference_example(modulus=None) -> dict:
     check(
         "first-seed-groups-at-z5",
         sorted(sorted(g) for g in expected_groups),
-        sorted(sorted(g) for g in got_groups.sets),
+        sorted(sorted(g) for g in got_groups),
     )
     check("first-seed-coset-count", 5, len(first_family))
     check("first-seed-mhs-size", 5, first_mhs.size)

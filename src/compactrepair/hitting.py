@@ -11,29 +11,29 @@ raw list of sets is deduplicated first) and one column per element in
 ascending value.  The witness is checked to hit every row before it is
 reported with method="exact".
 
-If the solver's node budget runs out, or it returns no verified optimum,
-the smaller of its verified incumbent and a greedy max-coverage cover is
-returned flagged method="greedy-upper-only".  Witnesses are reproducible
-for fixed inputs, but only size and the hitting property are contractual.
+If the solver spends its NODE_BUDGET nodes, or it returns no verified
+optimum, the smaller of its verified incumbent and a greedy max-coverage
+cover is returned flagged method="greedy-upper-only".  Witnesses are
+reproducible for fixed inputs, but only size and the hitting property are
+contractual.
 
 |MHS| is invariant under the semilinear group GammaL(1, q^ell): scaling
 x -> b*x and the Frobenius map x -> x^p both carry a coset family around 0
-onto another one, set for set.  So a CosetFamily with center None (every
-family the library builds) is solved once per class.  A scaling adds a
-constant to logs, so each kept seed's logs reduce to their least translate
+onto another one, set for set.  So a CosetFamily, whose groups lie around
+0, is solved once per class.  A scaling adds a constant to logs, so each
+kept seed's logs reduce to their least translate
 (orbits._least_translate); x -> x^(p^f) multiplies logs by p^f.  The
 canonical key is the sorted tuple of these forms, each with its seed's
 period (both maps keep stabilizers), at the smallest f < n that minimises
 it.  A miss solves the CosetFamily of the key's forms and periods and
 stores its witness logs in a bounded module-level memo, keyed by (p, n,
-modulus, generator, q, budget, key) rather than by the FieldCtx object,
-which every CLI call and load_bundle builds anew.  The stored witness is
-mapped back by log -> p^(n-f) * log and checked to hit every group of the
+modulus, generator, q, key) rather than by the FieldCtx object, which
+every CLI call and load_bundle builds anew.  The stored witness is mapped
+back by log -> p^(n-f) * log and checked to hit every group of the
 caller's family (CosetFamily.first_miss; InvariantError otherwise).  Every
 caller gets the canonical solve mapped back, hit or miss, so a result
 depends on the family alone, never on what the process solved before: the
-memo is a pure cache.  Raw lists of sets and centred families are solved
-directly.
+memo is a pure cache.  Raw lists of sets are solved directly.
 
 For a single subspace seed, |MHS| is sandwiched between
 ceil((q^ell - 1)/(q^delta - 1)), by double counting element occurrences,
@@ -57,11 +57,12 @@ from .errors import EmptyFamilyError, InvariantError
 from .orbits import CosetFamily, _least_translate
 from .subspaces import Subspace, base_of
 
-DEFAULT_NODE_BUDGET = 10**7
+# Branch-and-bound nodes one HiGHS solve may spend before it stops.
+NODE_BUDGET = 10**7
 
 # Most canonical classes the memo keeps; the oldest entry goes first.
 MEMO_LIMIT = 4096
-# (p, n, modulus, generator, q, budget, canonical key) -> (witness logs, method)
+# (p, n, modulus, generator, q, canonical key) -> (witness logs, method)
 _MEMO: dict[tuple, tuple[tuple[int, ...], str]] = {}
 _MEMO_LOCK = threading.Lock()  # eviction and insertion happen together
 
@@ -122,19 +123,19 @@ def _greedy_hitting(a: csr_array) -> list[int]:
     return picked
 
 
-def min_hitting_set(family, budget: int = DEFAULT_NODE_BUDGET) -> HittingResult:
+def min_hitting_set(family) -> HittingResult:
     """Exact minimum hitting set of a family of sets.
 
-    A CosetFamily around 0 is solved once per class under scaling and
-    Frobenius through the memo (see the module docstring); any other
-    family is solved directly.
+    A CosetFamily is solved once per class under scaling and Frobenius
+    through the memo (see the module docstring); a raw iterable of sets is
+    solved directly.
     """
-    if isinstance(family, CosetFamily) and family.center is None:
-        return _memo_solve(family, budget)
-    return _solve(*_rows(family), budget)
+    if isinstance(family, CosetFamily):
+        return _memo_solve(family)
+    return _solve(*_rows(family))
 
 
-def _solve(values: np.ndarray, indptr: np.ndarray, budget: int) -> HittingResult:
+def _solve(values: np.ndarray, indptr: np.ndarray) -> HittingResult:
     """One HiGHS MILP over the set-by-element incidence matrix.
 
     Rows are the sets in order and columns the elements in ascending
@@ -149,7 +150,7 @@ def _solve(values: np.ndarray, indptr: np.ndarray, budget: int) -> HittingResult
         constraints=LinearConstraint(a, lb=1.0),
         integrality=np.ones(len(elements)),
         bounds=Bounds(0.0, 1.0),
-        options={"node_limit": budget},
+        options={"node_limit": NODE_BUDGET},
     )
     candidate = None
     if res.x is not None:
@@ -182,17 +183,17 @@ def _canonical_class(family: CosetFamily) -> tuple[int, tuple[tuple[tuple[int, .
     return f, key
 
 
-def _memo_solve(family: CosetFamily, budget: int) -> HittingResult:
+def _memo_solve(family: CosetFamily) -> HittingResult:
     """Solve the family's canonical ΓL class once, and map its witness back."""
     ctx = family.ctx
     group = ctx.order - 1
     f, key = _canonical_class(family)
-    memo_key = (ctx.p, ctx.n, ctx.modulus, ctx.generator, family.q, budget, key)
+    memo_key = (ctx.p, ctx.n, ctx.modulus, ctx.generator, family.q, key)
     entry = _MEMO.get(memo_key)
     if entry is None:
         forms, periods = zip(*key)  # a form lists the logs of a seed's image
-        canonical = CosetFamily(ctx, family.q, None, tuple(range(len(key))), forms, periods)
-        res = _solve(*_rows(canonical), budget)
+        canonical = CosetFamily(ctx, family.q, tuple(range(len(key))), forms, periods)
+        res = _solve(*_rows(canonical))
         entry = (tuple(ctx.log(w) for w in res.witness), res.method)
         with _MEMO_LOCK:
             if len(_MEMO) >= MEMO_LIMIT:

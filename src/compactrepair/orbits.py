@@ -44,7 +44,7 @@ MEMBER_ENTRY_BUDGET = 10**6
 
 @dataclass(frozen=True)
 class CosetFamily:
-    """The distinct groups {center + b*S_t*} over all nonzero b and seeds t.
+    """The distinct groups {b*S_t*} over all nonzero b and seeds t, around 0.
 
     In discrete logs a scaling is a translation, so one seed holds all of
     its groups: group j of seed t is z^j * S_t*, the elements whose logs
@@ -54,12 +54,12 @@ class CosetFamily:
     groups an earlier seed already gave is dropped and kept lists the
     others.  Family order is seeds in order, then j ascending; blocks()
     builds the groups as arrays, and sets, seed_index and len() are views
-    in that order.
+    in that order.  The groups around any other point a* are these
+    translated by a*, x -> a* + x, in the same order.
     """
 
     ctx: FieldCtx
     q: int
-    center: int | None
     kept: tuple[int, ...]
     logs: tuple[tuple[int, ...], ...]  # sorted logs of S_t*
     periods: tuple[int, ...]
@@ -68,12 +68,11 @@ class CosetFamily:
         return sum(self.periods)
 
     def blocks(self) -> list[np.ndarray]:
-        """One (period, |S_t*|) array per kept seed; row j is group j, shifted by center."""
+        """One (period, |S_t*|) array per kept seed; row j is group j."""
         out = []
         for logs, period in zip(self.logs, self.periods):
             steps = np.arange(period, dtype=np.int32)[:, None]  # logs stay below 2^21
-            block = self.ctx.exp_array(steps + np.array(logs, np.int32))
-            out.append(block if self.center is None else self.ctx.add_array(block, self.center))
+            out.append(self.ctx.exp_array(steps + np.array(logs, np.int32)))
         return out
 
     @cached_property
@@ -89,13 +88,13 @@ class CosetFamily:
     def first_miss(self, witness) -> int | None:
         """The first kept seed with a group that misses witness, else None.
 
-        Group j of seed t meets w iff j = log(w - center) - log s for some
-        s in S_t*.  Those differences are periodic in j with the seed's
-        period, so taken mod the period they must cover every j below it:
+        Group j of seed t meets w iff j = log w - log s for some s in S_t*.
+        Those differences are periodic in j with the seed's period, so
+        taken mod the period they must cover every j below it:
         |witness| * |S_t*| work and no group is built.
         """
-        ctx, shift = self.ctx, self.center or 0
-        wlogs = np.array([ctx.log(ctx.sub(w, shift)) for w in witness if w != shift], np.int64)
+        ctx = self.ctx
+        wlogs = np.array([ctx.log(w) for w in witness if w], np.int64)
         for t, logs, period in zip(self.kept, self.logs, self.periods):
             covered = np.zeros(period, bool)
             covered[(wlogs[:, None] - np.array(logs)) % period] = True
@@ -104,21 +103,18 @@ class CosetFamily:
         return None
 
 
-def coset_family(seeds, center: int | None = None) -> CosetFamily:
+def coset_family(seeds) -> CosetFamily:
     """Build the deduplicated coset family of one or more subspace seeds.
 
     Each seed is stored as its sorted logs and its period; no group is
     built.  A seed is dropped when its least translate (the orbit form of
-    its logs, see _least_translate) equals an earlier seed's.  center must
-    be a field element.
+    its logs, see _least_translate) equals an earlier seed's.
     """
     seeds = list(seeds)
     if not seeds:
         raise ValueError("need at least one seed")
     ctx = seeds[0].ctx
     q = seeds[0].q
-    if center is not None and not 0 <= center < ctx.order:
-        raise ValueError(f"need 0 <= center < n = {ctx.order}, got {center}")
     group = ctx.order - 1
     forms: dict[tuple[int, ...], tuple] = {}  # least translate -> (t, logs, period)
     for t, S in enumerate(seeds):
@@ -130,7 +126,7 @@ def coset_family(seeds, center: int | None = None) -> CosetFamily:
         star_logs = tuple(sorted(ctx.log(x) for x in S.star()))
         forms.setdefault(_least_translate(star_logs, group), (t, star_logs, period))
     kept, logs, periods = zip(*forms.values())
-    return CosetFamily(ctx, q, center, kept, logs, periods)
+    return CosetFamily(ctx, q, kept, logs, periods)
 
 
 def _least_rotation(seq: list[int]) -> int:

@@ -52,13 +52,14 @@ class SeedScheme:
 
     Immutable after construction, and full-rank by construction: u whose
     evaluations at 0 do not span F_q^ell raise RankDeficientError.
-    ``helper_data`` maps each helper x to its (basis, weights), see
-    _helper_data; ``scalars`` is the set of F_q elements, the values a
-    payload symbol may take.  ``bandwidth``, the total F_q-symbol download,
-    is the sum of the helpers' ranks.
+    ``ctx`` is the subspace's field.  ``helper_data`` maps each helper x to
+    its (basis, weights), see _helper_data; ``scalars`` is the set of F_q
+    elements, the values a payload symbol may take.  ``bandwidth``, the
+    total F_q-symbol download, is the sum of the helpers' ranks.
     """
 
-    def __init__(self, ctx: FieldCtx, subspace: Subspace, k: int, u):
+    def __init__(self, subspace: Subspace, k: int, u):
+        ctx = subspace.ctx
         if 0 not in subspace.members:
             raise ValueError("seed subspace must contain 0")
         size = len(subspace.members)
@@ -273,7 +274,7 @@ def recover_symbol(scheme: RepairScheme, payloads) -> int:
     return result
 
 
-def search_seed_scheme(ctx: FieldCtx, S: Subspace, k: int) -> SeedScheme:
+def search_seed_scheme(S: Subspace, k: int) -> SeedScheme:
     """Closed-form subspace-polynomial scheme (Dau & Milenkovic, ISIT 2017).
 
     Let r be the largest integer with q^r <= |S| - k (so r < delta), W =
@@ -289,7 +290,7 @@ def search_seed_scheme(ctx: FieldCtx, S: Subspace, k: int) -> SeedScheme:
     the function up by it and the benchmark reports its
     repair.search_seed_scheme.* metrics.
     """
-    q = S.q
+    ctx, q = S.ctx, S.q
     r = 0
     while q ** (r + 1) <= len(S.members) - k:
         r += 1
@@ -301,4 +302,4 @@ def search_seed_scheme(ctx: FieldCtx, S: Subspace, k: int) -> SeedScheme:
         for j, a in enumerate(L):
             ui[q**j - 1] = ctx.mul(a, ctx.exp(i * q**j))
         u.append(ui)
-    return SeedScheme(ctx, S, k, u)
+    return SeedScheme(S, k, u)

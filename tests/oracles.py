@@ -10,7 +10,7 @@ from math import comb
 
 from compactrepair.errors import BudgetExceededError, EmptyFamilyError, RankDeficientError
 from compactrepair.gf import prime_factors
-from compactrepair.orbits import CosetFamily, coset_family
+from compactrepair.orbits import CosetFamily
 from compactrepair.repair import SeedScheme
 from compactrepair.subspaces import Subspace, _closure
 
@@ -56,16 +56,15 @@ def check_polynomial_validity(ctx, k: int, coeffs) -> bool:
 def verify_tolerance_exhaustive(family, e: int, budget: int = 10**7) -> bool:
     """True iff every e-subset of the universe leaves some set untouched.
 
-    family is a CosetFamily, whose universe is every element but its
-    center (0 when it has none), or a list of sets, whose universe is their
-    union.  Raises BudgetExceededError when C(|universe|, e) exceeds the
-    budget.
+    family is a CosetFamily, whose universe is every nonzero element, or a
+    list of sets, whose universe is their union.  Raises
+    BudgetExceededError when C(|universe|, e) exceeds the budget.
     """
     sets = [frozenset(s) for s in getattr(family, "sets", family)]
     if not sets:
         raise EmptyFamilyError("cannot verify an empty family")
     if isinstance(family, CosetFamily):
-        universe = family_universe(family)
+        universe = family.ctx.nonzero_elements()
     else:
         universe = sorted(frozenset().union(*sets))
     if e < 0 or e > len(universe):
@@ -82,12 +81,6 @@ def verify_tolerance_exhaustive(family, e: int, budget: int = 10**7) -> bool:
     return True
 
 
-def family_universe(family) -> list[int]:
-    """Where a CosetFamily's failure patterns live: every element but its center (or 0)."""
-    skip = family.center or 0
-    return [x for x in family.ctx.elements() if x != skip]
-
-
 @dataclass(frozen=True)
 class ScannedFamily:
     """Groups found by coset_family_scan, each with the first (seed, b) that gave it."""
@@ -97,21 +90,21 @@ class ScannedFamily:
     multipliers: tuple[int, ...]
 
 
-def coset_family_scan(seeds, center=None) -> ScannedFamily:
-    """The groups of coset_family by scanning every multiplier z^j, j < q^ell - 1.
+def coset_family_scan(seeds, center: int = 0) -> ScannedFamily:
+    """The groups center + b*S* by scanning every multiplier b = z^j, j < q^ell - 1.
 
     Each distinct group keeps the first (seed index, b) that produced it,
-    seeds in order and multipliers in increasing j.
+    seeds in order and multipliers in increasing j.  With center 0 these
+    are the groups of coset_family.
     """
     seeds = list(seeds)
     ctx = seeds[0].ctx
-    shift = 0 if center is None else center
     first_seen = {}
     for t, S in enumerate(seeds):
         star = S.star()
         for j in range(ctx.order - 1):
             b = ctx.exp(j)
-            grp = frozenset(ctx.add(shift, ctx.mul(b, x)) for x in star)
+            grp = frozenset(ctx.add(center, ctx.mul(b, x)) for x in star)
             first_seen.setdefault(grp, (t, b))
     sets = tuple(first_seen)
     return ScannedFamily(
@@ -121,10 +114,16 @@ def coset_family_scan(seeds, center=None) -> ScannedFamily:
     )
 
 
+def translated_sets(family, a: int) -> tuple[frozenset[int], ...]:
+    """The groups around a: each group of a CosetFamily plus a, in family order."""
+    blocks = [family.ctx.add_array(block, a) for block in family.blocks()]
+    return tuple(frozenset(row) for block in blocks for row in block.tolist())
+
+
 def group_witnesses(family) -> list[tuple[int, int]]:
     """(seed index, multiplier b) of each group of a CosetFamily, in family order.
 
-    Group j of a kept seed t is center + z^j * S_t*, so its b is z^j.
+    Group j of a kept seed t is z^j * S_t*, so its b is z^j.
     """
     ctx = family.ctx
     return [(t, ctx.exp(j)) for t, period in zip(family.kept, family.periods) for j in range(period)]
@@ -378,12 +377,12 @@ def simulate_first_intact(bundle, alpha_star: int, e: int) -> dict:
     """Exhaustive simulate_failures report, one frozenset scan per pattern.
 
     Every e-subset of the nodes other than alpha_star survives with the
-    first group in coset_family order that it misses, and that group's seed
-    bandwidth is the repair's cost.
+    first group in coset_family order, found by coset_family_scan, that it
+    misses, and that group's seed bandwidth is the repair's cost.
     """
-    family = coset_family(list(bundle.seeds), center=alpha_star)
+    family = coset_family_scan(bundle.seeds, center=alpha_star)
     bws = [bundle.schemes[t].bandwidth for t in family.seed_index]
-    universe = family_universe(family)
+    universe = [x for x in bundle.ctx.elements() if x != alpha_star]
     survived = bw_sum = 0
     for pattern in combinations(universe, e):
         failed = frozenset(pattern)
@@ -413,15 +412,15 @@ def simulate_first_intact(bundle, alpha_star: int, e: int) -> dict:
     }
 
 
-def naive_seed_scheme(ctx, S, k: int) -> SeedScheme:
+def naive_seed_scheme(S, k: int) -> SeedScheme:
     """Baseline scheme: u_i are constants forming an F_q-basis.
 
     Every helper then sees a full-rank evaluation set, so the bandwidth is
     (|S| - 1) * ell symbols, the full-download worst case.
     """
-    ell = ctx.n // ctx.subfield_degree(S.q)
-    u = tuple((ctx.exp(i),) for i in range(ell))
-    return SeedScheme(ctx, S, k, u)
+    ctx = S.ctx
+    u = tuple((ctx.exp(i),) for i in range(S.ell))
+    return SeedScheme(S, k, u)
 
 
 def bandwidth(scheme) -> int:

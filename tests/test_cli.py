@@ -210,6 +210,7 @@ def test_usage_errors_exit_1(capsys):
     for argv in (
         ("compare-bandwidth", "--n", "30", "--k", "10", "--ell", "8", "--e", "5", "--scheme-bw", ""),
         ("compare-bandwidth", "--n", "30", "--k", "10", "--ell", "8", "--e", "5", "--scheme-bw", "3,"),
+        ("compare-bandwidth", "--n", "16", "--k", "2", "--ell", "4", "--e", "3", "--scheme-bw", "-5"),
         ("design", "--q", "2", "--ell", "4", "--k", "2", "--seed-basis", ""),
     ):
         code, out, err_text = run_cli(capsys, *argv)

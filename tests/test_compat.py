@@ -37,7 +37,7 @@ def test_searched_u_bundle_loads_and_round_trips(path):
     assert bundle.dumps() == text
     # the stored u is the searched one, not today's closed form
     assert any(
-        scheme.u != search_seed_scheme(bundle.ctx, scheme.subspace, bundle.k).u
+        scheme.u != search_seed_scheme(scheme.subspace, bundle.k).u
         for scheme in bundle.schemes
     )
 
@@ -98,8 +98,9 @@ def test_perfbench_tracer_hooks_hold(gf16):
 
 def test_perfbench_workload_library_names_exist():
     # perfbench/workloads.py reads these compactrepair.<module>.<attr> and
-    # passes these keywords (a **mapping aside); its source is parsed here,
-    # never imported or written to.
+    # calls them with these positional and keyword arguments, which must
+    # bind to today's signatures (partially where a *args or **mapping
+    # passes more); its source is parsed here, never imported or written to.
     tree = ast.parse((REPO / "perfbench" / "workloads.py").read_text())
     aliases = {
         alias.asname or alias.name: alias.name.removeprefix("compactrepair.")
@@ -111,31 +112,34 @@ def test_perfbench_workload_library_names_exist():
     assert set(aliases.values()) == {
         "cli", "design", "gf", "hitting", "orbits", "repair", "subspaces"
     }
-    keywords = {
-        id(node.func): [kw.arg for kw in node.keywords if kw.arg]
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Call)
-    }
+    calls = {id(node.func): node for node in ast.walk(tree) if isinstance(node, ast.Call)}
     uses = [
-        (aliases[node.value.id], node.attr, keywords.get(id(node), []))
+        (aliases[node.value.id], node.attr, calls.get(id(node)))
         for node in ast.walk(tree)
         if isinstance(node, ast.Attribute)
         and isinstance(node.value, ast.Name)
         and node.value.id in aliases
     ]
+    assert any(call is not None and call.args for _, _, call in uses)
     missing, rejected = [], []
-    for mod, attr, kws in uses:
+    for mod, attr, call in uses:
         value = getattr(importlib.import_module(f"compactrepair.{mod}"), attr, None)
         if value is None:
             missing.append(f"{mod}.{attr}")
-        elif kws:
-            params = inspect.signature(value).parameters
-            rejected += [f"{mod}.{attr}({kw}=)" for kw in kws if kw not in params]
+        elif call is not None:
+            positional = [arg for arg in call.args if not isinstance(arg, ast.Starred)]
+            named = {kw.arg: None for kw in call.keywords if kw.arg}
+            spread = len(positional) < len(call.args) or len(named) < len(call.keywords)
+            sig = inspect.signature(value)
+            try:
+                (sig.bind_partial if spread else sig.bind)(*[None] * len(positional), **named)
+            except TypeError as exc:
+                rejected.append(f"{mod}.{attr} at line {call.lineno}: {exc}")
     assert missing == [] and rejected == []
     # both design functions still take the ignored rng_seed the workloads pass
     for name in ("design_single_seed", "design_multi_seed"):
-        calls = [kws for mod, attr, kws in uses if (mod, attr) == ("design", name)]
-        assert calls and all("rng_seed" in kws for kws in calls)
+        found = [call for mod, attr, call in uses if (mod, attr) == ("design", name)]
+        assert found and all(any(kw.arg == "rng_seed" for kw in c.keywords) for c in found)
 
 
 def test_perfbench_verify_full_rank_holds_on_closed_form(gf16, gf64, gf9):
@@ -143,6 +147,6 @@ def test_perfbench_verify_full_rank_holds_on_closed_form(gf16, gf64, gf9):
     # which reads through FieldCtx.rank_over
     for ctx, delta in ((gf16, 2), (gf64, 3), (gf9, 1)):
         seed = design._seed_from_strategy(ctx, delta, "subfield-coset")
-        scheme = search_seed_scheme(ctx, seed, 2 if delta > 1 else 1)
+        scheme = search_seed_scheme(seed, 2 if delta > 1 else 1)
         assert repair.verify_full_rank(scheme)
         assert repair.verify_full_rank(repair.dilate_translate(scheme, 3, ctx.generator))

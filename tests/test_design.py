@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from compactrepair import (
+    DesignBundle,
     bandwidth_comparison,
     coset_family,
     design_multi_seed,
@@ -18,6 +19,7 @@ from compactrepair import (
     load_bundle,
     min_hitting_set,
     recover_symbol,
+    search_seed_scheme,
     simulate_failures,
     span,
     verify_reference_example,
@@ -25,10 +27,11 @@ from compactrepair import (
 from compactrepair import design, hitting
 from oracles import (
     binomial_upper_tail,
-    family_universe,
+    coset_family_scan,
     group_witnesses,
     partition_dead_patterns,
     simulate_first_intact,
+    translated_sets,
 )
 
 
@@ -171,8 +174,8 @@ def test_design_over_prime_power_q():
     assert bundle.bounds.exact == 5
     ctx = bundle.ctx
     rng = random.Random(2)
+    fam = coset_family(list(bundle.seeds))
     for alpha in (0, ctx.exp(3), ctx.exp(11)):
-        fam = coset_family(list(bundle.seeds), center=alpha)
         for t, b in group_witnesses(fam):
             scheme = dilate_translate(bundle.schemes[t], alpha, b)
             for _ in range(10):
@@ -315,6 +318,24 @@ def test_load_bundle_ignores_tool_version(bundle_s1):
     assert load_bundle(blob).dumps() == bundle_s1.dumps()
 
 
+def test_bundle_reads_field_k_and_seeds_from_its_schemes(bundle_multi):
+    b = bundle_multi
+    assert b.ctx is b.schemes[0].ctx and b.k == b.schemes[0].k == 2
+    assert b.seeds == tuple(scheme.subspace for scheme in b.schemes)
+    assert DesignBundle(b.mode, b.schemes, b.mhs, b.config).dumps() == b.dumps()
+
+
+def test_bundle_rejects_schemes_of_mixed_fields_or_k(bundle_multi):
+    first, second = bundle_multi.schemes[:2]
+    other_field = field_new(2, 1, 4, [1, 0, 0, 1, 1])  # x^4 + x^3 + 1
+    foreign = search_seed_scheme(span(other_field, 2, list(second.subspace.basis)), 2)
+    rebuilt = search_seed_scheme(span(field_new(2, 1, 4), 2, list(second.subspace.basis)), 2)
+    other_k = search_seed_scheme(second.subspace, 3)
+    for schemes in ((first, foreign), (first, rebuilt), (first, other_k)):
+        with pytest.raises(ValueError, match="one field and one k"):
+            DesignBundle("multi-seed", schemes, bundle_multi.mhs, bundle_multi.config)
+
+
 def test_bundle_schema_tag(bundle_s1):
     blob = bundle_s1.to_json_dict()
     assert blob["schema"] == 1
@@ -326,9 +347,9 @@ def test_bundle_schema_tag(bundle_s1):
 def test_cross_module_tolerance_consistency(bundle_s1, bundle_multi):
     ctx = bundle_s1.ctx
     for bundle in (bundle_s1, bundle_multi):
+        fam = coset_family(list(bundle.seeds))
         for alpha in (0, ctx.exp(3), ctx.exp(7)):
-            fam = coset_family(list(bundle.seeds), center=alpha)
-            assert bundle.tolerance == min_hitting_set(fam).tolerance
+            assert bundle.tolerance == min_hitting_set(translated_sets(fam, alpha)).tolerance
 
 
 def test_simulate_exhaustive_at_tolerance(bundle_s1):
@@ -357,10 +378,10 @@ def test_simulate_witness_pattern_kills_groups(bundle_s1):
     # an MHS witness, shifted to the repaired point, is a killing pattern
     ctx = bundle_s1.ctx
     alpha = ctx.exp(5)
-    fam = coset_family(list(bundle_s1.seeds), center=alpha)
+    groups = coset_family_scan(bundle_s1.seeds, center=alpha).sets
     witness = {ctx.add(alpha, w) for w in bundle_s1.mhs.witness}
     assert alpha not in witness
-    assert all(not g.isdisjoint(witness) for g in fam.sets)
+    assert all(not g.isdisjoint(witness) for g in groups)
 
 
 def test_simulate_monte_carlo_agrees(bundle_s1):
@@ -434,8 +455,9 @@ def _sampled(universe, e, trials, rng_seed):
 def test_sampled_patterns_are_distinct_e_subsets(bundle_s1, e):
     # the universe simulate_failures samples from: every node but a*
     alpha = bundle_s1.ctx.exp(5)
-    universe = family_universe(coset_family(list(bundle_s1.seeds), center=alpha))
-    assert universe == [x for x in range(bundle_s1.n) if x != alpha]
+    universe = [x for x in range(bundle_s1.n) if x != alpha]
+    groups = coset_family_scan(bundle_s1.seeds, center=alpha).sets
+    assert universe == sorted(frozenset().union(*groups))
     chunks = _sampled(universe, e, 3000, rng_seed=11)
     assert sum(chunk.shape[1] for chunk in chunks) == 3000
     for chunk in chunks:
@@ -558,6 +580,10 @@ def test_bandwidth_comparison_table():
     for e in (0, 16, 1000, 10**13):
         with pytest.raises(ValueError, match=rf"need 1 <= e < n = 16, got e = {e}$"):
             bandwidth_comparison(16, 2, 4, e, scheme_bandwidths=[5])
+    # a negative bandwidth once gave a negative measured total
+    for bws in ([-5], [9, -1, 9]):
+        with pytest.raises(ValueError, match="non-negative"):
+            bandwidth_comparison(16, 2, 4, 3, scheme_bandwidths=bws)
 
 
 @pytest.mark.parametrize(
@@ -572,8 +598,8 @@ def test_repair_correctness_over_bundles(bundle_s1, bundle_s2, bundle_multi):
     rng = random.Random(404)
     for bundle in (bundle_s1, bundle_s2, bundle_multi):
         ctx = bundle.ctx
+        fam = coset_family(list(bundle.seeds))
         for alpha in (0, ctx.exp(5), ctx.exp(9)):
-            fam = coset_family(list(bundle.seeds), center=alpha)
             for t, b in group_witnesses(fam):
                 scheme = dilate_translate(bundle.schemes[t], alpha, b)
                 for _ in range(10):

@@ -170,7 +170,7 @@ def test_bundle_dumps_are_pinned(name):
 def test_gf4096_delta10_scheme_u_is_pinned():
     ctx = field_new(2, 1, 12)
     S = span(ctx, 2, [ctx.exp(j) for j in range(10)])
-    u = search_seed_scheme(ctx, S, 2).u
+    u = search_seed_scheme(S, 2).u
     assert _sha(json.dumps(u)) == (
         "590ae75da34808f4bdde0fa483b6d0e6799bf22ae771fc3970374e43c7078407"
     )

@@ -18,7 +18,7 @@ from compactrepair import (
     span,
 )
 from compactrepair.errors import BudgetExceededError, EmptyFamilyError, InvariantError
-from oracles import verify_tolerance_exhaustive
+from oracles import coset_family_scan, translated_sets, verify_tolerance_exhaustive
 
 
 def brute_force_mhs_size(sets):
@@ -100,15 +100,17 @@ def test_empty_family_errors():
         min_hitting_set([frozenset()])
 
 
-def test_budget_exhaustion_flags_result(gf64):
+def test_budget_exhaustion_flags_result(gf64, empty_memo, monkeypatch):
     # A generic delta=2 family has an integrality gap, so a one-node budget
     # cannot certify optimality; the incumbent is still a valid hitting set.
     from compactrepair import base_of
 
     gen = next(S for S in enumerate_subspaces(gf64, 2, 2) if base_of(S) == 1)
     fam = coset_family([gen])
-    res = min_hitting_set(fam, budget=0)
     exact = min_hitting_set(fam)
+    empty_memo.clear()
+    monkeypatch.setattr(hitting, "NODE_BUDGET", 0)
+    res = min_hitting_set(fam)
     assert exact.method == "exact"
     assert res.method == "greedy-upper-only"
     assert res.size >= exact.size
@@ -149,10 +151,10 @@ def test_monotone_under_adding_sets():
 def test_shift_invariance_over_all_centers(gf16):
     for gens in ([gf16.exp(2), gf16.exp(7)], [gf16.exp(4), gf16.exp(5)]):
         S = span(gf16, 2, gens)
-        reference = min_hitting_set(coset_family([S])).size
+        fam = coset_family([S])
+        reference = min_hitting_set(fam).size
         for alpha in gf16.elements():
-            fam = coset_family([S], center=alpha)
-            assert min_hitting_set(fam).size == reference
+            assert min_hitting_set(translated_sets(fam, alpha)).size == reference
 
 
 def test_multi_seed_dominance(gf16):
@@ -168,7 +170,7 @@ def test_multi_seed_dominance(gf16):
 
 def test_verify_tolerance_exhaustive_basics(gf16):
     S1 = span(gf16, 2, [gf16.exp(2), gf16.exp(7)])
-    fam = coset_family([S1], center=gf16.exp(5))
+    fam = coset_family_scan([S1], center=gf16.exp(5)).sets
     assert verify_tolerance_exhaustive(fam, 0) is True
     assert verify_tolerance_exhaustive(fam, 4) is True
     assert verify_tolerance_exhaustive(fam, 5) is False
@@ -337,7 +339,7 @@ def test_raw_and_centred_families_bypass_memo(gf16, empty_memo):
     S = span(gf16, 2, [gf16.exp(4), gf16.exp(5)])
     fam = coset_family([S])
     assert min_hitting_set(list(fam.sets)).size == 6
-    assert min_hitting_set(coset_family([S], center=gf16.exp(3))).size == 6
+    assert min_hitting_set(translated_sets(fam, gf16.exp(3))).size == 6
     assert not empty_memo
     assert min_hitting_set(fam).size == 6
     assert len(empty_memo) == 1

@@ -29,6 +29,7 @@ from oracles import (
     from_coords,
     naive_seed_scheme,
     rref_over,
+    translated_sets,
 )
 
 
@@ -39,7 +40,7 @@ def golden_seed(gf16):
 
 @pytest.fixture
 def naive16(gf16, golden_seed):
-    return naive_seed_scheme(gf16, golden_seed, 2)
+    return naive_seed_scheme(golden_seed, 2)
 
 
 def dense_check_polynomial(ctx, scheme, i):
@@ -89,28 +90,28 @@ def test_naive_scheme_full_rank_and_bandwidth(gf16, naive16):
 
 def test_naive_whole_field(gf16):
     S = span(gf16, 2, [gf16.exp(i) for i in range(4)])
-    scheme = naive_seed_scheme(gf16, S, 1)
+    scheme = naive_seed_scheme(S, 1)
     assert verify_full_rank(scheme)
     assert scheme.bandwidth == 15 * 4
 
 
 def test_dimension_too_small(gf16, golden_seed):
     with pytest.raises(DimensionTooSmallError):
-        naive_seed_scheme(gf16, golden_seed, 4)  # |S| = 4 needs k < 4
+        naive_seed_scheme(golden_seed, 4)  # |S| = 4 needs k < 4
     # boundary: |S| = k + 1 leaves only constant u_i, still valid
-    scheme = naive_seed_scheme(gf16, golden_seed, 3)
+    scheme = naive_seed_scheme(golden_seed, 3)
     assert verify_full_rank(scheme)
 
 
 def test_duplicate_u_rows_fail_rank(gf16, golden_seed):
     u = [(1,), (1,), (gf16.exp(1),), (gf16.exp(2),)]
     with pytest.raises(RankDeficientError, match="full-rank"):
-        SeedScheme(gf16, golden_seed, 2, u)
+        SeedScheme(golden_seed, 2, u)
 
 
 def test_u_degree_bound_enforced(gf16, golden_seed):
     with pytest.raises(ValueError):
-        SeedScheme(gf16, golden_seed, 2, [(0, 0, 1)] + [(1,)] * 3)
+        SeedScheme(golden_seed, 2, [(0, 0, 1)] + [(1,)] * 3)
 
 
 def test_check_polynomials_vanish_off_support(gf16, naive16, golden_seed):
@@ -211,14 +212,28 @@ def test_recover_names_payloads_outside_field(gf16, naive16):
         recover_symbol(d, forged)
 
 
+def test_scheme_field_is_its_seed_field():
+    # 4 and 11 span the same set of ints under either modulus, but the
+    # products differ; a scheme that took its field apart from its seed
+    # could mix the two fields and recover a wrong symbol.
+    for modulus in (None, [1, 0, 0, 1, 1]):
+        ctx = field_new(2, 1, 4, modulus)
+        scheme = search_seed_scheme(span(ctx, 2, [4, 11]), 2)
+        assert scheme.ctx is ctx
+        d = dilate_translate(scheme, 6, 1)
+        f = [3, 7]
+        payloads = [helper_payload(d, beta, ctx.poly_eval(f, beta)) for beta in d.helpers]
+        assert recover_symbol(d, payloads) == ctx.poly_eval(f, 6)
+
+
 def test_dilations_reproduce_golden_groups(gf16, naive16, golden_seed):
     alpha = gf16.exp(5)
-    fam = coset_family([golden_seed], center=alpha)
+    fam = coset_family([golden_seed])
     helper_sets = {
         frozenset(dilate_translate(naive16, alpha, gf16.exp(j)).helpers)
         for j in range(15)
     }
-    assert helper_sets == set(fam.sets)
+    assert helper_sets == set(translated_sets(fam, alpha))
     assert len(helper_sets) == 5
 
 
@@ -308,7 +323,7 @@ def searched_seed(name):
     p, s, ell, exps, k = SMALL_SEEDS[name]
     ctx = field_new(p, s, ell)
     S = span(ctx, ctx.q, [ctx.exp(e) for e in exps])
-    return search_seed_scheme(ctx, S, k)
+    return search_seed_scheme(S, k)
 
 
 def payload_from_scratch(d, beta, f_beta):
@@ -352,9 +367,9 @@ def test_seed_payloads_match_oracle_every_dilation(gf16, golden_seed, searched):
     # payloads read per-helper data the seed computed once; every (a*, b)
     # must still give what a from-scratch row reduction gives
     if searched:
-        seed = search_seed_scheme(gf16, golden_seed, 2)
+        seed = search_seed_scheme(golden_seed, 2)
     else:
-        seed = naive_seed_scheme(gf16, golden_seed, 2)
+        seed = naive_seed_scheme(golden_seed, 2)
     pairs = [(alpha, gf16.exp(j)) for alpha in gf16.elements() for j in range(15)]
     check_payloads_match_oracle(seed, pairs, random.Random(43))
 
@@ -406,7 +421,7 @@ def test_recover_symbol_end_to_end(gf16, naive16):
 
 
 def test_recover_searched_scheme(gf16, golden_seed):
-    best = search_seed_scheme(gf16, golden_seed, 2)
+    best = search_seed_scheme(golden_seed, 2)
     rng = random.Random(37)
     for alpha in (0, gf16.exp(5), gf16.exp(11)):
         d = dilate_translate(best, alpha, gf16.exp(7))
@@ -431,7 +446,7 @@ def test_recover_rank_deficient(gf16, golden_seed):
     # can be built from u
     u = [(1,), (gf16.exp(1),), (gf16.exp(2),), (0, 1)]
     with pytest.raises(RankDeficientError, match="full-rank"):
-        SeedScheme(gf16, golden_seed, 2, u)
+        SeedScheme(golden_seed, 2, u)
 
 
 def test_recover_rejects_wrong_symbol_count(gf16, naive16):
@@ -445,7 +460,7 @@ def test_recover_rejects_wrong_symbol_count(gf16, naive16):
 
 
 def test_search_improves_or_matches_baseline(gf16, golden_seed):
-    best = search_seed_scheme(gf16, golden_seed, 2)
+    best = search_seed_scheme(golden_seed, 2)
     assert verify_full_rank(best)
     assert best.bandwidth <= 12
     # a structured family of full-rank candidates, u_i = z^i +
@@ -458,14 +473,14 @@ def test_search_improves_or_matches_baseline(gf16, golden_seed):
                 (gf16.exp(i), gf16.exp(i + t) if (mask >> i) & 1 else 0)
                 for i in range(4)
             )
-            cand = SeedScheme(gf16, golden_seed, 2, u)
+            cand = SeedScheme(golden_seed, 2, u)
             structured_best = min(structured_best, cand.bandwidth)
     assert structured_best == 8
 
 
 def test_search_is_deterministic(gf16, golden_seed):
-    a = search_seed_scheme(gf16, golden_seed, 2)
-    b = search_seed_scheme(gf16, golden_seed, 2)
+    a = search_seed_scheme(golden_seed, 2)
+    b = search_seed_scheme(golden_seed, 2)
     assert a.u == b.u and a.bandwidth == b.bandwidth
 
 
@@ -497,7 +512,7 @@ def test_closed_form_bandwidth_is_exact(p, s, ell):
             if S.dim != delta:
                 continue
             for k in range(1, q**delta):
-                scheme = search_seed_scheme(ctx, S, k)
+                scheme = search_seed_scheme(S, k)
                 r = closed_form_r(S, k)
                 assert r < delta
                 assert verify_full_rank(scheme)
@@ -506,14 +521,14 @@ def test_closed_form_bandwidth_is_exact(p, s, ell):
                     for x in scheme.helpers
                 )
                 assert scheme.bandwidth == bandwidth(scheme) == (q**delta - 1) * (ell - r)
-                assert scheme.bandwidth <= naive_seed_scheme(ctx, S, k).bandwidth
+                assert scheme.bandwidth <= naive_seed_scheme(S, k).bandwidth
                 cases += 1
     assert cases >= ell
 
 
 def test_closed_form_r_zero_is_naive(gf16, golden_seed):
     # |S| - k = 1 leaves r = 0: the constants u_i = z^i
-    assert search_seed_scheme(gf16, golden_seed, 3).u == naive_seed_scheme(gf16, golden_seed, 3).u
+    assert search_seed_scheme(golden_seed, 3).u == naive_seed_scheme(golden_seed, 3).u
 
 
 @pytest.mark.parametrize(
@@ -529,7 +544,7 @@ def test_closed_form_r_zero_is_naive(gf16, golden_seed):
 def test_closed_form_bandwidth_values(p, ell, delta, k, expected):
     ctx = field_new(p, 1, ell)
     S = span(ctx, p, [ctx.exp(i) for i in range(delta)])
-    assert search_seed_scheme(ctx, S, k).bandwidth == expected
+    assert search_seed_scheme(S, k).bandwidth == expected
 
 
 def test_recover_rejects_symbols_outside_subfield(gf16, naive16):
@@ -546,7 +561,7 @@ def test_recover_rejects_symbols_outside_subfield(gf16, naive16):
 
 def test_gf9_schemes_work_too(gf9):
     S = span(gf9, 3, [gf9.exp(1)])
-    scheme = naive_seed_scheme(gf9, S, 2)
+    scheme = naive_seed_scheme(S, 2)
     assert verify_full_rank(scheme)
     rng = random.Random(41)
     alpha = gf9.exp(3)
