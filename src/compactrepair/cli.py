@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from .design import (
     bandwidth_comparison,
@@ -91,7 +92,7 @@ def _cmd_field_info(args) -> int:
 def _cmd_orbits(args) -> int:
     p, s = _prime_power(args.q)
     ctx = field_new(p, s, args.ell, _parse_modulus(args.modulus))
-    report = orbit_decomposition(ctx, ctx.q, args.delta)
+    report = orbit_decomposition(ctx, args.delta)
     _emit(report.to_json_dict(), args.output)
     return 0
 
@@ -118,8 +119,7 @@ def _cmd_design(args) -> int:
         if args.delta is None:
             raise ValueError("give --seed-basis or --delta")
         bundle = design_single_seed(
-            p, s, args.ell, args.k, delta=args.delta,
-            strategy=args.strategy or "subfield-coset", modulus=modulus,
+            p, s, args.ell, args.k, delta=args.delta, strategy=args.strategy, modulus=modulus
         )
     _emit(bundle.to_json_dict(), args.output)
     return 0
@@ -157,6 +157,7 @@ def _cmd_verify_example(args) -> int:
     return 0 if report["all_pass"] else CHECK_FAILURE
 
 
+@cache  # parse_args keeps no state in the parser, so main reuses one
 def build_parser() -> _Parser:
     parser = _Parser(prog="compactrepair", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -226,8 +227,7 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (CompactRepairError, ValueError, OSError) as exc:

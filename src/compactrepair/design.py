@@ -54,9 +54,7 @@ from . import __version__
 from .errors import InvariantError
 from .gf import FieldCtx, field_new
 from .hitting import BoundsReport, HittingResult, bounds, bounds_for_seed, min_hitting_set
-from .orbits import (
-    OrbitReport, base_counts, coset_family, orbit_count_formula, orbit_decomposition, stabilizer_order
-)
+from .orbits import OrbitReport, coset_family, orbit_decomposition, stabilizer_order
 from .repair import SeedScheme, search_seed_scheme
 from .subspaces import (
     Subspace,
@@ -150,12 +148,8 @@ class DesignBundle:
 
     @property
     def orbits(self) -> OrbitReport | None:
-        """Closed-form orbit report whose representatives are the seeds."""
-        if self.mode == "single-seed":
-            return None
-        q, ell, delta = self.q, self.ctx.ell, self.delta
-        counts, orbit_count = base_counts(q, ell, delta), orbit_count_formula(q, ell, delta)
-        return OrbitReport(q, ell, delta, counts, orbit_count, self.seeds, self.coset_counts)
+        """The orbit report whose representatives are the seeds."""
+        return None if self.mode == "single-seed" else OrbitReport(self.seeds)
 
     @cached_property
     def _groups_at_zero(self) -> tuple[np.ndarray, list[int]]:
@@ -314,8 +308,10 @@ def _check_certificate(bundle: DesignBundle, error: type[Exception]) -> None:
         raise error(f"exact |MHS| = {mhs.size} is off the bounds {bnd}")
     if bundle.mode == "multi-seed":
         expected = gaussian_coefficient(ctx.ell, bundle.delta, ctx.q)
-        if len(family) != expected:
-            raise error(f"multi-seed coset sets are not all {expected} {bundle.delta}-subspaces")
+        if len(family) != expected or len(family.kept) != len(bundle.seeds):  # one seed per orbit
+            raise error(
+                f"multi-seed coset sets are not all {expected} {bundle.delta}-subspaces, once each"
+            )
 
 
 def _validate_code(ctx: FieldCtx, k: int, delta: int) -> None:
@@ -329,17 +325,16 @@ def _validate_code(ctx: FieldCtx, k: int, delta: int) -> None:
 
 
 def _seed_from_strategy(ctx: FieldCtx, delta: int, strategy: str) -> Subspace:
-    q = ctx.q
     if strategy == "subfield-coset":
         if ctx.ell % delta:
             raise ValueError(
                 f"strategy 'subfield-coset' needs delta | ell, got "
                 f"delta={delta}, ell={ctx.ell}"
             )
-        gamma = ctx.exp((ctx.order - 1) // (q**delta - 1))
-        return span(ctx, q, [ctx.pow(gamma, i) for i in range(delta)])
+        gamma = ctx.exp((ctx.order - 1) // (ctx.q**delta - 1))
+        return span(ctx, ctx.q, [ctx.pow(gamma, i) for i in range(delta)])
     if strategy == "first":
-        return next(enumerate_subspaces(ctx, q, delta))
+        return next(enumerate_subspaces(ctx, ctx.q, delta))
     raise ValueError(f"unknown seed strategy: {strategy!r}")
 
 
@@ -351,19 +346,22 @@ def design_single_seed(
     *,
     seed_basis=None,
     delta: int | None = None,
-    strategy: str = "subfield-coset",
+    strategy: str | None = None,
     modulus=None,
     rng_seed: int = 0,
 ) -> DesignBundle:
     """Design with one seed: groups, exact tolerance, bounds, repair scheme.
 
-    The scheme is search_seed_scheme's closed form.  rng_seed is accepted
-    for earlier callers and ignored; it is not written to the config.
+    The seed is spanned by seed_basis, or picked for delta by strategy
+    (None means "subfield-coset"); seed_basis excludes the other two.  The
+    scheme is search_seed_scheme's closed form.  rng_seed is accepted for
+    earlier callers and ignored; it is not written to the config.
     """
     ctx = field_new(p, s, ell, modulus)
-    q = ctx.q
     if seed_basis is not None:
-        seed = span(ctx, q, list(seed_basis))
+        if delta is not None or strategy is not None:
+            raise ValueError("seed_basis fixes the seed; drop delta and strategy")
+        seed = span(ctx, ctx.q, list(seed_basis))
         if seed.dim == 0:
             raise ValueError("seed basis spans only the trivial subspace")
         _validate_code(ctx, k, seed.dim)
@@ -371,11 +369,12 @@ def design_single_seed(
         if delta is None:
             raise ValueError("give either seed_basis or delta")
         _validate_code(ctx, k, delta)
+        strategy = "subfield-coset" if strategy is None else strategy
         seed = _seed_from_strategy(ctx, delta, strategy)
     mhs = min_hitting_set(coset_family([seed]))
     scheme = search_seed_scheme(seed, k)
     config = {
-        "strategy": None if seed_basis is not None else strategy,
+        "strategy": strategy,
         "seed_basis": sorted(seed.basis),
         "group_selection": "first-intact",
     }
@@ -407,11 +406,10 @@ def design_multi_seed(
     callers and ignored, and it is not written to the config.
     """
     ctx = field_new(p, s, ell, modulus)
-    q = ctx.q
     _validate_code(ctx, k, delta)
-    seeds = orbit_decomposition(ctx, q, delta).representatives
-    U = span(ctx, q, [ctx.exp(i) for i in range(ctx.ell - delta + 1)])
-    scalars = ctx.subfield_elements(ctx.subfield_degree(q))[1:]
+    seeds = orbit_decomposition(ctx, delta).representatives
+    U = span(ctx, ctx.q, [ctx.exp(i) for i in range(ctx.ell - delta + 1)])
+    scalars = ctx.subfield_elements(ctx.s)[1:]
     witness = tuple(
         sorted({min(ctx.mul(c, v) for c in scalars) for v in U.members if v})
     )

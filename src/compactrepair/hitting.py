@@ -188,11 +188,11 @@ def _memo_solve(family: CosetFamily) -> HittingResult:
     ctx = family.ctx
     group = ctx.order - 1
     f, key = _canonical_class(family)
-    memo_key = (ctx.p, ctx.n, ctx.modulus, ctx.generator, family.q, key)
+    memo_key = (ctx.p, ctx.n, ctx.modulus, ctx.generator, ctx.q, key)
     entry = _MEMO.get(memo_key)
     if entry is None:
         forms, periods = zip(*key)  # a form lists the logs of a seed's image
-        canonical = CosetFamily(ctx, family.q, tuple(range(len(key))), forms, periods)
+        canonical = CosetFamily(ctx, tuple(range(len(key))), forms, periods)
         res = _solve(*_rows(canonical))
         entry = (tuple(ctx.log(w) for w in res.witness), res.method)
         with _MEMO_LOCK:

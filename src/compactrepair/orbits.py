@@ -14,7 +14,9 @@ Orbit counting under scaling uses Burnside's lemma: the count of
 delta-dimensional subspaces with base exactly q^m comes out of a Mobius
 inversion over Gaussian coefficients.  orbit_decomposition finds the
 orbits from the subspaces through 1, one of which every orbit has, and
-checks both closed forms against them.  One seed per orbit is enough to
+checks both closed forms against them.  An OrbitReport stores only its
+representatives; its counts, and the q, ell and delta of its JSON, are
+read from them.  One seed per orbit is enough to
 regenerate every delta-dimensional subspace as a coset, which is what the
 multi-seed designs exploit.
 """
@@ -59,7 +61,6 @@ class CosetFamily:
     """
 
     ctx: FieldCtx
-    q: int
     kept: tuple[int, ...]
     logs: tuple[tuple[int, ...], ...]  # sorted logs of S_t*
     periods: tuple[int, ...]
@@ -114,19 +115,18 @@ def coset_family(seeds) -> CosetFamily:
     if not seeds:
         raise ValueError("need at least one seed")
     ctx = seeds[0].ctx
-    q = seeds[0].q
     group = ctx.order - 1
     forms: dict[tuple[int, ...], tuple] = {}  # least translate -> (t, logs, period)
     for t, S in enumerate(seeds):
-        if S.ctx is not ctx or S.q != q:
-            raise ValueError("all seeds must share one field context and q")
+        if S.ctx is not ctx:
+            raise ValueError("all seeds must share one field context")
         if 0 not in S.members:
             raise SeedWithoutZeroError(f"seed {sorted(S.members)} does not contain 0")
         period = group // stabilizer_order(S)  # rejects the trivial seed
         star_logs = tuple(sorted(ctx.log(x) for x in S.star()))
         forms.setdefault(_least_translate(star_logs, group), (t, star_logs, period))
     kept, logs, periods = zip(*forms.values())
-    return CosetFamily(ctx, q, kept, logs, periods)
+    return CosetFamily(ctx, kept, logs, periods)
 
 
 def _least_rotation(seq: list[int]) -> int:
@@ -171,28 +171,46 @@ def stabilizer_order(S: Subspace) -> int:
 
 @dataclass(frozen=True)
 class OrbitReport:
-    """Orbit decomposition of all delta-dimensional subspaces under scaling."""
+    """Scaling orbits of all delta-dimensional subspaces, read from one representative each."""
 
-    q: int
-    ell: int
-    delta: int
-    counts_by_base: dict[int, int]
-    orbit_count: int
     representatives: tuple[Subspace, ...]
-    orbit_sizes: tuple[int, ...]
+
+    @cached_property
+    def bases(self) -> tuple[int, ...]:
+        """base_of of each representative, computed once; the counts read these."""
+        return tuple(base_of(S) for S in self.representatives)
+
+    @property
+    def orbit_count(self) -> int:
+        return len(self.representatives)
+
+    @property
+    def orbit_sizes(self) -> tuple[int, ...]:
+        """(q^ell - 1)/(q^m - 1) for each representative's base degree m."""
+        S = self.representatives[0]
+        return tuple((S.ctx.order - 1) // (S.q**m - 1) for m in self.bases)
+
+    @property
+    def counts_by_base(self) -> dict[int, int]:
+        S = self.representatives[0]
+        counts = dict.fromkeys(_divisors(gcd(S.ell, S.dim)), 0)
+        for m, size in zip(self.bases, self.orbit_sizes):
+            counts[m] += size
+        return counts
 
     def to_json_dict(self) -> dict:
+        S = self.representatives[0]
         return {
-            "q": self.q,
-            "ell": self.ell,
-            "delta": self.delta,
+            "q": S.q,
+            "ell": S.ell,
+            "delta": S.dim,
             "counts_by_base": {str(m): n for m, n in sorted(self.counts_by_base.items())},
             "orbit_count": self.orbit_count,
             "representatives": [rep.to_json() for rep in self.representatives],
         }
 
 
-def orbit_decomposition(ctx: FieldCtx, q: int, delta: int) -> OrbitReport:
+def orbit_decomposition(ctx: FieldCtx, delta: int) -> OrbitReport:
     """Partition all delta-dimensional subspaces into scaling orbits.
 
     Every orbit has members through 1 (s^-1 * S contains 1 for s in S*),
@@ -203,16 +221,15 @@ def orbit_decomposition(ctx: FieldCtx, q: int, delta: int) -> OrbitReport:
     member.  An orbit's representative is its lexicographically least
     canonical basis, so reports are reproducible; that basis starts with
     the least nonzero element 1, so it is one of the members enumerated.
-    Its size is (q^ell - 1)/(q^m - 1) for m = base_of(representative).
-    Checked as invariants: each orbit has (q^delta - 1)/(q^m - 1) members
+    The report reads its counts from the representatives, and they are
+    checked as invariants: each orbit has (q^delta - 1)/(q^m - 1) members
     through 1 (orbit-stabilizer), the sizes add up to the Gaussian
     coefficient, the per-base counts equal base_counts (Mobius) and the
     orbit count equals orbit_count_formula (Burnside).  Raises
     BudgetExceededError, before any block is built, past
     ENUMERATION_BUDGET subspaces or MEMBER_ENTRY_BUDGET members through 1.
     """
-    m = ctx.subfield_degree(q)
-    ell = ctx.n // m
+    q, ell = ctx.q, ctx.ell
     if delta < 1 or delta > ell:
         raise ValueError(f"need 1 <= delta <= ell = {ell}, got {delta}")
     through_one = gaussian_coefficient(ell - 1, delta - 1, q)
@@ -224,35 +241,27 @@ def orbit_decomposition(ctx: FieldCtx, q: int, delta: int) -> OrbitReport:
         )
     group = ctx.order - 1
     orbits: dict[tuple[int, ...], list] = {}  # least translate -> [basis, members, count]
-    for bases, members in _subspace_blocks(ctx, q, delta, through_one=True):
+    for bases, members in _subspace_blocks(ctx, delta, through_one=True):
         logs = np.sort(ctx.log_array(members[:, 1:]), axis=1)
         for basis, row, elems in zip(bases.tolist(), logs.tolist(), members.tolist()):
             orbit = orbits.setdefault(_least_translate(row, group), [basis, elems, 0])
             if basis < orbit[0]:
                 orbit[:2] = basis, elems
             orbit[2] += 1
-    reps: list[Subspace] = []
-    sizes: list[int] = []
-    counts = dict.fromkeys(_divisors(gcd(ell, delta)), 0)
-    for basis, elems, found in orbits.values():
-        rep = Subspace(ctx, q, delta, tuple(basis), frozenset(elems))
-        base_m = base_of(rep)
+    report = OrbitReport(tuple(Subspace(ctx, tuple(b), frozenset(m)) for b, m, _ in orbits.values()))
+    for (_, _, found), base_m in zip(orbits.values(), report.bases):
         if found * (q**base_m - 1) != q**delta - 1:
             raise InvariantError(
                 f"orbit with {found} members through 1 breaks orbit-stabilizer for base q^{base_m}"
             )
-        size = (q**ell - 1) // (q**base_m - 1)
-        counts[base_m] += size
-        reps.append(rep)
-        sizes.append(size)
     total = gaussian_coefficient(ell, delta, q)
-    if sum(counts.values()) != total:
-        raise InvariantError(f"orbits cover {sum(counts.values())} subspaces, expected {total}")
-    if counts != base_counts(q, ell, delta):
-        raise InvariantError(f"per-base counts {counts} differ from the Mobius inversion")
-    if len(reps) != orbit_count_formula(q, ell, delta):
-        raise InvariantError(f"{len(reps)} orbits differ from the Burnside count")
-    return OrbitReport(q, ell, delta, counts, len(reps), tuple(reps), tuple(sizes))
+    if sum(report.orbit_sizes) != total:
+        raise InvariantError(f"orbits cover {sum(report.orbit_sizes)} subspaces, expected {total}")
+    if report.counts_by_base != base_counts(q, ell, delta):
+        raise InvariantError(f"per-base counts {report.counts_by_base} differ from Mobius inversion")
+    if report.orbit_count != orbit_count_formula(q, ell, delta):
+        raise InvariantError(f"{report.orbit_count} orbits differ from the Burnside count")
+    return report
 
 
 def mobius(v: int) -> int:

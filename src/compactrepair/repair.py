@@ -70,7 +70,7 @@ class SeedScheme:
         self.ctx = ctx
         self.subspace = subspace
         self.k = k
-        self.mq = subspace.subfield_m
+        self.mq = ctx.s
         self.ell = subspace.ell
         max_len = size - k  # u_i degree < q^delta - k
         u = tuple(tuple(c) for c in u)

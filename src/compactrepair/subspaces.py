@@ -1,5 +1,7 @@
 """F_q-subspaces of GF(q^ell): spans, enumeration, bases, subspace polynomials.
 
+Every Subspace is over its field's own F_q: it stores the field, basis and
+members, and reads q = ctx.q, ell = ctx.ell and dim = len(basis) from them.
 A Subspace is canonicalized by the reduced row echelon form of its basis
 over the scalar subfield, taken in the generator power-basis coordinates of
 its FieldCtx (FieldCtx.echelon), so equal subspaces always carry identical
@@ -33,22 +35,24 @@ from .gf import FieldCtx
 
 @dataclass(frozen=True, eq=False)
 class Subspace:
-    """A delta-dimensional subspace of the field over the subfield of order q."""
+    """A subspace of the field over its scalar subfield, of order q = ctx.q."""
 
     ctx: FieldCtx
-    q: int
-    dim: int
     basis: tuple[int, ...]
     members: frozenset[int]
 
     @property
-    def subfield_m(self) -> int:
-        return self.ctx.subfield_degree(self.q)
+    def q(self) -> int:
+        return self.ctx.q
+
+    @property
+    def dim(self) -> int:
+        return len(self.basis)
 
     @property
     def ell(self) -> int:
         """Extension degree of the whole field over the scalar subfield."""
-        return self.ctx.n // self.subfield_m
+        return self.ctx.ell
 
     def star(self) -> tuple[int, ...]:
         """Nonzero members, sorted; the punctured set the cosets scale."""
@@ -60,12 +64,10 @@ class Subspace:
     def __eq__(self, other):
         if not isinstance(other, Subspace):
             return NotImplemented
-        return (
-            self.ctx is other.ctx and self.q == other.q and self.basis == other.basis
-        )
+        return self.ctx is other.ctx and self.basis == other.basis
 
     def __hash__(self):
-        return hash((id(self.ctx), self.q, self.basis))
+        return hash((id(self.ctx), self.basis))
 
     def __repr__(self):
         return f"Subspace(q={self.q}, dim={self.dim}, basis={sorted(self.basis)})"
@@ -83,15 +85,16 @@ def _closure(ctx: FieldCtx, m: int, basis) -> frozenset[int]:
 
 
 def span(ctx: FieldCtx, q: int, generators) -> Subspace:
-    """Smallest F_q-subspace containing the generators, in canonical form."""
-    m = ctx.subfield_degree(q)
+    """Smallest F_q-subspace containing the generators, in canonical form; q must be ctx.q."""
+    if q != ctx.q:
+        raise ValueError(f"subspaces of GF({ctx.order}) are over its F_{ctx.q}, got q = {q}")
     generators = list(generators)
     if not all(0 <= g < ctx.order for g in generators):
         raise ValueError(
             f"span generators must be field elements in [0, {ctx.order})"
         )
-    basis, _ = ctx.echelon(generators, m)
-    return Subspace(ctx, q, len(basis), basis, _closure(ctx, m, basis))
+    basis, _ = ctx.echelon(generators, ctx.s)
+    return Subspace(ctx, basis, _closure(ctx, ctx.s, basis))
 
 
 def gaussian_coefficient(ell: int, delta: int, q: int) -> int:
@@ -116,8 +119,8 @@ def gaussian_coefficient(ell: int, delta: int, q: int) -> int:
 _BLOCK_ENTRIES = 1 << 12
 
 
-def _subspace_blocks(ctx: FieldCtx, q: int, delta: int, *, through_one: bool = False):
-    """Every delta-dimensional F_q-subspace, as (bases, members) int arrays.
+def _subspace_blocks(ctx: FieldCtx, delta: int, *, through_one: bool = False):
+    """Every delta-dimensional F_q-subspace, q = ctx.q, as (bases, members) int arrays.
 
     Pivot-column combinations ascend; within one, the free entries of the
     reduced row echelon basis run through itertools.product of the
@@ -134,11 +137,10 @@ def _subspace_blocks(ctx: FieldCtx, q: int, delta: int, *, through_one: bool = F
     reads its coefficients off the pivot columns).  There are
     [ell - 1 choose delta - 1]_q of them.
     """
-    m = ctx.subfield_degree(q)
-    ell = ctx.n // m
+    q, ell = ctx.q, ctx.ell
     if delta < 0 or delta > ell:
         raise ValueError(f"need 0 <= delta <= ell = {ell}, got {delta}")
-    scalar_logs = np.array([ctx.log(c) for c in ctx.subfield_elements(m)[1:]])
+    scalar_logs = np.array([ctx.log(c) for c in ctx.subfield_elements(ctx.s)[1:]])
     # products[c, j] = (c-th scalar) * z^j, z^j being the power basis
     products = np.zeros((q, ell), np.intp)
     products[1:] = ctx.exp_array(scalar_logs[:, None] + np.arange(ell))
@@ -181,11 +183,13 @@ def enumerate_subspaces(ctx: FieldCtx, q: int, delta: int):
     combinations ascending, then free entries in subfield-element order.
     Each is built from one block of _subspace_blocks, so a block's worth
     of array work precedes the first yield.  The total equals
-    gaussian_coefficient(ell, delta, q).
+    gaussian_coefficient(ell, delta, q).  q must be ctx.q.
     """
-    for bases, members in _subspace_blocks(ctx, q, delta):
+    if q != ctx.q:
+        raise ValueError(f"subspaces of GF({ctx.order}) are over its F_{ctx.q}, got q = {q}")
+    for bases, members in _subspace_blocks(ctx, delta):
         for basis, row in zip(bases.tolist(), members.tolist()):
-            yield Subspace(ctx, q, delta, tuple(basis), frozenset(row))
+            yield Subspace(ctx, tuple(basis), frozenset(row))
 
 
 def base_of(S: Subspace) -> int:
@@ -198,7 +202,6 @@ def base_of(S: Subspace) -> int:
     if S.dim == 0:
         raise ValueError("the trivial subspace has no base field")
     ctx = S.ctx
-    mq = S.subfield_m
     g = gcd(S.ell, S.dim)
     group = ctx.order - 1
     for m in range(g, 0, -1):

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from compactrepair import design_multi_seed, design_single_seed, field_new
+from compactrepair import OrbitReport, design_multi_seed, design_single_seed, field_new, span
 
 
 @pytest.fixture(scope="session")
@@ -52,6 +52,26 @@ def _drop_last_orbit(blob):
     del blob["orbits"]["representatives"][-1]
 
 
+def _recount_orbits(blob):
+    """Rewrite orbits.orbit_count and orbits.counts_by_base to what the seeds give."""
+    f = blob["field"]
+    ctx = field_new(f["p"], f["s"], f["ell"], f["modulus"])
+    report = OrbitReport(tuple(span(ctx, ctx.q, entry["basis"]) for entry in blob["seeds"]))
+    blob["orbits"]["orbit_count"] = report.orbit_count
+    blob["orbits"]["counts_by_base"] = {str(m): n for m, n in report.counts_by_base.items()}
+
+
+def _drop_last_orbit_and_recount(blob):
+    _drop_last_orbit(blob)
+    _recount_orbits(blob)
+
+
+def _repeat_last_orbit(blob):
+    blob["seeds"].append(copy.deepcopy(blob["seeds"][-1]))
+    blob["orbits"]["representatives"].append(blob["orbits"]["representatives"][-1])
+    _recount_orbits(blob)
+
+
 def _set(path, value):
     """An edit that sets blob[path] for a path of keys and list indices."""
 
@@ -85,7 +105,13 @@ FORGERIES = {
         r"seeds\[0\]\.scheme\.bandwidth",
     ),
     "multi-seed-missing-orbit": (
-        "multi", _drop_last_orbit, True, "coset sets"
+        "multi", _drop_last_orbit_and_recount, True, "coset sets"
+    ),
+    "multi-seed-repeated-orbit": (
+        "multi", _repeat_last_orbit, True, "once each"
+    ),
+    "multi-seed-stale-orbit-report": (
+        "multi", _drop_last_orbit, True, r"orbits\.orbit_count"
     ),
     "no-field": ("single", lambda blob: blob.pop("field"), False, "'field'"),
     "basis-out-of-field": (

@@ -40,7 +40,7 @@ def enumerate_subspaces_scan(ctx, q: int, delta: int):
             for (i, j), v in zip(free, values):
                 rows[i][j] = v
             basis = tuple(from_coords(ctx, r, m) for r in rows)
-            yield Subspace(ctx, q, delta, basis, _closure(ctx, m, basis))
+            yield Subspace(ctx, basis, _closure(ctx, m, basis))
 
 
 def check_polynomial_validity(ctx, k: int, coeffs) -> bool:

@@ -92,12 +92,12 @@ def test_criterion_3_orbit_count_cross_validation():
         cases = [(q, ell, d) for q, ell in SWEEP_GRID for d in range(1, ell)]
         for q, ell, delta in cases:
             ctx = field_new(q, 1, ell)
-            brute = orbit_decomposition(ctx, q, delta)
+            brute = orbit_decomposition(ctx, delta)
             assert orbit_count_formula(q, ell, delta) == brute.orbit_count
             for m in brute.counts_by_base:
                 assert count_with_base(q, ell, delta, m) == brute.counts_by_base[m]
         ctx = field_new(2, 1, 4)
-        rep = orbit_decomposition(ctx, 2, 2)
+        rep = orbit_decomposition(ctx, 2)
         assert rep.orbit_count == 3
         assert rep.counts_by_base == {1: 30, 2: 5}
 

@@ -2,7 +2,7 @@ import json
 import re
 import time
 
-from compactrepair import base_counts, load_bundle
+from compactrepair import base_counts, cli, load_bundle
 from compactrepair.cli import main
 
 
@@ -351,6 +351,25 @@ def test_design_strategy_defaults_to_subfield_coset(capsys, tmp_path):
         ("--strategy", "subfield-coset"): "subfield-coset",
         ("--strategy", "first"): "first",
     }
+
+
+def test_calls_in_one_process_keep_their_own_options(capsys, tmp_path):
+    # main reuses one parser; an option given to one call must not reach the next
+    assert cli.build_parser() is cli.build_parser()
+    design = ("design", "--q", "2", "--ell", "4", "--k", "2", "--delta", "2")
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    assert run_cli(capsys, *design, "--strategy", "first", "-o", str(first))[0] == 0
+    assert run_cli(capsys, *design, "-o", str(second))[0] == 0
+    assert json.loads(first.read_text())["config"]["strategy"] == "first"
+    assert json.loads(second.read_text())["config"]["strategy"] == "subfield-coset"
+    simulate = ("simulate", "--bundle", str(second), "--alpha-star", "6", "--failures", "2")
+    code, out, _ = run_cli(
+        capsys, *simulate, "--mode", "monte-carlo", "--trials", "100", "--rng-seed", "7"
+    )
+    assert code == 0 and json.loads(out)["rng_seed"] == 7
+    code, out, _ = run_cli(capsys, *simulate)
+    assert code == 0
+    assert json.loads(out)["mode"] == "exhaustive" and json.loads(out)["rng_seed"] is None
 
 
 def test_orbit_enumeration_over_budget_exits_1(capsys):

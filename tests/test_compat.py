@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from compactrepair import cli, design, gf, load_bundle, repair, search_seed_scheme
+from compactrepair import cli, design, gf, load_bundle, repair, search_seed_scheme, subspaces
 from compactrepair.cli import main
 from compactrepair.gf import FieldCtx
 
@@ -136,6 +136,19 @@ def test_perfbench_workload_library_names_exist():
             except TypeError as exc:
                 rejected.append(f"{mod}.{attr} at line {call.lineno}: {exc}")
     assert missing == [] and rejected == []
+    # span and enumerate_subspaces refuse every q but their field's, so each
+    # call must pass the attribute q of the field it passes
+    subspace_calls = [
+        (attr, call) for mod, attr, call in uses
+        if mod == "subspaces" and attr in ("span", "enumerate_subspaces") and call is not None
+    ]
+    assert {attr for attr, _ in subspace_calls} == {"span", "enumerate_subspaces"}
+    for attr, call in subspace_calls:
+        named = {kw.arg: kw.value for kw in call.keywords}
+        args = inspect.signature(getattr(subspaces, attr)).bind(*call.args, **named).arguments
+        q, ctx = args["q"], args["ctx"]
+        assert isinstance(q, ast.Attribute) and q.attr == "q", f"line {call.lineno}"
+        assert ast.dump(q.value) == ast.dump(ctx), f"line {call.lineno}"
     # both design functions still take the ignored rng_seed the workloads pass
     for name in ("design_single_seed", "design_multi_seed"):
         found = [call for mod, attr, call in uses if (mod, attr) == ("design", name)]

@@ -88,6 +88,15 @@ def test_single_seed_validation():
         design_single_seed(2, 1, 4, 2)  # neither basis nor delta
 
 
+@pytest.mark.parametrize(
+    "extra", [{"delta": 3}, {"delta": 2}, {"strategy": "bogus"}, {"strategy": "subfield-coset"}]
+)
+def test_single_seed_basis_excludes_delta_and_strategy(extra):
+    # seed_basis fixes the seed; a delta or strategy beside it is refused, not dropped
+    with pytest.raises(ValueError, match="seed_basis fixes the seed"):
+        design_single_seed(2, 1, 4, 2, seed_basis=[4, 11], **extra)
+
+
 @pytest.mark.parametrize("delta", [0, -1, 5])
 def test_single_seed_rejects_delta_out_of_range(delta):
     with pytest.raises(ValueError, match="1 <= delta <= ell"):
@@ -187,6 +196,30 @@ def test_design_over_prime_power_q():
                 assert recover_symbol(scheme, payloads) == ctx.poly_eval(f, alpha)
     rep = simulate_failures(bundle, ctx.exp(3), bundle.tolerance)
     assert rep.survived == 1.0
+
+
+def test_seed_over_another_q_is_refused_before_a_bundle():
+    # an F_4-line of GF(2^4), whose scalars are F_2, once made a bundle that
+    # wrote q = 2, delta = 1 and then failed to load
+    with pytest.raises(ValueError, match="over its F_2, got q = 4"):
+        span(field_new(2, 1, 4), 4, [1])
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: design_single_seed(2, 2, 2, 2, delta=1),
+        lambda: design_single_seed(2, 2, 2, 3, seed_basis=[6]),
+        lambda: design_multi_seed(2, 2, 2, 2, 1),
+        lambda: design_multi_seed(2, 2, 3, 2, 2),
+    ],
+    ids=["gf16-q4-delta1", "gf16-q4-basis", "gf16-q4-multi", "gf64-q4-multi"],
+)
+def test_design_over_f4_loads(make):
+    bundle = make()
+    data = bundle.to_json_dict()
+    assert data["q"] == 4 and (data["orbits"] is None or data["orbits"]["q"] == 4)
+    assert load_bundle(data).dumps() == bundle.dumps()
 
 
 def test_multi_seed_family_is_all_subspaces(bundle_multi):

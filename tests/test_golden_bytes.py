@@ -87,7 +87,7 @@ def test_orbits_output_is_pinned(case, tmp_path):
     out = tmp_path / "orbits.json"
     argv = ["orbits", "--q", str(q), "--ell", str(ell), "--delta", str(delta)]
     assert main(argv + ["-o", str(out)]) == 0
-    sizes = orbit_decomposition(field_new(p, s, ell), q, delta).orbit_sizes
+    sizes = orbit_decomposition(field_new(p, s, ell), delta).orbit_sizes
     assert (_sha(out.read_text()), _sha(json.dumps(sizes))) == ORBITS[case]
 
 
@@ -112,7 +112,7 @@ ORBIT_SETS = {
 )
 def test_orbit_set_is_pinned(case):
     q, ell, delta, p, s = case
-    report = orbit_decomposition(field_new(p, s, ell), q, delta)
+    report = orbit_decomposition(field_new(p, s, ell), delta)
     pairs = sorted(zip((rep.to_json() for rep in report.representatives), report.orbit_sizes))
     text = json.dumps([pairs, sorted(report.counts_by_base.items()), report.orbit_count])
     assert _sha(text) == ORBIT_SETS[case]

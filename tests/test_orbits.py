@@ -1,6 +1,5 @@
 import random
 import tracemalloc
-from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -18,6 +17,7 @@ from compactrepair import (
     orbit_decomposition,
     span,
     stabilizer_order,
+    Subspace,
 )
 from compactrepair.errors import (
     BudgetExceededError,
@@ -127,19 +127,7 @@ def test_seed_without_zero_rejected(gf16):
 
 def dataclass_replace_members(S):
     """A structurally valid Subspace whose member table lost 0 (misuse)."""
-
-    @dataclass(frozen=True, eq=False)
-    class Fake:
-        ctx: object
-        q: int
-        dim: int
-        basis: tuple
-        members: frozenset
-
-        def star(self):
-            return tuple(sorted(self.members - {0}))
-
-    return Fake(S.ctx, S.q, S.dim, S.basis, S.members - {0})
+    return Subspace(S.ctx, S.basis, S.members - {0})
 
 
 def test_orbit_invariance_of_family(gf16):
@@ -191,7 +179,7 @@ def test_element_regularity(gf16):
 
 
 def test_orbit_decomposition_2_4_2(gf16):
-    rep = orbit_decomposition(gf16, 2, 2)
+    rep = orbit_decomposition(gf16, 2)
     assert rep.orbit_count == 3
     assert sorted(rep.orbit_sizes) == [5, 15, 15]
     assert rep.counts_by_base == {1: 30, 2: 5}
@@ -211,12 +199,12 @@ def test_orbit_decomposition_2_4_2(gf16):
 
 
 def test_orbit_decomposition_single_orbit_cases(gf16):
-    assert orbit_decomposition(gf16, 2, 4).orbit_count == 1
-    assert orbit_decomposition(gf16, 2, 1).orbit_count == 1
+    assert orbit_decomposition(gf16, 4).orbit_count == 1
+    assert orbit_decomposition(gf16, 1).orbit_count == 1
 
 
 def test_orbit_decomposition_gf256_delta3():
-    rep = orbit_decomposition(field_new(2, 1, 8), 2, 3)
+    rep = orbit_decomposition(field_new(2, 1, 8), 3)
     assert rep.orbit_count == orbit_count_formula(2, 8, 3) == 381
     assert rep.counts_by_base == base_counts(2, 8, 3)
     assert sum(rep.orbit_sizes) == 97155 == gaussian_coefficient(8, 3, 2)
@@ -225,7 +213,7 @@ def test_orbit_decomposition_gf256_delta3():
 def test_orbit_decomposition_refuses_unbounded_enumeration():
     assert gaussian_coefficient(6, 3, 2) <= ENUMERATION_BUDGET
     with pytest.raises(BudgetExceededError, match="budget"):
-        orbit_decomposition(field_new(2, 1, 12), 2, 6)
+        orbit_decomposition(field_new(2, 1, 12), 6)
 
 
 def test_orbit_decomposition_refuses_oversized_members(monkeypatch):
@@ -241,7 +229,7 @@ def test_orbit_decomposition_refuses_oversized_members(monkeypatch):
 
     monkeypatch.setattr(orbits_module, "_subspace_blocks", no_blocks)
     with pytest.raises(BudgetExceededError, match="32767 15-subspaces through 1 with 1073676289 nonzero members exceed"):
-        orbit_decomposition(field_new(2, 1, 16), 2, 15)
+        orbit_decomposition(field_new(2, 1, 16), 15)
 
 
 # (p, s, ell, delta): GF(16), GF(64), GF(27) and GF(81) over F_3, GF(64) over
@@ -263,11 +251,11 @@ def test_orbit_decomposition_checks_stabilizer_and_total(gf16, monkeypatch):
     # the walk length is checked against base_of, not derived from it
     monkeypatch.setattr(orbits_module, "base_of", lambda S: 2)
     with pytest.raises(InvariantError, match="orbit-stabilizer"):
-        orbit_decomposition(gf16, 2, 2)
+        orbit_decomposition(gf16, 2)
     monkeypatch.undo()
     monkeypatch.setattr(orbits_module, "gaussian_coefficient", lambda ell, delta, q: 36)
     with pytest.raises(InvariantError, match="expected 36"):
-        orbit_decomposition(gf16, 2, 2)
+        orbit_decomposition(gf16, 2)
 
 
 def test_orbit_decomposition_checks_burnside_and_mobius(gf16, monkeypatch):
@@ -276,11 +264,11 @@ def test_orbit_decomposition_checks_burnside_and_mobius(gf16, monkeypatch):
     # both closed forms are compared with the enumeration, not trusted
     monkeypatch.setattr(orbits_module, "base_counts", lambda q, ell, delta: {1: 35, 2: 0})
     with pytest.raises(InvariantError, match="Mobius"):
-        orbit_decomposition(gf16, 2, 2)
+        orbit_decomposition(gf16, 2)
     monkeypatch.undo()
     monkeypatch.setattr(orbits_module, "orbit_count_formula", lambda q, ell, delta: 4)
     with pytest.raises(InvariantError, match="Burnside"):
-        orbit_decomposition(gf16, 2, 2)
+        orbit_decomposition(gf16, 2)
 
 
 def test_orbit_decomposition_checks_scaling_closure(gf16, monkeypatch):
@@ -290,13 +278,13 @@ def test_orbit_decomposition_checks_scaling_closure(gf16, monkeypatch):
     # through 1 for its stabilizer
     blocks = orbits_module._subspace_blocks
 
-    def drop_first(ctx, q, delta, **kwargs):
-        for i, (bases, members) in enumerate(blocks(ctx, q, delta, **kwargs)):
+    def drop_first(ctx, delta, **kwargs):
+        for i, (bases, members) in enumerate(blocks(ctx, delta, **kwargs)):
             yield (bases[1:], members[1:]) if i == 0 else (bases, members)
 
     monkeypatch.setattr(orbits_module, "_subspace_blocks", drop_first)
     with pytest.raises(InvariantError, match="2 members through 1 breaks orbit-stabilizer"):
-        orbit_decomposition(gf16, 2, 2)
+        orbit_decomposition(gf16, 2)
 
 
 def test_trivial_seed_has_no_coset_family(gf16):
@@ -307,7 +295,7 @@ def test_trivial_seed_has_no_coset_family(gf16):
 def test_representatives_are_lex_least():
     for p, s, ell, delta in ORBIT_CASES:
         ctx = field_new(p, s, ell)
-        for S in orbit_decomposition(ctx, ctx.q, delta).representatives:
+        for S in orbit_decomposition(ctx, delta).representatives:
             assert S.basis == min(scaled_bases(ctx, S))
 
 
@@ -317,7 +305,7 @@ def test_representatives_are_lex_least():
 def test_orbit_sizes_match_brute_force(case):
     p, s, ell, delta = case
     ctx = field_new(p, s, ell)
-    rep = orbit_decomposition(ctx, ctx.q, delta)
+    rep = orbit_decomposition(ctx, delta)
     covered = set()
     for S, size in zip(rep.representatives, rep.orbit_sizes):
         orbit = set(scaled_bases(ctx, S))
@@ -444,13 +432,13 @@ def test_formula_matches_brute_force(field, deltas, request):
     ctx = request.getfixturevalue(field)
     q = ctx.q
     for delta in deltas:
-        brute = orbit_decomposition(ctx, q, delta).orbit_count
+        brute = orbit_decomposition(ctx, delta).orbit_count
         ell = ctx.n // ctx.subfield_degree(q)
         assert orbit_count_formula(q, ell, delta) == brute
 
 
 def test_orbit_report_json(gf16):
-    rep = orbit_decomposition(gf16, 2, 2)
+    rep = orbit_decomposition(gf16, 2)
     blob = rep.to_json_dict()
     assert blob["q"] == 2 and blob["ell"] == 4 and blob["delta"] == 2
     assert blob["counts_by_base"] == {"1": 30, "2": 5}

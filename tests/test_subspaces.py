@@ -40,6 +40,18 @@ def test_span_rejects_out_of_field_generator(gf16, bad):
         span(gf16, 2, [4, bad])
 
 
+def test_subspaces_are_over_the_fields_own_q(gf16, gf16_q4):
+    # GF(16) built as GF(2^4) has scalars F_2; its F_4-subspaces are those
+    # of the field built as GF(4^2)
+    with pytest.raises(ValueError, match="over its F_2, got q = 4"):
+        span(gf16, 4, [1])
+    with pytest.raises(ValueError, match="over its F_2, got q = 4"):
+        list(enumerate_subspaces(gf16, 4, 1))
+    line = span(gf16_q4, 4, [1])
+    assert (line.q, line.dim, line.ell) == (4, 1, 2)
+    assert line.members == frozenset(gf16_q4.subfield_elements(2))
+
+
 def test_span_golden_seed(gf16):
     # the golden subfield-coset seed: {0, z^2, z^7, z^12}
     S = span(gf16, 2, [gf16.exp(2), gf16.exp(7)])
