@@ -54,7 +54,7 @@ from . import __version__
 from .errors import InvariantError
 from .gf import FieldCtx, field_new
 from .hitting import BoundsReport, HittingResult, bounds, bounds_for_seed, min_hitting_set
-from .orbits import OrbitReport, coset_family, orbit_decomposition, stabilizer_order
+from .orbits import OrbitReport, coset_family, orbit_decomposition
 from .repair import SeedScheme, search_seed_scheme
 from .subspaces import (
     Subspace,
@@ -133,12 +133,18 @@ class DesignBundle:
     def tolerance(self) -> int:
         return self.mhs.tolerance
 
-    @property
-    def coset_counts(self) -> tuple[int, ...]:
-        """Distinct groups per seed: (q^ell - 1) over the seed's stabilizer."""
-        return tuple((self.n - 1) // stabilizer_order(S) for S in self.seeds)
+    @cached_property
+    def _bases(self) -> tuple[int, ...]:
+        """base_of of each seed, computed once; a multi-seed bundle reads its orbit report's."""
+        orbits = self.orbits
+        return tuple(map(base_of, self.seeds)) if orbits is None else orbits.bases
 
     @property
+    def coset_counts(self) -> tuple[int, ...]:
+        """Distinct groups per seed: (q^ell - 1) over the seed's stabilizer, of order q^m - 1."""
+        return tuple((self.n - 1) // (self.q**m - 1) for m in self._bases)
+
+    @cached_property
     def bounds(self) -> BoundsReport:
         """The seed's sandwich; a multi-seed design attains its upper end."""
         if self.mode == "single-seed":
@@ -146,7 +152,7 @@ class DesignBundle:
         b = bounds(self.q, self.ctx.ell, self.delta)
         return BoundsReport(b.lower, b.upper, b.upper, "multi-seed-orbit-cover")
 
-    @property
+    @cached_property
     def orbits(self) -> OrbitReport | None:
         """The orbit report whose representatives are the seeds."""
         return None if self.mode == "single-seed" else OrbitReport(self.seeds)
@@ -163,7 +169,7 @@ class DesignBundle:
         return np.concatenate(family.blocks(), dtype=np.intp), bandwidths  # intp indexes fastest
 
     def to_json_dict(self) -> dict:
-        ctx = self.ctx
+        ctx, bnd, orbits = self.ctx, self.bounds, self.orbits
         body = {
             "schema": SCHEMA_VERSION,
             "field": {
@@ -179,15 +185,15 @@ class DesignBundle:
             "seeds": [
                 {
                     "basis": seed.to_json(),
-                    "base_m": base_of(seed),
+                    "base_m": m,
                     "coset_count": count,
                     "scheme": {
                         "u": [list(ui) for ui in scheme.u],
                         "bandwidth": scheme.bandwidth,
                     },
                 }
-                for seed, scheme, count in zip(
-                    self.seeds, self.schemes, self.coset_counts
+                for seed, scheme, m, count in zip(
+                    self.seeds, self.schemes, self._bases, self.coset_counts
                 )
             ],
             "mhs": {
@@ -197,12 +203,12 @@ class DesignBundle:
             },
             "tolerance": self.tolerance,
             "bounds": {
-                "lower": self.bounds.lower,
-                "upper": self.bounds.upper,
-                "exact": self.bounds.exact,
-                "case": self.bounds.case,
+                "lower": bnd.lower,
+                "upper": bnd.upper,
+                "exact": bnd.exact,
+                "case": bnd.case,
             },
-            "orbits": self.orbits.to_json_dict() if self.orbits else None,
+            "orbits": None if orbits is None else orbits.to_json_dict(),
             "config": self.config,
         }
         digest = hashlib.sha256(

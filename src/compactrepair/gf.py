@@ -26,6 +26,13 @@ builds agree.
 
 The field order is capped at 2^20 so tables stay desk-sized.
 
+field_new keeps one shared context per field per process: a repeated call
+with the same arguments, or one naming the modulus that a default build
+chose, returns the context already built, with the subfield tables filled
+so far.  The cache holds contexts of at most MAX_FIELD_ORDER elements in
+total and drops the oldest first; FieldCtx(...) called directly is never
+cached.
+
 Moduli: GF(16) is pinned to x^4 + x + 1 (the arithmetic every golden value
 in this package assumes); other fields take the first monic irreducible in
 coefficient-encoding order unless an explicit modulus is supplied.
@@ -50,6 +57,7 @@ from __future__ import annotations
 
 import functools
 import operator
+import threading
 
 import numpy as np
 
@@ -270,8 +278,9 @@ def find_irreducible(p: int, n: int) -> tuple[int, ...]:
 class FieldCtx:
     """Immutable description of GF(p^(s*ell)) with its subfield chain.
 
-    Build instances with field_new(); all operations are pure functions of
-    the context and their integer-encoded arguments.
+    Build instances with field_new(), which shares one per field; all
+    operations are pure functions of the context and their integer-encoded
+    arguments.
     """
 
     def __init__(self, p: int, s: int, ell: int, modulus=None):
@@ -639,6 +648,46 @@ class FieldCtx:
         )
 
 
+# field_new's cache: (p, s, ell, modulus tuple or None) -> context.  A
+# context is held under (p, s, ell, ctx.modulus), and under (p, s, ell, None)
+# when its modulus is the default; contexts age in order of first appearance.
+_FIELDS: dict[tuple, FieldCtx] = {}
+_FIELDS_LOCK = threading.Lock()  # eviction and insertion happen together
+
+
 def field_new(p: int, s: int, ell: int, modulus=None) -> FieldCtx:
-    """Construct GF(p^(s*ell)) with verified generator and filled tables."""
-    return FieldCtx(p, s, ell, modulus)
+    """GF(p^(s*ell)) with verified generator and filled tables, shared per process.
+
+    The arguments are looked up as given, before any check: a hit returns
+    the context an earlier call built, with the subfield tables filled so
+    far.  A miss builds a FieldCtx (which runs every check; a failed build
+    is not kept) and keeps it under these arguments and under its own
+    modulus, so field_new(2, 1, 4) is field_new(2, 1, 4, (1, 1, 0, 0, 1)).
+    Kept contexts hold at most MAX_FIELD_ORDER elements in total; the
+    oldest goes first.  Racing misses build alike and all return the
+    context kept first.
+    """
+    p, s, ell = operator.index(p), operator.index(s), operator.index(ell)
+    if modulus is not None:
+        modulus = tuple(int(c) for c in modulus)
+    key = (p, s, ell, modulus)
+    ctx = _FIELDS.get(key)
+    if ctx is not None:
+        return ctx
+    ctx = FieldCtx(p, s, ell, modulus)
+    own = (p, s, ell, ctx.modulus)
+    with _FIELDS_LOCK:
+        kept = _FIELDS.get(key) or _FIELDS.get(own)
+        if kept is None:
+            kept = ctx
+            held = list(dict.fromkeys(_FIELDS.values()))  # oldest first
+            room = MAX_FIELD_ORDER - sum(c.order for c in held)
+            for old in held:
+                if room >= ctx.order:
+                    break
+                room += old.order
+                for k in ((old.p, old.s, old.ell, None), (old.p, old.s, old.ell, old.modulus)):
+                    if _FIELDS.get(k) is old:
+                        del _FIELDS[k]
+        _FIELDS[key] = _FIELDS[own] = kept
+    return kept

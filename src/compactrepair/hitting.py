@@ -27,8 +27,9 @@ canonical key is the sorted tuple of these forms, each with its seed's
 period (both maps keep stabilizers), at the smallest f < n that minimises
 it.  A miss solves the CosetFamily of the key's forms and periods and
 stores its witness logs in a bounded module-level memo, keyed by (p, n,
-modulus, generator, q, key) rather than by the FieldCtx object, which
-every CLI call and load_bundle builds anew.  The stored witness is mapped
+modulus, generator, q, key) rather than by the FieldCtx object: field_new
+shares one context per field, but its cache may drop a context and a later
+call build the same field anew.  The stored witness is mapped
 back by log -> p^(n-f) * log and checked to hit every group of the
 caller's family (CosetFamily.first_miss; InvariantError otherwise).  Every
 caller gets the canonical solve mapped back, hit or miss, so a result

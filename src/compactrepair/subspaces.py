@@ -135,11 +135,9 @@ def _subspace_blocks(ctx: FieldCtx, delta: int, *, through_one: bool = False):
     order: those whose pivots start at column 0 and whose basis vector 0
     is exactly 1, with no free entries (writing 1 in the reduced basis
     reads its coefficients off the pivot columns).  There are
-    [ell - 1 choose delta - 1]_q of them.
+    [ell - 1 choose delta - 1]_q of them.  The callers check 0 <= delta <= ell.
     """
     q, ell = ctx.q, ctx.ell
-    if delta < 0 or delta > ell:
-        raise ValueError(f"need 0 <= delta <= ell = {ell}, got {delta}")
     scalar_logs = np.array([ctx.log(c) for c in ctx.subfield_elements(ctx.s)[1:]])
     # products[c, j] = (c-th scalar) * z^j, z^j being the power basis
     products = np.zeros((q, ell), np.intp)
@@ -183,13 +181,20 @@ def enumerate_subspaces(ctx: FieldCtx, q: int, delta: int):
     combinations ascending, then free entries in subfield-element order.
     Each is built from one block of _subspace_blocks, so a block's worth
     of array work precedes the first yield.  The total equals
-    gaussian_coefficient(ell, delta, q).  q must be ctx.q.
+    gaussian_coefficient(ell, delta, q).  q must be ctx.q and 0 <= delta <=
+    ell; both are checked at the call, before anything is drawn.
     """
     if q != ctx.q:
         raise ValueError(f"subspaces of GF({ctx.order}) are over its F_{ctx.q}, got q = {q}")
-    for bases, members in _subspace_blocks(ctx, delta):
-        for basis, row in zip(bases.tolist(), members.tolist()):
-            yield Subspace(ctx, tuple(basis), frozenset(row))
+    if delta < 0 or delta > ctx.ell:
+        raise ValueError(f"need 0 <= delta <= ell = {ctx.ell}, got {delta}")
+
+    def subspaces():
+        for bases, members in _subspace_blocks(ctx, delta):
+            for basis, row in zip(bases.tolist(), members.tolist()):
+                yield Subspace(ctx, tuple(basis), frozenset(row))
+
+    return subspaces()
 
 
 def base_of(S: Subspace) -> int:

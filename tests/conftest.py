@@ -5,6 +5,7 @@ import json
 import pytest
 
 from compactrepair import OrbitReport, design_multi_seed, design_single_seed, field_new, span
+from compactrepair import gf
 
 
 @pytest.fixture(scope="session")
@@ -31,6 +32,14 @@ def gf25():
 def gf16_q4():
     """GF(16) viewed over the designated subfield F_4 (q = p^s = 4)."""
     return field_new(2, 2, 2)
+
+
+@pytest.fixture
+def fresh_fields():
+    """field_new's cache, emptied before and after the test, so its calls build anew."""
+    gf._FIELDS.clear()
+    yield gf._FIELDS
+    gf._FIELDS.clear()
 
 
 def _rehash(blob):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from compactrepair import (
     DesignBundle,
+    FieldCtx,
     bandwidth_comparison,
     coset_family,
     design_multi_seed,
@@ -24,7 +25,7 @@ from compactrepair import (
     span,
     verify_reference_example,
 )
-from compactrepair import design, hitting
+from compactrepair import design, hitting, orbits, subspaces
 from oracles import (
     binomial_upper_tail,
     coset_family_scan,
@@ -358,11 +359,38 @@ def test_bundle_reads_field_k_and_seeds_from_its_schemes(bundle_multi):
     assert DesignBundle(b.mode, b.schemes, b.mhs, b.config).dumps() == b.dumps()
 
 
+def test_bundle_runs_base_of_once_per_seed(monkeypatch):
+    # base_m, coset_count, the bounds and the orbit report all read each
+    # seed's base; a bundle computes it once (the bounds once more, for a
+    # single seed) and load_bundle once more in coset_family
+    calls = []
+    original = subspaces.base_of
+
+    def counted(S):
+        calls.append(S)
+        return original(S)
+
+    for module in (subspaces, orbits, hitting, design):
+        monkeypatch.setattr(module, "base_of", counted)
+    single = design_single_seed(2, 1, 4, 2, seed_basis=[4, 11])
+    multi = design_multi_seed(2, 1, 5, 2, 2)
+    for bundle, dumped, loaded in ((single, 2, 3), (multi, 5, 10)):
+        text = bundle.dumps()
+        fresh = DesignBundle(bundle.mode, bundle.schemes, bundle.mhs, bundle.config)
+        calls.clear()
+        assert fresh.dumps() == text
+        assert len(calls) == dumped
+        calls.clear()
+        assert load_bundle(json.loads(text)).dumps() == text
+        assert len(calls) == loaded
+
+
 def test_bundle_rejects_schemes_of_mixed_fields_or_k(bundle_multi):
     first, second = bundle_multi.schemes[:2]
     other_field = field_new(2, 1, 4, [1, 0, 0, 1, 1])  # x^4 + x^3 + 1
     foreign = search_seed_scheme(span(other_field, 2, list(second.subspace.basis)), 2)
-    rebuilt = search_seed_scheme(span(field_new(2, 1, 4), 2, list(second.subspace.basis)), 2)
+    # the same field built again: an equal context, but not the bundle's
+    rebuilt = search_seed_scheme(span(FieldCtx(2, 1, 4), 2, list(second.subspace.basis)), 2)
     other_k = search_seed_scheme(second.subspace, 3)
     for schemes in ((first, foreign), (first, rebuilt), (first, other_k)):
         with pytest.raises(ValueError, match="one field and one k"):

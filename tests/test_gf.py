@@ -1,14 +1,16 @@
 import hashlib
 import json
 import random
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from compactrepair import field_new
+from compactrepair import design_multi_seed, design_single_seed, field_new, gf, load_bundle
 from compactrepair.errors import (
     FieldTooLargeError,
     InvalidSubfieldError,
@@ -16,7 +18,7 @@ from compactrepair.errors import (
     RankDeficientError,
     ReducibleModulusError,
 )
-from compactrepair.gf import FieldCtx, _irreducible_rows, _is_irreducible, find_irreducible
+from compactrepair.gf import MAX_FIELD_ORDER, FieldCtx, _irreducible_rows, _is_irreducible, find_irreducible
 from oracles import (
     digit_add,
     digit_neg,
@@ -135,6 +137,90 @@ def test_modulus_override_matches_default(gf16):
     ctx = field_new(2, 1, 4, (1, 1, 0, 0, 1))
     assert ctx.modulus == gf16.modulus
     assert ctx.generator == gf16.generator
+
+
+# ----------------------------------------------------------------------
+# field_new shares one context per field
+# ----------------------------------------------------------------------
+
+
+def kept_contexts():
+    """The distinct contexts field_new holds, oldest first."""
+    return list(dict.fromkeys(gf._FIELDS.values()))
+
+
+def test_field_new_returns_one_context_per_field(fresh_fields):
+    ctx = field_new(np.int64(3), np.int64(1), np.int64(4))  # numpy ints key as ints
+    assert type(ctx.p) is type(ctx.order) is int
+    assert field_new(3, 1, 4) is ctx
+    assert FieldCtx(3, 1, 4) is not ctx  # direct construction is not cached
+    assert field_new(3, 2, 2) is not ctx  # another q, another context
+    # subfield tables filled on first use stay with the shared context
+    ctx.coords(5, 1)
+    assert 1 in field_new(3, 1, 4)._subfields
+
+
+@pytest.mark.parametrize("first", [None, (1, 1, 0, 0, 1)])
+def test_default_and_explicit_modulus_share_a_context(first, fresh_fields):
+    ctx = field_new(2, 1, 4, first)
+    assert field_new(2, 1, 4) is ctx
+    assert field_new(2, 1, 4, (1, 1, 0, 0, 1)) is ctx
+    assert field_new(2, 1, 4, [1, 1, 0, 0, 1]) is ctx
+    assert field_new(2, 1, 4, (1, 0, 0, 1, 1)) is not ctx  # x^4 + x^3 + 1
+    assert len(kept_contexts()) == 2
+
+
+def test_design_and_load_bundle_share_a_context():
+    bundle = design_single_seed(2, 1, 6, 2, delta=3)
+    assert load_bundle(json.loads(bundle.dumps())).ctx is bundle.ctx
+    multi = design_multi_seed(3, 1, 3, 2, 2, modulus=(1, 2, 0, 1))
+    assert load_bundle(json.loads(multi.dumps())).ctx is multi.ctx
+
+
+def test_rejected_field_is_never_kept(fresh_fields):
+    for _ in range(2):
+        with pytest.raises(ReducibleModulusError):
+            field_new(2, 1, 4, (1, 0, 1, 0, 1))  # (x^2 + x + 1)^2
+        with pytest.raises(NonPrimeError):
+            field_new(4, 1, 2)
+        with pytest.raises(FieldTooLargeError):
+            field_new(2, 1, 21)
+    assert not fresh_fields
+
+
+def test_kept_contexts_stay_within_the_order_cap(fresh_fields):
+    x4_x3_1 = (1, 0, 0, 1, 1)
+    asked = [(2, 1, 4, x4_x3_1), (2, 1, 19, None), (2, 1, 18, None), (2, 1, 4, None),
+             (2, 1, 17, None), (3, 1, 11, None), (2, 1, 19, None), (2, 1, 17, None),
+             (2, 1, 20, None)]
+    built, keys = [], {}
+    for key in asked:
+        ctx = field_new(*key)
+        if ctx not in built:
+            built.append(ctx)
+        keys.setdefault(ctx, set()).update({key, (*key[:3], ctx.modulus)})
+        kept = kept_contexts()
+        assert sum(c.order for c in kept) <= MAX_FIELD_ORDER
+        assert kept == built[len(built) - len(kept):]  # the oldest went first
+        assert set(fresh_fields) == set().union(*(keys[c] for c in kept))
+    # 16 + 2^19 + 2^18 + 16 + 2^17 + 3^11 passes the cap, so the
+    # x^4 + x^3 + 1 GF(16) and GF(2^19) went (the default GF(16) stayed);
+    # GF(2^19) asked again was built anew in place of GF(2^18), and GF(2^20)
+    # leaves room for nothing else
+    assert len(built) == 8 and kept == built[-1:]
+
+
+def test_threads_asking_for_one_field_share_one_context(fresh_fields):
+    start = threading.Barrier(8)
+
+    def ask(_):
+        start.wait()
+        return field_new(3, 1, 9)
+
+    with ThreadPoolExecutor(8) as pool:
+        got = list(pool.map(ask, range(8)))
+    assert all(ctx is got[0] for ctx in got)
+    assert list(kept_contexts()) == [got[0]]
 
 
 def test_example_sums_and_products(gf16):

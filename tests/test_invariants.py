@@ -24,11 +24,12 @@ def test_library_has_no_assert_statements():
 
 
 @pytest.mark.parametrize("p, n", [(2, 4), (2, 10), (3, 3), (5, 2), (7, 1)])
-def test_non_primitive_generator_fails_the_order_check(p, n, monkeypatch):
-    ctx = field_new(p, 1, n)
+def test_non_primitive_generator_fails_the_order_check(p, n, monkeypatch, fresh_fields):
+    ctx = FieldCtx(p, 1, n)  # uncached, so field_new below builds the field again
     size = ctx.order - 1
     # z^k has order size / gcd(k, size) < size: its powers repeat early
     bad = ctx.exp(next(k for k in range(2, size) if gcd(k, size) > 1))
     monkeypatch.setattr(FieldCtx, "_find_generator", lambda self: bad)
     with pytest.raises(InvariantError, match="order check"):
         field_new(p, 1, n)
+    assert not fresh_fields  # a failed build is not kept

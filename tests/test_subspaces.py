@@ -157,6 +157,15 @@ def test_enumeration_is_lazy(monkeypatch):
     assert family.logs == (tuple(sorted(ctx.log(x) for x in first.star())),)
 
 
+def test_enumeration_checks_its_arguments_at_the_call():
+    ctx = field_new(2, 1, 4)
+    with pytest.raises(ValueError, match="over its F_2, got q = 4"):
+        enumerate_subspaces(ctx, 4, 1)  # never iterated
+    for delta in (-1, 5):
+        with pytest.raises(ValueError, match="need 0 <= delta <= ell = 4"):
+            enumerate_subspaces(ctx, 2, delta)
+
+
 def test_enumeration_yields_each_once(gf64):
     seen = set()
     for S in enumerate_subspaces(gf64, 2, 2):
