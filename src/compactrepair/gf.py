@@ -300,6 +300,7 @@ class FieldCtx:
         if prime_factors(p) != [p]:
             raise NonPrimeError(f"p = {p} is not prime")
         order = p**n
+        # Every attribute is set here: one added to a built context slowed its add/mul lookups.
         self.p = p
         self.s = s
         self.ell = ell

@@ -24,16 +24,24 @@ of a single seed cheap to deploy.
 
 The substitution also means a dilated scheme evaluates at helper beta
 exactly as its seed does at the seed point y = (beta - a*)/b, and at a*
-as the seed does at 0.  So each seed computes, once at construction, every
-helper's echelon basis and one recovery weight per basis element, which
-folds the trace-dual basis at the repaired point into the helper's pivot
-coordinates, and every dilation shares them.  A helper payload is then
-just its rank-many trace symbols, and recovery is one bandwidth-long sum
-of symbol times weight.
+as the seed does at 0.  So a seed holds every helper's echelon basis and
+one recovery weight per basis element, which folds the trace-dual basis
+at the repaired point into the helper's pivot coordinates, and every
+dilation shares them.  A helper payload is then just its rank-many trace
+symbols, and recovery is one bandwidth-long sum of symbol times weight.
+
+For search_seed_scheme's closed form those data do not depend on the seed
+either: a helper x's basis and weights depend only on the field, on r and
+on y = x * c, c the linear coefficient of L_S (see _ClosedForm).  One
+table per field context and r, filled for the y some seed asks for,
+serves every seed with that u and every load of it; any other u computes
+its helpers' data itself.
 """
 
 from __future__ import annotations
 
+import threading
+import weakref
 from dataclasses import dataclass
 
 from .errors import (
@@ -53,7 +61,8 @@ class SeedScheme:
     Immutable after construction, and full-rank by construction: u whose
     evaluations at 0 do not span F_q^ell raise RankDeficientError.
     ``ctx`` is the subspace's field.  ``helper_data`` maps each helper x to
-    its (basis, weights), see _helper_data; ``scalars`` is the set of F_q
+    its (basis, weights), see _helper_data, read from the field's table when
+    u is search_seed_scheme's closed form; ``scalars`` is the set of F_q
     elements, the values a payload symbol may take.  ``bandwidth``, the
     total F_q-symbol download, is the sum of the helpers' ranks.
     """
@@ -89,22 +98,22 @@ class SeedScheme:
                     f"u polynomial degree must stay below {max_len}"
                 )
         self.u = u
-        # u_i's nonzero (degree, coefficient) terms: a closed form has few
-        self._terms = tuple(tuple((t, c) for t, c in enumerate(ui) if c) for ui in u)
+        table = _closed_form_of(ctx, u, max_len)
+        self._terms = _nonzero_terms(u) if table is None else table.terms
         # Value of M_S on S: -1/c with c the linear coefficient of L_S.
         c = subspace_polynomial(subspace)[0]
         self._on_support = ctx.neg(ctx.inv(c))
         self.helpers = subspace.star()
         self.scalars = frozenset(ctx.subfield_elements(self.mq))
         self.repaired_point = 0
-        try:  # the trace-dual basis exists exactly when the evaluations are full-rank
-            duals = ctx.dual_basis(self.evals_at(0), self.mq)
-        except RankDeficientError:
-            raise RankDeficientError("the check evaluations at 0 are not full-rank") from None
-        self.helper_data = {
-            x: _helper_data(ctx, self.mq, self.evals_at(x), duals)
-            for x in self.helpers
-        }
+        if table is not None:  # full-rank: the table checked its duals
+            self.helper_data = {x: table.at(ctx, ctx.mul(x, c)) for x in self.helpers}
+        else:
+            duals = _duals_at_zero(ctx, self.evals_at(0))
+            self.helper_data = {
+                x: _helper_data(ctx, self.mq, self.evals_at(x), duals)
+                for x in self.helpers
+            }
         self.bandwidth = sum(len(basis) for basis, _ in self.helper_data.values())
 
     @property
@@ -118,16 +127,9 @@ class SeedScheme:
 
     def evals_at(self, x: int) -> list[int]:
         """[g_1(x), ..., g_ell(x)]; zero off the support S."""
-        ctx = self.ctx
         if x not in self.subspace.members:
             return [0] * self.ell
-        values = []
-        for terms in self._terms:
-            acc = 0
-            for t, c in terms:
-                acc = ctx.add(acc, ctx.mul(c, ctx.pow(x, t)))
-            values.append(ctx.mul(acc, self._on_support))
-        return values
+        return _evaluate(self.ctx, self._terms, x, self._on_support)
 
     def __repr__(self):
         return (
@@ -208,6 +210,111 @@ def _helper_data(ctx: FieldCtx, mq: int, evals, duals) -> tuple[tuple, tuple]:
     return basis, tuple(weights)
 
 
+def _nonzero_terms(u) -> tuple:
+    """Per u_i, its nonzero (degree, coefficient) terms: a closed form has few."""
+    return tuple(tuple((t, c) for t, c in enumerate(ui) if c) for ui in u)
+
+
+def _evaluate(ctx: FieldCtx, terms, x: int, scale: int) -> list[int]:
+    """[scale * u_1(x), ..., scale * u_ell(x)], each u_i given by its terms."""
+    values = []
+    for ts in terms:
+        acc = 0
+        for t, c in ts:
+            acc = ctx.add(acc, ctx.mul(c, ctx.pow(x, t)))
+        values.append(ctx.mul(acc, scale))
+    return values
+
+
+def _duals_at_zero(ctx: FieldCtx, evals) -> tuple[int, ...]:
+    """Trace-dual basis of the evaluations at 0, which exists iff they are full-rank."""
+    try:
+        return ctx.dual_basis(evals, ctx.s)
+    except RankDeficientError:
+        raise RankDeficientError("the check evaluations at 0 are not full-rank") from None
+
+
+class _ClosedForm:
+    """search_seed_scheme's u for one field and r, and its helper data by y.
+
+    u_i(x) = L_W(z^i x)/x, so u_i(0) = c_L z^i with c_L the linear
+    coefficient of L_W.  A seed S multiplies u by M_S = -1/c on S, c the
+    linear coefficient of L_S, so at a helper x its evaluations
+    -L_W(z^i x)/(x c) span L_W(F)/y over F_q with y = x c: the echelon
+    basis depends on y alone.  So do the weights.  Write the pivot
+    coordinates as c_ij = Tr(rho_j z^i); the duals at 0 are -c times the
+    duals D_i of c_L z^i, and sum_i Tr(rho_j z^i) D_i = rho_j / c_L, so
+    w_j = c rho_j / c_L.  Since Tr(rho_j t) is a coordinate of
+    -L_W(t x)/y, rho_j = x omega_j with omega_j fixed by y, and w_j =
+    y omega_j / c_L.
+
+    Entry y is therefore the helper data of a seed with c = 1 at the point
+    y, computed with one dual basis shared by every entry.  Finding that
+    basis is the full-rank check of every seed with this u, whose
+    evaluations at 0 are the table's times the nonzero 1/c.  Entries are
+    filled only for the y some seed asks for: at most order - 1 of them,
+    one per nonzero y.  The table holds no reference to its context.
+    """
+
+    def __init__(self, ctx: FieldCtx, r: int):
+        q = ctx.q
+        L = subspace_polynomial(span(ctx, q, [ctx.exp(j) for j in range(r)]))
+        # L_W(z^i x)/x: the term a_j x^(q^j) of L_W becomes a_j z^(i q^j) x^(q^j - 1).
+        u = []
+        for i in range(ctx.ell):
+            ui = [0] * q**r
+            for j, a in enumerate(L):
+                ui[q**j - 1] = ctx.mul(a, ctx.exp(i * q**j))
+            u.append(tuple(ui))
+        self.u = tuple(u)
+        self.terms = _nonzero_terms(self.u)
+        self._scale = ctx.neg(1)  # M_S on S when c = 1
+        self._duals = _duals_at_zero(ctx, _evaluate(ctx, self.terms, 0, self._scale))
+        self._data: dict[int, tuple[tuple, tuple]] = {}  # y -> (basis, weights)
+
+    def at(self, ctx: FieldCtx, y: int) -> tuple[tuple, tuple]:
+        """(basis, weights) of each helper x of each seed with x * c = y."""
+        data = self._data.get(y)
+        if data is None:  # racing fills compute equal data
+            evals = _evaluate(ctx, self.terms, y, self._scale)
+            data = self._data.setdefault(y, _helper_data(ctx, ctx.s, evals, self._duals))
+        return data
+
+
+# FieldCtx -> {r: its _ClosedForm}.  Keyed weakly, so the tables go with
+# their context when field_new's cache drops it; a context holds one
+# table per r < ell that some scheme used.
+_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+_TABLES_LOCK = threading.Lock()
+
+
+def _closed_form(ctx: FieldCtx, r: int) -> _ClosedForm:
+    """The table of ctx and r, built on first use."""
+    with _TABLES_LOCK:
+        tables = _TABLES.setdefault(ctx, {})
+        table = tables.get(r)
+        if table is None:
+            table = tables[r] = _ClosedForm(ctx, r)
+    return table
+
+
+def _closed_form_of(ctx: FieldCtx, u: tuple, max_len: int) -> _ClosedForm | None:
+    """The table whose u equals u, or None for any other u.
+
+    The closed form for r has u_i of length q^r, the last coefficient
+    nonzero, so only that r is tried, and only if q^r <= max_len.
+    """
+    size, r = len(u[0]), 0
+    if size > max_len:
+        return None
+    while ctx.q**r < size:
+        r += 1
+    if ctx.q**r != size:
+        return None
+    table = _closed_form(ctx, r)
+    return table if table.u == u else None
+
+
 def verify_full_rank(scheme) -> bool:
     """Full-Rank Condition: the evaluations at the repaired point span F_q^ell."""
     evals = scheme.evals_at(scheme.repaired_point)
@@ -286,20 +393,13 @@ def search_seed_scheme(S: Subspace, k: int) -> SeedScheme:
     dimension ell - r; every helper sends ell - r symbols and the bandwidth
     is exactly (|S| - 1)(ell - r).  r = 0 gives the naive scheme.
 
-    Nothing is searched.  The name stays because perfbench's tracer looks
-    the function up by it and the benchmark reports its
-    repair.search_seed_scheme.* metrics.
+    Nothing is searched: the u for r comes from the field's table (see
+    _ClosedForm), built once per field and r.  The name stays because
+    perfbench's tracer looks the function up by it and the benchmark
+    reports its repair.search_seed_scheme.* metrics.
     """
-    ctx, q = S.ctx, S.q
+    q = S.q
     r = 0
     while q ** (r + 1) <= len(S.members) - k:
         r += 1
-    L = subspace_polynomial(span(ctx, q, [ctx.exp(j) for j in range(r)]))
-    # L_W(z^i x)/x: the term a_j x^(q^j) of L_W becomes a_j z^(i q^j) x^(q^j - 1).
-    u = []
-    for i in range(S.ell):
-        ui = [0] * q**r
-        for j, a in enumerate(L):
-            ui[q**j - 1] = ctx.mul(a, ctx.exp(i * q**j))
-        u.append(ui)
-    return SeedScheme(S, k, u)
+    return SeedScheme(S, k, _closed_form(S.ctx, r).u)

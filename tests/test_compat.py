@@ -30,10 +30,16 @@ def test_fixtures_present():
     ]
 
 
+def refuse_table(*args, **kwargs):
+    raise AssertionError("a searched u read the closed-form table")
+
+
 @pytest.mark.parametrize("path", FIXTURES, ids=[path.stem for path in FIXTURES])
-def test_searched_u_bundle_loads_and_round_trips(path):
+def test_searched_u_bundle_loads_and_round_trips(path, monkeypatch):
     text = path.read_text()
-    bundle = load_bundle(json.loads(text))
+    with monkeypatch.context() as m:  # a searched u is no closed form: the per-helper path
+        m.setattr(repair._ClosedForm, "at", refuse_table)
+        bundle = load_bundle(json.loads(text))
     assert bundle.dumps() == text
     # the stored u is the searched one, not today's closed form
     assert any(

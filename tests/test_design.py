@@ -25,7 +25,8 @@ from compactrepair import (
     span,
     verify_reference_example,
 )
-from compactrepair import design, hitting, orbits, subspaces
+from compactrepair import design, hitting, orbits, repair, subspaces
+from compactrepair.errors import RankDeficientError
 from oracles import (
     binomial_upper_tail,
     coset_family_scan,
@@ -395,6 +396,52 @@ def test_bundle_rejects_schemes_of_mixed_fields_or_k(bundle_multi):
     for schemes in ((first, foreign), (first, rebuilt), (first, other_k)):
         with pytest.raises(ValueError, match="one field and one k"):
             DesignBundle("multi-seed", schemes, bundle_multi.mhs, bundle_multi.config)
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("load_bundle recomputed helper data the design had built")
+
+
+@pytest.mark.parametrize("multi", [False, True], ids=["single-seed", "multi-seed"])
+def test_load_bundle_reuses_the_designs_helper_data(multi, monkeypatch):
+    # GF(2^5), delta = 2: every scheme's helper data come from the table the
+    # design filled, so neither an echelon nor a dual basis runs again
+    if multi:
+        bundle = design_multi_seed(2, 1, 5, 2, 2)
+    else:
+        bundle = design_single_seed(2, 1, 5, 2, seed_basis=[1, 2])
+    data = json.loads(bundle.dumps())
+    monkeypatch.setattr(repair, "_helper_data", refuse)
+    monkeypatch.setattr(FieldCtx, "dual_basis", refuse)
+    loaded = load_bundle(data)
+    assert loaded.dumps() == bundle.dumps()
+    assert [s.helper_data for s in loaded.schemes] == [s.helper_data for s in bundle.schemes]
+
+
+def test_load_bundle_all_zero_u_is_rank_deficient(bundle_s1):
+    blob = bundle_s1.to_json_dict()
+    blob["seeds"][0]["scheme"]["u"] = [[0]] * 4
+    with pytest.raises(RankDeficientError, match="^the check evaluations at 0 are not full-rank$"):
+        load_bundle(blob)
+
+
+@pytest.mark.parametrize("p, ell", [(2, 5), (3, 3)])
+def test_library_calls_add_no_attribute_to_a_field_context(p, ell, fresh_fields):
+    # a context's attributes are all set in FieldCtx.__init__; adding one to
+    # a built context slowed every later add and mul on it
+    ctx = field_new(p, 1, ell)
+    keys = set(vars(ctx))
+    multi = design_multi_seed(p, 1, ell, 2, 2)
+    single = design_single_seed(p, 1, ell, 2, seed_basis=[1, ctx.exp(1)])
+    for bundle in (multi, single):
+        assert bundle.ctx is ctx
+        assert load_bundle(json.loads(bundle.dumps())).ctx is ctx
+        simulate_failures(bundle, alpha_star=3, e=2)
+    scheme = dilate_translate(single.schemes[0], 3, ctx.exp(4))
+    f = [5, 1]
+    payloads = [helper_payload(scheme, b, ctx.poly_eval(f, b)) for b in scheme.helpers]
+    assert recover_symbol(scheme, payloads) == ctx.poly_eval(f, 3)
+    assert set(vars(ctx)) == keys
 
 
 def test_bundle_schema_tag(bundle_s1):

@@ -1,10 +1,13 @@
+import gc
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from compactrepair import (
+    FieldCtx,
     HelperPayload,
     SeedScheme,
     coset_family,
@@ -16,6 +19,7 @@ from compactrepair import (
     span,
     verify_full_rank,
 )
+from compactrepair import repair
 from compactrepair.errors import (
     DimensionTooSmallError,
     MissingPayloadError,
@@ -103,10 +107,19 @@ def test_dimension_too_small(gf16, golden_seed):
     assert verify_full_rank(scheme)
 
 
+NOT_FULL_RANK = "^the check evaluations at 0 are not full-rank$"
+
+
 def test_duplicate_u_rows_fail_rank(gf16, golden_seed):
+    # the shape of the r = 0 closed form, not its value: the per-helper path
     u = [(1,), (1,), (gf16.exp(1),), (gf16.exp(2),)]
-    with pytest.raises(RankDeficientError, match="full-rank"):
+    with pytest.raises(RankDeficientError, match=NOT_FULL_RANK):
         SeedScheme(golden_seed, 2, u)
+
+
+def test_all_zero_u_fails_rank(golden_seed):
+    with pytest.raises(RankDeficientError, match=NOT_FULL_RANK):
+        SeedScheme(golden_seed, 2, [(0,)] * 4)
 
 
 def test_u_degree_bound_enforced(gf16, golden_seed):
@@ -445,7 +458,7 @@ def test_recover_rank_deficient(gf16, golden_seed):
     # u_4 vanishes at the repaired point, so no scheme (and no recovery)
     # can be built from u
     u = [(1,), (gf16.exp(1),), (gf16.exp(2),), (0, 1)]
-    with pytest.raises(RankDeficientError, match="full-rank"):
+    with pytest.raises(RankDeficientError, match=NOT_FULL_RANK):
         SeedScheme(golden_seed, 2, u)
 
 
@@ -524,6 +537,53 @@ def test_closed_form_bandwidth_is_exact(p, s, ell):
                 assert scheme.bandwidth <= naive_seed_scheme(S, k).bandwidth
                 cases += 1
     assert cases >= ell
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("this path must not run")
+
+
+# (p, s, ell): q = 2, q = 4 (GF(4^3)) and odd p (GF(3^4), GF(5^3))
+TABLE_FIELDS = [(2, 1, 6), (2, 2, 3), (3, 1, 4), (5, 1, 3)]
+
+
+@pytest.mark.parametrize(
+    "p, s, ell", TABLE_FIELDS, ids=[f"q{p**s}-ell{ell}" for p, s, ell in TABLE_FIELDS]
+)
+def test_closed_form_table_matches_per_helper_path(p, s, ell, monkeypatch):
+    # every delta and k, two seeds each: the closed form reads its helper
+    # data from the one table of its r, keyed by y = x * c.  The same u
+    # with a zero appended is no closed form, so it takes the per-helper
+    # path, which must give the same helper data and bandwidth.
+    ctx = field_new(p, s, ell)
+    q = ctx.q
+    cases_per_r = {}
+    for delta in range(1, ell + 1):
+        for shift in (0, 1):
+            S = span(ctx, q, [ctx.exp(i + shift) for i in range(delta)])
+            for k in range(1, q**delta):
+                scheme = search_seed_scheme(S, k)
+                r = closed_form_r(S, k)
+                entries = {id(data) for data in repair._closed_form(ctx, r)._data.values()}
+                assert all(id(data) in entries for data in scheme.helper_data.values())
+                with monkeypatch.context() as m:
+                    m.setattr(repair._ClosedForm, "at", refuse)
+                    padded = SeedScheme(S, k, [ui + (0,) for ui in scheme.u])
+                assert padded.helper_data == scheme.helper_data
+                assert padded.bandwidth == scheme.bandwidth == (q**delta - 1) * (ell - r)
+                cases_per_r[r] = cases_per_r.get(r, 0) + 1
+    assert sorted(cases_per_r) == list(range(ell))
+    assert all(n >= 2 for n in cases_per_r.values())
+
+
+def test_closed_form_tables_go_with_their_context():
+    ctx = FieldCtx(2, 1, 4)  # uncached, so this test holds the only reference
+    search_seed_scheme(span(ctx, 2, [ctx.exp(2), ctx.exp(7)]), 2)
+    assert set(repair._TABLES[ctx]) == {1}
+    ref = weakref.ref(ctx)
+    del ctx
+    gc.collect()
+    assert ref() is None
 
 
 def test_closed_form_r_zero_is_naive(gf16, golden_seed):
