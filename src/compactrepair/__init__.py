@@ -19,7 +19,7 @@ from .design import (
     simulate_failures,
     verify_reference_example,
 )
-from .gf import FElem, FieldCtx, field_new
+from .gf import FieldCtx, field_new
 from .hitting import (
     BoundsReport,
     HittingResult,
@@ -36,11 +36,9 @@ from .orbits import (
     mobius,
     orbit_count_formula,
     orbit_decomposition,
-    stabilizer_order,
 )
 from .repair import (
     HelperPayload,
-    RepairScheme,
     SeedScheme,
     dilate_translate,
     helper_payload,
@@ -50,7 +48,6 @@ from .repair import (
 )
 from .subspaces import (
     Subspace,
-    base_of,
     enumerate_subspaces,
     gaussian_coefficient,
     span,
@@ -61,18 +58,15 @@ __all__ = [
     "BoundsReport",
     "CosetFamily",
     "DesignBundle",
-    "FElem",
     "FieldCtx",
     "HelperPayload",
     "HittingResult",
     "OrbitReport",
-    "RepairScheme",
     "SeedScheme",
     "SimReport",
     "Subspace",
     "bandwidth_comparison",
     "base_counts",
-    "base_of",
     "bounds",
     "bounds_for_seed",
     "coset_family",
@@ -93,7 +87,6 @@ __all__ = [
     "search_seed_scheme",
     "simulate_failures",
     "span",
-    "stabilizer_order",
     "subspace_polynomial",
     "verify_full_rank",
     "verify_reference_example",

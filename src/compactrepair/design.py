@@ -54,15 +54,9 @@ from . import __version__
 from .errors import InvariantError
 from .gf import FieldCtx, field_new
 from .hitting import BoundsReport, HittingResult, bounds, bounds_for_seed, min_hitting_set
-from .orbits import OrbitReport, coset_family, orbit_decomposition
+from .orbits import CosetFamily, OrbitReport, coset_family, orbit_decomposition
 from .repair import SeedScheme, search_seed_scheme
-from .subspaces import (
-    Subspace,
-    base_of,
-    enumerate_subspaces,
-    gaussian_coefficient,
-    span,
-)
+from .subspaces import Subspace, enumerate_subspaces, gaussian_coefficient, span
 
 TOOL_NAME = "compactrepair"
 SCHEMA_VERSION = 1
@@ -133,16 +127,10 @@ class DesignBundle:
     def tolerance(self) -> int:
         return self.mhs.tolerance
 
-    @cached_property
-    def _bases(self) -> tuple[int, ...]:
-        """base_of of each seed, computed once; a multi-seed bundle reads its orbit report's."""
-        orbits = self.orbits
-        return tuple(map(base_of, self.seeds)) if orbits is None else orbits.bases
-
     @property
     def coset_counts(self) -> tuple[int, ...]:
-        """Distinct groups per seed: (q^ell - 1) over the seed's stabilizer, of order q^m - 1."""
-        return tuple((self.n - 1) // (self.q**m - 1) for m in self._bases)
+        """Distinct groups per seed (Subspace.coset_count)."""
+        return tuple(seed.coset_count for seed in self.seeds)
 
     @cached_property
     def bounds(self) -> BoundsReport:
@@ -158,13 +146,18 @@ class DesignBundle:
         return None if self.mode == "single-seed" else OrbitReport(self.seeds)
 
     @cached_property
+    def family(self) -> CosetFamily:
+        """The coset family of the seeds, built once per bundle."""
+        return coset_family(self.seeds)
+
+    @cached_property
     def _groups_at_zero(self) -> tuple[np.ndarray, list[int]]:
-        """The groups b*S* in coset_family order, a row of points each, and their bandwidths.
+        """The groups b*S* in family order, a row of points each, and their bandwidths.
 
         x -> x + a* carries them onto the groups a* + b*S* around any a*, in
         the same order and with the same seeds.
         """
-        family = coset_family(self.seeds)
+        family = self.family
         bandwidths = [self.schemes[t].bandwidth for t in family.seed_index]
         return np.concatenate(family.blocks(), dtype=np.intp), bandwidths  # intp indexes fastest
 
@@ -185,16 +178,14 @@ class DesignBundle:
             "seeds": [
                 {
                     "basis": seed.to_json(),
-                    "base_m": m,
-                    "coset_count": count,
+                    "base_m": seed.base,
+                    "coset_count": seed.coset_count,
                     "scheme": {
                         "u": [list(ui) for ui in scheme.u],
                         "bandwidth": scheme.bandwidth,
                     },
                 }
-                for seed, scheme, m, count in zip(
-                    self.seeds, self.schemes, self._bases, self.coset_counts
-                )
+                for seed, scheme in zip(self.seeds, self.schemes)
             ],
             "mhs": {
                 "size": self.mhs.size,
@@ -278,6 +269,8 @@ def load_bundle(data) -> DesignBundle:
             raise ValueError(f"bundle.config.{key} must be a JSON scalar or an array of scalars")
     f, k, entries = data["field"], data["code"]["k"], data["seeds"]
     ctx = field_new(f["p"], f["s"], f["ell"], f["modulus"])
+    if k < 1:  # SeedScheme checks only |S| > k, and would build a table first
+        raise ValueError(f"need 1 <= k < n = {ctx.order}, got k = {k}")
     schemes = tuple(
         SeedScheme(span(ctx, ctx.q, entry["basis"]), k, entry["scheme"]["u"]) for entry in entries
     )
@@ -305,7 +298,7 @@ def _check_certificate(bundle: DesignBundle, error: type[Exception]) -> None:
     ctx, mhs, bnd = bundle.ctx, bundle.mhs, bundle.bounds
     if len(set(mhs.witness)) != mhs.size or not all(0 < w < bundle.n for w in mhs.witness):
         raise error("mhs witness must list distinct nonzero field elements")
-    family = coset_family(bundle.seeds)
+    family = bundle.family
     missed = family.first_miss(mhs.witness)
     if missed is not None:
         raise error(f"mhs witness misses a group of seed {missed} {bundle.seeds[missed].to_json()}")

@@ -57,9 +57,5 @@ class InvalidDivisorError(CompactRepairError, ValueError):
     """Base-field counts are defined only for divisors of gcd(ell, delta)."""
 
 
-class NonIntegerResultError(CompactRepairError, ArithmeticError):
-    """Burnside sum failed to divide exactly; signals an implementation bug."""
-
-
 class InvariantError(CompactRepairError, RuntimeError):
     """A mathematical invariant of a computed result failed; signals a bug."""

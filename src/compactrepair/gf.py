@@ -70,9 +70,6 @@ from .errors import (
     ReducibleModulusError,
 )
 
-# An element of GF(p^(s*ell)): the integer index of its F_p coefficient vector.
-FElem = int
-
 MAX_FIELD_ORDER = 1 << 20
 
 # Most candidates (moduli or generators) one numpy batch tests, for odd p.

@@ -56,7 +56,7 @@ from scipy.sparse import csr_array
 
 from .errors import EmptyFamilyError, InvariantError
 from .orbits import CosetFamily, _least_translate
-from .subspaces import Subspace, base_of
+from .subspaces import Subspace
 
 # Branch-and-bound nodes one HiGHS solve may spend before it stops.
 NODE_BUDGET = 10**7
@@ -230,7 +230,7 @@ def bounds_for_seed(S: Subspace) -> BoundsReport:
     ell = S.ell
     delta = S.dim
     base = bounds(q, ell, delta)
-    m = base_of(S)
+    m = S.base
     e = ell - delta
     if m == delta:
         value, tag = (q**ell - 1) // (q**delta - 1), "subfield-coset"

@@ -3,9 +3,10 @@
 A seed S (a subspace containing 0) generates the repair groups
 {a* + b(S\\{0}) : b nonzero}; distinct groups form the hitting-set instance
 whose minimum size fixes the design's failure tolerance.  The number of
-distinct groups per seed is (q^ell - 1)/(q^m - 1), where q^m is the order
-of the seed's base subfield, because the stabilizer of S\\{0} under scaling
-is exactly the multiplicative group of that base.
+distinct groups per seed is S.coset_count = (q^ell - 1)/(q^m - 1), where
+q^m is the order of the seed's base subfield S.base, because the
+stabilizer of S\\{0} under scaling is exactly the multiplicative group of
+that base.  Every count here reads those two Subspace values.
 
 A scaling translates logs, so the least translate of a seed's logs
 (_least_translate) names its scaling orbit, in every module.
@@ -16,9 +17,9 @@ inversion over Gaussian coefficients.  orbit_decomposition finds the
 orbits from the subspaces through 1, one of which every orbit has, and
 checks both closed forms against them.  An OrbitReport stores only its
 representatives; its counts, and the q, ell and delta of its JSON, are
-read from them.  One seed per orbit is enough to
-regenerate every delta-dimensional subspace as a coset, which is what the
-multi-seed designs exploit.
+read from them and from their base and coset_count.  One seed per orbit
+is enough to regenerate every delta-dimensional subspace as a coset,
+which is what the multi-seed designs exploit.
 """
 
 from __future__ import annotations
@@ -30,11 +31,10 @@ from math import gcd
 import numpy as np
 
 from .errors import (
-    BudgetExceededError, InvalidDivisorError, InvariantError, NonIntegerResultError,
-    SeedWithoutZeroError,
+    BudgetExceededError, InvalidDivisorError, InvariantError, SeedWithoutZeroError,
 )
 from .gf import FieldCtx, prime_factors
-from .subspaces import Subspace, _subspace_blocks, base_of, gaussian_coefficient
+from .subspaces import Subspace, _subspace_blocks, gaussian_coefficient
 
 # Most delta-subspaces through 1, and nonzero members of them,
 # orbit_decomposition will enumerate; the largest instance in the tests is
@@ -50,14 +50,14 @@ class CosetFamily:
 
     In discrete logs a scaling is a translation, so one seed holds all of
     its groups: group j of seed t is z^j * S_t*, the elements whose logs
-    are logs[i] + j, for j below periods[i] = (q^ell - 1) /
-    stabilizer_order(S_t), where kept[i] = t.  Two seeds share all of their
-    groups (one lies in the other's scaling orbit) or none, so a seed whose
-    groups an earlier seed already gave is dropped and kept lists the
-    others.  Family order is seeds in order, then j ascending; blocks()
-    builds the groups as arrays, and sets, seed_index and len() are views
-    in that order.  The groups around any other point a* are these
-    translated by a*, x -> a* + x, in the same order.
+    are logs[i] + j, for j below periods[i] = S_t.coset_count, where
+    kept[i] = t.  Two seeds share all of their groups (one lies in the
+    other's scaling orbit) or none, so a seed whose groups an earlier seed
+    already gave is dropped and kept lists the others.  Family order is
+    seeds in order, then j ascending; blocks() builds the groups as arrays,
+    and sets, seed_index and len() are views in that order.  The groups
+    around any other point a* are these translated by a*, x -> a* + x, in
+    the same order.
     """
 
     ctx: FieldCtx
@@ -92,9 +92,12 @@ class CosetFamily:
         Group j of seed t meets w iff j = log w - log s for some s in S_t*.
         Those differences are periodic in j with the seed's period, so
         taken mod the period they must cover every j below it:
-        |witness| * |S_t*| work and no group is built.
+        |witness| * |S_t*| work and no group is built.  An int outside
+        [0, order) raises ValueError.
         """
         ctx = self.ctx
+        for w in witness:  # the log table would wrap a negative int
+            ctx._check(w)
         wlogs = np.array([ctx.log(w) for w in witness if w], np.int64)
         for t, logs, period in zip(self.kept, self.logs, self.periods):
             covered = np.zeros(period, bool)
@@ -122,7 +125,7 @@ def coset_family(seeds) -> CosetFamily:
             raise ValueError("all seeds must share one field context")
         if 0 not in S.members:
             raise SeedWithoutZeroError(f"seed {sorted(S.members)} does not contain 0")
-        period = group // stabilizer_order(S)  # rejects the trivial seed
+        period = S.coset_count  # rejects the trivial seed
         star_logs = tuple(sorted(ctx.log(x) for x in S.star()))
         forms.setdefault(_least_translate(star_logs, group), (t, star_logs, period))
     kept, logs, periods = zip(*forms.values())
@@ -164,21 +167,11 @@ def _least_translate(logs, group: int) -> tuple[int, ...]:
     return tuple(sorted((x - start) % group for x in s))
 
 
-def stabilizer_order(S: Subspace) -> int:
-    """|{b : b*(S\\{0}) = S\\{0}}| = q^m - 1 for m the base degree of S."""
-    return S.q ** base_of(S) - 1
-
-
 @dataclass(frozen=True)
 class OrbitReport:
     """Scaling orbits of all delta-dimensional subspaces, read from one representative each."""
 
     representatives: tuple[Subspace, ...]
-
-    @cached_property
-    def bases(self) -> tuple[int, ...]:
-        """base_of of each representative, computed once; the counts read these."""
-        return tuple(base_of(S) for S in self.representatives)
 
     @property
     def orbit_count(self) -> int:
@@ -186,16 +179,15 @@ class OrbitReport:
 
     @property
     def orbit_sizes(self) -> tuple[int, ...]:
-        """(q^ell - 1)/(q^m - 1) for each representative's base degree m."""
-        S = self.representatives[0]
-        return tuple((S.ctx.order - 1) // (S.q**m - 1) for m in self.bases)
+        """Each representative's coset_count, the size of its orbit."""
+        return tuple(S.coset_count for S in self.representatives)
 
     @property
     def counts_by_base(self) -> dict[int, int]:
         S = self.representatives[0]
         counts = dict.fromkeys(_divisors(gcd(S.ell, S.dim)), 0)
-        for m, size in zip(self.bases, self.orbit_sizes):
-            counts[m] += size
+        for rep in self.representatives:
+            counts[rep.base] += rep.coset_count
         return counts
 
     def to_json_dict(self) -> dict:
@@ -249,10 +241,11 @@ def orbit_decomposition(ctx: FieldCtx, delta: int) -> OrbitReport:
                 orbit[:2] = basis, elems
             orbit[2] += 1
     report = OrbitReport(tuple(Subspace(ctx, tuple(b), frozenset(m)) for b, m, _ in orbits.values()))
-    for (_, _, found), base_m in zip(orbits.values(), report.bases):
-        if found * (q**base_m - 1) != q**delta - 1:
+    for (_, _, found), rep in zip(orbits.values(), report.representatives):
+        if found * (q**rep.base - 1) != q**delta - 1:
             raise InvariantError(
-                f"orbit with {found} members through 1 breaks orbit-stabilizer for base q^{base_m}"
+                f"orbit with {found} members through 1 breaks orbit-stabilizer "
+                f"for base q^{rep.base}"
             )
     total = gaussian_coefficient(ell, delta, q)
     if sum(report.orbit_sizes) != total:
@@ -306,7 +299,5 @@ def orbit_count_formula(q: int, ell: int, delta: int) -> int:
     num = sum((q**m - 1) * n for m, n in base_counts(q, ell, delta).items())
     den = q**ell - 1
     if num % den:
-        raise NonIntegerResultError(
-            f"Burnside sum {num} not divisible by {den}; this is a bug"
-        )
+        raise InvariantError(f"Burnside sum {num} not divisible by {den}")
     return num // den

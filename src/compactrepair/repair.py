@@ -138,8 +138,8 @@ class SeedScheme:
         )
 
 
-class RepairScheme:
-    """Seed scheme dilated by b and translated to repair f(alpha_star).
+class _RepairScheme:
+    """Seed scheme dilated by b and translated to repair f(alpha_star); see dilate_translate.
 
     Stored as (seed, alpha_star, b); evaluations substitute lazily, so
     h_i(x) = g_i(seed_point(x)) with seed_point(x) = (x - alpha_star)/b.
@@ -321,12 +321,12 @@ def verify_full_rank(scheme) -> bool:
     return scheme.ctx.rank_over(scheme.mq, evals) == scheme.ell
 
 
-def dilate_translate(seed: SeedScheme, alpha_star: int, b: int) -> RepairScheme:
+def dilate_translate(seed: SeedScheme, alpha_star: int, b: int) -> _RepairScheme:
     """Scheme for f(alpha_star) with helpers alpha_star + b*(S\\{0})."""
-    return RepairScheme(seed, alpha_star, b)
+    return _RepairScheme(seed, alpha_star, b)
 
 
-def helper_payload(scheme: RepairScheme, beta: int, f_beta: int) -> HelperPayload:
+def helper_payload(scheme: _RepairScheme, beta: int, f_beta: int) -> HelperPayload:
     """Payload the helper at beta sends, given its stored symbol f_beta.
 
     The echelon data come from the seed at beta's seed point.
@@ -342,7 +342,7 @@ def helper_payload(scheme: RepairScheme, beta: int, f_beta: int) -> HelperPayloa
     return HelperPayload(beta, symbols)
 
 
-def recover_symbol(scheme: RepairScheme, payloads) -> int:
+def recover_symbol(scheme: _RepairScheme, payloads) -> int:
     """Resolve f(alpha_star) from one payload per helper.
 
     f(alpha_star) is the sum of every payload symbol times the weight the

@@ -6,7 +6,7 @@ A Subspace is canonicalized by the reduced row echelon form of its basis
 over the scalar subfield, taken in the generator power-basis coordinates of
 its FieldCtx (FieldCtx.echelon), so equal subspaces always carry identical
 basis tuples.  The member set is materialized up front (the 2^20 field cap
-keeps that cheap) for coset_family's logs, base_of's closure test, the
+keeps that cheap) for coset_family's logs, the closure test of base, the
 support and helpers of a SeedScheme and design_multi_seed's witness.
 
 Enumeration works on numpy blocks: _subspace_blocks yields the canonical
@@ -16,15 +16,18 @@ wraps its rows as Subspace objects, and orbit_decomposition reads the
 blocks of the subspaces through 1 directly.  span builds one subspace
 with a Python closure, which is faster than array set-up at that size.
 
-base_of(S) finds the largest m such that S is closed under scalars from
-the order-q^m subfield; its multiplicative group is exactly the stabilizer
-of S under coset scaling, which drives all orbit counting downstream.
+S.base is the largest m such that S is closed under scalars from the
+order-q^m subfield; its multiplicative group is exactly the stabilizer of
+S under coset scaling, so S.coset_count = (q^ell - 1)/(q^m - 1) counts
+S's distinct cosets b*S* and its scaling orbit.  Both drive all orbit
+counting downstream; each Subspace derives its base once, on first read.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 
 import numpy as np
@@ -53,6 +56,35 @@ class Subspace:
     def ell(self) -> int:
         """Extension degree of the whole field over the scalar subfield."""
         return self.ctx.ell
+
+    @cached_property
+    def base(self) -> int:
+        """Largest m such that S is a subspace over the order-q^m subfield.
+
+        Tested in decreasing divisor order of gcd(ell, dim): S is q^m-closed
+        iff scaling by a multiplicative generator of that subfield maps the
+        basis into S.
+        """
+        if self.dim == 0:
+            raise ValueError("the trivial subspace has no base field")
+        ctx = self.ctx
+        g = gcd(self.ell, self.dim)
+        for m in range(g, 0, -1):
+            if g % m:
+                continue
+            w = ctx.exp((ctx.order - 1) // (self.q**m - 1))
+            if all(ctx.mul(w, b) in self.members for b in self.basis):
+                return m
+        raise AssertionError("unreachable: every subspace is q-closed")
+
+    @property
+    def coset_count(self) -> int:
+        """Distinct cosets b*S* over nonzero b: (q^ell - 1)/(q^m - 1), m = base.
+
+        F*_{q^m} is the stabilizer of S* under scaling, so this is also the
+        size of S's scaling orbit.
+        """
+        return (self.ctx.order - 1) // (self.q**self.base - 1)
 
     def star(self) -> tuple[int, ...]:
         """Nonzero members, sorted; the punctured set the cosets scale."""
@@ -195,28 +227,6 @@ def enumerate_subspaces(ctx: FieldCtx, q: int, delta: int):
                 yield Subspace(ctx, tuple(basis), frozenset(row))
 
     return subspaces()
-
-
-def base_of(S: Subspace) -> int:
-    """Largest m such that S is a subspace over the order-q^m subfield.
-
-    Tested in decreasing divisor order of gcd(ell, dim): S is q^m-closed iff
-    scaling by a multiplicative generator of that subfield maps the basis
-    into S.
-    """
-    if S.dim == 0:
-        raise ValueError("the trivial subspace has no base field")
-    ctx = S.ctx
-    g = gcd(S.ell, S.dim)
-    group = ctx.order - 1
-    for m in range(g, 0, -1):
-        if g % m:
-            continue
-        sub_order = S.q**m
-        w = ctx.exp(group // (sub_order - 1))
-        if all(ctx.mul(w, b) in S.members for b in S.basis):
-            return m
-    raise AssertionError("unreachable: every subspace is q-closed")
 
 
 def subspace_polynomial(S: Subspace) -> tuple[int, ...]:

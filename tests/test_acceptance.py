@@ -11,7 +11,6 @@ from contextlib import contextmanager
 from math import comb, gcd
 
 from compactrepair import (
-    base_of,
     bounds,
     coset_family,
     count_with_base,
@@ -79,7 +78,7 @@ def test_criterion_2_sandwich_sweep():
                         cache[key] = res.size
                     size = cache[key]
                     assert b.lower <= size <= b.upper
-                    m = base_of(S)
+                    m = S.base
                     if m == delta:
                         assert size == (q**ell - 1) // (q**delta - 1)
                     e = ell - delta

@@ -25,7 +25,7 @@ from compactrepair import (
     span,
     verify_reference_example,
 )
-from compactrepair import design, hitting, orbits, repair, subspaces
+from compactrepair import design, hitting, repair, subspaces
 from compactrepair.errors import RankDeficientError
 from oracles import (
     binomial_upper_tail,
@@ -360,30 +360,87 @@ def test_bundle_reads_field_k_and_seeds_from_its_schemes(bundle_multi):
     assert DesignBundle(b.mode, b.schemes, b.mhs, b.config).dumps() == b.dumps()
 
 
-def test_bundle_runs_base_of_once_per_seed(monkeypatch):
-    # base_m, coset_count, the bounds and the orbit report all read each
-    # seed's base; a bundle computes it once (the bounds once more, for a
-    # single seed) and load_bundle once more in coset_family
+def count_base_derivations(monkeypatch) -> list:
+    """Patch Subspace.base's derivation to log each Subspace it runs on."""
+    prop = subspaces.Subspace.__dict__["base"]
+    original = prop.func
     calls = []
-    original = subspaces.base_of
 
     def counted(S):
         calls.append(S)
         return original(S)
 
-    for module in (subspaces, orbits, hitting, design):
-        monkeypatch.setattr(module, "base_of", counted)
+    monkeypatch.setattr(prop, "func", counted)
+    return calls
+
+
+def test_bundle_runs_base_of_once_per_seed(monkeypatch):
+    # base_m, coset_count, the bounds, the family and the orbit report all
+    # read Subspace.base; a bundle rebuilt from the same schemes derives it
+    # no more, and load_bundle once per seed, on the Subspaces it spans
+    calls = count_base_derivations(monkeypatch)
     single = design_single_seed(2, 1, 4, 2, seed_basis=[4, 11])
     multi = design_multi_seed(2, 1, 5, 2, 2)
-    for bundle, dumped, loaded in ((single, 2, 3), (multi, 5, 10)):
+    for bundle in (single, multi):
         text = bundle.dumps()
         fresh = DesignBundle(bundle.mode, bundle.schemes, bundle.mhs, bundle.config)
         calls.clear()
         assert fresh.dumps() == text
-        assert len(calls) == dumped
-        calls.clear()
-        assert load_bundle(json.loads(text)).dumps() == text
-        assert len(calls) == loaded
+        assert calls == []
+        loaded = load_bundle(json.loads(text))
+        assert loaded.dumps() == text
+        assert [id(S) for S in calls] == [id(S) for S in loaded.seeds]
+
+
+def test_design_and_load_derive_each_base_once(monkeypatch):
+    # orbit_decomposition's representatives are the design's seeds, so its
+    # orbit check, the family, the certificate and the bundle JSON share
+    # one derivation per seed; the load spans new Subspaces, one each
+    calls = count_base_derivations(monkeypatch)
+    bundle = design_multi_seed(2, 1, 6, 2, 2)
+    loaded = load_bundle(json.loads(bundle.dumps()))
+    seeds = bundle.seeds + loaded.seeds
+    assert len(bundle.seeds) > 1
+    assert len(calls) == len({id(S) for S in calls}) == len(seeds)
+    assert {id(S) for S in calls} == {id(S) for S in seeds}
+
+
+def test_load_and_simulate_build_one_family(bundle_multi, monkeypatch):
+    calls = []
+    original = design.coset_family
+
+    def counted(seeds):
+        calls.append(seeds)
+        return original(seeds)
+
+    monkeypatch.setattr(design, "coset_family", counted)
+    loaded = load_bundle(json.loads(bundle_multi.dumps()))
+    simulate_failures(loaded, 6, 2)
+    simulate_failures(loaded, 3, 1)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("k, u_len", [(0, 4), (-100, 64)])
+def test_load_bundle_rejects_k_below_1_before_any_table(bundle_s1, capsys, tmp_path, k, u_len):
+    # SeedScheme checks only |S| > k, so such a u would get a table for
+    # r = log_2(u_len), above ell = 4 for k = -100
+    from compactrepair.cli import main
+
+    forged = bundle_s1.to_json_dict()
+    forged["code"]["k"] = k
+    forged["seeds"][0]["scheme"]["u"] = [[1] + [0] * (u_len - 1)] * 4
+    ctx = bundle_s1.ctx
+    before = set(repair._TABLES.get(ctx, {}))
+    with pytest.raises(ValueError) as err:
+        load_bundle(forged)
+    assert str(err.value) == f"need 1 <= k < n = 16, got k = {k}"
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps(forged))
+    code = main(["simulate", "--bundle", str(path), "--alpha-star", "6", "--failures", "2"])
+    out = capsys.readouterr()
+    assert code == 1 and out.out == ""
+    assert out.err.count("\n") == 1 and f"got k = {k}" in out.err
+    assert set(repair._TABLES.get(ctx, {})) == before
 
 
 def test_bundle_rejects_schemes_of_mixed_fields_or_k(bundle_multi):

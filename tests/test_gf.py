@@ -10,7 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from compactrepair import design_multi_seed, design_single_seed, field_new, gf, load_bundle
+from compactrepair import (
+    coset_family, design_multi_seed, design_single_seed, field_new, gf, load_bundle, span,
+)
 from compactrepair.errors import (
     FieldTooLargeError,
     InvalidSubfieldError,
@@ -518,6 +520,11 @@ OUT_OF_FIELD_CALLS = {
     "rank_over": lambda ctx, x: ctx.rank_over(1, [1, x]),
     "poly_eval-point": lambda ctx, x: ctx.poly_eval([1, 1], x),
     "poly_eval-coefficient": lambda ctx, x: ctx.poly_eval([1, x], 3),
+    # the GF(16) golden family, which z^0, ..., z^4 already hit: a wrapped
+    # -1 (read as z^12) would pass unseen
+    "first_miss": lambda ctx, x: coset_family([span(ctx, 2, [4, 11])]).first_miss(
+        [1, 2, 4, 8, 3, x]
+    ),
 }
 
 

@@ -103,9 +103,7 @@ def test_empty_family_errors():
 def test_budget_exhaustion_flags_result(gf64, empty_memo, monkeypatch):
     # A generic delta=2 family has an integrality gap, so a one-node budget
     # cannot certify optimality; the incumbent is still a valid hitting set.
-    from compactrepair import base_of
-
-    gen = next(S for S in enumerate_subspaces(gf64, 2, 2) if base_of(S) == 1)
+    gen = next(S for S in enumerate_subspaces(gf64, 2, 2) if S.base == 1)
     fam = coset_family([gen])
     exact = min_hitting_set(fam)
     empty_memo.clear()

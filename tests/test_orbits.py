@@ -6,7 +6,6 @@ import pytest
 
 from compactrepair import (
     base_counts,
-    base_of,
     coset_family,
     count_with_base,
     enumerate_subspaces,
@@ -16,7 +15,6 @@ from compactrepair import (
     orbit_count_formula,
     orbit_decomposition,
     span,
-    stabilizer_order,
     Subspace,
 )
 from compactrepair.errors import (
@@ -104,7 +102,7 @@ def test_generic_gf65536_family_is_held_in_logs():
     # build this replaced peaked near 60 MB under tracemalloc.
     ctx = field_new(2, 1, 16)
     S = next(enumerate_subspaces(ctx, 2, 4))
-    assert base_of(S) == 1
+    assert S.base == 1
     tracemalloc.start()
     try:
         fam = coset_family([S])
@@ -148,9 +146,9 @@ def test_stabilizer_order_golden_values(gf16):
     S1 = span(gf16, 2, [gf16.exp(2), gf16.exp(7)])
     S2 = span(gf16, 2, [gf16.exp(4), gf16.exp(5)])
     f4 = span(gf16, 2, list(gf16.subfield_elements(2)))
-    assert stabilizer_order(f4) == 3
-    assert stabilizer_order(S1) == 3
-    assert stabilizer_order(S2) == 1
+    # the stabilizer of S* is F*_{q^m}, m = S.base, of order 15 / S.coset_count
+    assert [S.q**S.base - 1 for S in (f4, S1, S2)] == [3, 3, 1]
+    assert [S.coset_count for S in (f4, S1, S2)] == [5, 5, 15]
     # oracle: exhaustive scaling check
     assert len(exhaustive_stabilizer(gf16, S1)) == 3
     assert len(exhaustive_stabilizer(gf16, S2)) == 1
@@ -164,7 +162,8 @@ def test_orbit_stabilizer_relation_exhaustive(field, request):
         for S in enumerate_subspaces(ctx, 2, delta):
             # the scan over every multiplier is independent of the stabilizer
             scanned = coset_family_scan([S])
-            assert len(scanned.sets) * stabilizer_order(S) == group
+            assert len(scanned.sets) * (S.q**S.base - 1) == group
+            assert len(scanned.sets) == S.coset_count
             assert coset_family([S]).sets == scanned.sets
 
 
@@ -248,8 +247,8 @@ def scaled_bases(ctx, S):
 def test_orbit_decomposition_checks_stabilizer_and_total(gf16, monkeypatch):
     import compactrepair.orbits as orbits_module
 
-    # the walk length is checked against base_of, not derived from it
-    monkeypatch.setattr(orbits_module, "base_of", lambda S: 2)
+    # the walk length is checked against Subspace.base, not derived from it
+    monkeypatch.setattr(Subspace, "base", property(lambda S: 2))
     with pytest.raises(InvariantError, match="orbit-stabilizer"):
         orbit_decomposition(gf16, 2)
     monkeypatch.undo()
@@ -347,7 +346,7 @@ def test_coset_family_matches_scan_subfield_and_generic(p, s, ell):
     rng = random.Random(71)
     seeds = [subfield_coset_seed(ctx, d, 5) for d in range(1, ell + 1) if ell % d == 0]
     seeds += [span(ctx, ctx.q, [rng.randrange(1, ctx.order) for _ in range(2)]) for _ in range(4)]
-    assert {base_of(S) for S in seeds} >= {1, ell}
+    assert {S.base for S in seeds} >= {1, ell}
     alpha = rng.randrange(1, ctx.order)
     for S in seeds:
         for center in (0, alpha):
@@ -388,12 +387,10 @@ def test_mobius_values():
 
 
 def test_count_with_base_values(gf16):
-    # oracle: brute-force count via base_of over the full enumeration
-    from compactrepair import base_of
-
+    # oracle: brute-force count via Subspace.base over the full enumeration
     by_base = {1: 0, 2: 0}
     for S in enumerate_subspaces(gf16, 2, 2):
-        by_base[base_of(S)] += 1
+        by_base[S.base] += 1
     assert by_base == {1: 30, 2: 5}
     assert count_with_base(2, 4, 2, 1) == 30
     assert count_with_base(2, 4, 2, 2) == 5

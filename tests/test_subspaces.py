@@ -6,7 +6,6 @@ import pytest
 
 import compactrepair.design as design_module
 from compactrepair import (
-    base_of,
     design_single_seed,
     enumerate_subspaces,
     field_new,
@@ -195,7 +194,7 @@ def test_gaussian_coefficient_values():
 def test_base_of_subfield_itself(gf16):
     f4 = span(gf16, 2, list(gf16.subfield_elements(2)))
     assert f4.dim == 2
-    assert base_of(f4) == 2
+    assert f4.base == 2
 
 
 def test_base_of_golden_seeds(gf16):
@@ -207,15 +206,15 @@ def test_base_of_golden_seeds(gf16):
         return all(ctx.mul(w, x) in S.members for x in S.members)
 
     assert closed_under(gf16, S1, 2)
-    assert base_of(S1) == 2
+    assert S1.base == 2
     assert not closed_under(gf16, S2, 2)
-    assert base_of(S2) == 1
+    assert S2.base == 1
 
 
 def test_base_divides_gcd(gf64):
     for delta in (2, 3, 4):
         for S in itertools.islice(enumerate_subspaces(gf64, 2, delta), 60):
-            m = base_of(S)
+            m = S.base
             import math
 
             assert math.gcd(S.ell, S.dim) % m == 0
@@ -227,7 +226,7 @@ def test_scaling_preserves_dim_and_base(gf16):
         b = gf16.exp(rng.randrange(15))
         T = span(gf16, 2, [gf16.mul(b, g) for g in S.basis])
         assert T.dim == S.dim
-        assert base_of(T) == base_of(S)
+        assert T.base == S.base
 
 
 def test_canonical_equality_iff_member_equality(gf16):
