@@ -55,7 +55,7 @@ from .errors import InvariantError
 from .gf import FieldCtx, field_new
 from .hitting import BoundsReport, HittingResult, bounds, bounds_for_seed, min_hitting_set
 from .orbits import CosetFamily, OrbitReport, coset_family, orbit_decomposition
-from .repair import SeedScheme, search_seed_scheme
+from .repair import SeedScheme, _check_k, search_seed_scheme
 from .subspaces import Subspace, enumerate_subspaces, gaussian_coefficient, span
 
 TOOL_NAME = "compactrepair"
@@ -83,7 +83,8 @@ class DesignBundle:
     """Serializable design artifact: the fields are the inputs, derived values properties.
 
     Each scheme holds its seed subspace, the field and k, so ctx, k and
-    seeds are read from the schemes, which must agree on the field and k.
+    seeds are read from the schemes, which must agree on the field and k
+    (each has 1 <= k < |S| already).
     """
 
     mode: str  # "single-seed" | "multi-seed"
@@ -97,7 +98,6 @@ class DesignBundle:
             raise ValueError(f"a {self.mode} bundle cannot have seeds of dimensions {dims}")
         if any(s.ctx is not self.ctx or s.k != self.k for s in self.schemes):
             raise ValueError("a bundle's schemes must share one field and one k")
-        _validate_code(self.ctx, self.k, self.delta)
 
     @property
     def ctx(self) -> FieldCtx:
@@ -112,10 +112,6 @@ class DesignBundle:
         return tuple(scheme.subspace for scheme in self.schemes)
 
     @property
-    def q(self) -> int:
-        return self.ctx.q
-
-    @property
     def n(self) -> int:
         return self.ctx.order
 
@@ -127,17 +123,12 @@ class DesignBundle:
     def tolerance(self) -> int:
         return self.mhs.tolerance
 
-    @property
-    def coset_counts(self) -> tuple[int, ...]:
-        """Distinct groups per seed (Subspace.coset_count)."""
-        return tuple(seed.coset_count for seed in self.seeds)
-
     @cached_property
     def bounds(self) -> BoundsReport:
         """The seed's sandwich; a multi-seed design attains its upper end."""
         if self.mode == "single-seed":
             return bounds_for_seed(self.seeds[0])
-        b = bounds(self.q, self.ctx.ell, self.delta)
+        b = bounds(self.ctx.q, self.ctx.ell, self.delta)
         return BoundsReport(b.lower, b.upper, b.upper, "multi-seed-orbit-cover")
 
     @cached_property
@@ -172,7 +163,7 @@ class DesignBundle:
                 "modulus": list(ctx.modulus),
             },
             "code": {"n": self.n, "k": self.k},
-            "q": self.q,
+            "q": ctx.q,
             "delta": self.delta,
             "mode": self.mode,
             "seeds": [
@@ -269,8 +260,6 @@ def load_bundle(data) -> DesignBundle:
             raise ValueError(f"bundle.config.{key} must be a JSON scalar or an array of scalars")
     f, k, entries = data["field"], data["code"]["k"], data["seeds"]
     ctx = field_new(f["p"], f["s"], f["ell"], f["modulus"])
-    if k < 1:  # SeedScheme checks only |S| > k, and would build a table first
-        raise ValueError(f"need 1 <= k < n = {ctx.order}, got k = {k}")
     schemes = tuple(
         SeedScheme(span(ctx, ctx.q, entry["basis"]), k, entry["scheme"]["u"]) for entry in entries
     )
@@ -314,13 +303,10 @@ def _check_certificate(bundle: DesignBundle, error: type[Exception]) -> None:
 
 
 def _validate_code(ctx: FieldCtx, k: int, delta: int) -> None:
-    n = ctx.order
-    if not 1 <= k < n:
-        raise ValueError(f"need 1 <= k < n = {n}, got k = {k}")
+    """Reject delta and k before any orbit enumeration or solve."""
     if not 1 <= delta <= ctx.ell:
         raise ValueError(f"need 1 <= delta <= ell = {ctx.ell}, got delta = {delta}")
-    if ctx.q**delta <= k:
-        raise ValueError(f"seed size q^delta = {ctx.q**delta} must exceed k = {k}")
+    _check_k(ctx, ctx.q**delta, k)
 
 
 def _seed_from_strategy(ctx: FieldCtx, delta: int, strategy: str) -> Subspace:
@@ -370,7 +356,8 @@ def design_single_seed(
         _validate_code(ctx, k, delta)
         strategy = "subfield-coset" if strategy is None else strategy
         seed = _seed_from_strategy(ctx, delta, strategy)
-    mhs = min_hitting_set(coset_family([seed]))
+    family = coset_family([seed])
+    mhs = min_hitting_set(family)
     scheme = search_seed_scheme(seed, k)
     config = {
         "strategy": strategy,
@@ -378,6 +365,7 @@ def design_single_seed(
         "group_selection": "first-intact",
     }
     bundle = DesignBundle("single-seed", (scheme,), mhs, config)
+    vars(bundle)["family"] = family  # the cached family is the one just solved
     _check_certificate(bundle, InvariantError)
     return bundle
 

@@ -546,6 +546,8 @@ class FieldCtx:
         Tr is F_p-linear, so rows [d*p^k, (d+1)*p^k) of the trace list are
         rows [0, p^k) plus d*Tr(x^k), x^k being the digit basis element p^k.
         """
+        if m < 1:
+            raise InvalidSubfieldError(f"need m >= 1, got m = {m}")
         if self.n % m:
             raise InvalidSubfieldError(f"m = {m} does not divide {self.n}")
         p, n, order = self.p, self.n, self.order

@@ -1,8 +1,9 @@
 """Trace repair schemes for one symbol of a full-length RS(q^ell, k) code.
 
 A seed scheme repairs f(0) with helpers S\\{0} for a subspace S containing
-0 with |S| = q^delta > k.  It stores ell polynomials u_1..u_ell of degree
-below q^delta - k; the actual check polynomials are g_i = u_i * M_S where
+0 with |S| = q^delta > k >= 1 (see _check_k).  It stores ell polynomials
+u_1..u_ell of degree below q^delta - k; the actual check polynomials are
+g_i = u_i * M_S where
 M_S(x) = (x^(q^ell) - x) / L_S(x) and L_S is the subspace polynomial of S.
 That factorization is never expanded: M_S vanishes off S by construction,
 and on S it is the constant -1/c, c the linear coefficient of L_S (the
@@ -59,7 +60,8 @@ class SeedScheme:
     """Check-polynomial family repairing f(0) over the helpers S\\{0}.
 
     Immutable after construction, and full-rank by construction: u whose
-    evaluations at 0 do not span F_q^ell raise RankDeficientError.
+    evaluations at 0 do not span F_q^ell raise RankDeficientError, and k
+    outside [1, |S|) raises before any table is built (_check_k).
     ``ctx`` is the subspace's field.  ``helper_data`` maps each helper x to
     its (basis, weights), see _helper_data, read from the field's table when
     u is search_seed_scheme's closed form; ``scalars`` is the set of F_q
@@ -72,19 +74,14 @@ class SeedScheme:
         if 0 not in subspace.members:
             raise ValueError("seed subspace must contain 0")
         size = len(subspace.members)
-        if size <= k:
-            raise DimensionTooSmallError(
-                f"|S| = {size} must exceed k = {k} for a repair scheme"
-            )
+        _check_k(ctx, size, k)
         self.ctx = ctx
         self.subspace = subspace
         self.k = k
-        self.mq = ctx.s
-        self.ell = subspace.ell
         max_len = size - k  # u_i degree < q^delta - k
         u = tuple(tuple(c) for c in u)
-        if len(u) != self.ell:
-            raise ValueError(f"need {self.ell} polynomials, got {len(u)}")
+        if len(u) != ctx.ell:
+            raise ValueError(f"need {ctx.ell} polynomials, got {len(u)}")
         for ui in u:
             if not all(0 <= c < ctx.order for c in ui):
                 raise ValueError(
@@ -104,14 +101,13 @@ class SeedScheme:
         c = subspace_polynomial(subspace)[0]
         self._on_support = ctx.neg(ctx.inv(c))
         self.helpers = subspace.star()
-        self.scalars = frozenset(ctx.subfield_elements(self.mq))
-        self.repaired_point = 0
+        self.scalars = frozenset(ctx.subfield_elements(ctx.s))
         if table is not None:  # full-rank: the table checked its duals
             self.helper_data = {x: table.at(ctx, ctx.mul(x, c)) for x in self.helpers}
         else:
             duals = _duals_at_zero(ctx, self.evals_at(0))
             self.helper_data = {
-                x: _helper_data(ctx, self.mq, self.evals_at(x), duals)
+                x: _helper_data(ctx, self.evals_at(x), duals)
                 for x in self.helpers
             }
         self.bandwidth = sum(len(basis) for basis, _ in self.helper_data.values())
@@ -128,7 +124,7 @@ class SeedScheme:
     def evals_at(self, x: int) -> list[int]:
         """[g_1(x), ..., g_ell(x)]; zero off the support S."""
         if x not in self.subspace.members:
-            return [0] * self.ell
+            return [0] * self.ctx.ell
         return _evaluate(self.ctx, self._terms, x, self._on_support)
 
     def __repr__(self):
@@ -156,13 +152,10 @@ class _RepairScheme:
         self.alpha_star = alpha_star
         self.b = b
         self._b_inv = seed.ctx.inv(b)
-        self.mq = seed.mq
-        self.ell = seed.ell
         ctx = seed.ctx
         self.helpers = tuple(
             sorted(ctx.add(alpha_star, ctx.mul(b, x)) for x in seed.helpers)
         )
-        self.repaired_point = alpha_star
 
     def seed_point(self, x: int) -> int:
         """The point of the seed that x maps to: (x - alpha_star)/b."""
@@ -189,7 +182,7 @@ class HelperPayload:
     symbols: tuple[int, ...]
 
 
-def _helper_data(ctx: FieldCtx, mq: int, evals, duals) -> tuple[tuple, tuple]:
+def _helper_data(ctx: FieldCtx, evals, duals) -> tuple[tuple, tuple]:
     """(basis, weights) of one helper's evaluations g_1(x), ..., g_ell(x).
 
     basis is the reduced echelon basis of the evaluations over F_q, so
@@ -199,8 +192,8 @@ def _helper_data(ctx: FieldCtx, mq: int, evals, duals) -> tuple[tuple, tuple]:
     trace-dual basis of {g_i(0)} gives f(0) = sum_x sum_j Tr(basis_j f(x))
     * w_j with w_j = -sum_i c_ij dual_i.
     """
-    basis, pivots = ctx.echelon(evals, mq)
-    coords = [ctx.coords(v, mq) for v in evals]
+    basis, pivots = ctx.echelon(evals, ctx.s)
+    coords = [ctx.coords(v, ctx.s) for v in evals]
     weights = []
     for p in pivots:
         acc = 0
@@ -277,7 +270,7 @@ class _ClosedForm:
         data = self._data.get(y)
         if data is None:  # racing fills compute equal data
             evals = _evaluate(ctx, self.terms, y, self._scale)
-            data = self._data.setdefault(y, _helper_data(ctx, ctx.s, evals, self._duals))
+            data = self._data.setdefault(y, _helper_data(ctx, evals, self._duals))
         return data
 
 
@@ -315,10 +308,21 @@ def _closed_form_of(ctx: FieldCtx, u: tuple, max_len: int) -> _ClosedForm | None
     return table if table.u == u else None
 
 
+def _check_k(ctx: FieldCtx, size: int, k: int) -> None:
+    """The one rule on k: a scheme over size points serves RS(n, k) iff 1 <= k < size."""
+    if k < 1:
+        raise ValueError(f"need 1 <= k < n = {ctx.order}, got k = {k}")
+    if size <= k:
+        raise DimensionTooSmallError(f"|S| = {size} must exceed k = {k} for a repair scheme")
+
+
 def verify_full_rank(scheme) -> bool:
-    """Full-Rank Condition: the evaluations at the repaired point span F_q^ell."""
-    evals = scheme.evals_at(scheme.repaired_point)
-    return scheme.ctx.rank_over(scheme.mq, evals) == scheme.ell
+    """Full-Rank Condition: the evaluations at the repaired point span F_q^ell.
+
+    A dilation evaluates at alpha_star as its seed does at 0.
+    """
+    ctx = scheme.ctx
+    return ctx.rank_over(ctx.s, scheme.seed.evals_at(0)) == ctx.ell
 
 
 def dilate_translate(seed: SeedScheme, alpha_star: int, b: int) -> _RepairScheme:
@@ -337,7 +341,7 @@ def helper_payload(scheme: _RepairScheme, beta: int, f_beta: int) -> HelperPaylo
     data = scheme.seed.helper_data.get(scheme.seed_point(beta))
     if data is None:
         raise NotAHelperError(f"{beta} is not a helper of this scheme")
-    mq = scheme.mq
+    mq = ctx.s
     symbols = tuple(ctx.trace_to_subfield(ctx.mul(xi, f_beta), mq) for xi in data[0])
     return HelperPayload(beta, symbols)
 
@@ -398,6 +402,7 @@ def search_seed_scheme(S: Subspace, k: int) -> SeedScheme:
     perfbench's tracer looks the function up by it and the benchmark
     reports its repair.search_seed_scheme.* metrics.
     """
+    _check_k(S.ctx, len(S.members), k)
     q = S.q
     r = 0
     while q ** (r + 1) <= len(S.members) - k:

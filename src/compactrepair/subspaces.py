@@ -75,7 +75,7 @@ class Subspace:
             w = ctx.exp((ctx.order - 1) // (self.q**m - 1))
             if all(ctx.mul(w, b) in self.members for b in self.basis):
                 return m
-        raise AssertionError("unreachable: every subspace is q-closed")
+        raise InvariantError("unreachable: every subspace is q-closed")
 
     @property
     def coset_count(self) -> int:

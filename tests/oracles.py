@@ -430,7 +430,7 @@ def bandwidth(scheme) -> int:
     same sum over its stored echelon bases.
     """
     ctx = scheme.ctx
-    return sum(ctx.rank_over(scheme.mq, scheme.evals_at(beta)) for beta in scheme.helpers)
+    return sum(ctx.rank_over(ctx.s, scheme.evals_at(beta)) for beta in scheme.helpers)
 
 
 def partition_dead_patterns(blocks: int, size: int, points: int, e: int) -> int:

@@ -54,7 +54,7 @@ def bundle_multi():
 
 def test_single_seed_golden_first(bundle_s1):
     assert bundle_s1.tolerance == 4
-    assert bundle_s1.coset_counts == (5,)
+    assert bundle_s1.seeds[0].coset_count == 5
     assert bundle_s1.mhs.method == "exact"
     assert bundle_s1.bounds.case == "subfield-coset"
     assert bundle_s1.bounds.exact == 5
@@ -63,14 +63,14 @@ def test_single_seed_golden_first(bundle_s1):
 
 def test_single_seed_golden_second(bundle_s2):
     assert bundle_s2.tolerance == 5
-    assert bundle_s2.coset_counts == (15,)
+    assert bundle_s2.seeds[0].coset_count == 15
     assert bundle_s2.bounds.case == "generic"
 
 
 def test_single_seed_whole_field():
     bundle = design_single_seed(2, 1, 4, 2, delta=4, strategy="subfield-coset")
     assert bundle.tolerance == 0
-    assert bundle.coset_counts == (1,)
+    assert bundle.seeds[0].coset_count == 1
 
 
 def test_single_seed_strategy_subfield():
@@ -179,8 +179,8 @@ def test_single_seed_strategy_first():
 def test_design_over_prime_power_q():
     # the same 16-element field, but with designated subfield F_4
     bundle = design_single_seed(2, 2, 2, 2, delta=1, strategy="subfield-coset")
-    assert bundle.q == 4
-    assert bundle.coset_counts == (5,)
+    assert bundle.ctx.q == 4
+    assert bundle.seeds[0].coset_count == 5
     assert bundle.tolerance == 4
     assert bundle.bounds.exact == 5
     ctx = bundle.ctx
@@ -313,7 +313,8 @@ def test_design_bandwidth_is_closed_form(design):
     # every seed scheme: bandwidth (|S| - 1)(ell - r), r the largest with
     # q^r <= |S| - k
     bundle = design()
-    q, ell, size = bundle.q, bundle.ctx.ell, bundle.q**bundle.delta
+    q, ell = bundle.ctx.q, bundle.ctx.ell
+    size = q**bundle.delta
     r = max(j for j in range(bundle.delta) if q**j <= size - bundle.k)
     for scheme in bundle.schemes:
         assert scheme.bandwidth == (size - 1) * (ell - r)
@@ -418,6 +419,26 @@ def test_load_and_simulate_build_one_family(bundle_multi, monkeypatch):
     simulate_failures(loaded, 6, 2)
     simulate_failures(loaded, 3, 1)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "ell, kwargs",
+    [(12, {"delta": 4}), (4, {"delta": 3, "strategy": "first"}), (4, {"seed_basis": [3, 6]})],
+    ids=["subfield-coset", "first", "seed-basis"],
+)
+def test_single_seed_design_builds_one_family(monkeypatch, ell, kwargs):
+    # the bundle keeps the family min_hitting_set solved instead of building its own
+    built = []
+    original = design.coset_family
+
+    def counted(seeds):
+        built.append(original(seeds))
+        return built[-1]
+
+    monkeypatch.setattr(design, "coset_family", counted)
+    bundle = design_single_seed(2, 1, ell, 2, **kwargs)
+    assert len(built) == 1 and bundle.family is built[0]
+    assert built[0] == coset_family(list(bundle.seeds))
 
 
 @pytest.mark.parametrize("k, u_len", [(0, 4), (-100, 64)])
@@ -589,7 +610,7 @@ def partition_bundles():
 )
 def test_simulate_exhaustive_equals_partition_closed_form(partition_bundles, name, failures):
     bundle, blocks, size = partition_bundles[name]
-    assert bundle.coset_counts == (blocks,) and blocks * size == bundle.n - 1
+    assert bundle.seeds[0].coset_count == blocks and blocks * size == bundle.n - 1
     for e in failures:
         rep = simulate_failures(bundle, bundle.ctx.exp(1), e, mode="exhaustive")
         total = comb(bundle.n - 1, e)

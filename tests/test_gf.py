@@ -453,6 +453,20 @@ def test_trace_tower_transitivity_gf16(gf16):
 def test_trace_invalid_subfield(gf16):
     with pytest.raises(InvalidSubfieldError):
         gf16.trace_to_subfield(3, 3)
+    # m = 0 once raised ZeroDivisionError, and m < 0 TypeError from a float slice step
+    kept = set(gf16._subfields)
+    for m in (0, -1, -2):
+        calls = [
+            lambda: gf16.subfield_elements(m),
+            lambda: gf16.trace_to_subfield(3, m),
+            lambda: gf16.coords(5, m),
+            lambda: gf16.rank_over(m, [1, 2]),
+            lambda: gf16.dual_basis([1, 2, 4, 8], m),
+        ]
+        for call in calls:
+            with pytest.raises(InvalidSubfieldError, match=f"^need m >= 1, got m = {m}$"):
+                call()
+    assert set(gf16._subfields) == kept
 
 
 def _check_trace_and_coords(ctx, m, xs):

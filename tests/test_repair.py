@@ -107,6 +107,29 @@ def test_dimension_too_small(gf16, golden_seed):
     assert verify_full_rank(scheme)
 
 
+@pytest.mark.parametrize("k, u_len", [(0, 4), (-1, 4), (-100, 64)])
+def test_k_below_1_rejected_before_any_table(k, u_len):
+    # search_seed_scheme(S, -100) once built the table for r = 6 > ell = 4 and
+    # returned a "full-rank" scheme of bandwidth 0 that recovered 0 for f(a*) = 7
+    ctx = FieldCtx(2, 1, 4)  # uncached, so no other test has filled its tables
+    S = span(ctx, 2, [4, 11])
+    u = [[1] + [0] * (u_len - 1)] * 4
+    for build in (lambda: search_seed_scheme(S, k), lambda: SeedScheme(S, k, u)):
+        with pytest.raises(ValueError) as err:
+            build()
+        assert str(err.value) == f"need 1 <= k < n = 16, got k = {k}"
+    assert not repair._TABLES.get(ctx)
+
+
+@pytest.mark.parametrize("k", [4, 16, 100])
+def test_k_at_least_seed_size_rejected_before_any_table(k):
+    # search_seed_scheme once built the r = 0 table before SeedScheme refused k
+    ctx = FieldCtx(2, 1, 4)
+    with pytest.raises(DimensionTooSmallError, match=f"^[|]S[|] = 4 must exceed k = {k} "):
+        search_seed_scheme(span(ctx, 2, [4, 11]), k)
+    assert not repair._TABLES.get(ctx)
+
+
 NOT_FULL_RANK = "^the check evaluations at 0 are not full-rank$"
 
 
@@ -287,7 +310,7 @@ def test_helper_payload_shape(gf16, naive16):
 def echelon_from_scratch(d, beta):
     """Oracle: echelon basis of d.evals_at(beta) and each evaluation's
     coordinates at the basis' pivot columns."""
-    ctx, mq = d.ctx, d.mq
+    ctx, mq = d.ctx, d.ctx.s
     rows = [list(ctx.coords(v, mq)) for v in d.evals_at(beta)]
     rref, pivots = rref_over(ctx, mq, rows)
     basis = tuple(from_coords(ctx, r, mq) for r in rref)
@@ -341,7 +364,7 @@ def searched_seed(name):
 
 def payload_from_scratch(d, beta, f_beta):
     """Oracle: traces of f_beta against the echelon basis of d.evals_at(beta)."""
-    ctx, mq = d.ctx, d.mq
+    ctx, mq = d.ctx, d.ctx.s
     basis, _ = echelon_from_scratch(d, beta)
     symbols = tuple(ctx.trace_to_subfield(ctx.mul(xi, f_beta), mq) for xi in basis)
     return HelperPayload(beta, symbols)
@@ -351,7 +374,7 @@ def weights_from_scratch(d, beta):
     """Oracle: w_j = -sum_i c_ij dual_i, with c_ij the pivot coordinates of
     d.evals_at(beta) and dual the trace-dual basis at the repaired point."""
     ctx = d.ctx
-    duals = ctx.dual_basis(d.evals_at(d.repaired_point), d.mq)
+    duals = ctx.dual_basis(d.evals_at(d.alpha_star), ctx.s)
     _, combination = echelon_from_scratch(d, beta)
     weights = []
     for j in range(len(combination[0])):
@@ -530,7 +553,7 @@ def test_closed_form_bandwidth_is_exact(p, s, ell):
                 assert r < delta
                 assert verify_full_rank(scheme)
                 assert all(
-                    ctx.rank_over(scheme.mq, scheme.evals_at(x)) == ell - r
+                    ctx.rank_over(ctx.s, scheme.evals_at(x)) == ell - r
                     for x in scheme.helpers
                 )
                 assert scheme.bandwidth == bandwidth(scheme) == (q**delta - 1) * (ell - r)
