@@ -61,13 +61,14 @@ def _parse_ints(text: str) -> list[int]:
     return [int(v) for v in text.split(",")]
 
 
-def _emit(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+def _emit(payload: dict | str, out: str | None) -> None:
+    if not isinstance(payload, str):
+        payload = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if out:
         with open(out, "w") as fh:
-            fh.write(text)
+            fh.write(payload)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(payload)
 
 
 def _cmd_field_info(args) -> int:
@@ -121,7 +122,7 @@ def _cmd_design(args) -> int:
         bundle = design_single_seed(
             p, s, args.ell, args.k, delta=args.delta, strategy=args.strategy, modulus=modulus
         )
-    _emit(bundle.to_json_dict(), args.output)
+    _emit(bundle.dumps(), args.output)
     return 0
 
 

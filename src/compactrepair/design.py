@@ -56,7 +56,7 @@ from .gf import FieldCtx, field_new
 from .hitting import BoundsReport, HittingResult, bounds, bounds_for_seed, min_hitting_set
 from .orbits import CosetFamily, OrbitReport, coset_family, orbit_decomposition
 from .repair import SeedScheme, _check_k, search_seed_scheme
-from .subspaces import Subspace, enumerate_subspaces, gaussian_coefficient, span
+from .subspaces import Subspace, _check_delta, enumerate_subspaces, gaussian_coefficient, span
 
 TOOL_NAME = "compactrepair"
 SCHEMA_VERSION = 1
@@ -304,8 +304,7 @@ def _check_certificate(bundle: DesignBundle, error: type[Exception]) -> None:
 
 def _validate_code(ctx: FieldCtx, k: int, delta: int) -> None:
     """Reject delta and k before any orbit enumeration or solve."""
-    if not 1 <= delta <= ctx.ell:
-        raise ValueError(f"need 1 <= delta <= ell = {ctx.ell}, got delta = {delta}")
+    _check_delta(ctx.q, ctx.ell, delta)
     _check_k(ctx, ctx.q**delta, k)
 
 
@@ -347,8 +346,6 @@ def design_single_seed(
         if delta is not None or strategy is not None:
             raise ValueError("seed_basis fixes the seed; drop delta and strategy")
         seed = span(ctx, ctx.q, list(seed_basis))
-        if seed.dim == 0:
-            raise ValueError("seed basis spans only the trivial subspace")
         _validate_code(ctx, k, seed.dim)
     else:
         if delta is None:
@@ -442,8 +439,7 @@ def simulate_failures(
     """
     ctx = bundle.ctx
     n = ctx.order
-    if not 0 <= alpha_star < n:
-        raise ValueError(f"need 0 <= alpha_star < n = {n}, got {alpha_star}")
+    ctx._check(alpha_star, "alpha_star")
     if not 0 <= e < n:
         raise ValueError(f"need 0 <= e < n = {n}, got {e}")
     if rng_seed is not None and not 0 <= rng_seed < 2**128:

@@ -22,7 +22,7 @@ class InvalidSubfieldError(CompactRepairError, ValueError):
 
 
 class SeedWithoutZeroError(CompactRepairError, ValueError):
-    """Coset-family seeds must contain the zero element."""
+    """Seeds, of a coset family or a seed scheme, must contain the zero element."""
 
 
 class EmptyFamilyError(CompactRepairError, ValueError):

@@ -500,10 +500,12 @@ class FieldCtx:
             weight *= self.p
         return out
 
-    def _check(self, x: int) -> None:
-        """Reject an int outside [0, order), which the tables would wrap."""
-        if not 0 <= x < self.order:
-            raise ValueError(f"{x} is not a field element in [0, {self.order})")
+    def _check(self, x: int, name: str) -> None:
+        """The one rule on field elements, for every layer: an int in [0, order), named as given."""
+        if not (hasattr(x, "__index__") and 0 <= x < self.order):  # 2.5 has no __index__
+            raise ValueError(
+                f"{name} {x!r} is not a field element: field elements are ints in [0, {self.order})"
+            )
 
     def elements(self) -> range:
         return range(self.order)
@@ -521,11 +523,11 @@ class FieldCtx:
         polynomial many times keeps its nonzero terms instead, as
         SeedScheme does.  pow(0, 0) = 1 covers x = 0.
         """
-        self._check(x)
+        self._check(x, "point")
         acc = 0
         for t, c in enumerate(coeffs):
             if c:
-                self._check(c)
+                self._check(c, "coefficient")
                 acc = self.add(acc, self.mul(c, self.pow(x, t)))
         return acc
 
@@ -611,7 +613,7 @@ class FieldCtx:
         """
         elems = list(elems)
         for x in elems:
-            self._check(x)
+            self._check(x, "element")
         _, trace, dual = self._subfields.get(m) or self._build_subfield(m)
         return self._echelon(elems, dual, trace)
 
@@ -619,7 +621,7 @@ class FieldCtx:
         """Trace-dual basis of ws over F_{p^m}: Tr(ws[i]*dual[j]) = delta_ij."""
         ws = list(ws)
         for w in ws:
-            self._check(w)
+            self._check(w, "basis element")
         trace = (self._subfields.get(m) or self._build_subfield(m))[1]
         if len(ws) != self.n // m:
             raise ValueError(f"need {self.n // m} basis elements, got {len(ws)}")
@@ -630,7 +632,7 @@ class FieldCtx:
 
     def coords(self, x: int, m: int) -> tuple[int, ...]:
         """Coordinates of x over F_{p^m} in the power basis of the generator."""
-        self._check(x)
+        self._check(x, "x")
         _, trace, dual = self._subfields.get(m) or self._build_subfield(m)
         if x == 0:
             return (0,) * len(dual)

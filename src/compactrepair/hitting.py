@@ -56,7 +56,7 @@ from scipy.sparse import csr_array
 
 from .errors import EmptyFamilyError, InvariantError
 from .orbits import CosetFamily, _least_translate
-from .subspaces import Subspace
+from .subspaces import Subspace, _check_delta
 
 # Branch-and-bound nodes one HiGHS solve may spend before it stops.
 NODE_BUDGET = 10**7
@@ -210,8 +210,7 @@ def _memo_solve(family: CosetFamily) -> HittingResult:
 
 def bounds(q: int, ell: int, delta: int) -> BoundsReport:
     """Sandwich bounds on |MHS| of a single-seed coset family."""
-    if delta < 1 or delta > ell:
-        raise ValueError(f"need 1 <= delta <= ell, got delta={delta}, ell={ell}")
+    _check_delta(q, ell, delta)
     lower = -(-(q**ell - 1) // (q**delta - 1))
     upper = (q ** (ell - delta + 1) - 1) // (q - 1)
     return BoundsReport(lower, upper, None, "generic")

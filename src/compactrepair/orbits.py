@@ -34,7 +34,7 @@ from .errors import (
     BudgetExceededError, InvalidDivisorError, InvariantError, SeedWithoutZeroError,
 )
 from .gf import FieldCtx, prime_factors
-from .subspaces import Subspace, _subspace_blocks, gaussian_coefficient
+from .subspaces import Subspace, _check_delta, _subspace_blocks, gaussian_coefficient
 
 # Most delta-subspaces through 1, and nonzero members of them,
 # orbit_decomposition will enumerate; the largest instance in the tests is
@@ -97,7 +97,7 @@ class CosetFamily:
         """
         ctx = self.ctx
         for w in witness:  # the log table would wrap a negative int
-            ctx._check(w)
+            ctx._check(w, "witness element")
         wlogs = np.array([ctx.log(w) for w in witness if w], np.int64)
         for t, logs, period in zip(self.kept, self.logs, self.periods):
             covered = np.zeros(period, bool)
@@ -222,8 +222,7 @@ def orbit_decomposition(ctx: FieldCtx, delta: int) -> OrbitReport:
     ENUMERATION_BUDGET subspaces or MEMBER_ENTRY_BUDGET members through 1.
     """
     q, ell = ctx.q, ctx.ell
-    if delta < 1 or delta > ell:
-        raise ValueError(f"need 1 <= delta <= ell = {ell}, got {delta}")
+    _check_delta(q, ell, delta)
     through_one = gaussian_coefficient(ell - 1, delta - 1, q)
     entries = through_one * (q**delta - 1)
     if through_one > ENUMERATION_BUDGET or entries > MEMBER_ENTRY_BUDGET:
@@ -294,8 +293,7 @@ def base_counts(q: int, ell: int, delta: int) -> dict[int, int]:
 
 def orbit_count_formula(q: int, ell: int, delta: int) -> int:
     """Closed-form orbit count via Burnside: weighted base counts over q^ell - 1."""
-    if delta < 1 or delta > ell:
-        raise ValueError(f"need 1 <= delta <= ell, got delta={delta}, ell={ell}")
+    _check_delta(q, ell, delta)
     num = sum((q**m - 1) * n for m, n in base_counts(q, ell, delta).items())
     den = q**ell - 1
     if num % den:

@@ -41,6 +41,7 @@ its helpers' data itself.
 
 from __future__ import annotations
 
+import operator
 import threading
 import weakref
 from dataclasses import dataclass
@@ -50,6 +51,7 @@ from .errors import (
     MissingPayloadError,
     NotAHelperError,
     RankDeficientError,
+    SeedWithoutZeroError,
     ZeroDilationError,
 )
 from .gf import FieldCtx
@@ -72,28 +74,20 @@ class SeedScheme:
     def __init__(self, subspace: Subspace, k: int, u):
         ctx = subspace.ctx
         if 0 not in subspace.members:
-            raise ValueError("seed subspace must contain 0")
+            raise SeedWithoutZeroError(f"seed {sorted(subspace.members)} does not contain 0")
         size = len(subspace.members)
-        _check_k(ctx, size, k)
+        self.k = k = _check_k(ctx, size, k)
         self.ctx = ctx
         self.subspace = subspace
-        self.k = k
         max_len = size - k  # u_i degree < q^delta - k
         u = tuple(tuple(c) for c in u)
         if len(u) != ctx.ell:
             raise ValueError(f"need {ctx.ell} polynomials, got {len(u)}")
         for ui in u:
-            if not all(0 <= c < ctx.order for c in ui):
-                raise ValueError(
-                    f"u coefficients must be field elements in [0, {ctx.order})"
-                )
-            trimmed = len(ui)
-            while trimmed and ui[trimmed - 1] == 0:
-                trimmed -= 1
-            if trimmed > max_len:
-                raise ValueError(
-                    f"u polynomial degree must stay below {max_len}"
-                )
+            for c in ui:
+                ctx._check(c, "u coefficient")
+            if any(ui[max_len:]):
+                raise ValueError(f"u polynomial degree must stay below {max_len}")
         self.u = u
         table = _closed_form_of(ctx, u, max_len)
         self._terms = _nonzero_terms(u) if table is None else table.terms
@@ -142,17 +136,16 @@ class _RepairScheme:
     """
 
     def __init__(self, seed: SeedScheme, alpha_star: int, b: int):
-        n = seed.ctx.order
-        if not (0 <= alpha_star < n and 0 <= b < n):
-            raise ValueError(f"alpha_star {alpha_star} and b {b} must be field elements < {n}")
+        ctx = seed.ctx
+        ctx._check(alpha_star, "alpha_star")
+        ctx._check(b, "b")
         if b == 0:
             raise ZeroDilationError("dilation factor b must be nonzero")
         self.seed = seed
-        self.ctx = seed.ctx
+        self.ctx = ctx
         self.alpha_star = alpha_star
         self.b = b
-        self._b_inv = seed.ctx.inv(b)
-        ctx = seed.ctx
+        self._b_inv = ctx.inv(b)
         self.helpers = tuple(
             sorted(ctx.add(alpha_star, ctx.mul(b, x)) for x in seed.helpers)
         )
@@ -308,12 +301,17 @@ def _closed_form_of(ctx: FieldCtx, u: tuple, max_len: int) -> _ClosedForm | None
     return table if table.u == u else None
 
 
-def _check_k(ctx: FieldCtx, size: int, k: int) -> None:
-    """The one rule on k: a scheme over size points serves RS(n, k) iff 1 <= k < size."""
+def _check_k(ctx: FieldCtx, size: int, k: int) -> int:
+    """The one rule on k: an integer, 1 <= k < size for a scheme on size points; returns an int."""
+    try:
+        k = operator.index(k)
+    except TypeError:
+        raise ValueError(f"need an integer k, got k = {k!r}") from None
     if k < 1:
         raise ValueError(f"need 1 <= k < n = {ctx.order}, got k = {k}")
     if size <= k:
         raise DimensionTooSmallError(f"|S| = {size} must exceed k = {k} for a repair scheme")
+    return k
 
 
 def verify_full_rank(scheme) -> bool:
@@ -336,8 +334,8 @@ def helper_payload(scheme: _RepairScheme, beta: int, f_beta: int) -> HelperPaylo
     The echelon data come from the seed at beta's seed point.
     """
     ctx = scheme.ctx
-    if not (0 <= beta < ctx.order and 0 <= f_beta < ctx.order):
-        raise ValueError(f"beta {beta} and f_beta {f_beta} must be field elements < {ctx.order}")
+    ctx._check(beta, "beta")
+    ctx._check(f_beta, "f_beta")
     data = scheme.seed.helper_data.get(scheme.seed_point(beta))
     if data is None:
         raise NotAHelperError(f"{beta} is not a helper of this scheme")

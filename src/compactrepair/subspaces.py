@@ -116,25 +116,30 @@ def _closure(ctx: FieldCtx, m: int, basis) -> frozenset[int]:
     return frozenset(members)
 
 
-def span(ctx: FieldCtx, q: int, generators) -> Subspace:
-    """Smallest F_q-subspace containing the generators, in canonical form; q must be ctx.q."""
+def _check_q(ctx: FieldCtx, q: int) -> None:
+    """The one rule on a subspace's q: the field's own, ctx.q."""
     if q != ctx.q:
         raise ValueError(f"subspaces of GF({ctx.order}) are over its F_{ctx.q}, got q = {q}")
-    generators = list(generators)
-    if not all(0 <= g < ctx.order for g in generators):
-        raise ValueError(
-            f"span generators must be field elements in [0, {ctx.order})"
-        )
+
+
+def span(ctx: FieldCtx, q: int, generators) -> Subspace:
+    """Smallest F_q-subspace containing the generators, in canonical form; q must be ctx.q."""
+    _check_q(ctx, q)
     basis, _ = ctx.echelon(generators, ctx.s)
     return Subspace(ctx, basis, _closure(ctx, ctx.s, basis))
 
 
+def _check_delta(q: int, ell: int, delta: int, least: int = 1) -> None:
+    """The one rule on q and delta: integers with q >= 2 and least <= delta <= ell."""
+    if not (hasattr(q, "__index__") and q >= 2):
+        raise ValueError(f"need an integer q >= 2, got q = {q}")
+    if not (hasattr(delta, "__index__") and least <= delta <= ell):
+        raise ValueError(f"need {least} <= delta <= ell = {ell}, got delta = {delta}")
+
+
 def gaussian_coefficient(ell: int, delta: int, q: int) -> int:
     """Number of delta-dimensional F_q-subspaces of an ell-dimensional space."""
-    if q < 2:
-        raise ValueError("q must be at least 2")
-    if delta < 0 or delta > ell:
-        raise ValueError(f"need 0 <= delta <= ell, got delta={delta}, ell={ell}")
+    _check_delta(q, ell, delta, least=0)
     num = 1
     den = 1
     for i in range(delta):
@@ -167,7 +172,7 @@ def _subspace_blocks(ctx: FieldCtx, delta: int, *, through_one: bool = False):
     order: those whose pivots start at column 0 and whose basis vector 0
     is exactly 1, with no free entries (writing 1 in the reduced basis
     reads its coefficients off the pivot columns).  There are
-    [ell - 1 choose delta - 1]_q of them.  The callers check 0 <= delta <= ell.
+    [ell - 1 choose delta - 1]_q of them.  The callers check delta (_check_delta).
     """
     q, ell = ctx.q, ctx.ell
     scalar_logs = np.array([ctx.log(c) for c in ctx.subfield_elements(ctx.s)[1:]])
@@ -216,10 +221,8 @@ def enumerate_subspaces(ctx: FieldCtx, q: int, delta: int):
     gaussian_coefficient(ell, delta, q).  q must be ctx.q and 0 <= delta <=
     ell; both are checked at the call, before anything is drawn.
     """
-    if q != ctx.q:
-        raise ValueError(f"subspaces of GF({ctx.order}) are over its F_{ctx.q}, got q = {q}")
-    if delta < 0 or delta > ctx.ell:
-        raise ValueError(f"need 0 <= delta <= ell = {ctx.ell}, got {delta}")
+    _check_q(ctx, q)
+    _check_delta(q, ctx.ell, delta, least=0)
 
     def subspaces():
         for bases, members in _subspace_blocks(ctx, delta):

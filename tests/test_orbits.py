@@ -14,6 +14,7 @@ from compactrepair import (
     mobius,
     orbit_count_formula,
     orbit_decomposition,
+    SeedScheme,
     span,
     Subspace,
 )
@@ -121,6 +122,13 @@ def test_seed_without_zero_rejected(gf16):
     broken = dataclass_replace_members(S)
     with pytest.raises(SeedWithoutZeroError):
         coset_family([broken])
+
+
+def test_seed_scheme_without_zero_rejected(gf16):
+    # the zero-seed rule has one exception type, in coset_family and SeedScheme
+    broken = dataclass_replace_members(span(gf16, 2, [gf16.exp(2), gf16.exp(7)]))
+    with pytest.raises(SeedWithoutZeroError, match="does not contain 0"):
+        SeedScheme(broken, 2, [[1]] * 4)
 
 
 def dataclass_replace_members(S):
