@@ -440,8 +440,8 @@ def simulate_failures(
     ctx = bundle.ctx
     n = ctx.order
     ctx._check(alpha_star, "alpha_star")
-    if not 0 <= e < n:
-        raise ValueError(f"need 0 <= e < n = {n}, got {e}")
+    if not (hasattr(e, "__index__") and 0 <= e < n):  # 2.5 has no __index__
+        raise ValueError(f"need an integer 0 <= e < n = {n}, got e = {e}")
     if rng_seed is not None and not 0 <= rng_seed < 2**128:
         raise ValueError(f"need 0 <= rng_seed < 2**128, got {rng_seed}")
     # Patterns shifted by -a* meet the groups around 0 exactly where they

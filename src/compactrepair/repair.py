@@ -16,7 +16,7 @@ full-length codes and is absorbed into the u_i.
 
 A scheme is valid when the evaluations {g_i(0)} have full rank over F_q,
 and SeedScheme accepts no other; repairing then works by trace accounting:
-each helper sends the F_q-traces of its symbol against an echelon basis of
+each helper sends the F_q-traces of its symbol against a basis of
 span{g_i(helper)}, which costs rank-many F_q-symbols, and the replacement
 node resolves f(0) through the trace-dual basis of {g_i(0)}.  Substituting
 x -> (x - a*)/b turns the seed into a scheme for f(a*) with helpers
@@ -24,19 +24,20 @@ a* + b(S\\{0}) and identical bandwidth, which is what makes coset families
 of a single seed cheap to deploy.
 
 The substitution also means a dilated scheme evaluates at helper beta
-exactly as its seed does at the seed point y = (beta - a*)/b, and at a*
-as the seed does at 0.  So a seed holds every helper's echelon basis and
-one recovery weight per basis element, which folds the trace-dual basis
-at the repaired point into the helper's pivot coordinates, and every
+exactly as its seed does at the seed point (beta - a*)/b, and at a* as
+the seed does at 0.  So a seed holds every helper's basis and one
+recovery weight per basis element, which folds the trace-dual basis at
+the repaired point into the helper's coordinates in that basis, and every
 dilation shares them.  A helper payload is then just its rank-many trace
 symbols, and recovery is one bandwidth-long sum of symbol times weight.
 
-For search_seed_scheme's closed form those data do not depend on the seed
-either: a helper x's basis and weights depend only on the field, on r and
-on y = x * c, c the linear coefficient of L_S (see _ClosedForm).  One
-table per field context and r, filled for the y some seed asks for,
-serves every seed with that u and every load of it; any other u computes
-its helpers' data itself.
+For search_seed_scheme's closed form those data are a formula: helper x
+of a seed with c the linear coefficient of L_S, y = x * c, has basis
+beta_j / y and weights y * Lambda_j, where (beta, Lambda) are the helper
+data of the point 1 of a seed with c = 1 (see _ClosedForm).  One (beta,
+Lambda) per field context and r serves every seed with that u and every
+load of it, and a seed derives its helpers' data from them on first use.
+Any other u computes its helpers' data itself, one row reduction each.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ import operator
 import threading
 import weakref
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (
     DimensionTooSmallError,
@@ -63,12 +65,14 @@ class SeedScheme:
 
     Immutable after construction, and full-rank by construction: u whose
     evaluations at 0 do not span F_q^ell raise RankDeficientError, and k
-    outside [1, |S|) raises before any table is built (_check_k).
+    outside [1, |S|) raises before any closed form is built (_check_k).
     ``ctx`` is the subspace's field.  ``helper_data`` maps each helper x to
-    its (basis, weights), see _helper_data, read from the field's table when
-    u is search_seed_scheme's closed form; ``scalars`` is the set of F_q
-    elements, the values a payload symbol may take.  ``bandwidth``, the
-    total F_q-symbol download, is the sum of the helpers' ranks.
+    its (basis, weights), see _helper_data.  For search_seed_scheme's
+    closed form they are (beta_j / y, y * Lambda_j) with y = x * c (see
+    _ClosedForm), derived on first access; any other u computes them when
+    built.  ``scalars`` is the set of F_q elements, the values a payload
+    symbol may take.  ``bandwidth``, the total F_q-symbol download, is the
+    sum of the helpers' ranks, (|S| - 1)(ell - r) for the closed form.
     """
 
     def __init__(self, subspace: Subspace, k: int, u):
@@ -80,31 +84,43 @@ class SeedScheme:
         self.ctx = ctx
         self.subspace = subspace
         max_len = size - k  # u_i degree < q^delta - k
-        u = tuple(tuple(c) for c in u)
+        u = tuple(map(tuple, u))  # a tuple row stays the same object
         if len(u) != ctx.ell:
             raise ValueError(f"need {ctx.ell} polynomials, got {len(u)}")
-        for ui in u:
-            for c in ui:
-                ctx._check(c, "u coefficient")
-            if any(ui[max_len:]):
-                raise ValueError(f"u polynomial degree must stay below {max_len}")
+        self._form = form = _closed_form_of(ctx, u, max_len)
+        if form is None or not all(map(operator.is_, u, form.u)):  # the form's own rows are valid
+            for ui in u:
+                for c in ui:
+                    ctx._check(c, "u coefficient")
+                if any(ui[max_len:]):
+                    raise ValueError(f"u polynomial degree must stay below {max_len}")
         self.u = u
-        table = _closed_form_of(ctx, u, max_len)
-        self._terms = _nonzero_terms(u) if table is None else table.terms
-        # Value of M_S on S: -1/c with c the linear coefficient of L_S.
-        c = subspace_polynomial(subspace)[0]
-        self._on_support = ctx.neg(ctx.inv(c))
+        self._terms = _nonzero_terms(u) if form is None else form.terms
         self.helpers = subspace.star()
+        # c, the linear coefficient of L_S, is the product of -a over S\{0},
+        # which is the product of the helpers: |S| - 1 is even for odd q.
+        self._log_c = int(ctx.log_array(self.helpers).sum())
+        self._on_support = ctx.neg(ctx.exp(-self._log_c))  # M_S on S: -1/c
         self.scalars = frozenset(ctx.subfield_elements(ctx.s))
-        if table is not None:  # full-rank: the table checked its duals
-            self.helper_data = {x: table.at(ctx, ctx.mul(x, c)) for x in self.helpers}
+        if form is not None:  # full-rank: the form checked its duals
+            self.bandwidth = len(self.helpers) * (ctx.ell - form.r)
         else:
             duals = _duals_at_zero(ctx, self.evals_at(0))
-            self.helper_data = {
-                x: _helper_data(ctx, self.evals_at(x), duals)
-                for x in self.helpers
-            }
-        self.bandwidth = sum(len(basis) for basis, _ in self.helper_data.values())
+            self.helper_data = {x: _helper_data(ctx, self.evals_at(x), duals) for x in self.helpers}
+            self.bandwidth = sum(len(basis) for basis, _ in self.helper_data.values())
+
+    @cached_property
+    def helper_data(self) -> dict[int, tuple[tuple, tuple]]:
+        """The closed form's (beta_j / y, y * Lambda_j) per helper x, y = x * c.
+
+        Reached only by a closed-form scheme: any other u sets helper_data
+        when built.
+        """
+        ctx, form = self.ctx, self._form
+        log_y = ctx.log_array(self.helpers)[:, None] + self._log_c
+        bases = ctx.exp_array(form.basis_logs - log_y).tolist()
+        weights = ctx.exp_array(log_y + form.weight_logs).tolist()
+        return {x: (tuple(b), tuple(w)) for x, b, w in zip(self.helpers, bases, weights)}
 
     @property
     def seed(self) -> SeedScheme:
@@ -164,10 +180,12 @@ class _RepairScheme:
 
 @dataclass(frozen=True)
 class HelperPayload:
-    """What one helper uploads: traces against an echelon basis of its span.
+    """What one helper uploads: traces against the seed's basis of its span.
 
-    symbols[j] = Tr(basis_j * f(beta)) for the echelon basis of
-    span{h_i(beta)} over F_q, so len(symbols) is the helper's rank, its
+    symbols[j] = Tr(basis_j * f(beta)) for the basis of span{h_i(beta)}
+    over F_q that the seed holds at beta's seed point x: beta_j / (x * c)
+    for search_seed_scheme's closed form (see _ClosedForm), the echelon
+    basis for any other u.  So len(symbols) is the helper's rank, its
     share of the repair bandwidth.
     """
 
@@ -221,84 +239,72 @@ def _duals_at_zero(ctx: FieldCtx, evals) -> tuple[int, ...]:
 
 
 class _ClosedForm:
-    """search_seed_scheme's u for one field and r, and its helper data by y.
+    """search_seed_scheme's u for one field and r, and the helper data they share.
 
     u_i(x) = L_W(z^i x)/x, so u_i(0) = c_L z^i with c_L the linear
     coefficient of L_W.  A seed S multiplies u by M_S = -1/c on S, c the
-    linear coefficient of L_S, so at a helper x its evaluations
-    -L_W(z^i x)/(x c) span L_W(F)/y over F_q with y = x c: the echelon
-    basis depends on y alone.  So do the weights.  Write the pivot
-    coordinates as c_ij = Tr(rho_j z^i); the duals at 0 are -c times the
-    duals D_i of c_L z^i, and sum_i Tr(rho_j z^i) D_i = rho_j / c_L, so
-    w_j = c rho_j / c_L.  Since Tr(rho_j t) is a coordinate of
-    -L_W(t x)/y, rho_j = x omega_j with omega_j fixed by y, and w_j =
-    y omega_j / c_L.
+    linear coefficient of L_S, so at a helper x, with y = x c, its
+    evaluations are -L_W(z^i x)/y: they span L_W(F)/y over F_q, of
+    dimension ell - r.  Let (beta, Lambda) be the helper data of the point
+    1 of the seed with c = 1 (_helper_data): beta is a basis of L_W(F), and
+    -L_W(t) = sum_j Tr(rho_j t) beta_j for some rho_j, since t -> -L_W(t)
+    is F_q-linear.  The duals at 0 of that seed are -1/c_L times the duals
+    d_i of z^i, and sum_i Tr(rho_j z^i) d_i = rho_j, so Lambda_j =
+    rho_j / c_L.  At helper x of S the evaluations have coordinates
+    Tr(rho_j x z^i) in the basis beta_j / y, the duals at 0 are -c/c_L
+    times the d_i, and so the weights are c x rho_j / c_L = y Lambda_j.
 
-    Entry y is therefore the helper data of a seed with c = 1 at the point
-    y, computed with one dual basis shared by every entry.  Finding that
-    basis is the full-rank check of every seed with this u, whose
-    evaluations at 0 are the table's times the nonzero 1/c.  Entries are
-    filled only for the y some seed asks for: at most order - 1 of them,
-    one per nonzero y.  The table holds no reference to its context.
+    Finding the one dual basis is the full-rank check of every seed with
+    this u, whose evaluations at 0 are the ones here times the nonzero 1/c.
+    beta and Lambda are kept as discrete logs, so a seed's helper data are
+    two exp_array gathers.  Nothing here refers to the context.
     """
 
     def __init__(self, ctx: FieldCtx, r: int):
         q = ctx.q
         L = subspace_polynomial(span(ctx, q, [ctx.exp(j) for j in range(r)]))
         # L_W(z^i x)/x: the term a_j x^(q^j) of L_W becomes a_j z^(i q^j) x^(q^j - 1).
-        u = []
-        for i in range(ctx.ell):
-            ui = [0] * q**r
+        u = [[0] * q**r for _ in range(ctx.ell)]
+        for i, ui in enumerate(u):
             for j, a in enumerate(L):
                 ui[q**j - 1] = ctx.mul(a, ctx.exp(i * q**j))
-            u.append(tuple(ui))
-        self.u = tuple(u)
+        self.u = tuple(map(tuple, u))
+        self.r = r
         self.terms = _nonzero_terms(self.u)
-        self._scale = ctx.neg(1)  # M_S on S when c = 1
-        self._duals = _duals_at_zero(ctx, _evaluate(ctx, self.terms, 0, self._scale))
-        self._data: dict[int, tuple[tuple, tuple]] = {}  # y -> (basis, weights)
-
-    def at(self, ctx: FieldCtx, y: int) -> tuple[tuple, tuple]:
-        """(basis, weights) of each helper x of each seed with x * c = y."""
-        data = self._data.get(y)
-        if data is None:  # racing fills compute equal data
-            evals = _evaluate(ctx, self.terms, y, self._scale)
-            data = self._data.setdefault(y, _helper_data(ctx, evals, self._duals))
-        return data
+        minus_one = ctx.neg(1)  # M_S on S when c = 1
+        duals = _duals_at_zero(ctx, _evaluate(ctx, self.terms, 0, minus_one))
+        beta, weights = _helper_data(ctx, _evaluate(ctx, self.terms, 1, minus_one), duals)
+        self.basis_logs, self.weight_logs = ctx.log_array(beta), ctx.log_array(weights)
 
 
-# FieldCtx -> {r: its _ClosedForm}.  Keyed weakly, so the tables go with
-# their context when field_new's cache drops it; a context holds one
-# table per r < ell that some scheme used.
+# FieldCtx -> {r: its _ClosedForm}.  Keyed weakly, so the closed forms go
+# with their context when field_new's cache drops it; a context holds one
+# per r < ell that some scheme used.
 _TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 _TABLES_LOCK = threading.Lock()
 
 
 def _closed_form(ctx: FieldCtx, r: int) -> _ClosedForm:
-    """The table of ctx and r, built on first use."""
+    """The closed form of ctx and r, built on first use."""
     with _TABLES_LOCK:
-        tables = _TABLES.setdefault(ctx, {})
-        table = tables.get(r)
-        if table is None:
-            table = tables[r] = _ClosedForm(ctx, r)
-    return table
+        forms = _TABLES.setdefault(ctx, {})
+        if r not in forms:
+            forms[r] = _ClosedForm(ctx, r)
+        return forms[r]
 
 
 def _closed_form_of(ctx: FieldCtx, u: tuple, max_len: int) -> _ClosedForm | None:
-    """The table whose u equals u, or None for any other u.
+    """The closed form whose u equals u, or None for any other u.
 
     The closed form for r has u_i of length q^r, the last coefficient
     nonzero, so only that r is tried, and only if q^r <= max_len.
     """
-    size, r = len(u[0]), 0
-    if size > max_len:
-        return None
-    while ctx.q**r < size:
-        r += 1
-    if ctx.q**r != size:
-        return None
-    table = _closed_form(ctx, r)
-    return table if table.u == u else None
+    size = len(u[0])
+    for r in range(ctx.ell):
+        if ctx.q**r == size <= max_len:
+            form = _closed_form(ctx, r)
+            return form if form.u == u else None
+    return None
 
 
 def _check_k(ctx: FieldCtx, size: int, k: int) -> int:
@@ -331,7 +337,7 @@ def dilate_translate(seed: SeedScheme, alpha_star: int, b: int) -> _RepairScheme
 def helper_payload(scheme: _RepairScheme, beta: int, f_beta: int) -> HelperPayload:
     """Payload the helper at beta sends, given its stored symbol f_beta.
 
-    The echelon data come from the seed at beta's seed point.
+    The basis comes from the seed at beta's seed point.
     """
     ctx = scheme.ctx
     ctx._check(beta, "beta")
@@ -358,7 +364,9 @@ def recover_symbol(scheme: _RepairScheme, payloads) -> int:
     for p in payloads:
         if p.beta in by_beta:
             raise ValueError(f"duplicate payload for helper {p.beta}")
-        point = scheme.seed_point(p.beta) if 0 <= p.beta < ctx.order else None
+        # FieldCtx._check's element rule: a beta that fails it is an extra payload
+        valid = hasattr(p.beta, "__index__") and 0 <= p.beta < ctx.order
+        point = scheme.seed_point(p.beta) if valid else None
         by_beta[p.beta] = p, seed.helper_data.get(point)
     extra = [b for b, (_, data) in by_beta.items() if data is None]
     if extra or len(by_beta) != len(scheme.helpers):
@@ -395,8 +403,10 @@ def search_seed_scheme(S: Subspace, k: int) -> SeedScheme:
     dimension ell - r; every helper sends ell - r symbols and the bandwidth
     is exactly (|S| - 1)(ell - r).  r = 0 gives the naive scheme.
 
-    Nothing is searched: the u for r comes from the field's table (see
-    _ClosedForm), built once per field and r.  The name stays because
+    Nothing is searched: u and the helper data (beta, Lambda) for r come
+    from the field's one _ClosedForm, built once per field and r, and
+    helper x then has basis beta_j / y and weights y * Lambda_j, y = x * c
+    for c the linear coefficient of L_S.  The name stays because
     perfbench's tracer looks the function up by it and the benchmark
     reports its repair.search_seed_scheme.* metrics.
     """

@@ -130,9 +130,11 @@ def span(ctx: FieldCtx, q: int, generators) -> Subspace:
 
 
 def _check_delta(q: int, ell: int, delta: int, least: int = 1) -> None:
-    """The one rule on q and delta: integers with q >= 2 and least <= delta <= ell."""
+    """The one rule on q, ell and delta: integers with q >= 2 and least <= delta <= ell."""
     if not (hasattr(q, "__index__") and q >= 2):
         raise ValueError(f"need an integer q >= 2, got q = {q}")
+    if not hasattr(ell, "__index__"):
+        raise ValueError(f"need an integer ell, got ell = {ell}")
     if not (hasattr(delta, "__index__") and least <= delta <= ell):
         raise ValueError(f"need {least} <= delta <= ell = {ell}, got delta = {delta}")
 

@@ -11,7 +11,7 @@ from math import comb
 from compactrepair.errors import BudgetExceededError, EmptyFamilyError, RankDeficientError
 from compactrepair.gf import prime_factors
 from compactrepair.orbits import CosetFamily
-from compactrepair.repair import SeedScheme
+from compactrepair.repair import HelperPayload, SeedScheme
 from compactrepair.subspaces import Subspace, _closure
 
 
@@ -431,6 +431,59 @@ def bandwidth(scheme) -> int:
     """
     ctx = scheme.ctx
     return sum(ctx.rank_over(ctx.s, scheme.evals_at(beta)) for beta in scheme.helpers)
+
+
+def basis_coordinates(scheme, beta, basis):
+    """Oracle: each evaluation of scheme at beta in coordinates of basis.
+
+    rref_over checks that basis is an F_q-basis of span{scheme.evals_at(beta)}:
+    its rows are independent and reduce to the evaluations' reduced rows.
+    Row i of the result holds the c_ij with g_i(beta) = sum_j c_ij basis_j,
+    read off the reduced system whose columns are basis and then g_i(beta).
+    """
+    ctx, m = scheme.ctx, scheme.ctx.s
+    evals = scheme.evals_at(beta)
+    reduced, _ = rref_over(ctx, m, [ctx.coords(v, m) for v in basis])
+    assert len(reduced) == len(basis), f"the basis at {beta} is not independent"
+    assert reduced == rref_over(ctx, m, [ctx.coords(v, m) for v in evals])[0], (
+        f"the basis at {beta} spans another space than the evaluations"
+    )
+    width = len(basis)
+    combination = []
+    for v in evals:
+        columns = [ctx.coords(b, m) for b in basis] + [ctx.coords(v, m)]
+        solved, pivots = rref_over(ctx, m, [list(row) for row in zip(*columns)])
+        assert pivots == list(range(width))
+        combination.append([row[width] for row in solved])
+    return combination
+
+
+def payload_from_scratch(scheme, beta, f_beta, basis):
+    """Oracle: traces of f_beta against basis, a checked basis of the span at beta."""
+    ctx = scheme.ctx
+    basis_coordinates(scheme, beta, basis)
+    return HelperPayload(
+        beta, tuple(ctx.trace_to_subfield(ctx.mul(xi, f_beta), ctx.s) for xi in basis)
+    )
+
+
+def weights_from_scratch(scheme, beta, basis):
+    """Oracle: w_j = -sum_i c_ij dual_i for a dilated scheme and any basis at beta.
+
+    c_ij are the coordinates of scheme.evals_at(beta) in basis
+    (basis_coordinates) and dual is the trace-dual basis of the
+    evaluations at the repaired point (dual_basis_gram).
+    """
+    ctx = scheme.ctx
+    duals = dual_basis_gram(ctx, scheme.evals_at(scheme.alpha_star), ctx.s)
+    combination = basis_coordinates(scheme, beta, basis)
+    weights = []
+    for j in range(len(basis)):
+        acc = 0
+        for row, dual in zip(combination, duals, strict=True):
+            acc = ctx.add(acc, ctx.mul(row[j], dual))
+        weights.append(ctx.neg(acc))
+    return tuple(weights)
 
 
 def partition_dead_patterns(blocks: int, size: int, points: int, e: int) -> int:

@@ -496,6 +496,27 @@ def test_load_bundle_reuses_the_designs_helper_data(multi, monkeypatch):
     assert [s.helper_data for s in loaded.schemes] == [s.helper_data for s in bundle.schemes]
 
 
+def test_closed_form_builds_run_no_per_helper_echelon(fresh_fields, monkeypatch):
+    # a multi-seed GF(2^8) design with delta = 3, its load and one repair
+    # per seed: the helper data of the point 1 are row-reduced once per r,
+    # and every helper's follow from them by formula
+    calls = []
+    helper_data = repair._helper_data
+    monkeypatch.setattr(repair, "_helper_data", lambda *args: calls.append(args) or helper_data(*args))
+    bundle = design_multi_seed(2, 1, 8, 2, 3)
+    ctx = bundle.ctx
+    loaded = load_bundle(json.loads(bundle.dumps()))
+    rng = random.Random(59)
+    for scheme in loaded.schemes:
+        alpha, b = rng.randrange(ctx.order), rng.randrange(1, ctx.order)
+        f = [rng.randrange(ctx.order) for _ in range(bundle.k)]
+        d = dilate_translate(scheme, alpha, b)
+        payloads = [helper_payload(d, x, ctx.poly_eval(f, x)) for x in d.helpers]
+        assert recover_symbol(d, payloads) == ctx.poly_eval(f, alpha)
+    assert len(loaded.schemes) > 1
+    assert len(calls) <= len(repair._TABLES[ctx]) == 1
+
+
 def test_load_bundle_all_zero_u_is_rank_deficient(bundle_s1):
     blob = bundle_s1.to_json_dict()
     blob["seeds"][0]["scheme"]["u"] = [[0]] * 4

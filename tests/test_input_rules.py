@@ -1,7 +1,7 @@
 """Each input rule has one owner, and every entry point reports its one text.
 
 FieldCtx._check owns the field-element rule, subspaces._check_delta the
-rule on q and delta, and repair._check_k the rule on k.  One case per entry
+rule on q, ell and delta, and repair._check_k the rule on k.  One case per entry
 point and bad value asserts the owner's whole message.
 """
 
@@ -126,6 +126,31 @@ def test_q_rule_has_one_text(call, q):
     assert str(err.value) == f"need an integer q >= 2, got q = {q}"
 
 
+ELL_CALLS = {
+    "bounds": lambda ell: bounds(2, ell, 2),
+    "orbit_count_formula": lambda ell: orbit_count_formula(2, ell, 2),
+    "gaussian_coefficient": lambda ell: gaussian_coefficient(ell, 2, 2),
+}
+
+
+@pytest.mark.parametrize("ell", [4.5, 4.0])
+@pytest.mark.parametrize("call", list(ELL_CALLS))
+def test_ell_rule_has_one_text(call, ell):
+    # bounds(2, 4.5, 2) returned lower=8.0, orbit_count_formula raised a bare
+    # TypeError and gaussian_coefficient an InvariantError
+    with pytest.raises(ValueError) as err:
+        ELL_CALLS[call](ell)
+    assert str(err.value) == f"need an integer ell, got ell = {ell}"
+
+
+@pytest.mark.parametrize("e", [2.5, 2.0])
+def test_fractional_e_rejected(e):
+    # simulate_failures(bundle, 6, 2.5) raised a bare TypeError
+    with pytest.raises(ValueError) as err:
+        simulate_failures(_bundle(), 6, e)
+    assert str(err.value) == f"need an integer 0 <= e < n = 16, got e = {e}"
+
+
 @pytest.mark.parametrize("k", [1.5, 2.0])
 def test_fractional_k_rejected_before_any_table(k):
     # search_seed_scheme(S, 1.5) returned a scheme with k = 1.5, and a design
@@ -143,6 +168,19 @@ def test_fractional_k_rejected_before_any_table(k):
         design_single_seed(2, 1, ELL, k, seed_basis=[4, 11])
     assert str(err.value) == f"need an integer k, got k = {k}"
     assert set(repair._TABLES.get(cached, {})) == before
+
+
+def test_closed_form_u_in_floats_meets_the_element_rule():
+    # only the closed form's own rows skip the coefficient checks: equal
+    # floats do not
+    closed = _seed()
+    u = [[float(c) for c in ui] for ui in closed.u]
+    with pytest.raises(ValueError) as err:
+        SeedScheme(closed.subspace, 2, u)
+    assert str(err.value) == (
+        f"u coefficient {u[0][0]!r} is not a field element: field elements are ints in [0, 16)"
+    )
+    assert SeedScheme(closed.subspace, 2, [list(ui) for ui in closed.u])._form is closed._form
 
 
 def test_numpy_integer_k_is_stored_as_an_int():

@@ -1,5 +1,6 @@
 import gc
 import random
+import re
 import weakref
 
 import pytest
@@ -17,6 +18,7 @@ from compactrepair import (
     recover_symbol,
     search_seed_scheme,
     span,
+    subspace_polynomial,
     verify_full_rank,
 )
 from compactrepair import repair
@@ -29,11 +31,12 @@ from compactrepair.errors import (
 )
 from oracles import (
     bandwidth,
+    basis_coordinates,
     check_polynomial_validity,
-    from_coords,
     naive_seed_scheme,
-    rref_over,
+    payload_from_scratch,
     translated_sets,
+    weights_from_scratch,
 )
 
 
@@ -248,6 +251,18 @@ def test_recover_names_payloads_outside_field(gf16, naive16):
         recover_symbol(d, forged)
 
 
+@pytest.mark.parametrize("bad", [2.5, "7"])
+def test_recover_sorts_non_elements_among_extra_payloads(gf16, naive16, bad):
+    # a beta of 2.5 passed the range guard, and its seed point raised a bare TypeError
+    d = dilate_translate(naive16, gf16.exp(5), gf16.exp(3))
+    pls = payloads_for(gf16, d, [3, 1])
+    forged = [HelperPayload(bad, pls[0].symbols)] + pls[1:]
+    with pytest.raises(
+        MissingPayloadError, match=rf"missing \[{pls[0].beta}\], extra \[{re.escape(repr(bad))}\]"
+    ):
+        recover_symbol(d, forged)
+
+
 def test_scheme_field_is_its_seed_field():
     # 4 and 11 span the same set of ints under either modulus, but the
     # products differ; a scheme that took its field apart from its seed
@@ -307,20 +322,10 @@ def test_helper_payload_shape(gf16, naive16):
         helper_payload(d, gf16.exp(5), 0)
 
 
-def echelon_from_scratch(d, beta):
-    """Oracle: echelon basis of d.evals_at(beta) and each evaluation's
-    coordinates at the basis' pivot columns."""
-    ctx, mq = d.ctx, d.ctx.s
-    rows = [list(ctx.coords(v, mq)) for v in d.evals_at(beta)]
-    rref, pivots = rref_over(ctx, mq, rows)
-    basis = tuple(from_coords(ctx, r, mq) for r in rref)
-    combination = [[row[p] for p in pivots] for row in rows]
-    return basis, combination
-
-
 def test_payload_reassembles_traces(gf16, naive16):
-    # oracle: payload symbols and the pivot coordinates of the evaluations
-    # reproduce Tr(h_i(beta) * f(beta)) for random messages
+    # oracle: payload symbols and the coordinates of the evaluations in the
+    # seed's basis (checked to span them) reproduce Tr(h_i(beta) * f(beta))
+    # for random messages
     rng = random.Random(23)
     d = dilate_translate(naive16, gf16.exp(9), gf16.exp(4))
     for _ in range(20):
@@ -329,7 +334,8 @@ def test_payload_reassembles_traces(gf16, naive16):
             fb = gf16.poly_eval(f, beta)
             p = helper_payload(d, beta, fb)
             evals = d.evals_at(beta)
-            _, combination = echelon_from_scratch(d, beta)
+            basis, _ = naive16.helper_data[d.seed_point(beta)]
+            combination = basis_coordinates(d, beta, basis)
             for i in range(4):
                 direct = gf16.trace_to_subfield(gf16.mul(evals[i], fb), 1)
                 assembled = 0
@@ -362,29 +368,6 @@ def searched_seed(name):
     return search_seed_scheme(S, k)
 
 
-def payload_from_scratch(d, beta, f_beta):
-    """Oracle: traces of f_beta against the echelon basis of d.evals_at(beta)."""
-    ctx, mq = d.ctx, d.ctx.s
-    basis, _ = echelon_from_scratch(d, beta)
-    symbols = tuple(ctx.trace_to_subfield(ctx.mul(xi, f_beta), mq) for xi in basis)
-    return HelperPayload(beta, symbols)
-
-
-def weights_from_scratch(d, beta):
-    """Oracle: w_j = -sum_i c_ij dual_i, with c_ij the pivot coordinates of
-    d.evals_at(beta) and dual the trace-dual basis at the repaired point."""
-    ctx = d.ctx
-    duals = ctx.dual_basis(d.evals_at(d.alpha_star), ctx.s)
-    _, combination = echelon_from_scratch(d, beta)
-    weights = []
-    for j in range(len(combination[0])):
-        acc = 0
-        for row, dual in zip(combination, duals, strict=True):
-            acc = ctx.add(acc, ctx.mul(row[j], dual))
-        weights.append(ctx.neg(acc))
-    return tuple(weights)
-
-
 def check_payloads_match_oracle(seed, pairs, rng):
     ctx = seed.ctx
     for alpha, b in pairs:
@@ -392,16 +375,18 @@ def check_payloads_match_oracle(seed, pairs, rng):
         f = [rng.randrange(ctx.order) for _ in range(seed.k)]
         payloads = payloads_for(ctx, d, f)
         for p in payloads:
-            assert p == payload_from_scratch(d, p.beta, ctx.poly_eval(f, p.beta))
-            _, weights = seed.helper_data[d.seed_point(p.beta)]
-            assert weights == weights_from_scratch(d, p.beta)
+            basis, weights = seed.helper_data[d.seed_point(p.beta)]
+            assert p == payload_from_scratch(d, p.beta, ctx.poly_eval(f, p.beta), basis)
+            assert weights == weights_from_scratch(d, p.beta, basis)
         assert sum(len(p.symbols) for p in payloads) == bandwidth(d) == seed.bandwidth
+        assert recover_symbol(d, payloads) == ctx.poly_eval(f, alpha)
 
 
 @pytest.mark.parametrize("searched", [False, True], ids=["naive", "searched"])
 def test_seed_payloads_match_oracle_every_dilation(gf16, golden_seed, searched):
-    # payloads read per-helper data the seed computed once; every (a*, b)
-    # must still give what a from-scratch row reduction gives
+    # payloads read per-helper data the seed holds once; every (a*, b) must
+    # give a basis of the span at the helper, the traces against it and the
+    # weights a from-scratch row reduction gives for it
     if searched:
         seed = search_seed_scheme(golden_seed, 2)
     else:
@@ -562,8 +547,29 @@ def test_closed_form_bandwidth_is_exact(p, s, ell):
     assert cases >= ell
 
 
-def refuse(*args, **kwargs):
-    raise AssertionError("this path must not run")
+def contribution(ctx, data, f_x):
+    """A helper's share of the repaired symbol: sum_j Tr(basis_j f(x)) w_j."""
+    basis, weights = data
+    acc = 0
+    for xi, w in zip(basis, weights, strict=True):
+        acc = ctx.add(acc, ctx.mul(ctx.trace_to_subfield(ctx.mul(xi, f_x), ctx.s), w))
+    return acc
+
+
+def check_same_helper_data(ctx, scheme, padded, r):
+    """Per helper, the closed form and the per-helper path agree as repair maps.
+
+    Their bases span one space of dimension ell - r (the padded basis is
+    the echelon basis of the closed form's), and the helper's share of
+    f(0) is the same for each f(x) of the power basis, hence for every
+    f(x), the share being F_q-linear in f(x).
+    """
+    for x in scheme.helpers:
+        data, echelon = scheme.helper_data[x], padded.helper_data[x]
+        assert len(data[0]) == len(echelon[0]) == ctx.ell - r
+        assert ctx.echelon(data[0], ctx.s)[0] == echelon[0]
+        for t in range(ctx.ell):
+            assert contribution(ctx, data, ctx.exp(t)) == contribution(ctx, echelon, ctx.exp(t))
 
 
 # (p, s, ell): q = 2, q = 4 (GF(4^3)) and odd p (GF(3^4), GF(5^3))
@@ -573,11 +579,12 @@ TABLE_FIELDS = [(2, 1, 6), (2, 2, 3), (3, 1, 4), (5, 1, 3)]
 @pytest.mark.parametrize(
     "p, s, ell", TABLE_FIELDS, ids=[f"q{p**s}-ell{ell}" for p, s, ell in TABLE_FIELDS]
 )
-def test_closed_form_table_matches_per_helper_path(p, s, ell, monkeypatch):
-    # every delta and k, two seeds each: the closed form reads its helper
-    # data from the one table of its r, keyed by y = x * c.  The same u
+def test_closed_form_table_matches_per_helper_path(p, s, ell):
+    # every delta and k, two seeds each: the closed form derives its helper
+    # data on first access from the one _ClosedForm of its r.  The same u
     # with a zero appended is no closed form, so it takes the per-helper
-    # path, which must give the same helper data and bandwidth.
+    # path when built, which must give the same helper data up to the
+    # choice of basis, and the same bandwidth.
     ctx = field_new(p, s, ell)
     q = ctx.q
     cases_per_r = {}
@@ -587,16 +594,51 @@ def test_closed_form_table_matches_per_helper_path(p, s, ell, monkeypatch):
             for k in range(1, q**delta):
                 scheme = search_seed_scheme(S, k)
                 r = closed_form_r(S, k)
-                entries = {id(data) for data in repair._closed_form(ctx, r)._data.values()}
-                assert all(id(data) in entries for data in scheme.helper_data.values())
-                with monkeypatch.context() as m:
-                    m.setattr(repair._ClosedForm, "at", refuse)
-                    padded = SeedScheme(S, k, [ui + (0,) for ui in scheme.u])
-                assert padded.helper_data == scheme.helper_data
+                assert scheme._form is repair._closed_form(ctx, r)
+                assert "helper_data" not in vars(scheme)
+                padded = SeedScheme(S, k, [ui + (0,) for ui in scheme.u])
+                assert padded._form is None and "helper_data" in vars(padded)
+                check_same_helper_data(ctx, scheme, padded, r)
                 assert padded.bandwidth == scheme.bandwidth == (q**delta - 1) * (ell - r)
                 cases_per_r[r] = cases_per_r.get(r, 0) + 1
     assert sorted(cases_per_r) == list(range(ell))
     assert all(n >= 2 for n in cases_per_r.values())
+
+
+# (p, s, ell, delta, k): q = 2, q = 4 (GF(4^4)) and odd p (GF(3^5), GF(5^3))
+EQUIVALENCE_CASES = [
+    (2, 1, 8, 4, 2), (2, 1, 8, 4, 6), (2, 1, 10, 5, 2),
+    (2, 2, 4, 2, 2), (3, 1, 5, 2, 2), (5, 1, 3, 2, 2),
+]
+
+
+@pytest.mark.parametrize(
+    "p, s, ell, delta, k",
+    EQUIVALENCE_CASES,
+    ids=[f"q{p**s}-ell{ell}-d{delta}-k{k}" for p, s, ell, delta, k in EQUIVALENCE_CASES],
+)
+def test_closed_form_recovers_like_per_helper_path(p, s, ell, delta, k):
+    # the closed form's (beta_j / y, y * Lambda_j) against the per-helper
+    # echelon path of the same u padded with a zero: per helper the same
+    # span of rank ell - r, the same bandwidth, and for random dilations
+    # and messages the same recovered f(a*)
+    ctx = field_new(p, s, ell)
+    rng = random.Random(53 + ell)
+    for shift in (0, 3):
+        S = span(ctx, ctx.q, [ctx.exp(i + shift) for i in range(delta)])
+        scheme = search_seed_scheme(S, k)
+        r = closed_form_r(S, k)
+        assert ctx.exp(scheme._log_c) == subspace_polynomial(S)[0]
+        padded = SeedScheme(S, k, [ui + (0,) for ui in scheme.u])
+        check_same_helper_data(ctx, scheme, padded, r)
+        assert scheme.bandwidth == padded.bandwidth == bandwidth(scheme) == len(S.star()) * (ell - r)
+        for _ in range(4):
+            alpha, b = rng.randrange(ctx.order), rng.randrange(1, ctx.order)
+            f = [rng.randrange(ctx.order) for _ in range(k)]
+            expected = ctx.poly_eval(f, alpha)
+            for seed in (scheme, padded):
+                d = dilate_translate(seed, alpha, b)
+                assert recover_symbol(d, payloads_for(ctx, d, f)) == expected
 
 
 def test_closed_form_tables_go_with_their_context():
