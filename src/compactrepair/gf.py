@@ -500,9 +500,17 @@ class FieldCtx:
             weight *= self.p
         return out
 
+    def is_element(self, x) -> bool:
+        """The one rule on field elements, for every layer: an int in [0, order).
+
+        An int is anything whose type implements __index__, as Python
+        looks special methods up on the type; float does not.
+        """
+        return hasattr(type(x), "__index__") and 0 <= x < self.order
+
     def _check(self, x: int, name: str) -> None:
-        """The one rule on field elements, for every layer: an int in [0, order), named as given."""
-        if not (hasattr(x, "__index__") and 0 <= x < self.order):  # 2.5 has no __index__
+        """Raise ValueError, naming x as given, unless x is a field element."""
+        if not self.is_element(x):
             raise ValueError(
                 f"{name} {x!r} is not a field element: field elements are ints in [0, {self.order})"
             )

@@ -46,7 +46,6 @@ import operator
 import threading
 import weakref
 from dataclasses import dataclass
-from functools import cached_property
 
 from .errors import (
     DimensionTooSmallError,
@@ -69,10 +68,11 @@ class SeedScheme:
     ``ctx`` is the subspace's field.  ``helper_data`` maps each helper x to
     its (basis, weights), see _helper_data.  For search_seed_scheme's
     closed form they are (beta_j / y, y * Lambda_j) with y = x * c (see
-    _ClosedForm), derived on first access; any other u computes them when
-    built.  ``scalars`` is the set of F_q elements, the values a payload
-    symbol may take.  ``bandwidth``, the total F_q-symbol download, is the
-    sum of the helpers' ranks, (|S| - 1)(ell - r) for the closed form.
+    _ClosedForm), derived by the first read and kept, so designs and loads
+    derive none; any other u computes them when built.  ``scalars`` is the
+    set of F_q elements, the values a payload symbol may take.
+    ``bandwidth``, the total F_q-symbol download, is the sum of the
+    helpers' ranks, (|S| - 1)(ell - r) for the closed form.
     """
 
     def __init__(self, subspace: Subspace, k: int, u):
@@ -84,43 +84,42 @@ class SeedScheme:
         self.ctx = ctx
         self.subspace = subspace
         max_len = size - k  # u_i degree < q^delta - k
-        u = tuple(map(tuple, u))  # a tuple row stays the same object
+        u = tuple(tuple(c) for c in u)
         if len(u) != ctx.ell:
             raise ValueError(f"need {ctx.ell} polynomials, got {len(u)}")
-        self._form = form = _closed_form_of(ctx, u, max_len)
-        if form is None or not all(map(operator.is_, u, form.u)):  # the form's own rows are valid
-            for ui in u:
-                for c in ui:
-                    ctx._check(c, "u coefficient")
-                if any(ui[max_len:]):
-                    raise ValueError(f"u polynomial degree must stay below {max_len}")
+        for ui in u:
+            for c in ui:
+                ctx._check(c, "u coefficient")
+            if any(ui[max_len:]):
+                raise ValueError(f"u polynomial degree must stay below {max_len}")
         self.u = u
+        self._form = form = _closed_form_of(ctx, u, max_len)
         self._terms = _nonzero_terms(u) if form is None else form.terms
+        # Value of M_S on S: -1/c with c the linear coefficient of L_S.
+        self._log_c = ctx.log(subspace_polynomial(subspace)[0])
+        self._on_support = ctx.neg(ctx.exp(-self._log_c))
         self.helpers = subspace.star()
-        # c, the linear coefficient of L_S, is the product of -a over S\{0},
-        # which is the product of the helpers: |S| - 1 is even for odd q.
-        self._log_c = int(ctx.log_array(self.helpers).sum())
-        self._on_support = ctx.neg(ctx.exp(-self._log_c))  # M_S on S: -1/c
         self.scalars = frozenset(ctx.subfield_elements(ctx.s))
         if form is not None:  # full-rank: the form checked its duals
+            self._data = None  # derived on first read of helper_data
             self.bandwidth = len(self.helpers) * (ctx.ell - form.r)
         else:
             duals = _duals_at_zero(ctx, self.evals_at(0))
-            self.helper_data = {x: _helper_data(ctx, self.evals_at(x), duals) for x in self.helpers}
-            self.bandwidth = sum(len(basis) for basis, _ in self.helper_data.values())
+            self._data = {x: _helper_data(ctx, self.evals_at(x), duals) for x in self.helpers}
+            self.bandwidth = sum(len(basis) for basis, _ in self._data.values())
 
-    @cached_property
+    @property
     def helper_data(self) -> dict[int, tuple[tuple, tuple]]:
-        """The closed form's (beta_j / y, y * Lambda_j) per helper x, y = x * c.
+        """Each helper x's (basis, weights); a closed form derives them on first read.
 
-        Reached only by a closed-form scheme: any other u sets helper_data
-        when built.
+        The closed form's are (beta_j / y, y * Lambda_j) with y = x * c.
         """
-        ctx, form = self.ctx, self._form
-        log_y = ctx.log_array(self.helpers)[:, None] + self._log_c
-        bases = ctx.exp_array(form.basis_logs - log_y).tolist()
-        weights = ctx.exp_array(log_y + form.weight_logs).tolist()
-        return {x: (tuple(b), tuple(w)) for x, b, w in zip(self.helpers, bases, weights)}
+        if self._data is None:  # racing reads derive equal data
+            log_y = self.ctx.log_array(self.helpers)[:, None] + self._log_c
+            bases = self.ctx.exp_array(self._form.basis_logs - log_y).tolist()
+            weights = self.ctx.exp_array(log_y + self._form.weight_logs).tolist()
+            self._data = {x: (tuple(b), tuple(w)) for x, b, w in zip(self.helpers, bases, weights)}
+        return self._data
 
     @property
     def seed(self) -> SeedScheme:
@@ -149,6 +148,7 @@ class _RepairScheme:
 
     Stored as (seed, alpha_star, b); evaluations substitute lazily, so
     h_i(x) = g_i(seed_point(x)) with seed_point(x) = (x - alpha_star)/b.
+    ``helper_data`` is the seed's, keyed by seed point.
     """
 
     def __init__(self, seed: SeedScheme, alpha_star: int, b: int):
@@ -162,9 +162,8 @@ class _RepairScheme:
         self.alpha_star = alpha_star
         self.b = b
         self._b_inv = ctx.inv(b)
-        self.helpers = tuple(
-            sorted(ctx.add(alpha_star, ctx.mul(b, x)) for x in seed.helpers)
-        )
+        self.helper_data = seed.helper_data
+        self.helpers = tuple(sorted(ctx.add(alpha_star, ctx.mul(b, x)) for x in seed.helpers))
 
     def seed_point(self, x: int) -> int:
         """The point of the seed that x maps to: (x - alpha_star)/b."""
@@ -342,7 +341,7 @@ def helper_payload(scheme: _RepairScheme, beta: int, f_beta: int) -> HelperPaylo
     ctx = scheme.ctx
     ctx._check(beta, "beta")
     ctx._check(f_beta, "f_beta")
-    data = scheme.seed.helper_data.get(scheme.seed_point(beta))
+    data = scheme.helper_data.get(scheme.seed_point(beta))
     if data is None:
         raise NotAHelperError(f"{beta} is not a helper of this scheme")
     mq = ctx.s
@@ -364,10 +363,8 @@ def recover_symbol(scheme: _RepairScheme, payloads) -> int:
     for p in payloads:
         if p.beta in by_beta:
             raise ValueError(f"duplicate payload for helper {p.beta}")
-        # FieldCtx._check's element rule: a beta that fails it is an extra payload
-        valid = hasattr(p.beta, "__index__") and 0 <= p.beta < ctx.order
-        point = scheme.seed_point(p.beta) if valid else None
-        by_beta[p.beta] = p, seed.helper_data.get(point)
+        point = scheme.seed_point(p.beta) if ctx.is_element(p.beta) else None
+        by_beta[p.beta] = p, scheme.helper_data.get(point)
     extra = [b for b, (_, data) in by_beta.items() if data is None]
     if extra or len(by_beta) != len(scheme.helpers):
         missing = [b for b in scheme.helpers if b not in by_beta]

@@ -170,19 +170,6 @@ def test_fractional_k_rejected_before_any_table(k):
     assert set(repair._TABLES.get(cached, {})) == before
 
 
-def test_closed_form_u_in_floats_meets_the_element_rule():
-    # only the closed form's own rows skip the coefficient checks: equal
-    # floats do not
-    closed = _seed()
-    u = [[float(c) for c in ui] for ui in closed.u]
-    with pytest.raises(ValueError) as err:
-        SeedScheme(closed.subspace, 2, u)
-    assert str(err.value) == (
-        f"u coefficient {u[0][0]!r} is not a field element: field elements are ints in [0, 16)"
-    )
-    assert SeedScheme(closed.subspace, 2, [list(ui) for ui in closed.u])._form is closed._form
-
-
 def test_numpy_integer_k_is_stored_as_an_int():
     # a numpy k passed the rule but was stored as is, so dumps() raised TypeError
     bundle = design_single_seed(2, 1, ELL, np.int64(2), seed_basis=[4, 11])
