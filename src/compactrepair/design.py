@@ -52,7 +52,7 @@ from scipy.special import betaincinv
 
 from . import __version__
 from .errors import InvariantError
-from .gf import FieldCtx, field_new
+from .gf import FieldCtx, field_new, is_integer
 from .hitting import BoundsReport, HittingResult, bounds, bounds_for_seed, min_hitting_set
 from .orbits import CosetFamily, OrbitReport, coset_family, orbit_decomposition
 from .repair import SeedScheme, _check_k, search_seed_scheme
@@ -228,18 +228,28 @@ def _check_shape(value, shape, path: str = "bundle") -> None:
         raise ValueError(f"{path} must be a JSON {shape.__name__}")
 
 
-def _disagreements(stored, derived, path: str = "") -> list[str]:
-    """Paths at which two JSON values differ in value or type."""
+def _disagreements(stored, derived, shape=None) -> list[str]:
+    """Paths below two JSON values (".key", "[i]", "" for the values) at which they differ.
+
+    They differ in value or type: 1 == 1.0 == True, so values are compared
+    node by node with their types, except where shape, the part of _INPUTS
+    at these values, is a list of ints or of int lists.  There
+    _check_shape has made every stored element an int, as every derived
+    one is by construction, and one == compares the whole list.  Paths are
+    built only where the values differ.
+    """
+    if type(shape) is list and type(shape[0]) is not dict and stored == derived:
+        return []
     if type(stored) is type(derived) is dict:
+        inner = shape if type(shape) is dict else {}
         keys = sorted(stored.keys() | derived.keys())
         pairs = [(k, stored.get(k, _ABSENT), derived.get(k, _ABSENT)) for k in keys]
-        return [
-            p for k, a, b in pairs for p in _disagreements(a, b, f"{path}.{k}" if path else k)
-        ]
+        return [f".{k}{p}" for k, a, b in pairs for p in _disagreements(a, b, inner.get(k))]
     if type(stored) is type(derived) is list and len(stored) == len(derived):
+        inner = shape[0] if type(shape) is list else None
         pairs = enumerate(zip(stored, derived))
-        return [p for i, (a, b) in pairs for p in _disagreements(a, b, f"{path}[{i}]")]
-    return [] if type(stored) is type(derived) and stored == derived else [path]
+        return [f"[{i}]{p}" for i, (a, b) in pairs for p in _disagreements(a, b, inner)]
+    return [] if type(stored) is type(derived) and stored == derived else [""]
 
 
 def load_bundle(data) -> DesignBundle:
@@ -265,7 +275,7 @@ def load_bundle(data) -> DesignBundle:
     )
     mhs = HittingResult(tuple(data["mhs"]["witness"]), data["mhs"]["method"])
     bundle = DesignBundle(data["mode"], schemes, mhs, data["config"])
-    bad = _disagreements(data, bundle.to_json_dict())
+    bad = [p[1:] for p in _disagreements(data, bundle.to_json_dict(), _INPUTS)]
     bad = [path for path in bad if path != "provenance.tool"]
     if bad:
         raise ValueError(
@@ -440,7 +450,7 @@ def simulate_failures(
     ctx = bundle.ctx
     n = ctx.order
     ctx._check(alpha_star, "alpha_star")
-    if not (hasattr(e, "__index__") and 0 <= e < n):  # 2.5 has no __index__
+    if not (is_integer(e) and 0 <= e < n):
         raise ValueError(f"need an integer 0 <= e < n = {n}, got e = {e}")
     if rng_seed is not None and not 0 <= rng_seed < 2**128:
         raise ValueError(f"need 0 <= rng_seed < 2**128, got {rng_seed}")

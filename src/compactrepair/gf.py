@@ -96,6 +96,15 @@ def prime_factors(v: int) -> list[int]:
     return out
 
 
+def is_integer(x) -> bool:
+    """The one rule on integers, for every layer: x's type implements __index__.
+
+    Python looks special methods up on the type, so an __index__ set on an
+    instance does not count; float does not implement it.
+    """
+    return hasattr(type(x), "__index__")
+
+
 def _digit_array(values, p: int, width: int) -> np.ndarray:
     """Base-p digits of each int in values, lowest first, in a trailing axis."""
     return np.asarray(values, np.int64)[..., None] // p ** np.arange(width) % p
@@ -501,12 +510,8 @@ class FieldCtx:
         return out
 
     def is_element(self, x) -> bool:
-        """The one rule on field elements, for every layer: an int in [0, order).
-
-        An int is anything whose type implements __index__, as Python
-        looks special methods up on the type; float does not.
-        """
-        return hasattr(type(x), "__index__") and 0 <= x < self.order
+        """The one rule on field elements, for every layer: an integer in [0, order)."""
+        return is_integer(x) and 0 <= x < self.order
 
     def _check(self, x: int, name: str) -> None:
         """Raise ValueError, naming x as given, unless x is a field element."""

@@ -23,13 +23,14 @@ x -> (x - a*)/b turns the seed into a scheme for f(a*) with helpers
 a* + b(S\\{0}) and identical bandwidth, which is what makes coset families
 of a single seed cheap to deploy.
 
-The substitution also means a dilated scheme evaluates at helper beta
-exactly as its seed does at the seed point (beta - a*)/b, and at a* as
-the seed does at 0.  So a seed holds every helper's basis and one
-recovery weight per basis element, which folds the trace-dual basis at
-the repaired point into the helper's coordinates in that basis, and every
-dilation shares them.  A helper payload is then just its rank-many trace
-symbols, and recovery is one bandwidth-long sum of symbol times weight.
+The substitution also means a dilated scheme evaluates at its helper
+a* + b*x exactly as its seed does at x, and at a* as the seed does at 0.
+So a seed holds every helper's basis and one recovery weight per basis
+element, which folds the trace-dual basis at the repaired point into the
+helper's coordinates in that basis, and a dilation keys those same data
+by its own helpers, once, when built.  A helper payload is then one
+lookup and its rank-many trace symbols, and recovery is one
+bandwidth-long sum of symbol times weight.
 
 For search_seed_scheme's closed form those data are a formula: helper x
 of a seed with c the linear coefficient of L_S, y = x * c, has basis
@@ -55,7 +56,7 @@ from .errors import (
     SeedWithoutZeroError,
     ZeroDilationError,
 )
-from .gf import FieldCtx
+from .gf import FieldCtx, is_integer
 from .subspaces import Subspace, span, subspace_polynomial
 
 
@@ -126,10 +127,6 @@ class SeedScheme:
         """A seed is its own identity dilation."""
         return self
 
-    def seed_point(self, x: int) -> int:
-        """The point of the seed that x maps to: x itself."""
-        return x
-
     def evals_at(self, x: int) -> list[int]:
         """[g_1(x), ..., g_ell(x)]; zero off the support S."""
         if x not in self.subspace.members:
@@ -147,8 +144,8 @@ class _RepairScheme:
     """Seed scheme dilated by b and translated to repair f(alpha_star); see dilate_translate.
 
     Stored as (seed, alpha_star, b); evaluations substitute lazily, so
-    h_i(x) = g_i(seed_point(x)) with seed_point(x) = (x - alpha_star)/b.
-    ``helper_data`` is the seed's, keyed by seed point.
+    h_i(x) = g_i((x - alpha_star)/b).  ``helper_data`` maps each helper
+    alpha_star + b*x to the seed's data at x, keyed once, when built.
     """
 
     def __init__(self, seed: SeedScheme, alpha_star: int, b: int):
@@ -161,17 +158,13 @@ class _RepairScheme:
         self.ctx = ctx
         self.alpha_star = alpha_star
         self.b = b
-        self._b_inv = ctx.inv(b)
-        self.helper_data = seed.helper_data
-        self.helpers = tuple(sorted(ctx.add(alpha_star, ctx.mul(b, x)) for x in seed.helpers))
-
-    def seed_point(self, x: int) -> int:
-        """The point of the seed that x maps to: (x - alpha_star)/b."""
-        ctx = self.ctx
-        return ctx.mul(ctx.sub(x, self.alpha_star), self._b_inv)
+        self.helper_data = {
+            ctx.add(alpha_star, ctx.mul(b, x)): data for x, data in seed.helper_data.items()
+        }
+        self.helpers = tuple(sorted(self.helper_data))
 
     def evals_at(self, x: int) -> list[int]:
-        return self.seed.evals_at(self.seed_point(x))
+        return self.seed.evals_at(self.ctx.div(self.ctx.sub(x, self.alpha_star), self.b))
 
     def __repr__(self):
         return f"RepairScheme(alpha_star={self.alpha_star}, b={self.b})"
@@ -182,10 +175,10 @@ class HelperPayload:
     """What one helper uploads: traces against the seed's basis of its span.
 
     symbols[j] = Tr(basis_j * f(beta)) for the basis of span{h_i(beta)}
-    over F_q that the seed holds at beta's seed point x: beta_j / (x * c)
-    for search_seed_scheme's closed form (see _ClosedForm), the echelon
-    basis for any other u.  So len(symbols) is the helper's rank, its
-    share of the repair bandwidth.
+    over F_q that the scheme's helper_data holds at beta, the seed's at
+    the x with beta = a* + b*x: beta_j / (x * c) for search_seed_scheme's
+    closed form (see _ClosedForm), the echelon basis for any other u.  So
+    len(symbols) is the helper's rank, its share of the repair bandwidth.
     """
 
     beta: int
@@ -308,10 +301,9 @@ def _closed_form_of(ctx: FieldCtx, u: tuple, max_len: int) -> _ClosedForm | None
 
 def _check_k(ctx: FieldCtx, size: int, k: int) -> int:
     """The one rule on k: an integer, 1 <= k < size for a scheme on size points; returns an int."""
-    try:
-        k = operator.index(k)
-    except TypeError:
-        raise ValueError(f"need an integer k, got k = {k!r}") from None
+    if not is_integer(k):
+        raise ValueError(f"need an integer k, got k = {k!r}")
+    k = operator.index(k)
     if k < 1:
         raise ValueError(f"need 1 <= k < n = {ctx.order}, got k = {k}")
     if size <= k:
@@ -336,12 +328,12 @@ def dilate_translate(seed: SeedScheme, alpha_star: int, b: int) -> _RepairScheme
 def helper_payload(scheme: _RepairScheme, beta: int, f_beta: int) -> HelperPayload:
     """Payload the helper at beta sends, given its stored symbol f_beta.
 
-    The basis comes from the seed at beta's seed point.
+    The basis is the one the scheme's helper_data holds at beta.
     """
     ctx = scheme.ctx
     ctx._check(beta, "beta")
     ctx._check(f_beta, "f_beta")
-    data = scheme.helper_data.get(scheme.seed_point(beta))
+    data = scheme.helper_data.get(beta)
     if data is None:
         raise NotAHelperError(f"{beta} is not a helper of this scheme")
     mq = ctx.s
@@ -353,18 +345,18 @@ def recover_symbol(scheme: _RepairScheme, payloads) -> int:
     """Resolve f(alpha_star) from one payload per helper.
 
     f(alpha_star) is the sum of every payload symbol times the weight the
-    seed stores for it at the helper's seed point (see _helper_data): a
+    scheme's helper_data holds for it at its helper (see _helper_data): a
     dilated scheme's evaluations at a* are the seed's at 0.  A symbol
     outside F_q raises ValueError naming its helper.
     """
     ctx = scheme.ctx
-    seed = scheme.seed
+    scalars = scheme.seed.scalars
     by_beta = {}  # beta -> (payload, its helper data, None off the helpers)
     for p in payloads:
         if p.beta in by_beta:
             raise ValueError(f"duplicate payload for helper {p.beta}")
-        point = scheme.seed_point(p.beta) if ctx.is_element(p.beta) else None
-        by_beta[p.beta] = p, scheme.helper_data.get(point)
+        # 3.0 hashes as 3, so only a field element may look its data up.
+        by_beta[p.beta] = p, scheme.helper_data.get(p.beta) if ctx.is_element(p.beta) else None
     extra = [b for b, (_, data) in by_beta.items() if data is None]
     if extra or len(by_beta) != len(scheme.helpers):
         missing = [b for b in scheme.helpers if b not in by_beta]
@@ -378,10 +370,10 @@ def recover_symbol(scheme: _RepairScheme, payloads) -> int:
                 f"payload for helper {beta} has {len(p.symbols)} symbols, "
                 f"its rank is {len(weights)}"
             )
-        if not seed.scalars.issuperset(p.symbols):
+        if not scalars.issuperset(p.symbols):
             raise ValueError(
-                f"payload for helper {beta} has a symbol outside F_{seed.subspace.q}: "
-                f"{sorted(set(p.symbols) - seed.scalars)}"
+                f"payload for helper {beta} has a symbol outside F_{ctx.q}: "
+                f"{sorted(set(p.symbols) - scalars)}"
             )
         for t, w in zip(p.symbols, weights):
             result = ctx.add(result, ctx.mul(t, w))

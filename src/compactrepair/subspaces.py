@@ -33,7 +33,7 @@ from math import gcd
 import numpy as np
 
 from .errors import InvariantError
-from .gf import FieldCtx
+from .gf import FieldCtx, is_integer
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,11 +131,11 @@ def span(ctx: FieldCtx, q: int, generators) -> Subspace:
 
 def _check_delta(q: int, ell: int, delta: int, least: int = 1) -> None:
     """The one rule on q, ell and delta: integers with q >= 2 and least <= delta <= ell."""
-    if not (hasattr(q, "__index__") and q >= 2):
+    if not (is_integer(q) and q >= 2):
         raise ValueError(f"need an integer q >= 2, got q = {q}")
-    if not hasattr(ell, "__index__"):
+    if not is_integer(ell):
         raise ValueError(f"need an integer ell, got ell = {ell}")
-    if not (hasattr(delta, "__index__") and least <= delta <= ell):
+    if not (is_integer(delta) and least <= delta <= ell):
         raise ValueError(f"need {least} <= delta <= ell = {ell}, got delta = {delta}")
 
 

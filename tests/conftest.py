@@ -109,6 +109,16 @@ FORGERIES = {
         "single", _set(("bounds", "upper"), 8), True, r"bounds\.upper"
     ),
     "code-n": ("single", _set(("code", "n"), 17), True, r"code\.n"),
+    # 16.0 == 16 and True == 1: a derived value stored as another JSON type
+    "code-n-float": ("single", _set(("code", "n"), 16.0), True, r"code\.n"),
+    "tolerance-bool": ("single", _set(("tolerance",), True), True, "tolerance"),
+    "base-m-bool": (
+        "multi", _set(("seeds", 0, "base_m"), True), True, r"seeds\[0\]\.base_m"
+    ),
+    "representative-float": (
+        "multi", _set(("orbits", "representatives", 0), [1.0, 2]), True,
+        r"orbits\.representatives\[0\]\[0\]",
+    ),
     "bandwidth": (
         "single", _set(("seeds", 0, "scheme", "bandwidth"), 1), True,
         r"seeds\[0\]\.scheme\.bandwidth",

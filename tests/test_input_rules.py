@@ -1,8 +1,9 @@
 """Each input rule has one owner, and every entry point reports its one text.
 
+gf.is_integer owns the rule on integers, which every rule below asks;
 FieldCtx._check owns the field-element rule, subspaces._check_delta the
-rule on q, ell and delta, and repair._check_k the rule on k.  One case per entry
-point and bad value asserts the owner's whole message.
+rule on q, ell and delta, and repair._check_k the rule on k.  One case
+per entry point and bad value asserts the owner's whole message.
 """
 
 import numpy as np
@@ -168,6 +169,47 @@ def test_fractional_k_rejected_before_any_table(k):
         design_single_seed(2, 1, ELL, k, seed_basis=[4, 11])
     assert str(err.value) == f"need an integer k, got k = {k}"
     assert set(repair._TABLES.get(cached, {})) == before
+
+
+class InstanceIndex:
+    """Carries __index__ on the instance only, which Python does not look up."""
+
+    def __init__(self):
+        self.__index__ = lambda: 2
+
+    def __repr__(self):
+        return "InstanceIndex()"
+
+
+# entry point -> (call with the bad value x, the message it must give)
+INTEGER_CALLS = {
+    "q": (lambda x: bounds(x, ELL, 2), "need an integer q >= 2, got q = {}"),
+    "ell": (lambda x: bounds(2, x, 2), "need an integer ell, got ell = {}"),
+    "delta": (lambda x: bounds(2, ELL, x), f"need 1 <= delta <= ell = {ELL}, got delta = {{}}"),
+    "e": (
+        lambda x: simulate_failures(_bundle(), 6, x),
+        "need an integer 0 <= e < n = 16, got e = {}",
+    ),
+    "element": (
+        lambda x: helper_payload(dilate_translate(_seed(), 5, 3), x, 7),
+        "beta {} is not a field element: field elements are ints in [0, 16)",
+    ),
+    "k": (
+        lambda x: search_seed_scheme(span(_gf16(), 2, [4, 11]), x),
+        "need an integer k, got k = {}",
+    ),
+}
+
+
+@pytest.mark.parametrize("call", list(INTEGER_CALLS))
+def test_integer_rule_reads_index_on_the_type(call):
+    # bounds(InstanceIndex(), 4, 2) raised a bare TypeError from q >= 2: the
+    # q, ell, delta and e rules looked __index__ up on the instance
+    build, message = INTEGER_CALLS[call]
+    x = InstanceIndex()
+    with pytest.raises(ValueError) as err:
+        build(x)
+    assert str(err.value) == message.format(x)
 
 
 def test_numpy_integer_k_is_stored_as_an_int():

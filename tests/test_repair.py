@@ -262,6 +262,16 @@ def test_recover_sorts_non_elements_among_extra_payloads(gf16, naive16, bad):
         recover_symbol(d, forged)
 
 
+def test_recover_sorts_a_helper_given_as_a_float_among_extra_payloads(gf16, naive16):
+    # 3.0 == 3 and hashes alike, so a float beta would find its helper's data
+    # if recover_symbol looked it up before asking the field-element rule
+    d = dilate_translate(naive16, gf16.exp(5), gf16.exp(3))
+    pls = payloads_for(gf16, d, [3, 1])
+    forged = [HelperPayload(float(pls[0].beta), pls[0].symbols)] + pls[1:]
+    with pytest.raises(MissingPayloadError, match=rf"extra \[{pls[0].beta}\.0\]"):
+        recover_symbol(d, forged)
+
+
 def test_scheme_field_is_its_seed_field():
     # 4 and 11 span the same set of ints under either modulus, but the
     # products differ; a scheme that took its field apart from its seed
@@ -333,7 +343,7 @@ def test_payload_reassembles_traces(gf16, naive16):
             fb = gf16.poly_eval(f, beta)
             p = helper_payload(d, beta, fb)
             evals = d.evals_at(beta)
-            basis, _ = naive16.helper_data[d.seed_point(beta)]
+            basis, _ = d.helper_data[beta]
             combination = basis_coordinates(d, beta, basis)
             for i in range(4):
                 direct = gf16.trace_to_subfield(gf16.mul(evals[i], fb), 1)
@@ -373,8 +383,12 @@ def check_payloads_match_oracle(seed, pairs, rng):
         d = dilate_translate(seed, alpha, b)
         f = [rng.randrange(ctx.order) for _ in range(seed.k)]
         payloads = payloads_for(ctx, d, f)
+        assert sorted(d.helper_data) == list(d.helpers)
         for p in payloads:
-            basis, weights = seed.helper_data[d.seed_point(p.beta)]
+            # the dilation keys the seed's data at x by its helper a* + b*x
+            x = ctx.div(ctx.sub(p.beta, alpha), b)
+            assert d.helper_data[p.beta] == seed.helper_data[x]
+            basis, weights = d.helper_data[p.beta]
             assert p == payload_from_scratch(d, p.beta, ctx.poly_eval(f, p.beta), basis)
             assert weights == weights_from_scratch(d, p.beta, basis)
         assert sum(len(p.symbols) for p in payloads) == bandwidth(d) == seed.bandwidth
@@ -392,6 +406,38 @@ def test_seed_payloads_match_oracle_every_dilation(gf16, golden_seed, searched):
         seed = naive_seed_scheme(golden_seed, 2)
     pairs = [(alpha, gf16.exp(j)) for alpha in gf16.elements() for j in range(15)]
     check_payloads_match_oracle(seed, pairs, random.Random(43))
+
+
+class CountingCtx(FieldCtx):
+    """An uncached field context that counts its mul and sub calls."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.calls = {"mul": 0, "sub": 0}
+
+    def mul(self, x, y):
+        self.calls["mul"] += 1
+        return super().mul(x, y)
+
+    def sub(self, x, y):
+        self.calls["sub"] += 1
+        return super().sub(x, y)
+
+
+@pytest.mark.parametrize("name", ["gf16", "gf81-q3"])
+def test_helper_payload_does_no_seed_arithmetic(name):
+    # a payload is one lookup and one mul per basis element: the dilation
+    # keyed the seed's data by its own helpers when it was built
+    p, s, ell, exps, k = SMALL_SEEDS[name]
+    ctx = CountingCtx(p, s, ell)
+    seed = search_seed_scheme(span(ctx, ctx.q, [ctx.exp(e) for e in exps]), k)
+    d = dilate_translate(seed, ctx.exp(5), ctx.exp(3))
+    rank = seed.bandwidth // len(seed.helpers)  # ell - r at every helper
+    for beta in d.helpers:
+        ctx.calls.update(mul=0, sub=0)
+        payload = helper_payload(d, beta, ctx.exp(7))
+        assert len(payload.symbols) == rank
+        assert ctx.calls == {"mul": rank, "sub": 0}
 
 
 @pytest.mark.parametrize("name", ["gf81-q3", "gf64-q4"])
