@@ -48,7 +48,6 @@ from itertools import chain, combinations, islice
 from math import comb
 
 import numpy as np
-from scipy.special import betaincinv
 
 from . import __version__
 from .errors import InvariantError
@@ -575,7 +574,13 @@ def _first_intact_scan(chunks, group_points, group_bw, n: int) -> tuple[int, int
 
 
 def _clopper_pearson(x: int, trials: int) -> tuple[float, float]:
-    """Two-sided 95% Clopper-Pearson interval for x successes in trials."""
+    """Two-sided 95% Clopper-Pearson interval for x successes in trials.
+
+    scipy.special is imported here, by the first Monte Carlo run, not with
+    this module.
+    """
+    from scipy.special import betaincinv
+
     lower = betaincinv(x, trials - x + 1, 0.025) if x else 0.0
     upper = betaincinv(x + 1, trials - x, 0.975) if x < trials else 1.0
     return float(lower), float(upper)

@@ -2,14 +2,22 @@
 
 The failure tolerance of a collection of repair groups is |MHS| - 1: an
 adversary must hit every group to make the symbol unrepairable.  Finding a
-minimum hitting set is NP-hard in general; at desk scale (universe within
-the field cap, up to a few thousand sets) every instance here is solved
-exactly by one 0/1 integer program (HiGHS via scipy.optimize.milp) over a
-sparse set-by-element incidence matrix, built in numpy: one row per set in
-family order (a CosetFamily's groups come from its per-seed log arrays, a
-raw list of sets is deduplicated first) and one column per element in
-ascending value.  The witness is checked to hit every row before it is
-reported with method="exact".
+minimum hitting set is NP-hard in general, but two single-seed shapes are
+solved by a formula (see below).  A CosetFamily with one kept seed of such
+a shape gets its witness from that formula, checked to hit every group
+(CosetFamily.first_miss; InvariantError otherwise) and reported with
+method="exact"; no solver runs.
+
+Every other instance is solved exactly at desk scale (universe within the
+field cap, up to a few thousand sets) by one 0/1 integer program (HiGHS
+via scipy.optimize.milp) over a sparse set-by-element incidence matrix,
+built in numpy: one row per set in family order (a CosetFamily's groups
+come from its per-seed log arrays, a raw list of sets is deduplicated
+first) and one column per element in ascending value.  The witness is
+checked to hit every row before it is reported with method="exact".
+scipy.optimize and scipy.sparse are imported by the first solve, not with
+this module: the milp attribute resolves on first read (module
+__getattr__), and _solve calls through it.
 
 If the solver spends its NODE_BUDGET nodes, or it returns no verified
 optimum, the smaller of its verified incumbent and a greedy max-coverage
@@ -19,9 +27,9 @@ contractual.
 
 |MHS| is invariant under the semilinear group GammaL(1, q^ell): scaling
 x -> b*x and the Frobenius map x -> x^p both carry a coset family around 0
-onto another one, set for set.  So a CosetFamily, whose groups lie around
-0, is solved once per class.  A scaling adds a constant to logs, so each
-kept seed's logs reduce to their least translate
+onto another one, set for set.  So a CosetFamily that goes to the solver,
+whose groups lie around 0, is solved once per class.  A scaling adds a
+constant to logs, so each kept seed's logs reduce to their least translate
 (orbits._least_translate); x -> x^(p^f) multiplies logs by p^f.  The
 canonical key is the sorted tuple of these forms, each with its seed's
 period (both maps keep stabilizers), at the smallest f < n that minimises
@@ -39,20 +47,29 @@ memo is a pure cache.  Raw lists of sets are solved directly.
 For a single subspace seed, |MHS| is sandwiched between
 ceil((q^ell - 1)/(q^delta - 1)), by double counting element occurrences,
 and (q^(ell-delta+1) - 1)/(q - 1), the minimum number of lines meeting
-every delta-dimensional subspace.  Two seed shapes have exact values:
-multiplicative subfield cosets (their cosets tile the nonzero elements,
-giving the lower bound) and seeds that are subspaces over the subfield of
-order q^(ell-delta) (rescaling collapses the sandwich to q^(ell-delta)+1).
+every delta-dimensional subspace.  _solved_shape owns the rule for the two
+seed shapes with exact values, read from delta and the base q^m:
+
+* subfield-coset (m = delta): S* is a coset of F*_{q^delta}, whose cosets
+  z^j * F*_{q^delta}, j < B = (q^ell - 1)/(q^delta - 1), tile the nonzero
+  elements; W = {z^0, ..., z^(B-1)} hits each, and B is the lower bound.
+* nested-subspace (e = ell - delta divides m): S is a hyperplane over the
+  order-q^e subfield, and so is every group's span b*S.  Each such
+  hyperplane meets the F_{q^e}-plane span(1, z) in at least a line, so
+  one point per line of that plane, W = {1} u {z + c : c in F_{q^e}}, hits every
+  group with q^e + 1 points, the counting lower bound (e <= delta, since
+  e | m | delta).
+
+z is the field's generator.  bounds_for_seed reports the same values.
 """
 
 from __future__ import annotations
 
+import sys
 import threading
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import Bounds, LinearConstraint, milp
-from scipy.sparse import csr_array
 
 from .errors import EmptyFamilyError, InvariantError
 from .orbits import CosetFamily, _least_translate
@@ -66,6 +83,16 @@ MEMO_LIMIT = 4096
 # (p, n, modulus, generator, q, canonical key) -> (witness logs, method)
 _MEMO: dict[tuple, tuple[tuple[int, ...], str]] = {}
 _MEMO_LOCK = threading.Lock()  # eviction and insertion happen together
+
+
+def __getattr__(name: str):
+    """milp, imported from scipy.optimize on first read: most processes never solve."""
+    if name != "milp":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from scipy.optimize import milp
+
+    globals()["milp"] = milp
+    return milp
 
 
 @dataclass(frozen=True)
@@ -112,7 +139,7 @@ def _rows(family) -> tuple[np.ndarray, np.ndarray]:
     return values, np.concatenate(([0], np.cumsum(lengths)))
 
 
-def _greedy_hitting(a: csr_array) -> list[int]:
+def _greedy_hitting(a) -> list[int]:
     """Columns picked by max coverage of unhit rows; ties go to the lowest column."""
     by_col = a.tocsc()
     unhit = np.ones(a.shape[0])
@@ -127,26 +154,68 @@ def _greedy_hitting(a: csr_array) -> list[int]:
 def min_hitting_set(family) -> HittingResult:
     """Exact minimum hitting set of a family of sets.
 
-    A CosetFamily is solved once per class under scaling and Frobenius
-    through the memo (see the module docstring); a raw iterable of sets is
-    solved directly.
+    A CosetFamily of one seed of a solved shape gets its formula witness;
+    any other CosetFamily is solved once per class under scaling and
+    Frobenius through the memo (see the module docstring); a raw iterable
+    of sets is solved directly.
     """
     if isinstance(family, CosetFamily):
-        return _memo_solve(family)
+        return _formula_witness(family) or _memo_solve(family)
     return _solve(*_rows(family))
+
+
+def _formula_witness(family: CosetFamily) -> HittingResult | None:
+    """The witness of a one-seed family of a solved shape, else None.
+
+    delta is read from |S*| = q^delta - 1 and the base m from the period
+    (q^ell - 1)/(q^m - 1); _solved_shape decides, as for bounds_for_seed.
+    """
+    if len(family.kept) != 1:
+        return None
+    ctx = family.ctx
+    q, ell = ctx.q, ctx.ell
+    (logs,), (period,) = family.logs, family.periods
+    delta = _exponent(q, len(logs) + 1)
+    m = _exponent(q, (ctx.order - 1) // period + 1)
+    shape = None if None in (delta, m) else _solved_shape(q, ell, delta, m)
+    if shape is None:
+        return None
+    case, size = shape
+    if case == "subfield-coset":
+        witness = ctx.exp_array(np.arange(size)).tolist()
+    else:
+        z = ctx.generator
+        witness = [1] + [ctx.add(z, c) for c in ctx.subfield_elements(ctx.s * (ell - delta))]
+    witness = tuple(sorted(witness))
+    if family.first_miss(witness) is not None:
+        raise InvariantError(f"the {case} witness of {size} points misses a group")
+    return HittingResult(witness, "exact")
+
+
+def _exponent(q: int, value: int) -> int | None:
+    """d with q^d == value, else None."""
+    d = 0
+    while q**d < value:
+        d += 1
+    return d if q**d == value else None
 
 
 def _solve(values: np.ndarray, indptr: np.ndarray) -> HittingResult:
     """One HiGHS MILP over the set-by-element incidence matrix.
 
     Rows are the sets in order and columns the elements in ascending
-    value, so equal families give HiGHS equal matrices.
+    value, so equal families give HiGHS equal matrices.  The solver is
+    read as this module's milp attribute, so a replacement set there is
+    the one called.
     """
+    from scipy.optimize import Bounds, LinearConstraint
+    from scipy.sparse import csr_array
+
     elements, cols = np.unique(values, return_inverse=True)
     a = csr_array(
         (np.ones(len(cols)), cols, indptr), shape=(len(indptr) - 1, len(elements))
     )
-    res = milp(
+    res = sys.modules[__name__].milp(
         c=np.ones(len(elements)),
         constraints=LinearConstraint(a, lb=1.0),
         integrality=np.ones(len(elements)),
@@ -216,6 +285,20 @@ def bounds(q: int, ell: int, delta: int) -> BoundsReport:
     return BoundsReport(lower, upper, None, "generic")
 
 
+def _solved_shape(q: int, ell: int, delta: int, m: int) -> tuple[str, int] | None:
+    """(case, exact |MHS|) of a seed of dimension delta and base q^m, or None if generic.
+
+    The one owner of the shape rule: bounds_for_seed and _formula_witness
+    both read it.
+    """
+    e = ell - delta
+    if m == delta:
+        return "subfield-coset", (q**ell - 1) // (q**delta - 1)
+    if e >= 1 and m % e == 0:
+        return "nested-subspace", q**e + 1
+    return None
+
+
 def bounds_for_seed(S: Subspace) -> BoundsReport:
     """Sandwich bounds, with the exact |MHS| when the seed has a solved shape.
 
@@ -225,18 +308,11 @@ def bounds_for_seed(S: Subspace) -> BoundsReport:
     q^(ell-delta) + 1 (case "nested-subspace").  Other seeds are "generic"
     with exact=None.
     """
-    q = S.q
-    ell = S.ell
-    delta = S.dim
-    base = bounds(q, ell, delta)
-    m = S.base
-    e = ell - delta
-    if m == delta:
-        value, tag = (q**ell - 1) // (q**delta - 1), "subfield-coset"
-    elif e >= 1 and m % e == 0:
-        value, tag = q**e + 1, "nested-subspace"
-    else:
+    base = bounds(S.q, S.ell, S.dim)
+    shape = _solved_shape(S.q, S.ell, S.dim, S.base)
+    if shape is None:
         return base
+    tag, value = shape
     if not base.lower <= value <= base.upper:
         raise InvariantError(
             f"{tag} value {value} lies outside the sandwich "

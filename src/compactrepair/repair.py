@@ -359,7 +359,9 @@ def recover_symbol(scheme: _RepairScheme, payloads) -> int:
         by_beta[p.beta] = p, scheme.helper_data.get(p.beta) if ctx.is_element(p.beta) else None
     extra = [b for b, (_, data) in by_beta.items() if data is None]
     if extra or len(by_beta) != len(scheme.helpers):
-        missing = [b for b in scheme.helpers if b not in by_beta]
+        # 0.0 == 0, so a helper counts as covered only by a field element.
+        covered = {b for b, (_, data) in by_beta.items() if data is not None}
+        missing = [b for b in scheme.helpers if b not in covered]
         raise MissingPayloadError(
             f"payloads must cover helpers exactly (missing {missing}, extra {extra})"
         )

@@ -1,6 +1,10 @@
 import json
+import os
 import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 from compactrepair import base_counts, cli, load_bundle
 from compactrepair.cli import main
@@ -454,3 +458,37 @@ def test_compare_bandwidth_failures_outside_code_exit_1(capsys):
             "--e", e, "--scheme-bw", "5",
         )
         assert_one_line_error(*result, f"need 1 <= e < n = 16, got e = {e}$")
+
+
+COLD_START = """
+import sys
+from compactrepair.cli import main
+
+out = sys.argv[1]
+steps = [
+    ("import", None),
+    ("field-info", ["field-info", "--q", "2", "--ell", "16"]),
+    ("orbits", ["orbits", "--q", "2", "--ell", "6", "--delta", "3"]),
+    ("design", ["design", "--q", "2", "--ell", "16", "--k", "2", "--delta", "8"]),
+]
+for name, argv in steps:
+    if argv is not None and main(argv + ["-o", out]) != 0:
+        sys.exit(name + " failed")
+    loaded = [m for m in ("scipy.optimize", "scipy.sparse", "scipy.special") if m in sys.modules]
+    print(name, *loaded)
+"""
+
+
+def test_cold_start_imports_no_solver(tmp_path):
+    # field-info, orbits and a default (subfield-coset) design run no MILP
+    # and no Monte Carlo interval, so a fresh process never imports the
+    # scipy modules those need.  verify-example is left out: its second
+    # seed is generic and is solved.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-c", COLD_START, str(tmp_path / "out.json")],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["import", "field-info", "orbits", "design"]

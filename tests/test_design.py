@@ -176,6 +176,45 @@ def test_single_seed_strategy_first():
     assert bundle.tolerance == 2  # q + 1 - 1 for delta = ell - 1
 
 
+def _refuse_solver(**kwargs):
+    raise AssertionError("the MILP ran")
+
+
+def _hyperplane_basis(ell, e):
+    """An F_2-basis of span over F_(2^e) of z^0, ..., z^(ell/e - 2): an F_(2^e)-hyperplane."""
+    ctx = field_new(2, 1, ell)
+    w = ctx.exp((ctx.order - 1) // (2**e - 1))  # generates F*_(2^e)
+    return [ctx.mul(ctx.pow(w, i), ctx.exp(j)) for i in range(e) for j in range(ell // e - 1)]
+
+
+SOLVED_SHAPES = {
+    "gf65536-d8-subfield-coset": (lambda: design_single_seed(2, 1, 16, 2, delta=8), "subfield-coset"),
+    "gf16-d3-first": (
+        lambda: design_single_seed(2, 1, 4, 2, delta=3, strategy="first"), "nested-subspace"
+    ),
+    "gf256-f4-hyperplane": (
+        lambda: design_single_seed(2, 1, 8, 2, seed_basis=_hyperplane_basis(8, 2)),
+        "nested-subspace",
+    ),
+    "gf4096-f8-hyperplane": (
+        lambda: design_single_seed(2, 1, 12, 3, seed_basis=_hyperplane_basis(12, 3)),
+        "nested-subspace",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(SOLVED_SHAPES))
+def test_solved_shapes_design_without_the_solver(monkeypatch, name):
+    build, case = SOLVED_SHAPES[name]
+    monkeypatch.setattr(hitting, "milp", _refuse_solver)
+    bundle = build()
+    assert bundle.bounds.case == case
+    assert bundle.mhs.method == "exact"
+    assert bundle.mhs.size == bundle.bounds.exact
+    text = bundle.dumps()
+    assert load_bundle(json.loads(text)).dumps() == text
+
+
 def test_design_over_prime_power_q():
     # the same 16-element field, but with designated subfield F_4
     bundle = design_single_seed(2, 2, 2, 2, delta=1, strategy="subfield-coset")

@@ -121,18 +121,21 @@ def test_orbit_set_is_pinned(case):
 # The bundles perfbench designs for repair-traffic and failure-sim (each
 # once), the GF(16) golden design, and one generic seed whose witness is
 # the MILP's, which moves if the solver's rows or columns are reordered.
+# The six single-seed subfield-coset digests were re-pinned when their
+# witness became the closed form {z^0, ..., z^(B-1)} (WITNESS_FREE below
+# shows that nothing else moved).
 BUNDLES = {
     "gf256-d4": (
         lambda: design_single_seed(2, 1, 8, 4, delta=4, rng_seed=1),
-        "1888ff46939ed12c260b2d306e8738aaecbd827133e43398f7f05fccac5965f5",
+        "534287b051647496aa56054f7bf5325ad3a9697c099708d42b97c7a7ce8c38ec",
     ),
     "gf81-q3": (
         lambda: design_single_seed(3, 1, 4, 3, delta=2, rng_seed=1),
-        "c276b27fc62a26294cbbdb4a9dffd0bc0b3ec5538869ce70e20c9d2a9769452d",
+        "6e58dc186aa1ccbc302a177b3b3020f24433152795f4dfbccbd07048f1a16731",
     ),
     "gf64-q4": (
         lambda: design_single_seed(2, 2, 3, 2, delta=1, rng_seed=1),
-        "e368cddfe8d4d1b9e09326e8b93e4b2d90ed2605690fd8836756c4ee3d11e8df",
+        "6a07117cdf7bc911bd5393b782f0d1292d858f9dc437efc82ef875a1ed5b819e",
     ),
     "gf32-multi": (
         lambda: design_multi_seed(2, 1, 5, 2, 2, rng_seed=1),
@@ -140,7 +143,7 @@ BUNDLES = {
     ),
     "gf729-q3": (
         lambda: design_single_seed(3, 1, 6, 3, delta=2, rng_seed=1),
-        "565e689fddf181226476c07ee6aa500fce1845c27b4cb9a3e44443a32f809fcc",
+        "175751762f0886b8c44d9994da6d77d5c1e3d11ec6fbb02c127047e55ac96f23",
     ),
     "gf16-multi": (
         lambda: design_multi_seed(2, 1, 4, 2, 2, rng_seed=1),
@@ -148,11 +151,11 @@ BUNDLES = {
     ),
     "gf64-d2": (
         lambda: design_single_seed(2, 1, 6, 2, delta=2, rng_seed=1),
-        "613910d5dcd789ffcf321f85a7bd445cbdc993dc5b50d7afc7acbaf65e032945",
+        "ce4822fa6756d7167c3468014be09d8fff159e1df11f6985ab7b7be0dc2bd810",
     ),
     "gf16-golden": (
         lambda: design_single_seed(2, 1, 4, 2, seed_basis=[4, 11]),
-        "0e58197dcee14a4f8a43ce6bde9b7934b2ccaee8bc4299330732df3599511fda",
+        "cc5d0c8e5b8c1975fab6116d1592dce3ede0844c3abb6b3a4b4d71e80e198d7a",
     ),
     "gf64-d3-generic": (
         lambda: design_single_seed(2, 1, 6, 2, delta=3, strategy="first"),
@@ -165,6 +168,27 @@ BUNDLES = {
 def test_bundle_dumps_are_pinned(name):
     build, digest = BUNDLES[name]
     assert _sha(build().dumps()) == digest
+
+
+# The subfield-coset bundles above with mhs.witness and the config_hash
+# that covers it left out, pinned while their witnesses were the MILP's.
+# A change that may only move which minimum witness is reported (the
+# closed-form {z^0, ..., z^(B-1)}) must leave these unchanged.
+WITNESS_FREE = {
+    "gf256-d4": "75b8295e0bc99586d7125c1ddc5a89ec5f8d02e80e3dbae956d10f1a0187a7a1",
+    "gf81-q3": "f3b93586f9fd811953cbf3e96cc75dcf2b20c7db22f3df9ae5cc6c1bfd99a827",
+    "gf64-q4": "84987a5968bd69e49a551af8cab3650cc911f19bcd0f2c39f399ad190acd1036",
+    "gf729-q3": "037e7bb978be3d8df9a136fa793eb96a7b0caa13362866244e72e27087511634",
+    "gf64-d2": "c965796f9f5e5d3e0c93edf54251a48faf5b3b5532f9957a06c2b6c1921cb1df",
+    "gf16-golden": "6891025e992b65b71b5278f663ab1ee5eae82781d5feeb7273662371b62d76a7",
+}
+
+
+@pytest.mark.parametrize("name", list(WITNESS_FREE))
+def test_bundle_without_witness_is_pinned(name):
+    body = BUNDLES[name][0]().to_json_dict()
+    del body["mhs"]["witness"], body["provenance"]["config_hash"]
+    assert _sha(json.dumps(body, sort_keys=True)) == WITNESS_FREE[name]
 
 
 def test_gf4096_delta10_scheme_u_is_pinned():

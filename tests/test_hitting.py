@@ -343,11 +343,13 @@ def test_raw_and_centred_families_bypass_memo(gf16, empty_memo):
     assert len(empty_memo) == 1
 
 
-def test_memo_evicts_oldest_under_concurrent_callers(gf16, empty_memo, monkeypatch):
-    # Two slots for the three classes of GF(16) delta=2 force evictions
-    # while eight threads solve every family at once.
+def test_memo_evicts_oldest_under_concurrent_callers(gf64, empty_memo, monkeypatch):
+    # Two slots for the three memoised classes of GF(64) delta=2 (its
+    # subfield-coset orbit takes the formula and no slot) force evictions
+    # while eight threads solve a family of every orbit at once.
     monkeypatch.setattr(hitting, "MEMO_LIMIT", 2)
-    families = [coset_family([S]) for S in enumerate_subspaces(gf16, 2, 2)]
+    reps = orbits.orbit_decomposition(gf64, 2).representatives
+    families = [coset_family([S]) for S in reps]
     expected = [min_hitting_set(list(fam.sets)).size for fam in families]
     errors = []
 
@@ -374,3 +376,53 @@ def test_memo_evicts_oldest_under_concurrent_callers(gf16, empty_memo, monkeypat
     assert not any(t.is_alive() for t in threads)
     assert not errors
     assert len(empty_memo) <= 2
+
+
+# ----------------------------------------------------------------------
+# Formula witnesses of the solved single-seed shapes
+# ----------------------------------------------------------------------
+
+FORMULA_FIELDS = [
+    (2, 1, 4), (2, 1, 5), (2, 1, 6), (2, 1, 7), (2, 1, 8),
+    (3, 1, 4), (2, 2, 3), (2, 2, 4), (5, 1, 3),
+]
+
+
+def _refuse_solver(**kwargs):
+    raise AssertionError("the MILP ran")
+
+
+@pytest.mark.parametrize(
+    "field", FORMULA_FIELDS, ids=[f"{p}^{s * ell}-q{p**s}" for p, s, ell in FORMULA_FIELDS]
+)
+def test_formula_witness_is_minimum_on_every_solved_orbit(field, monkeypatch):
+    # Each scaling-orbit representative of a solved shape gets the formula
+    # witness, with no solve: z^0..z^(B-1) for a subfield coset, and
+    # {1} u {z + c : c in F_(q^e)} for an F_(q^e)-hyperplane, e = ell - delta.
+    # It hits every group, has the size bounds_for_seed states, and on the
+    # families of at most 400 groups that size is the MILP's optimum.
+    ctx = field_new(*field)
+    z = ctx.generator
+    checked = 0
+    for delta in range(1, ctx.ell + 1):
+        for S in orbits.orbit_decomposition(ctx, delta).representatives:
+            bnd = bounds_for_seed(S)
+            if bnd.exact is None:
+                continue
+            fam = coset_family([S])
+            with monkeypatch.context() as m:
+                m.setattr(hitting, "milp", _refuse_solver)
+                res = min_hitting_set(fam)
+            if bnd.case == "subfield-coset":
+                formula = {ctx.exp(j) for j in range(bnd.exact)}
+            else:
+                e = ctx.ell - delta
+                formula = {1} | {ctx.add(z, c) for c in ctx.subfield_elements(ctx.s * e)}
+            assert res.method == "exact"
+            assert set(res.witness) == formula
+            assert res.size == bnd.exact
+            assert fam.first_miss(res.witness) is None
+            if len(fam) <= 400:
+                assert hitting._solve(*hitting._rows(fam)).size == bnd.exact
+            checked += 1
+    assert checked >= 2

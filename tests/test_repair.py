@@ -264,11 +264,13 @@ def test_recover_sorts_non_elements_among_extra_payloads(gf16, naive16, bad):
 
 def test_recover_sorts_a_helper_given_as_a_float_among_extra_payloads(gf16, naive16):
     # 3.0 == 3 and hashes alike, so a float beta would find its helper's data
-    # if recover_symbol looked it up before asking the field-element rule
+    # if recover_symbol looked it up before asking the field-element rule;
+    # the helper it stands in for is still named as missing
     d = dilate_translate(naive16, gf16.exp(5), gf16.exp(3))
     pls = payloads_for(gf16, d, [3, 1])
     forged = [HelperPayload(float(pls[0].beta), pls[0].symbols)] + pls[1:]
-    with pytest.raises(MissingPayloadError, match=rf"extra \[{pls[0].beta}\.0\]"):
+    beta = pls[0].beta
+    with pytest.raises(MissingPayloadError, match=rf"missing \[{beta}\], extra \[{beta}\.0\]"):
         recover_symbol(d, forged)
 
 
