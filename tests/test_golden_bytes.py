@@ -161,6 +161,19 @@ BUNDLES = {
         lambda: design_single_seed(2, 1, 6, 2, delta=3, strategy="first"),
         "4c444ce0d3a781ccd899a320aebe22bcd3fcdeba727216456720ba0b537ff84a",
     ),
+    # multi-seed designs whose delta-subspaces form one scaling orbit
+    "gf64-q4-multi-d1": (
+        lambda: design_multi_seed(2, 2, 3, 2, 1),
+        "5cee2e44792843c584f691a5d025a76ce5e5edda9aed1fd69fb1457672c7cb78",
+    ),
+    "gf64-q4-multi-d2": (
+        lambda: design_multi_seed(2, 2, 3, 2, 2),
+        "16bd923f1a539a2ed957953f9a53b44d8c0a249870bfcf3fcb6906432e4a7f1a",
+    ),
+    "gf81-q3-multi-d1": (
+        lambda: design_multi_seed(3, 1, 4, 2, 1),
+        "116ceb543441df0611cb546b5bf90cb83fe4aa611061916d57d7818195f6a418",
+    ),
 }
 
 
@@ -181,6 +194,10 @@ WITNESS_FREE = {
     "gf729-q3": "037e7bb978be3d8df9a136fa793eb96a7b0caa13362866244e72e27087511634",
     "gf64-d2": "c965796f9f5e5d3e0c93edf54251a48faf5b3b5532f9957a06c2b6c1921cb1df",
     "gf16-golden": "6891025e992b65b71b5278f663ab1ee5eae82781d5feeb7273662371b62d76a7",
+    # pinned while their witnesses were the multi-seed line cover
+    "gf64-q4-multi-d1": "27b3c73b0b767b014b3ee47f6dc7e9e5491f508ad4b6ad40acaa825b0c84b4e3",
+    "gf64-q4-multi-d2": "3d45680f9286914087b76504154ffebcd33ad6abd847d77635c717f162666d4f",
+    "gf81-q3-multi-d1": "814295cae42bbb7d4db573e80be7134bcaf27ef4a45c2c30fda2cb2737c58ebb",
 }
 
 
