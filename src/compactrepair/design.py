@@ -14,14 +14,12 @@ from them: code.n, q, delta, base_m, coset_count, bandwidth, mhs.size,
 tolerance, bounds, orbits and config_hash.  DesignBundle derives these for
 the design functions and load_bundle alike; load_bundle reads only the
 inputs, rejects any stored value that disagrees with its derivation, and
-checks the certificate (_check_certificate).
+checks the witness it read, then the rest as a design does (_check_certificate).
 
-Multi-seed designs take one seed per scaling orbit, so their coset family
-is every delta-dimensional subspace.  By the Bose-Burton bound its minimum
-hitting set has (q^(ell-delta+1) - 1)/(q - 1) points, attained by one point
-per F_q-line of a single (ell-delta+1)-dimensional subspace; the design
-builds that witness directly and checks that it hits every set, with no
-solver call.
+Every design's witness comes from hitting.min_hitting_set, which makes and
+checks it once.  Multi-seed designs take one seed per scaling orbit, so
+their family is every delta-subspace, which it hits by formula with no
+solver: one point per F_q-line of an (ell-delta+1)-dimensional subspace.
 
 The failure simulator draws e-failure patterns (exhaustively up to
 DEFAULT_EXHAUSTIVE_THRESHOLD patterns, else Monte Carlo on a counter-based
@@ -255,8 +253,8 @@ def load_bundle(data) -> DesignBundle:
     """Rebuild a DesignBundle from its inputs and check everything else.
 
     The bundle the inputs determine must serialize to the stored dict,
-    provenance.tool aside, and pass _check_certificate.  Malformed or
-    inconsistent input raises ValueError.
+    provenance.tool aside, its witness hit every group, and the bundle pass
+    _check_certificate.  Malformed or inconsistent input raises ValueError.
     """
     if type(data) is not dict:
         raise ValueError("bundle must be a JSON object")
@@ -281,30 +279,30 @@ def load_bundle(data) -> DesignBundle:
             "bundle values disagree with those its inputs (field, code.k, mode, seed "
             "bases and u, mhs.witness and method, config) determine: " + ", ".join(bad)
         )
+    if len(set(mhs.witness)) != mhs.size or not all(0 < w < bundle.n for w in mhs.witness):
+        raise ValueError("mhs witness must list distinct nonzero field elements")
+    missed = bundle.family.first_miss(mhs.witness)
+    if missed is not None:
+        seed = bundle.seeds[missed].to_json()
+        raise ValueError(f"mhs witness misses a group of seed {missed} {seed}")
     _check_certificate(bundle, ValueError)
     return bundle
 
 
 def _check_certificate(bundle: DesignBundle, error: type[Exception]) -> None:
-    """Raise error unless the witness and the bounds check out.
+    """Raise error unless |MHS| is on the bounds and a multi-seed family is every subspace.
 
-    The witness must hit every group (CosetFamily.first_miss, |W| * |S*|
-    work per seed and no group built).  Every scheme is full-rank already,
-    since SeedScheme accepts no other.  A generic seed's size is only
-    checked against its bounds; minimality is not re-proved.
+    The witness is checked where it is made (min_hitting_set) or read
+    (load_bundle), not here.  Every scheme is full-rank already, since
+    SeedScheme accepts no other.  A generic seed's size is only checked
+    against its bounds; minimality is not re-proved.
     """
-    ctx, mhs, bnd = bundle.ctx, bundle.mhs, bundle.bounds
-    if len(set(mhs.witness)) != mhs.size or not all(0 < w < bundle.n for w in mhs.witness):
-        raise error("mhs witness must list distinct nonzero field elements")
-    family = bundle.family
-    missed = family.first_miss(mhs.witness)
-    if missed is not None:
-        raise error(f"mhs witness misses a group of seed {missed} {bundle.seeds[missed].to_json()}")
+    mhs, bnd, family = bundle.mhs, bundle.bounds, bundle.family
     within = bnd.lower <= mhs.size <= bnd.upper and bnd.exact in (None, mhs.size)
     if mhs.method == "exact" and not within:
         raise error(f"exact |MHS| = {mhs.size} is off the bounds {bnd}")
     if bundle.mode == "multi-seed":
-        expected = gaussian_coefficient(ctx.ell, bundle.delta, ctx.q)
+        expected = gaussian_coefficient(bundle.ctx.ell, bundle.delta, bundle.ctx.q)
         if len(family) != expected or len(family.kept) != len(bundle.seeds):  # one seed per orbit
             raise error(
                 f"multi-seed coset sets are not all {expected} {bundle.delta}-subspaces, once each"
@@ -362,18 +360,12 @@ def design_single_seed(
         _validate_code(ctx, k, delta)
         strategy = "subfield-coset" if strategy is None else strategy
         seed = _seed_from_strategy(ctx, delta, strategy)
-    family = coset_family([seed])
-    mhs = min_hitting_set(family)
-    scheme = search_seed_scheme(seed, k)
     config = {
         "strategy": strategy,
         "seed_basis": sorted(seed.basis),
         "group_selection": "first-intact",
     }
-    bundle = DesignBundle("single-seed", (scheme,), mhs, config)
-    vars(bundle)["family"] = family  # the cached family is the one just solved
-    _check_certificate(bundle, InvariantError)
-    return bundle
+    return _design("single-seed", (seed,), k, config)
 
 
 def design_multi_seed(
@@ -388,28 +380,26 @@ def design_multi_seed(
 ) -> DesignBundle:
     """Design from one seed per scaling orbit; tolerance attains the bound.
 
-    The union of the representatives' coset families is every
-    delta-dimensional subspace (punctured).  Any (ell-delta+1)-dimensional
-    subspace U meets each of them in at least a line, so one point per
-    F_q-line of U hits the family, and by the Bose-Burton bound no smaller
-    set does: |MHS| = (q^(ell-delta+1) - 1)/(q - 1).  U is spanned by
-    z^0, ..., z^(ell-delta) for the field generator z; the witness is
-    checked against every set before it is returned.  Each seed's scheme is
+    The representatives' coset families make up every delta-subspace
+    (punctured), so |MHS| = (q^(ell-delta+1) - 1)/(q - 1) by the Bose-Burton
+    bound, and min_hitting_set gives it by formula.  Each seed's scheme is
     search_seed_scheme's closed form; rng_seed is accepted for earlier
     callers and ignored, and it is not written to the config.
     """
     ctx = field_new(p, s, ell, modulus)
     _validate_code(ctx, k, delta)
     seeds = orbit_decomposition(ctx, delta).representatives
-    U = span(ctx, ctx.q, [ctx.exp(i) for i in range(ctx.ell - delta + 1)])
-    scalars = ctx.subfield_elements(ctx.s)[1:]
-    witness = tuple(
-        sorted({min(ctx.mul(c, v) for c in scalars) for v in U.members if v})
-    )
-    schemes = tuple(search_seed_scheme(seed, k) for seed in seeds)
     config = {"strategy": "orbit-representatives", "group_selection": "first-intact"}
-    mhs = HittingResult(witness, "exact")
-    bundle = DesignBundle("multi-seed", schemes, mhs, config)
+    return _design("multi-seed", seeds, k, config)
+
+
+def _design(mode: str, seeds, k: int, config: dict) -> DesignBundle:
+    """The bundle of seeds: one coset family, its checked witness, a scheme per seed."""
+    family = coset_family(seeds)
+    mhs = min_hitting_set(family)
+    schemes = tuple(search_seed_scheme(seed, k) for seed in seeds)
+    bundle = DesignBundle(mode, schemes, mhs, config)
+    vars(bundle)["family"] = family  # the cached family is the one just solved
     _check_certificate(bundle, InvariantError)
     return bundle
 
@@ -451,6 +441,8 @@ def simulate_failures(
     ctx._check(alpha_star, "alpha_star")
     if not (is_integer(e) and 0 <= e < n):
         raise ValueError(f"need an integer 0 <= e < n = {n}, got e = {e}")
+    if rng_seed is not None and not is_integer(rng_seed):
+        raise ValueError(f"need an integer rng_seed, got rng_seed = {rng_seed}")
     if rng_seed is not None and not 0 <= rng_seed < 2**128:
         raise ValueError(f"need 0 <= rng_seed < 2**128, got {rng_seed}")
     # Patterns shifted by -a* meet the groups around 0 exactly where they
@@ -472,8 +464,8 @@ def simulate_failures(
     else:
         if rng_seed is None:
             raise ValueError("monte-carlo mode requires rng_seed")
-        if trials < 1:
-            raise ValueError(f"monte-carlo mode needs trials >= 1, got {trials}")
+        if not (is_integer(trials) and trials >= 1):
+            raise ValueError(f"monte-carlo mode needs an integer trials >= 1, got {trials}")
         gen = np.random.Generator(np.random.Philox(key=rng_seed))
         evaluated = trials
         chunks = _sampled_patterns(gen, universe, e, trials)
@@ -604,9 +596,12 @@ def bandwidth_comparison(
     k*ell + (e-1)*ell subfield symbols total.  Naive decentralized: each of
     the e replacement nodes downloads k full symbols.  e counts failed
     nodes, so 1 <= e < n.  Measured per-repair bandwidths may be given (one
-    value for every repair, or one per repair, none negative); their total
-    is decentralized_measured_total.
+    value for every repair, or one per repair, non-negative integers all);
+    their total is decentralized_measured_total.
     """
+    for name, value in (("n", n), ("k", k), ("ell", ell), ("e", e)):
+        if not is_integer(value):
+            raise ValueError(f"need an integer {name}, got {name} = {value}")
     if not 1 <= k < n:
         raise ValueError(f"need 1 <= k < n, got k = {k}, n = {n}")
     if ell < 1:
@@ -618,8 +613,8 @@ def bandwidth_comparison(
         bws = list(scheme_bandwidths)
         if len(bws) not in (1, e):
             raise ValueError(f"need 1 or {e} scheme bandwidths, got {len(bws)}")
-        if any(bw < 0 for bw in bws):
-            raise ValueError(f"scheme bandwidths must be non-negative, got {bws}")
+        if not all(is_integer(bw) and bw >= 0 for bw in bws):
+            raise ValueError(f"scheme bandwidths must be non-negative integers, got {bws}")
         measured = bws[0] * e if len(bws) == 1 else sum(bws)
     return {
         "n": n,

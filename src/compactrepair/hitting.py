@@ -2,11 +2,10 @@
 
 The failure tolerance of a collection of repair groups is |MHS| - 1: an
 adversary must hit every group to make the symbol unrepairable.  Finding a
-minimum hitting set is NP-hard in general, but two single-seed shapes are
-solved by a formula (see below).  A CosetFamily with one kept seed of such
-a shape gets its witness from that formula, checked to hit every group
-(CosetFamily.first_miss; InvariantError otherwise) and reported with
-method="exact"; no solver runs.
+minimum hitting set is NP-hard in general, but three coset-family shapes
+are solved by a formula (see below), reported with method="exact" and no
+solver run.  min_hitting_set checks every CosetFamily witness, formula or
+solved, once (CosetFamily.first_miss; InvariantError if it misses a group).
 
 Every other instance is solved exactly at desk scale (universe within the
 field cap, up to a few thousand sets) by one 0/1 integer program (HiGHS
@@ -38,8 +37,8 @@ stores its witness logs in a bounded module-level memo, keyed by (p, n,
 modulus, generator, q, key) rather than by the FieldCtx object: field_new
 shares one context per field, but its cache may drop a context and a later
 call build the same field anew.  The stored witness is mapped
-back by log -> p^(n-f) * log and checked to hit every group of the
-caller's family (CosetFamily.first_miss; InvariantError otherwise).  Every
+back by log -> p^(n-f) * log and checked against the caller's family by
+min_hitting_set, so a corrupted entry raises InvariantError.  Every
 caller gets the canonical solve mapped back, hit or miss, so a result
 depends on the family alone, never on what the process solved before: the
 memo is a pure cache.  Raw lists of sets are solved directly.
@@ -60,7 +59,13 @@ seed shapes with exact values, read from delta and the base q^m:
   group with q^e + 1 points, the counting lower bound (e <= delta, since
   e | m | delta).
 
-z is the field's generator.  bounds_for_seed reports the same values.
+z is the field's generator.  bounds_for_seed reports the same values.  The
+third shape is every delta-subspace once, as from one seed per scaling
+orbit: gaussian_coefficient(ell, delta, q) groups of q^delta - 1 points.
+A lone seed of a solved shape takes its own formula first.  Otherwise
+U = span(z^0, ..., z^(ell-delta)) meets each group's span in at least a
+line, so the least F_q-multiple of each nonzero member of U hits them all,
+with (q^(ell-delta+1) - 1)/(q - 1) points: the Bose-Burton bound.
 """
 
 from __future__ import annotations
@@ -73,7 +78,7 @@ import numpy as np
 
 from .errors import EmptyFamilyError, InvariantError
 from .orbits import CosetFamily, _least_translate
-from .subspaces import Subspace, _check_delta
+from .subspaces import Subspace, _check_delta, gaussian_coefficient, span
 
 # Branch-and-bound nodes one HiGHS solve may spend before it stops.
 NODE_BUDGET = 10**7
@@ -154,42 +159,45 @@ def _greedy_hitting(a) -> list[int]:
 def min_hitting_set(family) -> HittingResult:
     """Exact minimum hitting set of a family of sets.
 
-    A CosetFamily of one seed of a solved shape gets its formula witness;
-    any other CosetFamily is solved once per class under scaling and
-    Frobenius through the memo (see the module docstring); a raw iterable
-    of sets is solved directly.
+    A CosetFamily gets its formula witness if it has a solved shape, else
+    its class's memoised solve (see the module docstring), checked here
+    against every group; a raw iterable of sets is solved directly.
     """
-    if isinstance(family, CosetFamily):
-        return _formula_witness(family) or _memo_solve(family)
-    return _solve(*_rows(family))
+    if not isinstance(family, CosetFamily):
+        return _solve(*_rows(family))
+    res = _formula_witness(family) or _memo_solve(family)
+    if family.first_miss(res.witness) is not None:
+        raise InvariantError(f"the {res.method} witness of {res.size} points misses a group")
+    return res
 
 
 def _formula_witness(family: CosetFamily) -> HittingResult | None:
-    """The witness of a one-seed family of a solved shape, else None.
+    """The witness of a family of a solved shape, unchecked, else None.
 
-    delta is read from |S*| = q^delta - 1 and the base m from the period
-    (q^ell - 1)/(q^m - 1); _solved_shape decides, as for bounds_for_seed.
+    delta is read from |S*| = q^delta - 1, and a lone seed's base m from its
+    period (q^ell - 1)/(q^m - 1); _solved_shape decides, as for
+    bounds_for_seed.  Failing that, every delta-subspace gets the line cover.
     """
-    if len(family.kept) != 1:
-        return None
     ctx = family.ctx
     q, ell = ctx.q, ctx.ell
-    (logs,), (period,) = family.logs, family.periods
-    delta = _exponent(q, len(logs) + 1)
-    m = _exponent(q, (ctx.order - 1) // period + 1)
-    shape = None if None in (delta, m) else _solved_shape(q, ell, delta, m)
-    if shape is None:
+    delta, *mixed = {_exponent(q, len(logs) + 1) for logs in family.logs}
+    if mixed or delta is None:
         return None
-    case, size = shape
+    m = _exponent(q, (ctx.order - 1) // family.periods[0] + 1)
+    shape = _solved_shape(q, ell, delta, m) if len(family.kept) == 1 and m else None
+    case, size = shape or (None, None)
     if case == "subfield-coset":
         witness = ctx.exp_array(np.arange(size)).tolist()
-    else:
+    elif case == "nested-subspace":
         z = ctx.generator
         witness = [1] + [ctx.add(z, c) for c in ctx.subfield_elements(ctx.s * (ell - delta))]
-    witness = tuple(sorted(witness))
-    if family.first_miss(witness) is not None:
-        raise InvariantError(f"the {case} witness of {size} points misses a group")
-    return HittingResult(witness, "exact")
+    elif len(family) == gaussian_coefficient(ell, delta, q):
+        U = span(ctx, q, [ctx.exp(i) for i in range(ell - delta + 1)])
+        scalars = ctx.subfield_elements(ctx.s)[1:]
+        witness = {min(ctx.mul(c, v) for c in scalars) for v in U.members if v}
+    else:
+        return None
+    return HittingResult(tuple(sorted(witness)), "exact")
 
 
 def _exponent(q: int, value: int) -> int | None:
@@ -254,7 +262,7 @@ def _canonical_class(family: CosetFamily) -> tuple[int, tuple[tuple[tuple[int, .
 
 
 def _memo_solve(family: CosetFamily) -> HittingResult:
-    """Solve the family's canonical ΓL class once, and map its witness back."""
+    """Solve the family's canonical ΓL class once, and map its witness back, unchecked."""
     ctx = family.ctx
     group = ctx.order - 1
     f, key = _canonical_class(family)
@@ -271,10 +279,7 @@ def _memo_solve(family: CosetFamily) -> HittingResult:
             _MEMO[memo_key] = entry
     logs, method = entry
     back = ctx.p ** (ctx.n - f)
-    witness = tuple(sorted(ctx.exp(back * v % group) for v in logs))
-    if family.first_miss(witness) is not None:
-        raise InvariantError("memoised witness misses a set of the caller's family")
-    return HittingResult(witness, method)
+    return HittingResult(tuple(sorted(ctx.exp(back * v % group) for v in logs)), method)
 
 
 def bounds(q: int, ell: int, delta: int) -> BoundsReport:

@@ -11,6 +11,7 @@ from compactrepair import (
     DesignBundle,
     FieldCtx,
     bandwidth_comparison,
+    bounds,
     coset_family,
     design_multi_seed,
     design_single_seed,
@@ -25,7 +26,7 @@ from compactrepair import (
     span,
     verify_reference_example,
 )
-from compactrepair import design, hitting, repair, subspaces
+from compactrepair import design, hitting, orbits, repair, subspaces
 from compactrepair.errors import RankDeficientError
 from oracles import (
     binomial_upper_tail,
@@ -141,25 +142,46 @@ def test_multi_seed_2_6_3_solver_confirmed():
     assert bundle.tolerance == (2**4 - 1) // 1 - 1 == 14
     fam = coset_family(list(bundle.seeds))
     assert all(not g.isdisjoint(bundle.mhs.witness) for g in fam.sets)
-    assert min_hitting_set(fam).size == bundle.mhs.size
+    assert hitting._solve(*hitting._rows(fam)).size == bundle.mhs.size
+
+
+def _line_cover(ctx, delta):
+    """One point per F_q-line of span(z^0, ..., z^(ell-delta)): the least of the line."""
+    U = span(ctx, ctx.q, [ctx.exp(i) for i in range(ctx.ell - delta + 1)])
+    scalars = ctx.subfield_elements(ctx.s)[1:]
+    lines = {frozenset(ctx.mul(c, v) for c in scalars) for v in U.members if v}
+    return {min(line) for line in lines}
 
 
 @pytest.mark.parametrize(
     "q, ell, delta",
-    [(2, 4, 2), (2, 5, 3), (3, 3, 2), (4, 3, 2), (2, 4, 1), (2, 4, 4)],
+    [
+        (2, 4, 2), (2, 5, 3), (3, 3, 2), (4, 3, 2), (2, 4, 1), (2, 4, 4),
+        (2, 5, 2), (2, 6, 2), (2, 6, 3), (2, 6, 4), (3, 4, 2), (4, 4, 2),
+    ],
 )
 def test_multi_seed_line_cover_witness_is_optimal(monkeypatch, q, ell, delta):
     p, s = (2, 2) if q == 4 else (q, 1)
+    ctx = field_new(p, s, ell)
+    reps = orbits.orbit_decomposition(ctx, delta).representatives
     with monkeypatch.context() as m:
-        # The witness is built from the Bose-Burton bound, not solved for.
-        m.setattr(hitting, "milp", None)
+        # The witness is built from the Bose-Burton bound, not solved for,
+        # by the design and by min_hitting_set on the family of every orbit.
+        m.setattr(hitting, "milp", _refuse_solver)
         bundle = design_multi_seed(p, s, ell, 1, delta)
+        direct = min_hitting_set(coset_family(reps))
     fam = coset_family(list(bundle.seeds))
     assert bundle.mhs.method == "exact"
     assert bundle.mhs.size == (q ** (ell - delta + 1) - 1) // (q - 1)
     assert len(bundle.mhs.witness) == bundle.mhs.size
     assert all(not g.isdisjoint(bundle.mhs.witness) for g in fam.sets)
     assert bundle.mhs.size == min_hitting_set(fam).size
+    # a single orbit takes its lone seed's formula instead
+    if len(reps) > 1:
+        assert set(direct.witness) == _line_cover(ctx, delta)
+    assert direct.method == "exact" and direct.size == bounds(q, ell, delta).upper
+    if len(fam) <= 400:
+        assert hitting._solve(*hitting._rows(fam)).size == direct.size
 
 
 def test_multi_seed_2_6_2_attains_upper_bound():
@@ -213,6 +235,29 @@ def test_solved_shapes_design_without_the_solver(monkeypatch, name):
     assert bundle.mhs.size == bundle.bounds.exact
     text = bundle.dumps()
     assert load_bundle(json.loads(text)).dumps() == text
+
+
+COUNTED_DESIGNS = {
+    "single-subfield-coset": lambda: design_single_seed(2, 1, 4, 2, delta=2),
+    "single-nested": lambda: design_single_seed(2, 1, 4, 2, delta=3, strategy="first"),
+    "single-generic": lambda: design_single_seed(2, 1, 4, 2, seed_basis=[3, 6]),
+    "multi-seed": lambda: design_multi_seed(2, 1, 4, 2, 2),
+}
+
+
+@pytest.mark.parametrize("name", list(COUNTED_DESIGNS))
+def test_design_and_load_each_check_the_witness_once(monkeypatch, name):
+    # min_hitting_set checks a design's witness and load_bundle a file's;
+    # a single-seed design once checked it a second time
+    calls = []
+    first_miss = orbits.CosetFamily.first_miss
+    monkeypatch.setattr(
+        orbits.CosetFamily, "first_miss", lambda fam, w: calls.append(w) or first_miss(fam, w)
+    )
+    bundle = COUNTED_DESIGNS[name]()
+    assert len(calls) == 1
+    loaded = load_bundle(json.loads(bundle.dumps()))
+    assert len(calls) == 2 and loaded.dumps() == bundle.dumps()
 
 
 def test_design_over_prime_power_q():

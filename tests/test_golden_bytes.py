@@ -122,8 +122,9 @@ def test_orbit_set_is_pinned(case):
 # once), the GF(16) golden design, and one generic seed whose witness is
 # the MILP's, which moves if the solver's rows or columns are reordered.
 # The six single-seed subfield-coset digests were re-pinned when their
-# witness became the closed form {z^0, ..., z^(B-1)} (WITNESS_FREE below
-# shows that nothing else moved).
+# witness became the closed form {z^0, ..., z^(B-1)}, and the three
+# single-orbit multi-seed digests when their lone seed's formula took the
+# place of the line cover (WITNESS_FREE below shows that nothing else moved).
 BUNDLES = {
     "gf256-d4": (
         lambda: design_single_seed(2, 1, 8, 4, delta=4, rng_seed=1),
@@ -161,18 +162,19 @@ BUNDLES = {
         lambda: design_single_seed(2, 1, 6, 2, delta=3, strategy="first"),
         "4c444ce0d3a781ccd899a320aebe22bcd3fcdeba727216456720ba0b537ff84a",
     ),
-    # multi-seed designs whose delta-subspaces form one scaling orbit
+    # multi-seed designs whose delta-subspaces form one scaling orbit: a
+    # subfield-coset seed at delta 1 and an F_4-hyperplane at delta 2
     "gf64-q4-multi-d1": (
         lambda: design_multi_seed(2, 2, 3, 2, 1),
-        "5cee2e44792843c584f691a5d025a76ce5e5edda9aed1fd69fb1457672c7cb78",
+        "e34681a80b9a5c3219ea1b4185b7527fbe0735bf9eac5f865377d24d1845bd4e",
     ),
     "gf64-q4-multi-d2": (
         lambda: design_multi_seed(2, 2, 3, 2, 2),
-        "16bd923f1a539a2ed957953f9a53b44d8c0a249870bfcf3fcb6906432e4a7f1a",
+        "e2e7c86f5596c9e13a32a1ee411a28900bb0dfc7db5ad9ac706e24337466fd9b",
     ),
     "gf81-q3-multi-d1": (
         lambda: design_multi_seed(3, 1, 4, 2, 1),
-        "116ceb543441df0611cb546b5bf90cb83fe4aa611061916d57d7818195f6a418",
+        "e271e06450ff7ad32595254d881e3843bd83d32708153c9bf659578099762152",
     ),
 }
 
@@ -184,9 +186,10 @@ def test_bundle_dumps_are_pinned(name):
 
 
 # The subfield-coset bundles above with mhs.witness and the config_hash
-# that covers it left out, pinned while their witnesses were the MILP's.
-# A change that may only move which minimum witness is reported (the
-# closed-form {z^0, ..., z^(B-1)}) must leave these unchanged.
+# that covers it left out, pinned while their witnesses were the MILP's,
+# and the single-orbit multi-seed ones, pinned while theirs were the line
+# cover.  A change that may only move which minimum witness is reported
+# must leave these unchanged.
 WITNESS_FREE = {
     "gf256-d4": "75b8295e0bc99586d7125c1ddc5a89ec5f8d02e80e3dbae956d10f1a0187a7a1",
     "gf81-q3": "f3b93586f9fd811953cbf3e96cc75dcf2b20c7db22f3df9ae5cc6c1bfd99a827",

@@ -12,6 +12,7 @@ import pytest
 from compactrepair import (
     FieldCtx,
     SeedScheme,
+    bandwidth_comparison,
     bounds,
     coset_family,
     design_multi_seed,
@@ -198,6 +199,24 @@ INTEGER_CALLS = {
         lambda x: search_seed_scheme(span(_gf16(), 2, [4, 11]), x),
         "need an integer k, got k = {}",
     ),
+    "trials": (
+        lambda x: simulate_failures(_bundle(), 6, 5, mode="monte-carlo", trials=x, rng_seed=1),
+        "monte-carlo mode needs an integer trials >= 1, got {}",
+    ),
+    "rng_seed": (
+        lambda x: simulate_failures(_bundle(), 6, 2, rng_seed=x),
+        "need an integer rng_seed, got rng_seed = {}",
+    ),
+    "bandwidth-n": (lambda x: bandwidth_comparison(x, 2, ELL, 3), "need an integer n, got n = {}"),
+    "bandwidth-k": (lambda x: bandwidth_comparison(16, x, ELL, 3), "need an integer k, got k = {}"),
+    "bandwidth-ell": (
+        lambda x: bandwidth_comparison(16, 2, x, 3), "need an integer ell, got ell = {}"
+    ),
+    "bandwidth-e": (lambda x: bandwidth_comparison(16, 2, ELL, x), "need an integer e, got e = {}"),
+    "scheme-bandwidth": (
+        lambda x: bandwidth_comparison(16, 2, ELL, 3, scheme_bandwidths=[12, x, 9]),
+        "scheme bandwidths must be non-negative integers, got [12, {}, 9]",
+    ),
 }
 
 
@@ -207,6 +226,18 @@ def test_integer_rule_reads_index_on_the_type(call):
     # q, ell, delta and e rules looked __index__ up on the instance
     build, message = INTEGER_CALLS[call]
     x = InstanceIndex()
+    with pytest.raises(ValueError) as err:
+        build(x)
+    assert str(err.value) == message.format(x)
+
+
+@pytest.mark.parametrize("x", [2.5, 2.0])
+@pytest.mark.parametrize("call", list(INTEGER_CALLS))
+def test_integer_rule_refuses_fractional_values(call, x):
+    # simulate_failures(..., trials=2.5) raised a bare TypeError, rng_seed=1.5
+    # was written into the SimReport, and bandwidth_comparison(16, 2.5, 4, 3)
+    # gave a centralized_total of 18.0
+    build, message = INTEGER_CALLS[call]
     with pytest.raises(ValueError) as err:
         build(x)
     assert str(err.value) == message.format(x)
