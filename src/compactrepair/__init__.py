@@ -44,7 +44,6 @@ from .repair import (
     helper_payload,
     recover_symbol,
     search_seed_scheme,
-    verify_full_rank,
 )
 from .subspaces import (
     Subspace,
@@ -88,6 +87,5 @@ __all__ = [
     "simulate_failures",
     "span",
     "subspace_polynomial",
-    "verify_full_rank",
     "verify_reference_example",
 ]

@@ -25,10 +25,6 @@ class SeedWithoutZeroError(CompactRepairError, ValueError):
     """Seeds, of a coset family or a seed scheme, must contain the zero element."""
 
 
-class EmptyFamilyError(CompactRepairError, ValueError):
-    """Hitting-set routines need at least one set."""
-
-
 class BudgetExceededError(CompactRepairError, RuntimeError):
     """An exhaustive enumeration would exceed its pattern budget."""
 

@@ -10,9 +10,8 @@ solved, once (CosetFamily.first_miss; InvariantError if it misses a group).
 Every other instance is solved exactly at desk scale (universe within the
 field cap, up to a few thousand sets) by one 0/1 integer program (HiGHS
 via scipy.optimize.milp) over a sparse set-by-element incidence matrix,
-built in numpy: one row per set in family order (a CosetFamily's groups
-come from its per-seed log arrays, a raw list of sets is deduplicated
-first) and one column per element in ascending value.  The witness is
+built in numpy: one row per group in family order, from the per-seed
+log arrays, and one column per element in ascending value.  The witness is
 checked to hit every row before it is reported with method="exact".
 scipy.optimize and scipy.sparse are imported by the first solve, not with
 this module: the milp attribute resolves on first read (module
@@ -41,7 +40,7 @@ back by log -> p^(n-f) * log and checked against the caller's family by
 min_hitting_set, so a corrupted entry raises InvariantError.  Every
 caller gets the canonical solve mapped back, hit or miss, so a result
 depends on the family alone, never on what the process solved before: the
-memo is a pure cache.  Raw lists of sets are solved directly.
+memo is a pure cache.
 
 For a single subspace seed, |MHS| is sandwiched between
 ceil((q^ell - 1)/(q^delta - 1)), by double counting element occurrences,
@@ -76,7 +75,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyFamilyError, InvariantError
+from .errors import InvariantError
 from .orbits import CosetFamily, _least_translate
 from .subspaces import Subspace, _check_delta, gaussian_coefficient, span
 
@@ -123,24 +122,11 @@ class BoundsReport:
     case: str  # "subfield-coset" | "nested-subspace" | "generic"
 
 
-def _rows(family) -> tuple[np.ndarray, np.ndarray]:
-    """(values, indptr): set r of the family is values[indptr[r]:indptr[r + 1]].
-
-    A CosetFamily lists its groups in family order.  Any other iterable of
-    sets is deduplicated, keeping first-seen order.
-    """
-    if isinstance(family, CosetFamily):
-        blocks = family.blocks()
-        values = np.concatenate([block.ravel() for block in blocks])
-        lengths = np.repeat([b.shape[1] for b in blocks], [b.shape[0] for b in blocks])
-    else:
-        sets = list(dict.fromkeys(frozenset(s) for s in family))
-        if not sets:
-            raise EmptyFamilyError("cannot hit an empty family")
-        if any(not s for s in sets):
-            raise ValueError("a family containing the empty set has no hitting set")
-        values = np.array([e for s in sets for e in sorted(s)], np.int64)
-        lengths = [len(s) for s in sets]
+def _rows(family: CosetFamily) -> tuple[np.ndarray, np.ndarray]:
+    """(values, indptr): group r, in family order, is values[indptr[r]:indptr[r + 1]]."""
+    blocks = family.blocks()
+    values = np.concatenate([block.ravel() for block in blocks])
+    lengths = np.repeat([b.shape[1] for b in blocks], [b.shape[0] for b in blocks])
     return values, np.concatenate(([0], np.cumsum(lengths)))
 
 
@@ -156,15 +142,15 @@ def _greedy_hitting(a) -> list[int]:
     return picked
 
 
-def min_hitting_set(family) -> HittingResult:
-    """Exact minimum hitting set of a family of sets.
+def min_hitting_set(family: CosetFamily) -> HittingResult:
+    """Exact minimum hitting set of a coset family's groups.
 
-    A CosetFamily gets its formula witness if it has a solved shape, else
-    its class's memoised solve (see the module docstring), checked here
-    against every group; a raw iterable of sets is solved directly.
+    The family gets its formula witness if it has a solved shape, else its
+    class's memoised solve (see the module docstring), checked here
+    against every group.  Anything but a CosetFamily raises TypeError.
     """
     if not isinstance(family, CosetFamily):
-        return _solve(*_rows(family))
+        raise TypeError(f"min_hitting_set needs a CosetFamily, got {type(family).__name__}")
     res = _formula_witness(family) or _memo_solve(family)
     if family.first_miss(res.witness) is not None:
         raise InvariantError(f"the {res.method} witness of {res.size} points misses a group")

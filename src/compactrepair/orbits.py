@@ -92,13 +92,19 @@ class CosetFamily:
         Group j of seed t meets w iff j = log w - log s for some s in S_t*.
         Those differences are periodic in j with the seed's period, so
         taken mod the period they must cover every j below it:
-        |witness| * |S_t*| work and no group is built.  An int outside
-        [0, order) raises ValueError.
+        |witness| * |S_t*| work and no group is built.  The witness is
+        range-checked and its logs taken as one array; anything but an
+        int in [0, order) raises ctx._check's ValueError for the first
+        such element.
         """
         ctx = self.ctx
-        for w in witness:  # the log table would wrap a negative int
-            ctx._check(w, "witness element")
-        wlogs = np.array([ctx.log(w) for w in witness if w], np.int64)
+        values = list(witness)
+        arr = np.asarray(values)
+        if arr.ndim != 1 or arr.dtype.kind not in "iu" or ((arr < 0) | (arr >= ctx.order)).any():
+            for w in values:  # the log table would wrap a negative int
+                ctx._check(w, "witness element")
+            arr = np.asarray(values, np.int64)  # valid, but empty or bools
+        wlogs = ctx.log_array(arr[arr != 0])
         for t, logs, period in zip(self.kept, self.logs, self.periods):
             covered = np.zeros(period, bool)
             covered[(wlogs[:, None] - np.array(logs)) % period] = True
@@ -133,24 +139,24 @@ def coset_family(seeds) -> CosetFamily:
 
 
 def _least_rotation(seq: list[int]) -> int:
-    """Start of the lexicographically least rotation of seq (Booth, linear time)."""
-    doubled = seq + seq
-    fail = [-1] * len(doubled)
-    k = 0
-    for j in range(1, len(doubled)):
-        c = doubled[j]
-        i = fail[j - k - 1]
-        while i != -1 and c != doubled[k + i + 1]:
-            if c < doubled[k + i + 1]:
-                k = j - i - 1
-            i = fail[i]
-        if c != doubled[k + i + 1]:  # here i == -1
-            if c < doubled[k]:
-                k = j
-            fail[j - k] = -1
+    """Start of the lexicographically least rotation of seq (two pointers, linear time).
+
+    Candidates i < j are compared k entries deep; at the first difference
+    the larger one and the k starts after it are ruled out.
+    """
+    n, doubled = len(seq), seq + seq
+    i, j, k = 0, 1, 0
+    while j < n and k < n:
+        a, b = doubled[i + k], doubled[j + k]
+        if a == b:
+            k += 1
+            continue
+        if a < b:
+            j += k + 1
         else:
-            fail[j - k] = i + 1
-    return k
+            i, j = j, max(j, i + k) + 1
+        k = 0
+    return i
 
 
 def _least_translate(logs, group: int) -> tuple[int, ...]:

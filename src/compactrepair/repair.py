@@ -314,7 +314,10 @@ def _check_k(ctx: FieldCtx, size: int, k: int) -> int:
 def verify_full_rank(scheme) -> bool:
     """Full-Rank Condition: the evaluations at the repaired point span F_q^ell.
 
-    A dilation evaluates at alpha_star as its seed does at 0.
+    A dilation evaluates at alpha_star as its seed does at 0.  SeedScheme
+    accepts only full-rank seeds, so this restates a construction check;
+    it stays in this module, not the package namespace, for perfbench's
+    design-session, which checks every designed scheme with it.
     """
     ctx = scheme.ctx
     return ctx.rank_over(ctx.s, scheme.seed.evals_at(0)) == ctx.ell

@@ -8,7 +8,10 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from math import comb
 
-from compactrepair.errors import BudgetExceededError, EmptyFamilyError, RankDeficientError
+import numpy as np
+
+from compactrepair import hitting
+from compactrepair.errors import BudgetExceededError, RankDeficientError
 from compactrepair.gf import prime_factors
 from compactrepair.orbits import CosetFamily
 from compactrepair.repair import HelperPayload, SeedScheme
@@ -57,12 +60,13 @@ def verify_tolerance_exhaustive(family, e: int, budget: int = 10**7) -> bool:
     """True iff every e-subset of the universe leaves some set untouched.
 
     family is a CosetFamily, whose universe is every nonzero element, or a
-    list of sets, whose universe is their union.  Raises
-    BudgetExceededError when C(|universe|, e) exceeds the budget.
+    list of sets, whose universe is their union.  Raises ValueError on an
+    empty list, and BudgetExceededError when C(|universe|, e) exceeds the
+    budget.
     """
     sets = [frozenset(s) for s in getattr(family, "sets", family)]
     if not sets:
-        raise EmptyFamilyError("cannot verify an empty family")
+        raise ValueError("cannot verify an empty family")
     if isinstance(family, CosetFamily):
         universe = family.ctx.nonzero_elements()
     else:
@@ -112,6 +116,19 @@ def coset_family_scan(seeds, center: int = 0) -> ScannedFamily:
         tuple(first_seen[g][0] for g in sets),
         tuple(first_seen[g][1] for g in sets),
     )
+
+
+def solve_sets(sets) -> hitting.HittingResult:
+    """hitting._solve, the MILP core, over any list of nonempty sets.
+
+    Duplicate sets are dropped, keeping first-seen order; each set is one
+    row, its elements ascending.  min_hitting_set takes coset families
+    only, so the tests of the solver on arbitrary families come here.
+    """
+    rows = [sorted(s) for s in dict.fromkeys(frozenset(s) for s in sets)]
+    values = np.array([e for row in rows for e in row], np.int64)
+    indptr = np.concatenate(([0], np.cumsum([len(row) for row in rows])))
+    return hitting._solve(values, indptr)
 
 
 def translated_sets(family, a: int) -> tuple[frozenset[int], ...]:

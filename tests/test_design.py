@@ -34,6 +34,7 @@ from oracles import (
     group_witnesses,
     partition_dead_patterns,
     simulate_first_intact,
+    solve_sets,
     translated_sets,
 )
 
@@ -640,7 +641,7 @@ def test_cross_module_tolerance_consistency(bundle_s1, bundle_multi):
     for bundle in (bundle_s1, bundle_multi):
         fam = coset_family(list(bundle.seeds))
         for alpha in (0, ctx.exp(3), ctx.exp(7)):
-            assert bundle.tolerance == min_hitting_set(translated_sets(fam, alpha)).tolerance
+            assert bundle.tolerance == solve_sets(translated_sets(fam, alpha)).tolerance
 
 
 def test_simulate_exhaustive_at_tolerance(bundle_s1):

@@ -17,8 +17,8 @@ from compactrepair import (
     orbits,
     span,
 )
-from compactrepair.errors import BudgetExceededError, EmptyFamilyError, InvariantError
-from oracles import coset_family_scan, translated_sets, verify_tolerance_exhaustive
+from compactrepair.errors import BudgetExceededError, InvariantError
+from oracles import coset_family_scan, solve_sets, translated_sets, verify_tolerance_exhaustive
 
 
 def brute_force_mhs_size(sets):
@@ -44,7 +44,7 @@ def random_family(rng, max_universe=15, max_sets=12):
 
 def test_disjoint_family_needs_one_per_set():
     sets = [frozenset({1, 2}), frozenset({3}), frozenset({4, 5, 6})]
-    res = min_hitting_set(sets)
+    res = solve_sets(sets)
     assert res.size == 3
     assert res.method == "exact"
 
@@ -78,7 +78,7 @@ def test_solver_vs_exhaustive_oracle_on_random_corpus():
     rng = random.Random(2024)
     for _ in range(200):
         sets = random_family(rng)
-        res = min_hitting_set(sets)
+        res = solve_sets(sets)
         assert res.method == "exact"
         assert res.size == brute_force_mhs_size(sets)
         assert all(set(res.witness) & s for s in sets)
@@ -88,16 +88,18 @@ def test_solver_is_deterministic():
     rng = random.Random(99)
     for _ in range(20):
         sets = random_family(rng)
-        a = min_hitting_set(sets)
-        b = min_hitting_set(sets)
+        a = solve_sets(sets)
+        b = solve_sets(sets)
         assert a == b
 
 
-def test_empty_family_errors():
-    with pytest.raises(EmptyFamilyError):
-        min_hitting_set([])
-    with pytest.raises(ValueError):
-        min_hitting_set([frozenset()])
+def test_min_hitting_set_refuses_a_list(gf16):
+    # coset families only: a list of sets, even the groups of one, is refused
+    fam = coset_family([span(gf16, 2, [gf16.exp(2), gf16.exp(7)])])
+    for family in ([frozenset({1})], [], list(fam.sets)):
+        with pytest.raises(TypeError) as err:
+            min_hitting_set(family)
+        assert str(err.value) == "min_hitting_set needs a CosetFamily, got list"
 
 
 def test_budget_exhaustion_flags_result(gf64, empty_memo, monkeypatch):
@@ -132,7 +134,7 @@ def test_greedy_fallback_matches_reference(monkeypatch):
     rng = random.Random(13)
     for _ in range(60):
         sets = random_family(rng)
-        res = min_hitting_set(sets)
+        res = solve_sets(sets)
         assert res.method == "greedy-upper-only"
         assert list(res.witness) == reference_greedy(sets)
 
@@ -141,9 +143,9 @@ def test_monotone_under_adding_sets():
     rng = random.Random(7)
     for _ in range(30):
         sets = random_family(rng)
-        base = min_hitting_set(sets).size
+        base = solve_sets(sets).size
         extra = sets + [frozenset(rng.sample(range(1, 16), 3))]
-        assert min_hitting_set(extra).size >= base
+        assert solve_sets(extra).size >= base
 
 
 def test_shift_invariance_over_all_centers(gf16):
@@ -152,7 +154,7 @@ def test_shift_invariance_over_all_centers(gf16):
         fam = coset_family([S])
         reference = min_hitting_set(fam).size
         for alpha in gf16.elements():
-            assert min_hitting_set(translated_sets(fam, alpha)).size == reference
+            assert solve_sets(translated_sets(fam, alpha)).size == reference
 
 
 def test_multi_seed_dominance(gf16):
@@ -178,7 +180,7 @@ def test_verify_tolerance_matches_solver_on_random_corpus():
     rng = random.Random(4242)
     for _ in range(40):
         sets = random_family(rng, max_universe=10, max_sets=8)
-        t = min_hitting_set(sets).tolerance
+        t = solve_sets(sets).tolerance
         for e in range(0, min(t + 2, len(set().union(*sets))) + 1):
             expected = e <= t
             assert verify_tolerance_exhaustive(sets, e) is expected
@@ -268,9 +270,19 @@ def frobenius_conjugates(S):
 
 def test_least_translate_matches_brute_force():
     rng = random.Random(5)
+    cases = []
     for _ in range(300):
         group = rng.randint(1, 40)
-        logs = rng.sample(range(group), rng.randint(1, group))
+        cases.append((rng.sample(range(group), rng.randint(1, group)), group))
+    # periodic gap sequences: evenly spaced logs, and a random pattern below
+    # d repeated group/d times, each shifted
+    for group in range(1, 41):
+        for d in (d for d in range(1, group + 1) if group % d == 0):
+            cases.append(([(x + 3) % group for x in range(0, group, d)], group))
+            base = rng.sample(range(d), rng.randint(1, d))
+            shift = rng.randrange(group)
+            cases.append(([(b + r * d + shift) % group for r in range(group // d) for b in base], group))
+    for logs, group in cases:
         brute = min(tuple(sorted((x - t) % group for x in logs)) for t in range(group))
         assert orbits._least_translate(logs, group) == brute
 
@@ -318,7 +330,7 @@ def test_memo_size_agrees_with_direct_solve(field, delta):
             continue
         seen.add(frozenset(fam.sets))
         memo = min_hitting_set(fam)
-        direct = min_hitting_set(list(fam.sets))
+        direct = solve_sets(fam.sets)
         assert memo.method == direct.method == "exact"
         assert memo.size == direct.size
         assert all(set(memo.witness) & s for s in fam.sets)
@@ -336,8 +348,9 @@ def test_corrupted_memo_entry_raises(gf16, empty_memo):
 def test_raw_and_centred_families_bypass_memo(gf16, empty_memo):
     S = span(gf16, 2, [gf16.exp(4), gf16.exp(5)])
     fam = coset_family([S])
-    assert min_hitting_set(list(fam.sets)).size == 6
-    assert min_hitting_set(translated_sets(fam, gf16.exp(3))).size == 6
+    # the MILP core over the groups, around 0 and around z^3, leaves the memo alone
+    assert solve_sets(fam.sets).size == 6
+    assert solve_sets(translated_sets(fam, gf16.exp(3))).size == 6
     assert not empty_memo
     assert min_hitting_set(fam).size == 6
     assert len(empty_memo) == 1
@@ -350,7 +363,7 @@ def test_memo_evicts_oldest_under_concurrent_callers(gf64, empty_memo, monkeypat
     monkeypatch.setattr(hitting, "MEMO_LIMIT", 2)
     reps = orbits.orbit_decomposition(gf64, 2).representatives
     families = [coset_family([S]) for S in reps]
-    expected = [min_hitting_set(list(fam.sets)).size for fam in families]
+    expected = [solve_sets(fam.sets).size for fam in families]
     errors = []
 
     def worker(seed):

@@ -1,0 +1,61 @@
+"""The package namespace exports exactly the names pinned here.
+
+A change to the public surface is then an edit of this list.
+"""
+
+import types
+
+import compactrepair
+
+PUBLIC = [
+    "BoundsReport",
+    "CosetFamily",
+    "DesignBundle",
+    "FieldCtx",
+    "HelperPayload",
+    "HittingResult",
+    "OrbitReport",
+    "SeedScheme",
+    "SimReport",
+    "Subspace",
+    "bandwidth_comparison",
+    "base_counts",
+    "bounds",
+    "bounds_for_seed",
+    "coset_family",
+    "count_with_base",
+    "design_multi_seed",
+    "design_single_seed",
+    "dilate_translate",
+    "enumerate_subspaces",
+    "field_new",
+    "gaussian_coefficient",
+    "helper_payload",
+    "load_bundle",
+    "min_hitting_set",
+    "mobius",
+    "orbit_count_formula",
+    "orbit_decomposition",
+    "recover_symbol",
+    "search_seed_scheme",
+    "simulate_failures",
+    "span",
+    "subspace_polynomial",
+    "verify_reference_example",
+]
+
+
+def test_all_is_the_pinned_sorted_list():
+    assert PUBLIC == sorted(PUBLIC)
+    assert compactrepair.__all__ == PUBLIC
+
+
+def test_namespace_binds_no_other_public_name():
+    # submodules (compactrepair.gf, ...) are bound once imported, and are not exports
+    bound = {
+        name
+        for name, value in vars(compactrepair).items()
+        if not name.startswith("_")
+        and not (isinstance(value, types.ModuleType) and value.__name__ == f"compactrepair.{name}")
+    }
+    assert bound == set(PUBLIC)

@@ -18,9 +18,9 @@ from compactrepair import (
     recover_symbol,
     search_seed_scheme,
     span,
-    verify_full_rank,
 )
 from compactrepair import repair
+from compactrepair.repair import verify_full_rank
 from compactrepair.errors import (
     DimensionTooSmallError,
     MissingPayloadError,
