@@ -216,6 +216,8 @@ def _check_shape(value, shape, path: str = "bundle") -> None:
     elif type(shape) is list:
         if type(value) is not list:
             raise ValueError(f"{path} must be a JSON array")
+        if shape[0] is int and set(map(type, value)) <= {int}:
+            return  # one pass in C; the walk below only names a bad element
         for i, item in enumerate(value):
             _check_shape(item, shape[0], f"{path}[{i}]")
     elif type(shape) is tuple:
@@ -279,9 +281,11 @@ def load_bundle(data) -> DesignBundle:
             "bundle values disagree with those its inputs (field, code.k, mode, seed "
             "bases and u, mhs.witness and method, config) determine: " + ", ".join(bad)
         )
-    if len(set(mhs.witness)) != mhs.size or not all(0 < w < bundle.n for w in mhs.witness):
+    witness = mhs.witness  # an empty one passes here, and misses a group below
+    low, high = min(witness, default=1), max(witness, default=0)
+    if len(set(witness)) != len(witness) or low < 1 or high >= bundle.n:
         raise ValueError("mhs witness must list distinct nonzero field elements")
-    missed = bundle.family.first_miss(mhs.witness)
+    missed = bundle.family.first_miss(witness)
     if missed is not None:
         seed = bundle.seeds[missed].to_json()
         raise ValueError(f"mhs witness misses a group of seed {missed} {seed}")

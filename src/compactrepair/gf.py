@@ -22,40 +22,40 @@ subfield order p^m with m | s*ell the context also exposes:
 A subfield's first use builds its one cache entry: the element set, the
 trace of every element by F_p-linear doubling (like the exp table) and the
 dual of the power basis (by _echelon).  A trace is then one lookup; racing
-builds agree.
+builds agree.  Other layers keep their per-field data in the context's
+_derived dict the same way, with no lock (see FieldCtx).
 
 The field order is capped at 2^20 so tables stay desk-sized.
 
 field_new keeps one shared context per field per process: a repeated call
 with the same arguments, or one naming the modulus that a default build
-chose, returns the context already built, with the subfield tables filled
-so far.  The cache holds contexts of at most MAX_FIELD_ORDER elements in
-total and drops the oldest first; FieldCtx(...) called directly is never
-cached.
+chose, returns the context already built, with the subfield tables and
+derived data filled so far.  The cache holds contexts of at most
+MAX_FIELD_ORDER elements in total and drops the oldest first;
+FieldCtx(...) called directly is never cached.
 
 Moduli: GF(16) is pinned to x^4 + x + 1 (the arithmetic every golden value
 in this package assumes); other fields take the first monic irreducible in
 coefficient-encoding order unless an explicit modulus is supplied.
 
-Bootstrap, done once per context with no per-coefficient Python loop:
+Bootstrap, done once per context with no per-coefficient Python loop, in
+one residue arithmetic for every p: rows of n digits, multiplied in numpy
+batches through a tensor T with row i*n + j the digits of x^(i+j) mod f.
 
-  * irreducibility: Ben-Or's test, gcd(x^(p^k) - x, f) = 1 for k <= n/2.
-    For p = 2 it runs on int bit vectors and stops at the first k that
-    fails; for odd p it tests a batch of candidate moduli at once in numpy
-    (one unit test of the product of the x^(p^k) - x).  An explicit
-    modulus is tested; a searched or pinned one is not tested again.
+  * irreducibility: Ben-Or's test, gcd(x^(p^k) - x, f) = 1 for k <= n/2,
+    on a batch of candidate moduli at once (one unit test of the product
+    of the x^(p^k) - x).  An explicit modulus is tested; a searched or
+    pinned one is not tested again.
   * generator: the first element in encoding order whose order is
-    p^n - 1, by square-and-multiply to (p^n - 1)/r for each prime r.  For
-    p = 2 candidates go one at a time on ints; for odd p in numpy batches
-    of digit rows, multiplied through a tensor T with row i*n + j the
-    digits of x^(i+j) mod f.
-  * tables: z^0 .. z^(p^n - 1) by doubling (see _build_tables), then one
-    Python int object per value shared by the exp, log and Zech lists.
+    p^n - 1, by square-and-multiply to (p^n - 1)/r for each prime r.
+  * tables: z^0 .. z^(p^n - 1) by doubling (see _build_tables): for p = 2
+    by byte tables of x * c on the bit-vector encoding, else by digit
+    matrices; then one Python int object per value shared by the exp, log
+    and Zech lists.
 """
 
 from __future__ import annotations
 
-import functools
 import operator
 import threading
 
@@ -72,7 +72,7 @@ from .errors import (
 
 MAX_FIELD_ORDER = 1 << 20
 
-# Most candidates (moduli or generators) one numpy batch tests, for odd p.
+# Most candidates (moduli or generators) one numpy batch tests.
 _BATCH = 1024
 
 # Pinned default moduli, keyed by (p, s*ell), coefficients low degree first.
@@ -110,57 +110,13 @@ def _digit_array(values, p: int, width: int) -> np.ndarray:
     return np.asarray(values, np.int64)[..., None] // p ** np.arange(width) % p
 
 
-def _power(mul, a, e: int, one):
-    """a^e by square-and-multiply under the product mul, with identity one."""
-    out = one
-    while e:
-        if e & 1:
-            out = mul(out, a)
-        e >>= 1
-        if e:
-            a = mul(a, a)
-    return out
-
-
 # ----------------------------------------------------------------------
 # Residue arithmetic modulo a monic f of degree n over F_p, used only while
 # bootstrapping a FieldCtx (irreducibility test, generator search, doubling
-# matrices); everything afterwards uses the tables.  For p = 2 a residue is
-# an int bit vector; otherwise it is a row of n digits, and rows multiply in
-# numpy batches through a tensor built from f (or one tensor per f).
+# matrices); everything afterwards uses the tables.  A residue is a row of n
+# digits, and rows multiply in numpy batches through a tensor built from f
+# (or one tensor per f).
 # ----------------------------------------------------------------------
-
-def _gf2_mulmod(a: int, b: int, f: int, n: int) -> int:
-    """Carry-less a * b modulo f, for a, b < 2^n and f of degree n."""
-    out = 0
-    while b:
-        if b & 1:
-            out ^= a
-        b >>= 1
-        a <<= 1
-        if a >> n:
-            a ^= f
-    return out
-
-
-def _gf2_gcd(a: int, b: int) -> int:
-    """Greatest common divisor of two polynomials over F_2 as bit vectors."""
-    while b:
-        while (shift := a.bit_length() - b.bit_length()) >= 0:
-            a ^= b << shift
-        a, b = b, a
-    return a
-
-
-def _gf2_irreducible(f: int, n: int) -> bool:
-    """Ben-Or test of f of degree n over F_2 (see _irreducible_rows)."""
-    u = 2  # x
-    for _ in range(n // 2):
-        u = _gf2_mulmod(u, u, f, n)
-        if _gf2_gcd(f, u ^ 2) != 1:
-            return False
-    return True
-
 
 def _mul_tensors(moduli: np.ndarray, p: int) -> np.ndarray:
     """Per modulus f, T with row i*n + j the digits of x^(i+j) mod f.
@@ -190,10 +146,16 @@ def _mul_rows(a: np.ndarray, b: np.ndarray, t: np.ndarray, p: int) -> np.ndarray
 
 
 def _pow_rows(a: np.ndarray, e: int, t: np.ndarray, p: int) -> np.ndarray:
-    """Row-wise a^e for a (count, n) digit array."""
-    one = np.zeros_like(a)
-    one[:, 0] = 1
-    return _power(lambda u, v: _mul_rows(u, v, t, p), a, e, one)
+    """Row-wise a^e for a (count, n) digit array, by square-and-multiply."""
+    out = np.zeros_like(a)
+    out[:, 0] = 1
+    while e:
+        if e & 1:
+            out = _mul_rows(out, a, t, p)
+        e >>= 1
+        if e:
+            a = _mul_rows(a, a, t, p)
+    return out
 
 
 def _mul_matrices(c: np.ndarray, t: np.ndarray, p: int) -> np.ndarray:
@@ -226,7 +188,7 @@ def _invertible(m: np.ndarray, p: int) -> np.ndarray:
 
 
 def _irreducible_rows(moduli: np.ndarray, p: int) -> np.ndarray:
-    """Ben-Or test of each row of moduli (monic, low first) over an odd p.
+    """Ben-Or test of each row of moduli (monic, low first) over F_p.
 
     f is irreducible iff gcd(x^(p^k) - x, f) = 1 for every k <= n/2: a
     reducible f has an irreducible factor of some degree k <= n/2, which
@@ -247,20 +209,20 @@ def _irreducible_rows(moduli: np.ndarray, p: int) -> np.ndarray:
 
 def _is_irreducible(coeffs, p: int) -> bool:
     """Whether the monic polynomial with coeffs (low first) is irreducible."""
-    if p == 2:
-        return _gf2_irreducible(sum(c << i for i, c in enumerate(coeffs)), len(coeffs) - 1)
     return bool(_irreducible_rows(np.array([coeffs], np.int64), p)[0])
 
 
 def _batches(start: int, stop: int):
-    """[start, stop) in consecutive arrays of 64 ints, doubling up to _BATCH.
+    """[start, stop) in consecutive arrays of 16 ints, doubling up to _BATCH.
 
-    A batch costs about the same numpy calls whatever its length, so the
-    first is long enough to hold the usual first hit (a generator below
-    40, an irreducible among the first few dozen moduli); later batches
-    grow so that a late hit takes few, and one batch's arrays stay bounded.
+    A batch costs the same numpy calls whatever its length, but each row's
+    products cost n^3 digit operations, which rule on GF(2^16) and above.
+    So the first batch is short, and on p = 2 it holds the usual first hit
+    (a generator below 16, an irreducible among the first few dozen
+    encodings); later batches grow so that a late hit takes few, and one
+    batch's arrays stay bounded.
     """
-    size = 64
+    size = 16
     while start < stop:
         yield np.arange(start, min(start + size, stop))
         start, size = start + size, min(2 * size, _BATCH)
@@ -270,11 +232,9 @@ def find_irreducible(p: int, n: int) -> tuple[int, ...]:
     """First monic irreducible of degree n over F_p in encoding order."""
     if n == 1:
         return (0, 1)
-    if p == 2:  # encodings with the x^n and constant bits set
-        f = next(f for f in range(2**n + 1, 2 ** (n + 1), 2) if _gf2_irreducible(f, n))
-        return tuple(_digit_array(f, 2, n + 1).tolist())
     for encs in _batches(p**n, 2 * p**n):  # the x^n digit is 1
         moduli = _digit_array(encs[encs % p != 0], p, n + 1)  # x does not divide f
+        moduli = moduli[moduli.sum(axis=1) % p != 0]  # nor does x - 1
         ok = _irreducible_rows(moduli, p)
         if ok.any():
             return tuple(moduli[ok.argmax()].tolist())
@@ -282,11 +242,16 @@ def find_irreducible(p: int, n: int) -> tuple[int, ...]:
 
 
 class FieldCtx:
-    """Immutable description of GF(p^(s*ell)) with its subfield chain.
+    """GF(p^(s*ell)) with its subfield chain: fixed arithmetic, and derived data.
 
-    Build instances with field_new(), which shares one per field; all
-    operations are pure functions of the context and their integer-encoded
-    arguments.
+    Build instances with field_new(), which shares one per field.  The
+    modulus, generator and tables are fixed at construction, and every
+    operation is a pure function of them and its integer-encoded
+    arguments.  Derived data fill on first use and live as long as the
+    context: the subfield tables, and in _derived the other layers' (a
+    ("closed-form", r) repair scheme, an ("mhs", class) hitting set).  A
+    build that races another stores with setdefault, and both agree, so
+    no lock is needed.
     """
 
     def __init__(self, p: int, s: int, ell: int, modulus=None):
@@ -331,12 +296,10 @@ class FieldCtx:
                     f"modulus {modulus} is reducible over F_{p}"
                 )
         self.modulus = modulus
-        # The modulus in the form the bootstrap multiplies with.
+        self._tensor = _mul_tensors(np.array([modulus], np.int64), p)  # the bootstrap's products
         if p == 2:
-            self._mod_int = sum(c << i for i, c in enumerate(modulus))
             self.add, self.neg = operator.xor, operator.pos  # -x = x
         else:
-            self._tensor = _mul_tensors(np.array([modulus], np.int64), p)
             self.add, self.neg = self._add_zech, self._neg_zech
             self._half = (order - 1) // 2
 
@@ -344,6 +307,9 @@ class FieldCtx:
         self._build_tables()
 
         self._subfields: dict[int, tuple] = {}  # m -> (elements, traces, power-basis dual)
+        # Derived data of other layers, keyed by a tuple whose first item
+        # names the kind: ("closed-form", r), ("mhs", canonical key).
+        self._derived: dict[tuple, object] = {}
 
     # -- bootstrap (pre-table) -------------------------------------------
 
@@ -351,27 +317,21 @@ class FieldCtx:
         """The first element in encoding order of multiplicative order p^n - 1.
 
         g is primitive iff g^((p^n - 1)/r) != 1 for each prime r | p^n - 1.
-        For odd p the candidates go in numpy batches (_batches).
+        The candidates go in numpy batches (_batches).
         """
         p, n, order = self.p, self.n, self.order
         if order == 2:
             return 1
         group = order - 1
         checks = [group // f for f in prime_factors(group)]
-        if p == 2:
-            mul = functools.partial(_gf2_mulmod, f=self._mod_int, n=n)
-            for g in range(2, order):
-                if all(_power(mul, g, e, 1) != 1 for e in checks):
-                    return g
-        else:
-            one = np.eye(1, n, 0, np.int64)
-            for cands in _batches(2, order):
-                rows = _digit_array(cands, p, n)
-                for e in checks:
-                    keep = (_pow_rows(rows, e, self._tensor, p) != one).any(axis=1)
-                    cands, rows = cands[keep], rows[keep]
-                if cands.size:
-                    return int(cands[0])
+        one = np.eye(1, n, 0, np.int64)
+        for cands in _batches(2, order):
+            rows = _digit_array(cands, p, n)
+            for e in checks:
+                keep = (_pow_rows(rows, e, self._tensor, p) != one).any(axis=1)
+                cands, rows = cands[keep], rows[keep]
+            if cands.size:
+                return int(cands[0])
         raise RuntimeError("no primitive element found")  # unreachable
 
     def _build_tables(self):
@@ -380,18 +340,19 @@ class FieldCtx:
         Row t of powers is z^t for t <= p^n - 1: its encoding for p = 2, else
         its digit vector.  Rows [2^t, 2^(t+1)) are rows [0, 2^t) times
         c = z^(2^t), an F_p-linear map: for p = 2 a lookup per byte of the
-        encoding in tables of x * c, else a product mod p with the matrix
-        of rows x^i * c.  The last row, z^(p^n - 1), must be 1.
+        encoding in tables of x * c, with c itself as one extra row whose
+        image is the next c, else a product mod p with the matrix of rows
+        x^i * c.  The last row, z^(p^n - 1), must be 1.
         """
         p, n, order, g = self.p, self.n, self.order, self.generator
         size = order - 1
         if p == 2:
-            f = self._mod_int
+            f = sum(c << i for i, c in enumerate(self.modulus))
             powers = np.zeros(order, np.uint32)
             powers[0], c, done = 1, g, 1
             while done < order:
                 rows = min(done, order - done)
-                src, out, col = powers[:rows], np.zeros(rows, np.uint32), c
+                src, out, col = np.append(powers[:rows], c), np.zeros(rows + 1, np.uint32), c
                 for low in range(0, n, 8):
                     table = np.zeros(1, np.uint32)  # table[b] = (b << low) * c
                     for _ in range(min(8, n - low)):
@@ -400,8 +361,8 @@ class FieldCtx:
                         if col >> n:
                             col ^= f
                     out ^= table[src >> low & 0xFF]
-                powers[done : done + rows] = out
-                done, c = done + rows, _gf2_mulmod(c, c, f, n)
+                powers[done : done + rows] = out[:rows]
+                done, c = done + rows, int(out[rows])
             exp = powers
         else:
             t = self._tensor
@@ -674,8 +635,8 @@ def field_new(p: int, s: int, ell: int, modulus=None) -> FieldCtx:
     """GF(p^(s*ell)) with verified generator and filled tables, shared per process.
 
     The arguments are looked up as given, before any check: a hit returns
-    the context an earlier call built, with the subfield tables filled so
-    far.  A miss builds a FieldCtx (which runs every check; a failed build
+    the context an earlier call built, with the subfield tables and derived
+    data filled so far.  A miss builds a FieldCtx (which runs every check; a failed build
     is not kept) and keeps it under these arguments and under its own
     modulus, so field_new(2, 1, 4) is field_new(2, 1, 4, (1, 1, 0, 0, 1)).
     Kept contexts hold at most MAX_FIELD_ORDER elements in total; the

@@ -32,11 +32,10 @@ constant to logs, so each kept seed's logs reduce to their least translate
 canonical key is the sorted tuple of these forms, each with its seed's
 period (both maps keep stabilizers), at the smallest f < n that minimises
 it.  A miss solves the CosetFamily of the key's forms and periods and
-stores its witness logs in a bounded module-level memo, keyed by (p, n,
-modulus, generator, q, key) rather than by the FieldCtx object: field_new
-shares one context per field, but its cache may drop a context and a later
-call build the same field anew.  The stored witness is mapped
-back by log -> p^(n-f) * log and checked against the caller's family by
+keeps its witness logs and method with the field context, under ("mhs",
+key) in ctx._derived: the entry lives as long as the context, and a
+context built anew solves anew.  The stored witness is mapped back by
+log -> p^(n-f) * log and checked against the caller's family by
 min_hitting_set, so a corrupted entry raises InvariantError.  Every
 caller gets the canonical solve mapped back, hit or miss, so a result
 depends on the family alone, never on what the process solved before: the
@@ -70,7 +69,6 @@ with (q^(ell-delta+1) - 1)/(q - 1) points: the Bose-Burton bound.
 from __future__ import annotations
 
 import sys
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,12 +79,6 @@ from .subspaces import Subspace, _check_delta, gaussian_coefficient, span
 
 # Branch-and-bound nodes one HiGHS solve may spend before it stops.
 NODE_BUDGET = 10**7
-
-# Most canonical classes the memo keeps; the oldest entry goes first.
-MEMO_LIMIT = 4096
-# (p, n, modulus, generator, q, canonical key) -> (witness logs, method)
-_MEMO: dict[tuple, tuple[tuple[int, ...], str]] = {}
-_MEMO_LOCK = threading.Lock()  # eviction and insertion happen together
 
 
 def __getattr__(name: str):
@@ -248,21 +240,17 @@ def _canonical_class(family: CosetFamily) -> tuple[int, tuple[tuple[tuple[int, .
 
 
 def _memo_solve(family: CosetFamily) -> HittingResult:
-    """Solve the family's canonical ΓL class once, and map its witness back, unchecked."""
+    """Solve the family's ΓL class once per context; map its witness back, unchecked."""
     ctx = family.ctx
     group = ctx.order - 1
     f, key = _canonical_class(family)
-    memo_key = (ctx.p, ctx.n, ctx.modulus, ctx.generator, ctx.q, key)
-    entry = _MEMO.get(memo_key)
-    if entry is None:
+    entry = ctx._derived.get(("mhs", key))
+    if entry is None:  # racing solves agree in size; setdefault keeps the first
         forms, periods = zip(*key)  # a form lists the logs of a seed's image
         canonical = CosetFamily(ctx, tuple(range(len(key))), forms, periods)
         res = _solve(*_rows(canonical))
         entry = (tuple(ctx.log(w) for w in res.witness), res.method)
-        with _MEMO_LOCK:
-            if len(_MEMO) >= MEMO_LIMIT:
-                del _MEMO[next(iter(_MEMO))]
-            _MEMO[memo_key] = entry
+        entry = ctx._derived.setdefault(("mhs", key), entry)
     logs, method = entry
     back = ctx.p ** (ctx.n - f)
     return HittingResult(tuple(sorted(ctx.exp(back * v % group) for v in logs)), method)

@@ -44,8 +44,6 @@ Any other u computes its helpers' data itself, one row reduction each.
 from __future__ import annotations
 
 import operator
-import threading
-import weakref
 from dataclasses import dataclass
 
 from .errors import (
@@ -269,20 +267,13 @@ class _ClosedForm:
         self.basis_logs, self.weight_logs = ctx.log_array(beta), ctx.log_array(weights)
 
 
-# FieldCtx -> {r: its _ClosedForm}.  Keyed weakly, so the closed forms go
-# with their context when field_new's cache drops it; a context holds one
-# per r < ell that some scheme used.
-_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-_TABLES_LOCK = threading.Lock()
-
-
 def _closed_form(ctx: FieldCtx, r: int) -> _ClosedForm:
-    """The closed form of ctx and r, built on first use."""
-    with _TABLES_LOCK:
-        forms = _TABLES.setdefault(ctx, {})
-        if r not in forms:
-            forms[r] = _ClosedForm(ctx, r)
-        return forms[r]
+    """The closed form of ctx and r, built on first use.
+
+    ctx._derived keeps it under ("closed-form", r), so it goes with ctx.
+    """
+    key = ("closed-form", r)
+    return ctx._derived.get(key) or ctx._derived.setdefault(key, _ClosedForm(ctx, r))
 
 
 def _closed_form_of(ctx: FieldCtx, u: tuple, max_len: int) -> _ClosedForm | None:

@@ -35,6 +35,12 @@ def gf16_q4():
 
 
 @pytest.fixture
+def closed_forms():
+    """The r of every closed form a context keeps: its ("closed-form", r) entries."""
+    return lambda ctx: {key[1] for key in ctx._derived if key[0] == "closed-form"}
+
+
+@pytest.fixture
 def fresh_fields():
     """field_new's cache, emptied before and after the test, so its calls build anew."""
     gf._FIELDS.clear()

@@ -527,7 +527,9 @@ def test_single_seed_design_builds_one_family(monkeypatch, ell, kwargs):
 
 
 @pytest.mark.parametrize("k, u_len", [(0, 4), (-100, 64)])
-def test_load_bundle_rejects_k_below_1_before_any_table(bundle_s1, capsys, tmp_path, k, u_len):
+def test_load_bundle_rejects_k_below_1_before_any_table(
+    bundle_s1, capsys, tmp_path, k, u_len, closed_forms
+):
     # SeedScheme checks only |S| > k, so such a u would get a table for
     # r = log_2(u_len), above ell = 4 for k = -100
     from compactrepair.cli import main
@@ -536,7 +538,7 @@ def test_load_bundle_rejects_k_below_1_before_any_table(bundle_s1, capsys, tmp_p
     forged["code"]["k"] = k
     forged["seeds"][0]["scheme"]["u"] = [[1] + [0] * (u_len - 1)] * 4
     ctx = bundle_s1.ctx
-    before = set(repair._TABLES.get(ctx, {}))
+    before = closed_forms(ctx)
     with pytest.raises(ValueError) as err:
         load_bundle(forged)
     assert str(err.value) == f"need 1 <= k < n = 16, got k = {k}"
@@ -546,7 +548,7 @@ def test_load_bundle_rejects_k_below_1_before_any_table(bundle_s1, capsys, tmp_p
     out = capsys.readouterr()
     assert code == 1 and out.out == ""
     assert out.err.count("\n") == 1 and f"got k = {k}" in out.err
-    assert set(repair._TABLES.get(ctx, {})) == before
+    assert closed_forms(ctx) == before
 
 
 def test_bundle_rejects_schemes_of_mixed_fields_or_k(bundle_multi):
@@ -581,7 +583,7 @@ def test_load_bundle_reuses_the_designs_helper_data(multi, monkeypatch):
     assert [s.helper_data for s in loaded.schemes] == [s.helper_data for s in bundle.schemes]
 
 
-def test_closed_form_builds_run_no_per_helper_echelon(fresh_fields, monkeypatch):
+def test_closed_form_builds_run_no_per_helper_echelon(fresh_fields, monkeypatch, closed_forms):
     # a multi-seed GF(2^8) design with delta = 3, its load and one repair
     # per seed: the helper data of the point 1 are row-reduced once per r,
     # and every helper's follow from them by formula
@@ -599,7 +601,7 @@ def test_closed_form_builds_run_no_per_helper_echelon(fresh_fields, monkeypatch)
         payloads = [helper_payload(d, x, ctx.poly_eval(f, x)) for x in d.helpers]
         assert recover_symbol(d, payloads) == ctx.poly_eval(f, alpha)
     assert len(loaded.schemes) > 1
-    assert len(calls) <= len(repair._TABLES[ctx]) == 1
+    assert len(calls) <= len(closed_forms(ctx)) == 1
 
 
 def test_load_bundle_all_zero_u_is_rank_deficient(bundle_s1):

@@ -100,8 +100,8 @@ def test_ben_or_matches_rabin_exhaustive(p, top):
         ]
         expected = [is_irreducible_rabin(list(f), p) for f in moduli]
         assert [_is_irreducible(f, p) for f in moduli] == expected, (p, n)
-        if p != 2:  # the batched form find_irreducible runs
-            assert _irreducible_rows(np.array(moduli), p).tolist() == expected, (p, n)
+        # the batched form find_irreducible runs
+        assert _irreducible_rows(np.array(moduli), p).tolist() == expected, (p, n)
         if n > 1:  # degree 1 takes x itself, the one modulus with f(0) = 0
             assert find_irreducible(p, n) == moduli[expected.index(True)], (p, n)
 

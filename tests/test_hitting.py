@@ -107,8 +107,9 @@ def test_budget_exhaustion_flags_result(gf64, empty_memo, monkeypatch):
     # cannot certify optimality; the incumbent is still a valid hitting set.
     gen = next(S for S in enumerate_subspaces(gf64, 2, 2) if S.base == 1)
     fam = coset_family([gen])
+    empty_memo(gf64)
     exact = min_hitting_set(fam)
-    empty_memo.clear()
+    empty_memo(gf64)
     monkeypatch.setattr(hitting, "NODE_BUDGET", 0)
     res = min_hitting_set(fam)
     assert exact.method == "exact"
@@ -255,9 +256,22 @@ def test_sandwich_sampled_gf81():
 
 @pytest.fixture
 def empty_memo():
-    hitting._MEMO.clear()
-    yield hitting._MEMO
-    hitting._MEMO.clear()
+    """A call drops a context's "mhs" entries; teardown drops them again."""
+    cleared = []
+
+    def clear(ctx):
+        for key in [key for key in ctx._derived if key[0] == "mhs"]:
+            del ctx._derived[key]
+        cleared.append(ctx)
+
+    yield clear
+    for ctx in list(cleared):
+        clear(ctx)
+
+
+def mhs_entries(ctx):
+    """A context's memoised classes: {("mhs", canonical key): (witness logs, method)}."""
+    return {key: value for key, value in ctx._derived.items() if key[0] == "mhs"}
 
 
 def frobenius_conjugates(S):
@@ -293,18 +307,18 @@ def test_memo_result_does_not_depend_on_history(empty_memo):
     first = frozenset(coset_family(generic[:1]).sets)
     other = next(S for S in generic if frozenset(coset_family([S]).sets) != first)
     for seeds in ([generic[0]], [generic[0], other]):
+        empty_memo(ctx)
         target = coset_family(seeds)
         fresh = min_hitting_set(target)
-        empty_memo.clear()
+        empty_memo(ctx)
         conjugates = [frobenius_conjugates(S) for S in seeds]
         families = [coset_family(list(c)) for c in zip(*conjugates)]
         random.Random(len(seeds)).shuffle(families)
         for fam in families:
             res = min_hitting_set(fam)
             assert all(set(res.witness) & s for s in fam.sets)
-        assert len(empty_memo) == 1
+        assert len(mhs_entries(ctx)) == 1
         assert min_hitting_set(target) == fresh
-        empty_memo.clear()
 
 
 SIZE_AGREEMENT = [
@@ -337,30 +351,32 @@ def test_memo_size_agrees_with_direct_solve(field, delta):
 
 
 def test_corrupted_memo_entry_raises(gf16, empty_memo):
+    empty_memo(gf16)
     fam = coset_family([span(gf16, 2, [gf16.exp(4), gf16.exp(5)])])
     min_hitting_set(fam)
-    (key, (logs, method)), = empty_memo.items()
-    empty_memo[key] = (logs[1:], method)
+    (key, (logs, method)), = mhs_entries(gf16).items()
+    gf16._derived[key] = (logs[1:], method)
     with pytest.raises(InvariantError):
         min_hitting_set(fam)
 
 
 def test_raw_and_centred_families_bypass_memo(gf16, empty_memo):
+    empty_memo(gf16)
     S = span(gf16, 2, [gf16.exp(4), gf16.exp(5)])
     fam = coset_family([S])
     # the MILP core over the groups, around 0 and around z^3, leaves the memo alone
     assert solve_sets(fam.sets).size == 6
     assert solve_sets(translated_sets(fam, gf16.exp(3))).size == 6
-    assert not empty_memo
+    assert not mhs_entries(gf16)
     assert min_hitting_set(fam).size == 6
-    assert len(empty_memo) == 1
+    assert len(mhs_entries(gf16)) == 1
 
 
-def test_memo_evicts_oldest_under_concurrent_callers(gf64, empty_memo, monkeypatch):
-    # Two slots for the three memoised classes of GF(64) delta=2 (its
-    # subfield-coset orbit takes the formula and no slot) force evictions
-    # while eight threads solve a family of every orbit at once.
-    monkeypatch.setattr(hitting, "MEMO_LIMIT", 2)
+def test_memo_fills_once_per_class_under_concurrent_callers(gf64, empty_memo):
+    # Eight threads solve a family of every orbit of GF(64) delta=2 at once,
+    # with no lock: racing solves keep one entry per memoised class, three
+    # (its subfield-coset orbit takes the formula and no entry).
+    empty_memo(gf64)
     reps = orbits.orbit_decomposition(gf64, 2).representatives
     families = [coset_family([S]) for S in reps]
     expected = [solve_sets(fam.sets).size for fam in families]
@@ -388,7 +404,7 @@ def test_memo_evicts_oldest_under_concurrent_callers(gf64, empty_memo, monkeypat
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert not errors
-    assert len(empty_memo) <= 2
+    assert len(mhs_entries(gf64)) == 3
 
 
 # ----------------------------------------------------------------------

@@ -28,7 +28,6 @@ from compactrepair import (
     simulate_failures,
     span,
 )
-from compactrepair import repair
 
 ELL = 4  # GF(16) over F_2, the seed [4, 11] = {0, z^4, z^11, z^15}
 
@@ -154,7 +153,7 @@ def test_fractional_e_rejected(e):
 
 
 @pytest.mark.parametrize("k", [1.5, 2.0])
-def test_fractional_k_rejected_before_any_table(k):
+def test_fractional_k_rejected_before_any_table(k, closed_forms):
     # search_seed_scheme(S, 1.5) returned a scheme with k = 1.5, and a design
     # with k = 1.5 wrote a bundle that load_bundle refused
     ctx = FieldCtx(2, 1, ELL)  # uncached, so no other test has filled its tables
@@ -163,13 +162,13 @@ def test_fractional_k_rejected_before_any_table(k):
         with pytest.raises(ValueError) as err:
             build()
         assert str(err.value) == f"need an integer k, got k = {k}"
-    assert not repair._TABLES.get(ctx)
+    assert not closed_forms(ctx)
     cached = _gf16()
-    before = set(repair._TABLES.get(cached, {}))
+    before = closed_forms(cached)
     with pytest.raises(ValueError) as err:
         design_single_seed(2, 1, ELL, k, seed_basis=[4, 11])
     assert str(err.value) == f"need an integer k, got k = {k}"
-    assert set(repair._TABLES.get(cached, {})) == before
+    assert closed_forms(cached) == before
 
 
 class InstanceIndex:

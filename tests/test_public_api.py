@@ -3,7 +3,11 @@
 A change to the public surface is then an edit of this list.
 """
 
+import importlib
+import pkgutil
+import threading
 import types
+import weakref
 
 import compactrepair
 
@@ -59,3 +63,19 @@ def test_namespace_binds_no_other_public_name():
         and not (isinstance(value, types.ModuleType) and value.__name__ == f"compactrepair.{name}")
     }
     assert bound == set(PUBLIC)
+
+
+def test_field_new_cache_is_the_one_locked_module_level_store():
+    # per-field data live in their FieldCtx; field_new's cache, under
+    # gf._FIELDS_LOCK, is the one process-wide store that needs a lock
+    lock_types = (type(threading.Lock()), type(threading.RLock()))
+    locks, weak_stores = [], []
+    for info in pkgutil.iter_modules(compactrepair.__path__):
+        module = importlib.import_module(f"compactrepair.{info.name}")
+        for name, value in vars(module).items():
+            if isinstance(value, lock_types):
+                locks.append(f"{info.name}.{name}")
+            if isinstance(value, weakref.WeakKeyDictionary):
+                weak_stores.append(f"{info.name}.{name}")
+    assert locks == ["gf._FIELDS_LOCK"]
+    assert weak_stores == []

@@ -11,15 +11,18 @@ from compactrepair import (
     FieldCtx,
     HelperPayload,
     SeedScheme,
+    bounds_for_seed,
     coset_family,
     dilate_translate,
+    enumerate_subspaces,
     field_new,
     helper_payload,
+    min_hitting_set,
     recover_symbol,
     search_seed_scheme,
     span,
 )
-from compactrepair import repair
+from compactrepair import hitting, repair
 from compactrepair.repair import verify_full_rank
 from compactrepair.errors import (
     DimensionTooSmallError,
@@ -110,7 +113,7 @@ def test_dimension_too_small(gf16, golden_seed):
 
 
 @pytest.mark.parametrize("k, u_len", [(0, 4), (-1, 4), (-100, 64)])
-def test_k_below_1_rejected_before_any_table(k, u_len):
+def test_k_below_1_rejected_before_any_table(k, u_len, closed_forms):
     # search_seed_scheme(S, -100) once built the table for r = 6 > ell = 4 and
     # returned a "full-rank" scheme of bandwidth 0 that recovered 0 for f(a*) = 7
     ctx = FieldCtx(2, 1, 4)  # uncached, so no other test has filled its tables
@@ -120,16 +123,16 @@ def test_k_below_1_rejected_before_any_table(k, u_len):
         with pytest.raises(ValueError) as err:
             build()
         assert str(err.value) == f"need 1 <= k < n = 16, got k = {k}"
-    assert not repair._TABLES.get(ctx)
+    assert not closed_forms(ctx)
 
 
 @pytest.mark.parametrize("k", [4, 16, 100])
-def test_k_at_least_seed_size_rejected_before_any_table(k):
+def test_k_at_least_seed_size_rejected_before_any_table(k, closed_forms):
     # search_seed_scheme once built the r = 0 table before SeedScheme refused k
     ctx = FieldCtx(2, 1, 4)
     with pytest.raises(DimensionTooSmallError, match=f"^[|]S[|] = 4 must exceed k = {k} "):
         search_seed_scheme(span(ctx, 2, [4, 11]), k)
-    assert not repair._TABLES.get(ctx)
+    assert not closed_forms(ctx)
 
 
 NOT_FULL_RANK = "^the check evaluations at 0 are not full-rank$"
@@ -703,14 +706,25 @@ def test_closed_form_on_a_large_seed_recovers():
     assert recover_symbol(d, payloads_for(ctx, d, f)) == ctx.poly_eval(f, alpha)
 
 
-def test_closed_form_tables_go_with_their_context():
-    ctx = FieldCtx(2, 1, 4)  # uncached, so this test holds the only reference
-    search_seed_scheme(span(ctx, 2, [ctx.exp(2), ctx.exp(7)]), 2)
-    assert set(repair._TABLES[ctx]) == {1}
-    ref = weakref.ref(ctx)
-    del ctx
+def test_closed_form_tables_go_with_their_context(closed_forms, monkeypatch):
+    # a closed form and a memoised hitting set live in their context and go
+    # with it, so a context built anew solves the same family again
+    solves = []
+    milp = hitting.milp
+    monkeypatch.setattr(hitting, "milp", lambda **kw: solves.append(kw) or milp(**kw))
+    ctx = FieldCtx(2, 1, 6)  # uncached, so this test holds the only reference
+    S = next(S for S in enumerate_subspaces(ctx, 2, 2) if bounds_for_seed(S).exact is None)
+    basis = list(S.basis)
+    search_seed_scheme(S, 2)
+    assert min_hitting_set(coset_family([S])).method == "exact"
+    assert closed_forms(ctx) == {1} and len(solves) == 1
+    refs = weakref.ref(ctx), weakref.ref(repair._closed_form(ctx, 1))
+    del ctx, S
     gc.collect()
-    assert ref() is None
+    assert [ref() for ref in refs] == [None, None]
+    again = FieldCtx(2, 1, 6)
+    assert min_hitting_set(coset_family([span(again, 2, basis)])).method == "exact"
+    assert len(solves) == 2
 
 
 def test_closed_form_r_zero_is_naive(gf16, golden_seed):
