@@ -21,7 +21,7 @@ from .design import (
     simulate_failures,
     verify_reference_example,
 )
-from .errors import CompactRepairError, FieldTooLargeError
+from .errors import CompactRepairError
 from .gf import MAX_FIELD_ORDER, field_new, prime_factors
 from .orbits import orbit_decomposition
 
@@ -38,7 +38,7 @@ class _Parser(argparse.ArgumentParser):
 def _prime_power(q: int) -> tuple[int, int]:
     """Factor q = p^s with p prime, or raise ValueError."""
     if q > MAX_FIELD_ORDER:
-        raise FieldTooLargeError(f"q = {q} exceeds the field order cap of 2^20")
+        raise ValueError(f"q = {q} exceeds the field order cap of 2^20")
     factors = prime_factors(q)
     if len(factors) != 1:
         raise ValueError(f"q = {q} is not a prime power")

@@ -298,25 +298,22 @@ def _check_certificate(bundle: DesignBundle, error: type[Exception]) -> None:
 
     The witness is checked where it is made (min_hitting_set) or read
     (load_bundle), not here.  Every scheme is full-rank already, since
-    SeedScheme accepts no other.  A generic seed's size is only checked
-    against its bounds; minimality is not re-proved.
+    SeedScheme accepts no other.  Any method's size lies in the sandwich,
+    and where the bounds fix |MHS| the method is exact and the size that
+    value.  A generic seed's size is only checked against its bounds;
+    minimality is not re-proved.
     """
     mhs, bnd, family = bundle.mhs, bundle.bounds, bundle.family
-    within = bnd.lower <= mhs.size <= bnd.upper and bnd.exact in (None, mhs.size)
-    if mhs.method == "exact" and not within:
-        raise error(f"exact |MHS| = {mhs.size} is off the bounds {bnd}")
+    if not bnd.lower <= mhs.size <= bnd.upper or bnd.exact not in (None, mhs.size):
+        raise error(f"{mhs.method} |MHS| = {mhs.size} is off the bounds {bnd}")
+    if bnd.exact is not None and mhs.method != "exact":
+        raise error(f"the bounds fix |MHS| = {bnd.exact}, so its method must be exact")
     if bundle.mode == "multi-seed":
         expected = gaussian_coefficient(bundle.ctx.ell, bundle.delta, bundle.ctx.q)
         if len(family) != expected or len(family.kept) != len(bundle.seeds):  # one seed per orbit
             raise error(
                 f"multi-seed coset sets are not all {expected} {bundle.delta}-subspaces, once each"
             )
-
-
-def _validate_code(ctx: FieldCtx, k: int, delta: int) -> None:
-    """Reject delta and k before any orbit enumeration or solve."""
-    _check_delta(ctx.q, ctx.ell, delta)
-    _check_k(ctx, ctx.q**delta, k)
 
 
 def _seed_from_strategy(ctx: FieldCtx, delta: int, strategy: str) -> Subspace:
@@ -357,11 +354,13 @@ def design_single_seed(
         if delta is not None or strategy is not None:
             raise ValueError("seed_basis fixes the seed; drop delta and strategy")
         seed = span(ctx, ctx.q, list(seed_basis))
-        _validate_code(ctx, k, seed.dim)
+        _check_delta(ctx.q, ctx.ell, seed.dim)
+        _check_k(ctx, ctx.q**seed.dim, k)
     else:
         if delta is None:
             raise ValueError("give either seed_basis or delta")
-        _validate_code(ctx, k, delta)
+        _check_delta(ctx.q, ctx.ell, delta)  # before any orbit enumeration or solve
+        _check_k(ctx, ctx.q**delta, k)
         strategy = "subfield-coset" if strategy is None else strategy
         seed = _seed_from_strategy(ctx, delta, strategy)
     config = {
@@ -391,7 +390,8 @@ def design_multi_seed(
     callers and ignored, and it is not written to the config.
     """
     ctx = field_new(p, s, ell, modulus)
-    _validate_code(ctx, k, delta)
+    _check_delta(ctx.q, ctx.ell, delta)  # before any orbit enumeration or solve
+    _check_k(ctx, ctx.q**delta, k)
     seeds = orbit_decomposition(ctx, delta).representatives
     config = {"strategy": "orbit-representatives", "group_selection": "first-intact"}
     return _design("multi-seed", seeds, k, config)

@@ -61,14 +61,7 @@ import threading
 
 import numpy as np
 
-from .errors import (
-    FieldTooLargeError,
-    InvalidSubfieldError,
-    InvariantError,
-    NonPrimeError,
-    RankDeficientError,
-    ReducibleModulusError,
-)
+from .errors import InvariantError
 
 MAX_FIELD_ORDER = 1 << 20
 
@@ -207,11 +200,6 @@ def _irreducible_rows(moduli: np.ndarray, p: int) -> np.ndarray:
     return _invertible(_mul_matrices(prod, t, p), p)
 
 
-def _is_irreducible(coeffs, p: int) -> bool:
-    """Whether the monic polynomial with coeffs (low first) is irreducible."""
-    return bool(_irreducible_rows(np.array([coeffs], np.int64), p)[0])
-
-
 def _batches(start: int, stop: int):
     """[start, stop) in consecutive arrays of 16 ints, doubling up to _BATCH.
 
@@ -265,11 +253,9 @@ class FieldCtx:
             or n >= MAX_FIELD_ORDER.bit_length()
             or p**n > MAX_FIELD_ORDER
         ):
-            raise FieldTooLargeError(
-                f"field order {p}^{n} exceeds the cap of 2^20"
-            )
+            raise ValueError(f"field order {p}^{n} exceeds the cap of 2^20")
         if prime_factors(p) != [p]:
-            raise NonPrimeError(f"p = {p} is not prime")
+            raise ValueError(f"p = {p} is not prime")
         order = p**n
         # Every attribute is set here: one added to a built context slowed its add/mul lookups.
         self.p = p
@@ -291,10 +277,8 @@ class FieldCtx:
                 raise ValueError("modulus coefficients must lie in [0, p)")
             if modulus[-1] != 1:
                 raise ValueError("modulus must be monic")
-            if not _is_irreducible(modulus, p):
-                raise ReducibleModulusError(
-                    f"modulus {modulus} is reducible over F_{p}"
-                )
+            if not _irreducible_rows(np.array([modulus], np.int64), p)[0]:
+                raise ValueError(f"modulus {modulus} is reducible over F_{p}")
         self.modulus = modulus
         self._tensor = _mul_tensors(np.array([modulus], np.int64), p)  # the bootstrap's products
         if p == 2:
@@ -484,9 +468,6 @@ class FieldCtx:
     def elements(self) -> range:
         return range(self.order)
 
-    def nonzero_elements(self) -> range:
-        return range(1, self.order)
-
     # -- polynomials over the field ---------------------------------------
 
     def poly_eval(self, coeffs, x: int) -> int:
@@ -512,9 +493,7 @@ class FieldCtx:
         for m in range(1, self.n + 1):
             if self.n % m == 0 and self.p**m == q_order:
                 return m
-        raise InvalidSubfieldError(
-            f"{q_order} is not the order of a subfield of GF({self.p}^{self.n})"
-        )
+        raise ValueError(f"{q_order} is not the order of a subfield of GF({self.p}^{self.n})")
 
     def _build_subfield(self, m: int) -> tuple:
         """Build and keep the order-p^m subfield's entry of _subfields.
@@ -523,9 +502,9 @@ class FieldCtx:
         rows [0, p^k) plus d*Tr(x^k), x^k being the digit basis element p^k.
         """
         if m < 1:
-            raise InvalidSubfieldError(f"need m >= 1, got m = {m}")
+            raise ValueError(f"need m >= 1, got m = {m}")
         if self.n % m:
-            raise InvalidSubfieldError(f"m = {m} does not divide {self.n}")
+            raise ValueError(f"m = {m} does not divide {self.n}")
         p, n, order = self.p, self.n, self.order
         step = (order - 1) // (p**m - 1)
         # The subfield's own int objects from _exp: z^(j*step) at j, then 0,
@@ -601,7 +580,7 @@ class FieldCtx:
             raise ValueError(f"need {self.n // m} basis elements, got {len(ws)}")
         dual, pivots = self._echelon(ws, ws, trace)
         if len(pivots) < len(ws):
-            raise RankDeficientError("singular matrix over subfield")
+            raise ValueError("singular matrix over subfield")
         return dual
 
     def coords(self, x: int, m: int) -> tuple[int, ...]:

@@ -18,8 +18,10 @@ this module: the milp attribute resolves on first read (module
 __getattr__), and _solve calls through it.
 
 If the solver spends its NODE_BUDGET nodes, or it returns no verified
-optimum, the smaller of its verified incumbent and a greedy max-coverage
-cover is returned flagged method="greedy-upper-only".  Witnesses are
+optimum, the smallest of its verified incumbent, a greedy max-coverage
+cover and, for seeds of one dimension, the Bose-Burton line cover (see
+below) is returned flagged method="greedy-upper-only"; the line cover
+keeps it within bounds' upper end.  Witnesses are
 reproducible for fixed inputs, but only size and the hitting property are
 contractual.
 
@@ -158,8 +160,8 @@ def _formula_witness(family: CosetFamily) -> HittingResult | None:
     """
     ctx = family.ctx
     q, ell = ctx.q, ctx.ell
-    delta, *mixed = {_exponent(q, len(logs) + 1) for logs in family.logs}
-    if mixed or delta is None:
+    delta = _shared_delta(family)
+    if delta is None:
         return None
     m = _exponent(q, (ctx.order - 1) // family.periods[0] + 1)
     shape = _solved_shape(q, ell, delta, m) if len(family.kept) == 1 and m else None
@@ -170,12 +172,28 @@ def _formula_witness(family: CosetFamily) -> HittingResult | None:
         z = ctx.generator
         witness = [1] + [ctx.add(z, c) for c in ctx.subfield_elements(ctx.s * (ell - delta))]
     elif len(family) == gaussian_coefficient(ell, delta, q):
-        U = span(ctx, q, [ctx.exp(i) for i in range(ell - delta + 1)])
-        scalars = ctx.subfield_elements(ctx.s)[1:]
-        witness = {min(ctx.mul(c, v) for c in scalars) for v in U.members if v}
+        witness = _line_cover(ctx, delta)
     else:
         return None
     return HittingResult(tuple(sorted(witness)), "exact")
+
+
+def _shared_delta(family: CosetFamily) -> int | None:
+    """delta with |S*| = q^delta - 1 for every kept seed, else None."""
+    delta, *mixed = {_exponent(family.ctx.q, len(logs) + 1) for logs in family.logs}
+    return None if mixed else delta
+
+
+def _line_cover(ctx, delta: int) -> set[int]:
+    """The least F_q-multiple of each nonzero member of U = span(z^0, ..., z^(ell-delta)).
+
+    U meets every delta-subspace in at least a line, so these
+    (q^(ell-delta+1) - 1)/(q - 1) points, bounds' upper end, hit every
+    group of any family whose seeds have dimension delta.
+    """
+    U = span(ctx, ctx.q, [ctx.exp(i) for i in range(ctx.ell - delta + 1)])
+    scalars = ctx.subfield_elements(ctx.s)[1:]
+    return {min(ctx.mul(c, v) for c in scalars) for v in U.members if v}
 
 
 def _exponent(q: int, value: int) -> int | None:
@@ -249,6 +267,11 @@ def _memo_solve(family: CosetFamily) -> HittingResult:
         forms, periods = zip(*key)  # a form lists the logs of a seed's image
         canonical = CosetFamily(ctx, tuple(range(len(key))), forms, periods)
         res = _solve(*_rows(canonical))
+        delta = _shared_delta(canonical)
+        if res.method != "exact" and delta is not None:  # keep the fallback within bounds
+            cover = _line_cover(ctx, delta)
+            if len(cover) < res.size:
+                res = HittingResult(tuple(sorted(cover)), res.method)
         entry = (tuple(ctx.log(w) for w in res.witness), res.method)
         entry = ctx._derived.setdefault(("mhs", key), entry)
     logs, method = entry

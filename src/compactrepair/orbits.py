@@ -30,9 +30,7 @@ from math import gcd
 
 import numpy as np
 
-from .errors import (
-    BudgetExceededError, InvalidDivisorError, InvariantError, SeedWithoutZeroError,
-)
+from .errors import BudgetExceededError, InvariantError
 from .gf import FieldCtx, prime_factors
 from .subspaces import Subspace, _check_delta, _subspace_blocks, gaussian_coefficient
 
@@ -130,7 +128,7 @@ def coset_family(seeds) -> CosetFamily:
         if S.ctx is not ctx:
             raise ValueError("all seeds must share one field context")
         if 0 not in S.members:
-            raise SeedWithoutZeroError(f"seed {sorted(S.members)} does not contain 0")
+            raise ValueError(f"seed {sorted(S.members)} does not contain 0")
         period = S.coset_count  # rejects the trivial seed
         star_logs = tuple(sorted(ctx.log(x) for x in S.star()))
         forms.setdefault(_least_translate(star_logs, group), (t, star_logs, period))
@@ -285,7 +283,7 @@ def count_with_base(q: int, ell: int, delta: int, m: int) -> int:
     """
     g = gcd(ell, delta)
     if m < 1 or g % m:
-        raise InvalidDivisorError(f"m = {m} must divide gcd(ell, delta) = {g}")
+        raise ValueError(f"m = {m} must divide gcd(ell, delta) = {g}")
     total = 0
     for v in _divisors(g // m):
         total += mobius(v) * gaussian_coefficient(ell // (m * v), delta // (m * v), q ** (m * v))

@@ -46,14 +46,6 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 
-from .errors import (
-    DimensionTooSmallError,
-    MissingPayloadError,
-    NotAHelperError,
-    RankDeficientError,
-    SeedWithoutZeroError,
-    ZeroDilationError,
-)
 from .gf import FieldCtx, is_integer
 from .subspaces import Subspace, span, subspace_polynomial
 
@@ -62,7 +54,7 @@ class SeedScheme:
     """Check-polynomial family repairing f(0) over the helpers S\\{0}.
 
     Immutable after construction, and full-rank by construction: u whose
-    evaluations at 0 do not span F_q^ell raise RankDeficientError, and k
+    evaluations at 0 do not span F_q^ell raise ValueError, and k
     outside [1, |S|) raises before any closed form is built (_check_k).
     ``ctx`` is the subspace's field.  ``helper_data`` maps each helper x to
     its (basis, weights), see _helper_data.  For search_seed_scheme's
@@ -77,7 +69,7 @@ class SeedScheme:
     def __init__(self, subspace: Subspace, k: int, u):
         ctx = subspace.ctx
         if 0 not in subspace.members:
-            raise SeedWithoutZeroError(f"seed {sorted(subspace.members)} does not contain 0")
+            raise ValueError(f"seed {sorted(subspace.members)} does not contain 0")
         size = len(subspace.members)
         self.k = k = _check_k(ctx, size, k)
         self.ctx = ctx
@@ -151,7 +143,7 @@ class _RepairScheme:
         ctx._check(alpha_star, "alpha_star")
         ctx._check(b, "b")
         if b == 0:
-            raise ZeroDilationError("dilation factor b must be nonzero")
+            raise ValueError("dilation factor b must be nonzero")
         self.seed = seed
         self.ctx = ctx
         self.alpha_star = alpha_star
@@ -224,8 +216,8 @@ def _duals_at_zero(ctx: FieldCtx, evals) -> tuple[int, ...]:
     """Trace-dual basis of the evaluations at 0, which exists iff they are full-rank."""
     try:
         return ctx.dual_basis(evals, ctx.s)
-    except RankDeficientError:
-        raise RankDeficientError("the check evaluations at 0 are not full-rank") from None
+    except ValueError:  # evals are ell field elements, so the basis is singular
+        raise ValueError("the check evaluations at 0 are not full-rank") from None
 
 
 class _ClosedForm:
@@ -298,7 +290,7 @@ def _check_k(ctx: FieldCtx, size: int, k: int) -> int:
     if k < 1:
         raise ValueError(f"need 1 <= k < n = {ctx.order}, got k = {k}")
     if size <= k:
-        raise DimensionTooSmallError(f"|S| = {size} must exceed k = {k} for a repair scheme")
+        raise ValueError(f"|S| = {size} must exceed k = {k} for a repair scheme")
     return k
 
 
@@ -329,7 +321,7 @@ def helper_payload(scheme: _RepairScheme, beta: int, f_beta: int) -> HelperPaylo
     ctx._check(f_beta, "f_beta")
     data = scheme.helper_data.get(beta)
     if data is None:
-        raise NotAHelperError(f"{beta} is not a helper of this scheme")
+        raise ValueError(f"{beta} is not a helper of this scheme")
     mq = ctx.s
     symbols = tuple(ctx.trace_to_subfield(ctx.mul(xi, f_beta), mq) for xi in data[0])
     return HelperPayload(beta, symbols)
@@ -356,9 +348,7 @@ def recover_symbol(scheme: _RepairScheme, payloads) -> int:
         # 0.0 == 0, so a helper counts as covered only by a field element.
         covered = {b for b, (_, data) in by_beta.items() if data is not None}
         missing = [b for b in scheme.helpers if b not in covered]
-        raise MissingPayloadError(
-            f"payloads must cover helpers exactly (missing {missing}, extra {extra})"
-        )
+        raise ValueError(f"payloads must cover helpers exactly (missing {missing}, extra {extra})")
     result = 0
     for beta, (p, (_, weights)) in by_beta.items():
         if len(p.symbols) != len(weights):

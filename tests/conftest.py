@@ -4,7 +4,10 @@ import json
 
 import pytest
 
-from compactrepair import OrbitReport, design_multi_seed, design_single_seed, field_new, span
+from compactrepair import (
+    DesignBundle, HittingResult, OrbitReport, design_multi_seed, design_single_seed, field_new,
+    load_bundle, span,
+)
 from compactrepair import gf
 
 
@@ -99,6 +102,19 @@ def _set(path, value):
     return edit
 
 
+def _flag_greedy(witness=None):
+    """An edit that rewrites the bundle around witness (default its own), flagged not exact."""
+
+    def edit(blob):
+        b = load_bundle(blob)
+        mhs = HittingResult(tuple(witness or b.mhs.witness), "greedy-upper-only")
+        forged = DesignBundle(b.mode, b.schemes, mhs, b.config).to_json_dict()
+        blob.clear()
+        blob.update(forged)
+
+    return edit
+
+
 # name -> (which bundle, edit, recompute config_hash, error pattern).  Each
 # edit leaves a bundle that is malformed or whose certificate fails; the
 # GF(16) seed is [4, 11] = {0, z^4, z^11, z^15}.
@@ -152,6 +168,15 @@ FORGERIES = {
     "prime-over-cap": (
         "single", _set(("field", "p"), 2**61 - 1), True, "exceeds the cap"
     ),
+    # witnesses that hit every group, but not of the size the bounds fix: 5
+    # for the single seed, 7 for the multi-seed design
+    "greedy-over-exact": (
+        "single", _flag_greedy([1, 2, 3, 4, 5, 6, 8]), False, "off the bounds"
+    ),
+    "greedy-over-multi-seed": (
+        "multi", _flag_greedy(range(1, 16)), False, "off the bounds"
+    ),
+    "greedy-at-exact": ("single", _flag_greedy(), False, "must be exact"),
 }
 
 

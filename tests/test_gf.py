@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import re
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -13,14 +14,7 @@ from hypothesis import strategies as st
 from compactrepair import (
     coset_family, design_multi_seed, design_single_seed, field_new, gf, load_bundle, span,
 )
-from compactrepair.errors import (
-    FieldTooLargeError,
-    InvalidSubfieldError,
-    NonPrimeError,
-    RankDeficientError,
-    ReducibleModulusError,
-)
-from compactrepair.gf import MAX_FIELD_ORDER, FieldCtx, _irreducible_rows, _is_irreducible, find_irreducible
+from compactrepair.gf import MAX_FIELD_ORDER, FieldCtx, _irreducible_rows, find_irreducible
 from oracles import (
     digit_add,
     digit_neg,
@@ -58,11 +52,11 @@ def test_gf9_generator_order_exhaustive(gf9):
 
 
 def test_construction_errors():
-    with pytest.raises(NonPrimeError):
+    with pytest.raises(ValueError, match=r"^p = 4 is not prime$"):
         field_new(4, 1, 2)
-    with pytest.raises(FieldTooLargeError):
+    with pytest.raises(ValueError, match=r"^field order 2\^21 exceeds the cap of 2\^20$"):
         field_new(2, 1, 21)
-    with pytest.raises(ReducibleModulusError):
+    with pytest.raises(ValueError, match=r"^modulus \(1, 0, 0, 0, 1\) is reducible over F_2$"):
         field_new(2, 1, 4, (1, 0, 0, 0, 1))  # x^4 + 1 = (x+1)^4
     with pytest.raises(ValueError):
         field_new(2, 1, 4, (1, 1, 1))  # wrong degree
@@ -81,7 +75,7 @@ def test_construction_errors():
     ],
 )
 def test_reducible_explicit_modulus_rejected(p, modulus):
-    with pytest.raises(ReducibleModulusError):
+    with pytest.raises(ValueError, match=rf"^modulus {re.escape(str(modulus))} is reducible over F_{p}$"):
         field_new(p, 1, len(modulus) - 1, modulus)
 
 
@@ -99,7 +93,6 @@ def test_ben_or_matches_rabin_exhaustive(p, top):
             if enc % p
         ]
         expected = [is_irreducible_rabin(list(f), p) for f in moduli]
-        assert [_is_irreducible(f, p) for f in moduli] == expected, (p, n)
         # the batched form find_irreducible runs
         assert _irreducible_rows(np.array(moduli), p).tolist() == expected, (p, n)
         if n > 1:  # degree 1 takes x itself, the one modulus with f(0) = 0
@@ -130,7 +123,7 @@ def test_order_cap_checked_before_primality():
     # minutes; the cap must reject both first
     start = time.perf_counter()
     for p, ell in ((2**61 - 1, 1), (3, 10**9)):
-        with pytest.raises(FieldTooLargeError):
+        with pytest.raises(ValueError, match=rf"^field order {p}\^{ell} exceeds the cap of 2\^20$"):
             field_new(p, 1, ell)
     assert time.perf_counter() - start < 1.0
 
@@ -181,11 +174,11 @@ def test_design_and_load_bundle_share_a_context():
 
 def test_rejected_field_is_never_kept(fresh_fields):
     for _ in range(2):
-        with pytest.raises(ReducibleModulusError):
+        with pytest.raises(ValueError, match=r"^modulus \(1, 0, 1, 0, 1\) is reducible over F_2$"):
             field_new(2, 1, 4, (1, 0, 1, 0, 1))  # (x^2 + x + 1)^2
-        with pytest.raises(NonPrimeError):
+        with pytest.raises(ValueError, match=r"^p = 4 is not prime$"):
             field_new(4, 1, 2)
-        with pytest.raises(FieldTooLargeError):
+        with pytest.raises(ValueError, match=r"^field order 2\^21 exceeds the cap of 2\^20$"):
             field_new(2, 1, 21)
     assert not fresh_fields
 
@@ -304,7 +297,7 @@ def test_array_arithmetic_matches_scalar_exhaustive(p, s, ell):
     table = ctx.add_array(xs[:, None], xs[None, :])
     assert table.tolist() == [[ctx.add(x, y) for y in ctx.elements()] for x in ctx.elements()]
     assert ctx.add_array(xs, 5).tolist() == [ctx.add(x, 5) for x in ctx.elements()]
-    assert ctx.log_array(xs[1:]).tolist() == [ctx.log(x) for x in ctx.nonzero_elements()]
+    assert ctx.log_array(xs[1:]).tolist() == [ctx.log(x) for x in range(1, ctx.order)]
     with pytest.raises(ValueError, match="zero"):
         ctx.log_array(xs)
 
@@ -451,7 +444,7 @@ def test_trace_tower_transitivity_gf16(gf16):
 
 
 def test_trace_invalid_subfield(gf16):
-    with pytest.raises(InvalidSubfieldError):
+    with pytest.raises(ValueError, match=r"^m = 3 does not divide 4$"):
         gf16.trace_to_subfield(3, 3)
     # m = 0 once raised ZeroDivisionError, and m < 0 TypeError from a float slice step
     kept = set(gf16._subfields)
@@ -464,7 +457,7 @@ def test_trace_invalid_subfield(gf16):
             lambda: gf16.dual_basis([1, 2, 4, 8], m),
         ]
         for call in calls:
-            with pytest.raises(InvalidSubfieldError, match=f"^need m >= 1, got m = {m}$"):
+            with pytest.raises(ValueError, match=f"^need m >= 1, got m = {m}$"):
                 call()
     assert set(gf16._subfields) == kept
 
@@ -567,7 +560,7 @@ def test_subfield_degree_lookup(gf16):
     assert gf16.subfield_degree(2) == 1
     assert gf16.subfield_degree(4) == 2
     assert gf16.subfield_degree(16) == 4
-    with pytest.raises(InvalidSubfieldError):
+    with pytest.raises(ValueError, match=r"^8 is not the order of a subfield of GF\(2\^4\)$"):
         gf16.subfield_degree(8)  # F_8 is not inside GF(16)
 
 
@@ -621,8 +614,8 @@ def test_coords_roundtrip_and_linearity(gf16, gf64, gf9):
 def _dual_or_raise(dual_basis, ctx, ws, m):
     try:
         return dual_basis(ctx, ws, m)
-    except RankDeficientError:
-        return RankDeficientError
+    except ValueError as exc:  # a singular ws, named by its message
+        return str(exc)
 
 
 def _check_echelon(ctx, m, lists):
@@ -712,9 +705,9 @@ def test_dual_basis(gf16, gf64, gf9, gf16_q4):
             for _ in range(10):
                 ws = [rng.randrange(1, ctx.order) for _ in range(big_l)]
                 if ctx.rank_over(m, ws) < big_l:
-                    with pytest.raises(RankDeficientError):
+                    with pytest.raises(ValueError, match="^singular matrix over subfield$"):
                         ctx.dual_basis(ws, m)
-                    with pytest.raises(RankDeficientError):
+                    with pytest.raises(ValueError, match="^singular matrix over subfield$"):
                         dual_basis_gram(ctx, ws, m)
                     continue
                 dual = ctx.dual_basis(ws, m)
@@ -724,5 +717,5 @@ def test_dual_basis(gf16, gf64, gf9, gf16_q4):
                         assert ctx.trace_to_subfield(ctx.mul(w, d), m) == (i == j)
             if big_l > 1:
                 # a repeated element makes the Gram matrix singular
-                with pytest.raises(RankDeficientError):
+                with pytest.raises(ValueError, match="^singular matrix over subfield$"):
                     ctx.dual_basis([1] * big_l, m)

@@ -118,6 +118,19 @@ def test_budget_exhaustion_flags_result(gf64, empty_memo, monkeypatch):
     assert all(set(res.witness) & s for s in fam.sets)
 
 
+def test_fallback_stays_within_the_upper_bound(empty_memo, monkeypatch):
+    # With no solver result, greedy covers the groups of GF(2^12)'s first
+    # 6-subspace with 142 points, but the Bose-Burton line cover takes 127.
+    ctx = field_new(2, 1, 12)
+    fam = coset_family([next(enumerate_subspaces(ctx, 2, 6))])
+    empty_memo(ctx)
+    monkeypatch.setattr(hitting, "milp", lambda **kw: SimpleNamespace(x=None, status=1))
+    assert hitting._solve(*hitting._rows(fam)).size == 142
+    res = min_hitting_set(fam)
+    assert res.method == "greedy-upper-only"
+    assert res.size == bounds(2, 12, 6).upper == 127
+
+
 def reference_greedy(sets):
     """Max coverage of the unhit sets, one element at a time; ties go to the least element."""
     unhit = list(dict.fromkeys(frozenset(s) for s in sets))

@@ -79,3 +79,15 @@ def test_field_new_cache_is_the_one_locked_module_level_store():
                 weak_stores.append(f"{info.name}.{name}")
     assert locks == ["gf._FIELDS_LOCK"]
     assert weak_stores == []
+
+
+def test_package_defines_three_exception_classes():
+    # bad input raises ValueError; a class of its own means something else
+    defined = set()
+    for info in pkgutil.iter_modules(compactrepair.__path__):
+        module = importlib.import_module(f"compactrepair.{info.name}")
+        for value in vars(module).values():
+            if isinstance(value, type) and issubclass(value, Exception):
+                if value.__module__ == module.__name__:
+                    defined.add(value.__name__)
+    assert defined == {"BudgetExceededError", "CompactRepairError", "InvariantError"}

@@ -19,7 +19,7 @@ from oracles import enumerate_subspaces_scan, linearized_to_dense, subspace_poly
 def brute_force_subspaces(ctx, q, delta):
     """Oracle: spans of all delta-tuples of elements, deduped by member set."""
     found = {}
-    for gens in itertools.combinations(ctx.nonzero_elements(), delta):
+    for gens in itertools.combinations(range(1, ctx.order), delta):
         S = span(ctx, q, gens)
         if S.dim == delta:
             found[S.members] = S
