@@ -34,9 +34,9 @@ derived data filled so far.  The cache holds contexts of at most
 MAX_FIELD_ORDER elements in total and drops the oldest first;
 FieldCtx(...) called directly is never cached.
 
-Moduli: GF(16) is pinned to x^4 + x + 1 (the arithmetic every golden value
-in this package assumes); other fields take the first monic irreducible in
-coefficient-encoding order unless an explicit modulus is supplied.
+Moduli: a field takes the first monic irreducible in coefficient-encoding
+order unless an explicit modulus is supplied.  For GF(16) that is
+x^4 + x + 1, the arithmetic every golden value in this package assumes.
 
 Bootstrap, done once per context with no per-coefficient Python loop, in
 one residue arithmetic for every p: rows of n digits, multiplied in numpy
@@ -44,8 +44,8 @@ batches through a tensor T with row i*n + j the digits of x^(i+j) mod f.
 
   * irreducibility: Ben-Or's test, gcd(x^(p^k) - x, f) = 1 for k <= n/2,
     on a batch of candidate moduli at once (one unit test of the product
-    of the x^(p^k) - x).  An explicit modulus is tested; a searched or
-    pinned one is not tested again.
+    of the x^(p^k) - x).  An explicit modulus is tested; a searched one is
+    not tested again.
   * generator: the first element in encoding order whose order is
     p^n - 1, by square-and-multiply to (p^n - 1)/r for each prime r.
   * tables: z^0 .. z^(p^n - 1) by doubling (see _build_tables): for p = 2
@@ -67,11 +67,6 @@ MAX_FIELD_ORDER = 1 << 20
 
 # Most candidates (moduli or generators) one numpy batch tests.
 _BATCH = 1024
-
-# Pinned default moduli, keyed by (p, s*ell), coefficients low degree first.
-DEFAULT_MODULI = {
-    (2, 4): (1, 1, 0, 0, 1),  # x^4 + x + 1
-}
 
 
 def prime_factors(v: int) -> list[int]:
@@ -96,6 +91,19 @@ def is_integer(x) -> bool:
     instance does not count; float does not implement it.
     """
     return hasattr(type(x), "__index__")
+
+
+def _field_args(p, s, ell, modulus) -> tuple:
+    """(p, s, ell, modulus) as ints, the modulus a tuple or None; ValueError on a non-integer."""
+    for name, v in (("p", p), ("s", s), ("ell", ell)):
+        if not is_integer(v):
+            raise ValueError(f"need an integer {name}, got {name} = {v}")
+    if modulus is not None:
+        coeffs = tuple(modulus)
+        if not all(map(is_integer, coeffs)):
+            raise ValueError(f"modulus coefficients must be integers, got {modulus!r}")
+        modulus = tuple(map(operator.index, coeffs))
+    return operator.index(p), operator.index(s), operator.index(ell), modulus
 
 
 def _digit_array(values, p: int, width: int) -> np.ndarray:
@@ -226,7 +234,7 @@ def find_irreducible(p: int, n: int) -> tuple[int, ...]:
         ok = _irreducible_rows(moduli, p)
         if ok.any():
             return tuple(moduli[ok.argmax()].tolist())
-    raise RuntimeError(f"no irreducible of degree {n} over F_{p}")  # unreachable
+    raise InvariantError(f"no irreducible of degree {n} over F_{p}")  # unreachable
 
 
 class FieldCtx:
@@ -237,12 +245,13 @@ class FieldCtx:
     operation is a pure function of them and its integer-encoded
     arguments.  Derived data fill on first use and live as long as the
     context: the subfield tables, and in _derived the other layers' (a
-    ("closed-form", r) repair scheme, an ("mhs", class) hitting set).  A
+    ("closed-form", r) repair scheme, an ("mhs", class) exact hitting set).  A
     build that races another stores with setdefault, and both agree, so
     no lock is needed.
     """
 
     def __init__(self, p: int, s: int, ell: int, modulus=None):
+        p, s, ell, modulus = _field_args(p, s, ell, modulus)
         if s < 1 or ell < 1:
             raise ValueError("s and ell must be positive")
         n = s * ell
@@ -266,9 +275,8 @@ class FieldCtx:
         self.q = p**s
 
         if modulus is None:
-            modulus = DEFAULT_MODULI.get((p, n)) or find_irreducible(p, n)
+            modulus = find_irreducible(p, n)
         else:
-            modulus = tuple(int(c) for c in modulus)
             if len(modulus) != n + 1:
                 raise ValueError(
                     f"modulus must have degree {n} ({n + 1} coefficients, low first)"
@@ -316,7 +324,7 @@ class FieldCtx:
                 cands, rows = cands[keep], rows[keep]
             if cands.size:
                 return int(cands[0])
-        raise RuntimeError("no primitive element found")  # unreachable
+        raise InvariantError("no primitive element found")  # unreachable
 
     def _build_tables(self):
         """exp and log tables by doubling, and for p > 2 the Zech table.
@@ -613,19 +621,18 @@ _FIELDS_LOCK = threading.Lock()  # eviction and insertion happen together
 def field_new(p: int, s: int, ell: int, modulus=None) -> FieldCtx:
     """GF(p^(s*ell)) with verified generator and filled tables, shared per process.
 
-    The arguments are looked up as given, before any check: a hit returns
-    the context an earlier call built, with the subfield tables and derived
-    data filled so far.  A miss builds a FieldCtx (which runs every check; a failed build
-    is not kept) and keeps it under these arguments and under its own
-    modulus, so field_new(2, 1, 4) is field_new(2, 1, 4, (1, 1, 0, 0, 1)).
+    The arguments are looked up once they pass the integer rule (so a
+    coefficient 1.0 never finds the context of 1), before any other check:
+    a hit returns the context an earlier call built, with the subfield
+    tables and derived data filled so far.  A miss builds a FieldCtx
+    (which runs every check; a failed build is not kept) and keeps it
+    under these arguments and under its own modulus, so
+    field_new(2, 1, 4) is field_new(2, 1, 4, (1, 1, 0, 0, 1)).
     Kept contexts hold at most MAX_FIELD_ORDER elements in total; the
     oldest goes first.  Racing misses build alike and all return the
     context kept first.
     """
-    p, s, ell = operator.index(p), operator.index(s), operator.index(ell)
-    if modulus is not None:
-        modulus = tuple(int(c) for c in modulus)
-    key = (p, s, ell, modulus)
+    key = p, s, ell, modulus = _field_args(p, s, ell, modulus)
     ctx = _FIELDS.get(key)
     if ctx is not None:
         return ctx

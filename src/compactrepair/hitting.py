@@ -18,12 +18,11 @@ this module: the milp attribute resolves on first read (module
 __getattr__), and _solve calls through it.
 
 If the solver spends its NODE_BUDGET nodes, or it returns no verified
-optimum, the smallest of its verified incumbent, a greedy max-coverage
-cover and, for seeds of one dimension, the Bose-Burton line cover (see
-below) is returned flagged method="greedy-upper-only"; the line cover
-keeps it within bounds' upper end.  Witnesses are
-reproducible for fixed inputs, but only size and the hitting property are
-contractual.
+optimum, the result is flagged method="greedy-upper-only" and is the
+smaller of its verified incumbent, if any, and the Bose-Burton line cover
+for the least seed dimension (see below), which keeps it within bounds'
+upper end.  Witnesses are reproducible for fixed inputs, but only size
+and the hitting property are contractual.
 
 |MHS| is invariant under the semilinear group GammaL(1, q^ell): scaling
 x -> b*x and the Frobenius map x -> x^p both carry a coset family around 0
@@ -33,10 +32,11 @@ constant to logs, so each kept seed's logs reduce to their least translate
 (orbits._least_translate); x -> x^(p^f) multiplies logs by p^f.  The
 canonical key is the sorted tuple of these forms, each with its seed's
 period (both maps keep stabilizers), at the smallest f < n that minimises
-it.  A miss solves the CosetFamily of the key's forms and periods and
-keeps its witness logs and method with the field context, under ("mhs",
+it.  A miss solves the CosetFamily of the key's forms and periods, and an
+exact solve keeps its witness logs with the field context, under ("mhs",
 key) in ctx._derived: the entry lives as long as the context, and a
-context built anew solves anew.  The stored witness is mapped back by
+context built anew solves anew.  A not-exact result is never kept, so a
+later call solves again.  The stored witness is mapped back by
 log -> p^(n-f) * log and checked against the caller's family by
 min_hitting_set, so a corrupted entry raises InvariantError.  Every
 caller gets the canonical solve mapped back, hit or miss, so a result
@@ -65,7 +65,11 @@ orbit: gaussian_coefficient(ell, delta, q) groups of q^delta - 1 points.
 A lone seed of a solved shape takes its own formula first.  Otherwise
 U = span(z^0, ..., z^(ell-delta)) meets each group's span in at least a
 line, so the least F_q-multiple of each nonzero member of U hits them all,
-with (q^(ell-delta+1) - 1)/(q - 1) points: the Bose-Burton bound.
+with (q^(ell-delta+1) - 1)/(q - 1) points: the Bose-Burton bound.  The
+same U, of dimension ell - delta + 1, meets every group of a seed of
+dimension delta_t >= delta in delta_t - delta + 1 >= 1 dimensions, so the
+line cover of the least seed dimension hits every group of any coset
+family: the not-exact fallback.
 """
 
 from __future__ import annotations
@@ -96,7 +100,7 @@ def __getattr__(name: str):
 @dataclass(frozen=True)
 class HittingResult:
     witness: tuple[int, ...]
-    method: str  # "exact" | "greedy-upper-only"
+    method: str  # "exact", or "greedy-upper-only": an upper bound, not proven minimum
 
     @property
     def size(self) -> int:
@@ -122,18 +126,6 @@ def _rows(family: CosetFamily) -> tuple[np.ndarray, np.ndarray]:
     values = np.concatenate([block.ravel() for block in blocks])
     lengths = np.repeat([b.shape[1] for b in blocks], [b.shape[0] for b in blocks])
     return values, np.concatenate(([0], np.cumsum(lengths)))
-
-
-def _greedy_hitting(a) -> list[int]:
-    """Columns picked by max coverage of unhit rows; ties go to the lowest column."""
-    by_col = a.tocsc()
-    unhit = np.ones(a.shape[0])
-    picked = []
-    while unhit.any():
-        col = int(np.argmax(a.T @ unhit))
-        picked.append(col)
-        unhit[by_col.indices[by_col.indptr[col] : by_col.indptr[col + 1]]] = 0.0
-    return picked
 
 
 def min_hitting_set(family: CosetFamily) -> HittingResult:
@@ -187,9 +179,9 @@ def _shared_delta(family: CosetFamily) -> int | None:
 def _line_cover(ctx, delta: int) -> set[int]:
     """The least F_q-multiple of each nonzero member of U = span(z^0, ..., z^(ell-delta)).
 
-    U meets every delta-subspace in at least a line, so these
-    (q^(ell-delta+1) - 1)/(q - 1) points, bounds' upper end, hit every
-    group of any family whose seeds have dimension delta.
+    U meets every subspace of dimension at least delta in at least a line,
+    so these (q^(ell-delta+1) - 1)/(q - 1) points, bounds' upper end, hit
+    every group of any family whose seeds have dimension delta or more.
     """
     U = span(ctx, ctx.q, [ctx.exp(i) for i in range(ctx.ell - delta + 1)])
     scalars = ctx.subfield_elements(ctx.s)[1:]
@@ -204,13 +196,14 @@ def _exponent(q: int, value: int) -> int | None:
     return d if q**d == value else None
 
 
-def _solve(values: np.ndarray, indptr: np.ndarray) -> HittingResult:
+def _solve(values: np.ndarray, indptr: np.ndarray) -> HittingResult | None:
     """One HiGHS MILP over the set-by-element incidence matrix.
 
     Rows are the sets in order and columns the elements in ascending
-    value, so equal families give HiGHS equal matrices.  The solver is
-    read as this module's milp attribute, so a replacement set there is
-    the one called.
+    value, so equal families give HiGHS equal matrices.  The result is
+    the verified optimum, "exact"; else the verified incumbent, flagged
+    "greedy-upper-only"; else None.  The solver is read as this module's
+    milp attribute, so a replacement set there is the one called.
     """
     from scipy.optimize import Bounds, LinearConstraint
     from scipy.sparse import csr_array
@@ -226,18 +219,13 @@ def _solve(values: np.ndarray, indptr: np.ndarray) -> HittingResult:
         bounds=Bounds(0.0, 1.0),
         options={"node_limit": NODE_BUDGET},
     )
-    candidate = None
-    if res.x is not None:
-        chosen = res.x[cols] > 0.5
-        if np.logical_or.reduceat(chosen, indptr[:-1]).all():
-            candidate = np.flatnonzero(res.x > 0.5)
-    if res.status == 0 and candidate is not None:
-        return HittingResult(tuple(elements[candidate].tolist()), "exact")
-    # Budget exhausted (or solver gave up): report the best upper bound seen.
-    greedy = sorted(_greedy_hitting(a))
-    if candidate is None or len(greedy) <= len(candidate):
-        candidate = greedy
-    return HittingResult(tuple(elements[candidate].tolist()), "greedy-upper-only")
+    if res.x is None:
+        return None
+    chosen = res.x > 0.5
+    if not np.logical_or.reduceat(chosen[cols], indptr[:-1]).all():
+        return None
+    method = "exact" if res.status == 0 else "greedy-upper-only"
+    return HittingResult(tuple(elements[chosen].tolist()), method)
 
 
 def _canonical_class(family: CosetFamily) -> tuple[int, tuple[tuple[tuple[int, ...], int], ...]]:
@@ -258,23 +246,26 @@ def _canonical_class(family: CosetFamily) -> tuple[int, tuple[tuple[tuple[int, .
 
 
 def _memo_solve(family: CosetFamily) -> HittingResult:
-    """Solve the family's ΓL class once per context; map its witness back, unchecked."""
+    """The family's ΓL class solved once per context, its witness mapped back, unchecked.
+
+    Only an exact solve is kept.  Otherwise the result is the smaller of
+    the solver's incumbent and the line cover of the least seed dimension,
+    flagged not exact.
+    """
     ctx = family.ctx
     group = ctx.order - 1
     f, key = _canonical_class(family)
-    entry = ctx._derived.get(("mhs", key))
-    if entry is None:  # racing solves agree in size; setdefault keeps the first
+    logs, method = ctx._derived.get(("mhs", key)), "exact"
+    if logs is None:  # racing solves agree in size; setdefault keeps the first
         forms, periods = zip(*key)  # a form lists the logs of a seed's image
-        canonical = CosetFamily(ctx, tuple(range(len(key))), forms, periods)
-        res = _solve(*_rows(canonical))
-        delta = _shared_delta(canonical)
-        if res.method != "exact" and delta is not None:  # keep the fallback within bounds
-            cover = _line_cover(ctx, delta)
-            if len(cover) < res.size:
-                res = HittingResult(tuple(sorted(cover)), res.method)
-        entry = (tuple(ctx.log(w) for w in res.witness), res.method)
-        entry = ctx._derived.setdefault(("mhs", key), entry)
-    logs, method = entry
+        res = _solve(*_rows(CosetFamily(ctx, tuple(range(len(key))), forms, periods)))
+        if res is not None and res.method == "exact":
+            logs = ctx._derived.setdefault(("mhs", key), tuple(ctx.log(w) for w in res.witness))
+        else:
+            cover = _line_cover(ctx, min(_exponent(ctx.q, len(v) + 1) for v in family.logs))
+            if res is None or len(cover) < res.size:
+                return HittingResult(tuple(sorted(cover)), "greedy-upper-only")
+            logs, method = tuple(ctx.log(w) for w in res.witness), res.method
     back = ctx.p ** (ctx.n - f)
     return HittingResult(tuple(sorted(ctx.exp(back * v % group) for v in logs)), method)
 

@@ -31,7 +31,7 @@ from math import gcd
 import numpy as np
 
 from .errors import BudgetExceededError, InvariantError
-from .gf import FieldCtx, prime_factors
+from .gf import FieldCtx, is_integer, prime_factors
 from .subspaces import Subspace, _check_delta, _subspace_blocks, gaussian_coefficient
 
 # Most delta-subspaces through 1, and nonzero members of them,
@@ -262,8 +262,8 @@ def orbit_decomposition(ctx: FieldCtx, delta: int) -> OrbitReport:
 
 def mobius(v: int) -> int:
     """Mobius function: 0 unless v is squarefree, else (-1)^(#prime factors)."""
-    if v < 1:
-        raise ValueError("mobius is defined on positive integers")
+    if not (is_integer(v) and v >= 1):
+        raise ValueError(f"mobius needs an integer v >= 1, got v = {v}")
     factors = prime_factors(v)
     if any(v % (f * f) == 0 for f in factors):
         return 0
@@ -281,6 +281,9 @@ def count_with_base(q: int, ell: int, delta: int, m: int) -> int:
     delta/m are counted by a Gaussian coefficient that lumps together all
     bases q^p with m | p.
     """
+    _check_delta(q, ell, delta)
+    if not is_integer(m):
+        raise ValueError(f"need an integer m, got m = {m}")
     g = gcd(ell, delta)
     if m < 1 or g % m:
         raise ValueError(f"m = {m} must divide gcd(ell, delta) = {g}")
@@ -292,6 +295,7 @@ def count_with_base(q: int, ell: int, delta: int, m: int) -> int:
 
 def base_counts(q: int, ell: int, delta: int) -> dict[int, int]:
     """count_with_base for every base degree m dividing gcd(ell, delta)."""
+    _check_delta(q, ell, delta)
     return {m: count_with_base(q, ell, delta, m) for m in _divisors(gcd(ell, delta))}
 
 

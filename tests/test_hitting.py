@@ -7,6 +7,7 @@ from types import SimpleNamespace
 import pytest
 
 from compactrepair import (
+    FieldCtx,
     bounds,
     bounds_for_seed,
     coset_family,
@@ -118,39 +119,22 @@ def test_budget_exhaustion_flags_result(gf64, empty_memo, monkeypatch):
     assert all(set(res.witness) & s for s in fam.sets)
 
 
+def _failing_milp(**kwargs):
+    return SimpleNamespace(x=None, status=1)
+
+
 def test_fallback_stays_within_the_upper_bound(empty_memo, monkeypatch):
-    # With no solver result, greedy covers the groups of GF(2^12)'s first
-    # 6-subspace with 142 points, but the Bose-Burton line cover takes 127.
+    # With no solver result, _solve has no witness, and the groups of
+    # GF(2^12)'s first 6-subspace get the Bose-Burton line cover, 127 points
+    # (a greedy max-coverage cover took 142, above the upper bound).
     ctx = field_new(2, 1, 12)
     fam = coset_family([next(enumerate_subspaces(ctx, 2, 6))])
     empty_memo(ctx)
-    monkeypatch.setattr(hitting, "milp", lambda **kw: SimpleNamespace(x=None, status=1))
-    assert hitting._solve(*hitting._rows(fam)).size == 142
+    monkeypatch.setattr(hitting, "milp", _failing_milp)
+    assert hitting._solve(*hitting._rows(fam)) is None
     res = min_hitting_set(fam)
     assert res.method == "greedy-upper-only"
     assert res.size == bounds(2, 12, 6).upper == 127
-
-
-def reference_greedy(sets):
-    """Max coverage of the unhit sets, one element at a time; ties go to the least element."""
-    unhit = list(dict.fromkeys(frozenset(s) for s in sets))
-    picked = []
-    while unhit:
-        best = max(sorted(set().union(*unhit)), key=lambda e: sum(e in s for s in unhit))
-        picked.append(best)
-        unhit = [s for s in unhit if best not in s]
-    return sorted(picked)
-
-
-def test_greedy_fallback_matches_reference(monkeypatch):
-    # With no solver result at all, the witness is the greedy cover.
-    monkeypatch.setattr(hitting, "milp", lambda **kw: SimpleNamespace(x=None, status=1))
-    rng = random.Random(13)
-    for _ in range(60):
-        sets = random_family(rng)
-        res = solve_sets(sets)
-        assert res.method == "greedy-upper-only"
-        assert list(res.witness) == reference_greedy(sets)
 
 
 def test_monotone_under_adding_sets():
@@ -283,7 +267,7 @@ def empty_memo():
 
 
 def mhs_entries(ctx):
-    """A context's memoised classes: {("mhs", canonical key): (witness logs, method)}."""
+    """A context's memoised classes: {("mhs", canonical key): exact witness logs}."""
     return {key: value for key, value in ctx._derived.items() if key[0] == "mhs"}
 
 
@@ -367,10 +351,71 @@ def test_corrupted_memo_entry_raises(gf16, empty_memo):
     empty_memo(gf16)
     fam = coset_family([span(gf16, 2, [gf16.exp(4), gf16.exp(5)])])
     min_hitting_set(fam)
-    (key, (logs, method)), = mhs_entries(gf16).items()
-    gf16._derived[key] = (logs[1:], method)
+    (key, logs), = mhs_entries(gf16).items()
+    gf16._derived[key] = logs[1:]
     with pytest.raises(InvariantError):
         min_hitting_set(fam)
+
+
+def _generic_gf64_seed(ctx, delta):
+    """The first base-1 delta-subspace of GF(64): generic for delta = 2 and 3."""
+    return next(S for S in enumerate_subspaces(ctx, 2, delta) if S.base == 1)
+
+
+def test_failed_solve_leaves_no_memo_entry(monkeypatch):
+    # A failed solve was kept for the context's life, flagged not exact.
+    ctx = FieldCtx(2, 1, 6)  # uncached, so no other test has filled its memo
+    fam = coset_family([_generic_gf64_seed(ctx, 2)])
+    monkeypatch.setattr(hitting, "milp", _failing_milp)
+    res = min_hitting_set(fam)
+    assert res.method == "greedy-upper-only"
+    assert res.size == bounds(2, 6, 2).upper == 31
+    assert not mhs_entries(ctx)
+
+
+def test_solve_after_a_failed_one_is_exact(monkeypatch):
+    # A failed solve once fixed a 29-point greedy cover for the class, so
+    # the same context never reached the optimum after the solver recovered.
+    ctx = FieldCtx(2, 1, 6)
+    fam = coset_family([_generic_gf64_seed(ctx, 2)])
+    with monkeypatch.context() as m:
+        m.setattr(hitting, "milp", _failing_milp)
+        assert min_hitting_set(fam).method == "greedy-upper-only"
+    res = min_hitting_set(fam)
+    assert (res.method, res.size) == ("exact", 24)
+    assert len(mhs_entries(ctx)) == 1
+
+
+def test_fallback_on_a_mixed_family_is_the_least_dimension_line_cover(monkeypatch):
+    # Seeds of dimension 2 and 3: the line cover of delta = 2 hits the groups of both.
+    ctx = FieldCtx(2, 1, 6)
+    fam = coset_family([_generic_gf64_seed(ctx, 2), _generic_gf64_seed(ctx, 3)])
+    monkeypatch.setattr(hitting, "milp", _failing_milp)
+    res = min_hitting_set(fam)
+    assert res.method == "greedy-upper-only"
+    assert res.size <= bounds(2, 6, 2).upper == 31
+    assert set(res.witness) == hitting._line_cover(ctx, 2)
+    assert fam.first_miss(res.witness) is None
+    assert not mhs_entries(ctx)
+
+
+MIXED_FIELDS = [(2, 1, 4), (2, 1, 5), (2, 1, 6), (3, 1, 3), (2, 2, 3), (5, 1, 3)]
+
+
+@pytest.mark.parametrize(
+    "field", MIXED_FIELDS, ids=[f"{p}^{s * ell}-q{p**s}" for p, s, ell in MIXED_FIELDS]
+)
+def test_line_cover_of_the_least_dimension_hits_mixed_families(field):
+    # U = span(z^0, ..., z^(ell-delta)) meets a delta_t-subspace in
+    # delta_t - delta + 1 >= 1 dimensions, whatever the seeds' dimensions.
+    ctx = field_new(*field)
+    rng = random.Random(sum(field))
+    pools = {d: list(enumerate_subspaces(ctx, ctx.q, d)) for d in range(1, ctx.ell)}
+    for _ in range(12):
+        seeds = [rng.choice(pools[rng.choice(list(pools))]) for _ in range(rng.randint(2, 3))]
+        fam = coset_family(seeds)
+        least = min(S.dim for S in seeds)
+        assert fam.first_miss(hitting._line_cover(ctx, least)) is None
 
 
 def test_raw_and_centred_families_bypass_memo(gf16, empty_memo):

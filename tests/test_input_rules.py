@@ -13,8 +13,10 @@ from compactrepair import (
     FieldCtx,
     SeedScheme,
     bandwidth_comparison,
+    base_counts,
     bounds,
     coset_family,
+    count_with_base,
     design_multi_seed,
     design_single_seed,
     dilate_translate,
@@ -22,6 +24,7 @@ from compactrepair import (
     field_new,
     gaussian_coefficient,
     helper_payload,
+    mobius,
     orbit_count_formula,
     orbit_decomposition,
     search_seed_scheme,
@@ -216,6 +219,15 @@ INTEGER_CALLS = {
         lambda x: bandwidth_comparison(16, 2, ELL, 3, scheme_bandwidths=[12, x, 9]),
         "scheme bandwidths must be non-negative integers, got [12, {}, 9]",
     ),
+    # mobius(2.0) returned -1, and count_with_base and base_counts raised a bare TypeError
+    "mobius": (lambda x: mobius(x), "mobius needs an integer v >= 1, got v = {}"),
+    "count_with_base-m": (lambda x: count_with_base(2, ELL, 2, x), "need an integer m, got m = {}"),
+    "count_with_base-ell": (
+        lambda x: count_with_base(2, x, 2, 1), "need an integer ell, got ell = {}"
+    ),
+    "base_counts-ell": (lambda x: base_counts(2, x, 2), "need an integer ell, got ell = {}"),
+    "FieldCtx-p": (lambda x: FieldCtx(x, 1, ELL), "need an integer p, got p = {}"),
+    "field_new-s": (lambda x: field_new(2, x, ELL), "need an integer s, got s = {}"),
 }
 
 
@@ -254,3 +266,22 @@ def test_trivial_seed_basis_meets_the_delta_rule():
     with pytest.raises(ValueError) as err:
         design_single_seed(2, 1, ELL, 2, seed_basis=[0])
     assert str(err.value) == f"need 1 <= delta <= ell = {ELL}, got delta = 0"
+
+
+@pytest.mark.parametrize(
+    "build, modulus",
+    [
+        (field_new, [1, 1, 0, 0, 1.9]),
+        (FieldCtx, [1.7, 1, 0, 0, 1]),
+        (field_new, "11001"),
+        (FieldCtx, "11001"),
+    ],
+    ids=["field_new-float", "FieldCtx-float", "field_new-digits", "FieldCtx-digits"],
+)
+def test_modulus_coefficients_meet_the_integer_rule(build, modulus):
+    # each of these built GF(16) on x^4 + x + 1: int() truncated 1.9 and 1.7,
+    # and read the string as digits
+    _gf16()  # a cached GF(16), which 1.9 would find as 1 before any check
+    with pytest.raises(ValueError) as err:
+        build(2, 1, ELL, modulus)
+    assert str(err.value) == f"modulus coefficients must be integers, got {modulus!r}"

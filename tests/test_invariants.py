@@ -14,12 +14,12 @@ SRC = Path(compactrepair.__file__).parent
 
 
 def _asserts(node) -> bool:
-    """An assert statement, or a raise of AssertionError instead of an InvariantError."""
+    """An assert statement, or a raise of AssertionError or RuntimeError, not InvariantError."""
     if isinstance(node, ast.Assert):
         return True
     exc = node.exc if isinstance(node, ast.Raise) else None
     exc = exc.func if isinstance(exc, ast.Call) else exc
-    return isinstance(exc, ast.Name) and exc.id == "AssertionError"
+    return isinstance(exc, ast.Name) and exc.id in ("AssertionError", "RuntimeError")
 
 
 def test_library_has_no_assert_statements():
@@ -29,7 +29,9 @@ def test_library_has_no_assert_statements():
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
         if _asserts(node)
     ]
-    assert not found, f"assert statements vanish under -O, AssertionError is untyped: {found}"
+    assert not found, (
+        f"assert statements vanish under -O, AssertionError and RuntimeError are untyped: {found}"
+    )
 
 
 @pytest.mark.parametrize("p, n", [(2, 4), (2, 10), (3, 3), (5, 2), (7, 1)])
